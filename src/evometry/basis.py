@@ -9,6 +9,7 @@ probability distribution over the basis elements.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -107,7 +108,7 @@ class OperatorBasis:
             raise ValueError("one label per element required")
         g = gram(els)
         dev = np.abs(g - self.dim * np.eye(len(els))).max()
-        if dev > ATOL:
+        if not dev <= ATOL:
             raise ValueError(
                 f"elements are not trace-orthogonal (deviation {dev:.3e})"
             )
@@ -146,6 +147,23 @@ def pauli_string(letters: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+def pauli_strings(n: int) -> np.ndarray:
+    """All 4^n Pauli strings on n qubits as one (4^n, 2^n, 2^n) array.
+
+    Entry a is pauli_string of the base-4 digits of a, first qubit most
+    significant, which is the pauli_basis ordering. Built with one einsum
+    per qubit; not cached, since the table is as large as the basis.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one qubit, got {n}")
+    single = np.stack(gates.PAULIS)
+    table = single
+    for _ in range(n - 1):
+        a, s = len(table), 2 * table.shape[1]
+        table = np.einsum("aij,bkl->abikjl", table, single).reshape(4 * a, s, s)
+    return table
+
+
 def pauli_basis(u0=None, dim: int = 2) -> OperatorBasis:
     """Basis {u0 s_a} from tensor products of the single-qubit operators.
 
@@ -168,11 +186,11 @@ def pauli_basis(u0=None, dim: int = 2) -> OperatorBasis:
         dim = u0.dim
     n = _n_qubits(dim)
     ref = np.eye(dim, dtype=complex) if u0 is None else u0.matrix
-    elements = []
-    labels = []
-    for letters in itertools.product(range(4), repeat=n):
-        elements.append(ref @ pauli_string(letters))
-        labels.append("".join(gates.PAULI_LABELS[l] for l in letters))
+    labels = [
+        "".join(gates.PAULI_LABELS[l] for l in letters)
+        for letters in itertools.product(range(4), repeat=n)
+    ]
+    elements = ref @ pauli_strings(n)
     return OperatorBasis(dim, tuple(elements), tuple(labels), u0=u0)
 
 
@@ -194,6 +212,34 @@ def clock_shift(dim: int) -> tuple[UnitaryOperator, UnitaryOperator]:
     return UnitaryOperator(z), UnitaryOperator(x)
 
 
+@functools.lru_cache(maxsize=None)
+def clock_shift_powers(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """All powers Z^m and X^m, m = 0 .. d-1, as two (d, d, d) arrays.
+
+    Z^m = diag(zeta^(m j)) with the exponent reduced mod d, and
+    X^m|j> = |j + m mod d>. Built once per dimension and returned
+    read-only: every caller shares them.
+    """
+    if dim < 2:
+        raise ValueError("clock/shift pair needs dimension >= 2")
+    m = np.arange(dim)[:, None]
+    j = np.arange(dim)[None, :]
+    zeta = np.exp(2j * np.pi / dim)
+    zp = np.zeros((dim, dim, dim), dtype=complex)
+    zp[:, np.arange(dim), np.arange(dim)] = zeta ** ((m * j) % dim)
+    xp = np.zeros((dim, dim, dim), dtype=complex)
+    xp[m, (j + m) % dim, j] = 1.0
+    zp.flags.writeable = False
+    xp.flags.writeable = False
+    return zp, xp
+
+
+def _weyl_products(dim: int) -> np.ndarray:
+    """Z^mu X^nu at index mu * d + nu, as one (d^2, d, d) array."""
+    zp, xp = clock_shift_powers(dim)
+    return np.einsum("mij,njk->mnik", zp, xp).reshape(dim * dim, dim, dim)
+
+
 def weyl_basis(dim: int, u0=None) -> OperatorBasis:
     """Basis {u0 Z^mu X^nu} ordered lexicographically by (mu, nu).
 
@@ -204,21 +250,14 @@ def weyl_basis(dim: int, u0=None) -> OperatorBasis:
     if np.ndim(dim) != 0:
         raise ValueError("dim must be an integer; the reference unitary "
                          "goes second, weyl_basis(d, u0)")
-    z, x = clock_shift(dim)
+    products = _weyl_products(dim)
     if u0 is not None:
         u0 = u0 if isinstance(u0, UnitaryOperator) else UnitaryOperator(u0)
         if u0.dim != dim:
             raise ValueError(f"u0 has dim {u0.dim}, expected {dim}")
     ref = np.eye(dim, dtype=complex) if u0 is None else u0.matrix
-    zp = [np.linalg.matrix_power(z.matrix, m) for m in range(dim)]
-    xp = [np.linalg.matrix_power(x.matrix, m) for m in range(dim)]
-    elements = []
-    labels = []
-    for mu in range(dim):
-        for nu in range(dim):
-            elements.append(ref @ zp[mu] @ xp[nu])
-            labels.append(f"Z^{mu}X^{nu}")
-    return OperatorBasis(dim, tuple(elements), tuple(labels), u0=u0)
+    labels = [f"Z^{mu}X^{nu}" for mu in range(dim) for nu in range(dim)]
+    return OperatorBasis(dim, tuple(ref @ products), tuple(labels), u0=u0)
 
 
 def expand(op, basis: OperatorBasis) -> ExpansionCoefficients:

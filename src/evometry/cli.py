@@ -24,7 +24,7 @@ from .channels import (
 )
 from .formats import json_report, load_map, load_state, load_unitary
 from .interaction import concentrate, operator_schmidt
-from .linalg import dag, partial_trace, shannon_entropy
+from .linalg import _sample, dag, partial_trace, shannon_entropy
 from .measure import (
     PureState,
     measure_which_unitary,
@@ -333,11 +333,7 @@ def cmd_verify(args):
     weights = np.array(
         [np.trace(dag(k) @ k).real / d for k in rep.operators]
     )
-    rng = np.random.default_rng(args.seed)
-    claimed = [
-        int(i) for i in
-        rng.choice(weights.size, size=args.steps, p=weights / weights.sum())
-    ]
+    claimed = [int(i) for i in _sample(weights, args.steps, args.seed)]
     if args.flip is not None:
         if not 0 <= args.flip < args.steps:
             raise ValueError("--flip index out of range")

@@ -20,7 +20,7 @@ import numpy as np
 from .basis import OperatorBasis, pauli_basis, weyl_basis
 from .channels import KrausMap
 from .gates import X
-from .linalg import as_matrix, dag, deterministic_eigh, shannon_entropy
+from .linalg import _sample, as_matrix, dag, deterministic_eigh, shannon_entropy
 
 SCHMIDT_ATOL = 1e-10
 RECON_ATOL = 1e-9
@@ -330,10 +330,7 @@ def concentrate(n, alpha, beta=None, mode: str = "combinatorial",
     )
     samples = None
     if shots:
-        if seed is None:
-            raise ValueError("seed is required when shots > 0")
-        rng = np.random.default_rng(seed)
-        samples = rng.choice(n + 1, size=shots, p=probs / probs.sum())
+        samples = _sample(probs, shots, seed)
     return ConcentrationDistribution(
         n, alpha, beta, probs, records, mode, deviation, samples
     )

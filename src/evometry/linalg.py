@@ -92,6 +92,18 @@ def shannon_entropy(p) -> float:
     return float(-(nz * np.log2(nz)).sum()) if nz.size else 0.0
 
 
+def _sample(probs, shots: int, seed) -> np.ndarray:
+    """Draw shots outcome indices from the weights probs, normalized.
+
+    Sampling is never unseeded: a missing seed is an error.
+    """
+    if seed is None:
+        raise ValueError("a seed is required for sampling")
+    p = np.asarray(probs, dtype=float)
+    rng = np.random.default_rng(seed)
+    return rng.choice(p.size, size=shots, p=p / p.sum())
+
+
 def phase_fixed(v: np.ndarray) -> np.ndarray:
     """Rescale a vector's global phase so its largest-magnitude entry is
     real and positive."""

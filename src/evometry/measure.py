@@ -21,16 +21,37 @@ inverted at t2 (an echo) is what makes the end states exact products; at
 d = 2 the inversion only reorders the two self-inverse couplings, which
 is the same circuit up to a known controlled phase between the ancillas
 that the +/- readout basis absorbs.
+
+Simulation: the circuit runs as per-site tensor contractions, never as
+global matrices. The joint state is one array with an (alpha_j, beta_j)
+ancilla-axis pair per site, then the site axes, then the bystander axis.
+Each coupling acts on its own site's axes as a phase (Z^beta) and a
+cyclic gather (X^alpha); u0^dag U before the echo and u0 after it act
+once on all ancilla configurations as one batched product; the Fourier
+readout is one q x q kernel contraction per ancilla axis. No readout
+matrix over configurations and no per-configuration Kronecker product is
+formed. For n qubits and a bystander of dimension b the joint array
+holds 4^n * 2^n * b amplitudes, and each per-site step costs time in
+proportion to that; the two products with the 2^n x 2^n unitaries cost
+4^n * 4^n * b.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import OperatorBasis, UnitaryOperator, clock_shift, expand, pauli_string
-from .linalg import as_matrix, dag, max_entangled
+from .basis import (
+    OperatorBasis,
+    UnitaryOperator,
+    _weyl_products,
+    clock_shift,
+    clock_shift_powers,
+    expand,
+    pauli_strings,
+)
+from .linalg import _sample, as_matrix, dag, max_entangled
 
 PRODUCT_FORM_ATOL = 1e-9
 EIGEN_RTOL = 1e-9
@@ -51,7 +72,7 @@ class PureState:
     def __post_init__(self):
         v = np.asarray(self.amplitudes, dtype=complex).ravel()
         n = np.linalg.norm(v)
-        if abs(n - 1.0) > NORM_ATOL:
+        if not abs(n - 1.0) <= NORM_ATOL:
             raise ValueError(f"state norm {n} is not 1 within {NORM_ATOL}")
         object.__setattr__(self, "amplitudes", v)
 
@@ -178,92 +199,102 @@ def which_unitary_distribution(u, basis: OperatorBasis) -> OutcomeDistribution:
 # circuit engine
 
 
-def _site_couplings(site_dims):
-    """Per-site powers of the clock/shift pair, embedded later by kron."""
-    pairs = []
-    for q in site_dims:
-        z, x = clock_shift(q)
-        zp = [np.linalg.matrix_power(z.matrix, m) for m in range(q)]
-        xp = [np.linalg.matrix_power(x.matrix, m) for m in range(q)]
-        pairs.append((zp, xp))
-    return pairs
+def _on_axes(table, ndim, axes):
+    """View a 2-D table so that it broadcasts along two axes (in order) of
+    an ndim-dimensional array."""
+    shape = [1] * ndim
+    shape[axes[0]], shape[axes[1]] = table.shape
+    return table.reshape(shape)
 
 
-def _embed(ops, dims, bystander_dim):
-    """kron together per-site operators plus an identity bystander."""
-    out = ops[0]
-    for o in ops[1:]:
-        out = np.kron(out, o)
-    if bystander_dim > 1:
-        out = np.kron(out, np.eye(bystander_dim))
-    return out
+def _gather(t, a, k, index):
+    """out[.., alpha, .., j, ..] = t[.., alpha, .., index[alpha, j], ..],
+    alpha on axis a and j on the later axis k."""
+    sel = [slice(None)] * t.ndim
+    sel[a] = np.arange(index.shape[0])[:, None]
+    sel[k] = index
+    # separated advanced indices put their broadcast (alpha, j) axes first
+    return np.moveaxis(t[tuple(sel)], (0, 1), (a, k))
 
 
-def _circuit_rows(u, u0, site_dims, psi, bystander_dim):
+def _contract(t, axis, kernel):
+    """Apply the matrix kernel along one axis of t."""
+    return np.moveaxis(np.tensordot(kernel, t, axes=(1, axis)), 0, axis)
+
+
+def _echo_joint(u, u0, site_dims, psi):
+    """Joint array after the echo circuit, before the ancilla readout.
+
+    Row c is the unnormalized system vector paired with ancilla
+    configuration c = (alpha_1, beta_1, ..., alpha_n, beta_n) in
+    mixed-radix order; psi may carry a bystander factor after the sites.
+    Internally the array keeps one (alpha_j, beta_j) axis pair per site,
+    then the site axes k_1 .. k_n, then the bystander axis.
+    """
+    qs = tuple(site_dims)
+    n = len(qs)
+    dim = math.prod(qs)
+    anc = tuple(q for q in qs for _ in range(2))
+    n_cfg = math.prod(anc)
+    shape = anc + qs + (psi.size // dim,)
+    t = np.broadcast_to(psi.reshape(shape[2 * n:]) / np.sqrt(n_cfg), shape)
+    # per site: phases w[m, k] = zeta^(m k) of Z^m, and the cyclic index
+    # (k -/+ m) mod q that X^m / X^-m gathers from
+    sites = []
+    for j, q in enumerate(qs):
+        w = np.diagonal(clock_shift_powers(q)[0], axis1=1, axis2=2)
+        m, k = np.ogrid[:q, :q]
+        sites.append((2 * j, 2 * n + j, w, (k - m) % q, (k + m) % q))
+
+    # t1: Z^beta then X^alpha on every site
+    for a, k, w, shift, _ in sites:
+        t = t * _on_axes(w, t.ndim, (a + 1, k))
+        t = _gather(t, a, k, shift)
+    t = (dag(u0) @ u) @ t.reshape(n_cfg, dim, -1)
+    t = t.reshape(shape)
+    # t2: the inverse coupling X^-alpha then Z^-beta, conjugated by u0
+    for a, k, w, _, unshift in sites:
+        t = _gather(t, a, k, unshift)
+        t = t * _on_axes(w.conj(), t.ndim, (a + 1, k))
+    return (u0 @ t.reshape(n_cfg, dim, -1)).reshape(n_cfg, -1)
+
+
+def _circuit_rows(u, u0, site_dims, psi):
     """Run the echo circuit; return per-outcome unnormalized system rows.
 
     Outcomes are indexed by per-site pairs (mu_j, nu_j) in the same
     mixed-radix order as ancilla configurations. Row norms squared are
     the outcome probabilities; normalized rows are the collapsed states.
     """
-    pairs = _site_couplings(site_dims)
-    configs = list(
-        itertools.product(*[
-            itertools.product(range(q), range(q)) for q in site_dims
-        ])
-    )
-    n_cfg = len(configs)
-    dim_full = psi.size
-
-    u_full = u if bystander_dim == 1 else np.kron(u, np.eye(bystander_dim))
-    u0_full = u0 if bystander_dim == 1 else np.kron(u0, np.eye(bystander_dim))
-
-    joint = np.empty((n_cfg, dim_full), dtype=complex)
-    for idx, cfg in enumerate(configs):
-        # t1 coupling: per site, Z^beta then X^alpha
-        s1 = _embed(
-            [pairs[j][1][a] @ pairs[j][0][b] for j, (a, b) in enumerate(cfg)],
-            site_dims,
-            bystander_dim,
-        )
-        row = s1 @ psi
-        row = u_full @ row
-        # t2: the inverse coupling, conjugated by the reference unitary
-        row = u0_full @ dag(s1) @ dag(u0_full) @ row
-        joint[idx] = row / np.sqrt(n_cfg)
-
-    # Fourier readout per site: first ancilla with kernel zeta^{+mu alpha},
-    # second with zeta^{-nu beta}
-    kernels = []
-    for q in site_dims:
-        zeta = np.exp(2j * np.pi / q)
-        f = zeta ** np.outer(np.arange(q), np.arange(q)) / np.sqrt(q)
-        g = zeta ** (-np.outer(np.arange(q), np.arange(q))) / np.sqrt(q)
-        kernels.append((f, g))
-    meas = np.empty((n_cfg, n_cfg), dtype=complex)
-    for o_idx, out_cfg in enumerate(configs):
-        for c_idx, cfg in enumerate(configs):
-            amp = 1.0 + 0j
-            for j, ((mu, nu), (a, b)) in enumerate(zip(out_cfg, cfg)):
-                amp *= kernels[j][0][mu, a] * kernels[j][1][nu, b]
-            meas[o_idx, c_idx] = amp
-    rows = meas.conj() @ joint
-    return configs, rows
+    joint = _echo_joint(u, u0, site_dims, psi)
+    t = joint.reshape(tuple(q for q in site_dims for _ in range(2)) + (-1,))
+    # Fourier readout per site: first ancilla with kernel f = zeta^{+mu
+    # alpha} / sqrt(q), second with g = zeta^{-nu beta} / sqrt(q); the
+    # projection applies their conjugates
+    for j, q in enumerate(site_dims):
+        w = np.diagonal(clock_shift_powers(q)[0], axis1=1, axis2=2)
+        t = _contract(t, 2 * j, w.conj() / np.sqrt(q))
+        t = _contract(t, 2 * j + 1, w / np.sqrt(q))
+    return t.reshape(joint.shape)
 
 
-def _check_product_form(basis, expected_sigma):
-    ref = (
+def _reference(basis):
+    return (
         np.eye(basis.dim, dtype=complex)
         if basis.u0 is None
         else basis.u0.matrix
     )
-    for a, sig in enumerate(expected_sigma):
-        if np.abs(basis.elements[a] - ref @ sig).max() > PRODUCT_FORM_ATOL:
-            raise ValueError(
-                "basis is not of the product form {u0 s_a} this circuit "
-                f"measures (element {a} deviates)"
-            )
-    return ref
+
+
+def _check_product_form(basis, sigmas):
+    """Require basis element a to equal u0 @ sigmas[a] within 1e-9."""
+    dev = np.abs(np.stack(basis.elements) - _reference(basis) @ sigmas)
+    bad = np.flatnonzero(~(dev.max(axis=(1, 2)) <= PRODUCT_FORM_ATOL))
+    if bad.size:
+        raise ValueError(
+            "basis is not of the product form {u0 s_a} this circuit "
+            f"measures (element {bad[0]} deviates)"
+        )
 
 
 def _finish(labels, probs, collapsed_rows, shots, seed):
@@ -272,10 +303,7 @@ def _finish(labels, probs, collapsed_rows, shots, seed):
     counts = None
     shot_outcomes = None
     if shots:
-        if seed is None:
-            raise ValueError("seed is required when shots > 0")
-        rng = np.random.default_rng(seed)
-        shot_outcomes = rng.choice(probs.size, size=shots, p=probs / probs.sum())
+        shot_outcomes = _sample(probs, shots, seed)
         counts = np.bincount(shot_outcomes, minlength=probs.size)
         observed = np.flatnonzero(counts)
     else:
@@ -295,7 +323,9 @@ def _finish(labels, probs, collapsed_rows, shots, seed):
     return dist, results
 
 
-def _run_product_measurement(u, basis, psi, shots, seed, site_dims, index_of):
+def _circuit_inputs(u, basis, psi):
+    """Validated unitary and state (with any bystander factor) for a
+    circuit over the basis."""
     um = UnitaryOperator(as_matrix(u)).matrix
     if um.shape[0] != basis.dim:
         raise ValueError("unitary dimension does not match basis")
@@ -304,27 +334,29 @@ def _run_product_measurement(u, basis, psi, shots, seed, site_dims, index_of):
         raise ValueError(
             f"state dim {psi.size} is not a multiple of basis dim {basis.dim}"
         )
-    bystander = psi.size // basis.dim
-    psi = PureState(psi).amplitudes
-    ref = (
-        np.eye(basis.dim, dtype=complex)
-        if basis.u0 is None
-        else basis.u0.matrix
-    )
-    configs, rows = _circuit_rows(um, ref, site_dims, psi, bystander)
-    d2 = basis.dim ** 2
-    probs = np.zeros(d2)
-    collapsed = [None] * d2
-    for c_idx, cfg in enumerate(configs):
-        a = index_of(cfg)
-        probs[a] = np.linalg.norm(rows[c_idx]) ** 2
-        collapsed[a] = rows[c_idx]
-    return _finish(basis.labels, probs, collapsed, shots, seed)
+    return um, PureState(psi).amplitudes
 
 
-# outcome pair (mu, nu) of one qubit site against the I, X, Y, Z ordering;
-# Y appears at (1, 1) because Z X = i sigma_y
-_PAIR_TO_PAULI = {(0, 0): 0, (0, 1): 1, (1, 1): 2, (1, 0): 3}
+def _run_product_measurement(u, basis, psi, shots, seed, site_dims,
+                             pair_order=None):
+    """Run the circuit and read out in basis-label order.
+
+    pair_order, when given, lists for each label of one site the readout
+    pair index q * mu + nu that carries it.
+    """
+    um, psi = _circuit_inputs(u, basis, psi)
+    rows = _circuit_rows(um, _reference(basis), site_dims, psi)
+    if pair_order is not None:
+        per_site = rows.reshape((len(pair_order),) * len(site_dims) + (-1,))
+        rows = per_site[np.ix_(*[pair_order] * len(site_dims))]
+        rows = rows.reshape(len(basis), -1)
+    probs = np.linalg.norm(rows, axis=1) ** 2
+    return _finish(basis.labels, probs, rows, shots, seed)
+
+
+# readout pair index 2 mu + nu carrying each of I, X, Y, Z on one qubit;
+# Y sits at (mu, nu) = (1, 1) because Z X = i sigma_y
+_PAULI_PAIRS = np.array([0, 1, 3, 2])
 
 
 def measure_which_unitary(u, basis: OperatorBasis, psi, shots: int = 0,
@@ -345,20 +377,9 @@ def measure_which_unitary(u, basis: OperatorBasis, psi, shots: int = 0,
     n = basis.dim.bit_length() - 1
     if 2 ** n != basis.dim:
         raise ValueError("Pauli-form measurement needs dim = 2^n")
-    sigmas = [
-        pauli_string(letters)
-        for letters in itertools.product(range(4), repeat=n)
-    ]
-    _check_product_form(basis, sigmas)
-
-    def index_of(cfg):
-        a = 0
-        for (mu, nu) in cfg:
-            a = 4 * a + _PAIR_TO_PAULI[(mu, nu)]
-        return a
-
+    _check_product_form(basis, pauli_strings(n))
     return _run_product_measurement(
-        u, basis, psi, shots, seed, [2] * n, index_of
+        u, basis, psi, shots, seed, [2] * n, _PAULI_PAIRS
     )
 
 
@@ -370,18 +391,8 @@ def measure_which_unitary_qudit(u, basis: OperatorBasis, psi,
     ancilla end state for element (mu, nu) is the product of the two
     Fourier vectors with kernels zeta^{alpha mu} and zeta^{-beta nu}.
     """
-    d = basis.dim
-    z, x = clock_shift(d)
-    zp = [np.linalg.matrix_power(z.matrix, m) for m in range(d)]
-    xp = [np.linalg.matrix_power(x.matrix, m) for m in range(d)]
-    sigmas = [zp[mu] @ xp[nu] for mu in range(d) for nu in range(d)]
-    _check_product_form(basis, sigmas)
-
-    def index_of(cfg):
-        (mu, nu), = cfg
-        return mu * d + nu
-
-    return _run_product_measurement(u, basis, psi, shots, seed, [d], index_of)
+    _check_product_form(basis, _weyl_products(basis.dim))
+    return _run_product_measurement(u, basis, psi, shots, seed, [basis.dim])
 
 
 def circuit_end_state(u, basis: OperatorBasis, psi) -> np.ndarray:
@@ -389,23 +400,13 @@ def circuit_end_state(u, basis: OperatorBasis, psi) -> np.ndarray:
 
     Row c of the result is the unnormalized system vector paired with
     ancilla computational configuration c; summing |row|^2 gives 1.
-    Exposed for inspection of the ancilla end states.
+    This is the clock/shift circuit of measure_which_unitary_qudit
+    stopped before its readout, exposed for inspection of the ancilla
+    end states.
     """
-    um = UnitaryOperator(as_matrix(u)).matrix
-    d = basis.dim
-    z, x = clock_shift(d)
-    zp = [np.linalg.matrix_power(z.matrix, m) for m in range(d)]
-    xp = [np.linalg.matrix_power(x.matrix, m) for m in range(d)]
-    _check_product_form(basis, [zp[m] @ xp[n] for m in range(d) for n in range(d)])
-    psi = PureState(np.asarray(psi, dtype=complex)).amplitudes
-    ref = np.eye(d, dtype=complex) if basis.u0 is None else basis.u0.matrix
-    pairs = _site_couplings([d])
-    configs = list(itertools.product(range(d), range(d)))
-    joint = np.empty((len(configs), d), dtype=complex)
-    for idx, (a, b) in enumerate(configs):
-        s1 = pairs[0][1][a] @ pairs[0][0][b]
-        joint[idx] = (ref @ dag(s1) @ dag(ref) @ um @ s1 @ psi) / d
-    return joint
+    _check_product_form(basis, _weyl_products(basis.dim))
+    um, psi = _circuit_inputs(u, basis, psi)
+    return _echo_joint(um, _reference(basis), [basis.dim], psi)
 
 
 def measure_choi_side(op, basis: OperatorBasis, shots: int = 0,

@@ -19,7 +19,7 @@ import numpy as np
 from .channels import KrausMap, StinespringDilation, canonical_kraus
 from .channels import entropy as map_entropy
 from .channels import kraus_from_ancilla_basis
-from .linalg import dag, max_entangled
+from .linalg import _sample, dag, max_entangled
 from .measure import PureState
 
 STORE_ATOL = 1e-10
@@ -205,11 +205,7 @@ def verify_sequence(dil: StinespringDilation, ancilla_basis,
     weights = np.array(
         [np.trace(dag(m) @ m).real / d for m in rep.operators]
     )
-    rng = np.random.default_rng(seed)
-    sampled = tuple(
-        int(i) for i in
-        rng.choice(weights.size, size=len(claimed), p=weights / weights.sum())
-    )
+    sampled = tuple(int(i) for i in _sample(weights, len(claimed), seed))
     return VerificationRecord(
         accepted=sampled == claimed.indices,
         sampled=sampled,
@@ -263,11 +259,17 @@ def probabilistic_retrieve(index: int, kraus: KrausMap, psi: PureState,
     The storage register, holding the record of element M_i expanded
     over the D canonical elements, controls which canonical element
     acts on psi; a Fourier-basis readout of the register then heralds
-    success on its uniform-phase outcome, which occurs with probability
-    d ||M_i psi||^2 / (tr(M_i^dag M_i) D) and leaves the system in
-    exactly M_i|psi> normalized. This is 1/D whenever the stored
-    element is unitary up to scale. Other outcomes are returned as
-    failures with their post-measurement state.
+    success on its uniform-phase outcome and leaves the system in
+    exactly M_i|psi> normalized. Writing M_i = sum_m c_m K_m over the
+    canonical elements K_m, the herald occurs with probability
+
+        ||M_i psi||^2 / (D sum_m |c_m|^2 ||K_m psi||^2).
+
+    When the canonical elements are proportional to unitaries,
+    ||K_m psi||^2 = tr(K_m^dag K_m)/d and this reduces to
+    d ||M_i psi||^2 / (tr(M_i^dag M_i) D), which is 1/D whenever the
+    stored element is unitary up to scale. Other outcomes are returned
+    as failures with their post-measurement state.
     """
     rows = _retrieval_rows(kraus, index, psi)
     branches, weights = _fourier_branches(rows)

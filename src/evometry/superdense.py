@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import OperatorBasis, UnitaryOperator, expand
-from .linalg import as_matrix, max_entangled, partial_trace
+from .basis import OperatorBasis, UnitaryOperator
+from .linalg import _sample, as_matrix, partial_trace
 
 BELL_ATOL = 1e-10
 MARGINAL_ATOL = 1e-12
@@ -31,18 +31,24 @@ class BellBasis:
     labels: tuple
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=complex)
-        gram = v.conj() @ v.T
-        if np.abs(gram - np.eye(v.shape[0])).max() > BELL_ATOL:
-            raise ValueError("encoded vectors are not orthonormal")
         d = self.dim
-        for row in v:
-            rho = partial_trace(np.outer(row, row.conj()), (d, d), keep=0)
-            if np.abs(rho - np.eye(d) / d).max() > BELL_ATOL:
-                raise ValueError(
-                    "an encoded vector is not maximally entangled; "
-                    "the basis must consist of unitaries"
-                )
+        v = np.asarray(self.vectors, dtype=complex)
+        if v.ndim != 2 or v.shape[1] != d * d:
+            raise ValueError(
+                f"expected vectors on C^{d} (x) C^{d}, got shape {v.shape}"
+            )
+        dev = np.abs(v.conj() @ v.T - np.eye(v.shape[0])).max()
+        if not dev <= BELL_ATOL:
+            raise ValueError("encoded vectors are not orthonormal")
+        # the vector (B (x) 1)|phi+> reshaped to d x d is B / sqrt(d), and
+        # its marginal on the first factor is B B^dag / d
+        m = v.reshape(-1, d, d)
+        rho = m @ m.conj().swapaxes(1, 2)
+        if not np.abs(rho - np.eye(d) / d).max() <= BELL_ATOL:
+            raise ValueError(
+                "an encoded vector is not maximally entangled; "
+                "the basis must consist of unitaries"
+            )
         object.__setattr__(self, "vectors", v)
 
 
@@ -62,14 +68,20 @@ class ChannelTranscript:
         return 0 if self.counts is None else int(self.counts.sum())
 
 
+def _sent(um: np.ndarray) -> np.ndarray:
+    """(u (x) 1)|phi+>: entry (i, j) is u[i, j] / sqrt(d)."""
+    return um.ravel() / np.sqrt(um.shape[0])
+
+
 def bell_basis(basis: OperatorBasis) -> BellBasis:
-    """Lift an orthogonal unitary family to an entangled vector basis."""
+    """Lift an orthogonal unitary family to an entangled vector basis.
+
+    (B_a (x) 1)|phi+> is B_a flattened row-major over sqrt(d), so the
+    family is one reshape of the stacked elements.
+    """
     d = basis.dim
-    phi = max_entangled(d)
-    vectors = np.stack([
-        np.kron(b, np.eye(d)) @ phi for b in basis.elements
-    ])
-    return BellBasis(d, vectors, basis.labels)
+    vectors = np.stack(basis.elements).reshape(len(basis), d * d)
+    return BellBasis(d, vectors / np.sqrt(d), basis.labels)
 
 
 def eavesdropper_marginal(u, basis: OperatorBasis | None = None,
@@ -85,8 +97,7 @@ def eavesdropper_marginal(u, basis: OperatorBasis | None = None,
         raise ValueError("basis dimension does not match the unitary")
     if dim is not None and dim != d:
         raise ValueError("dim does not match the unitary")
-    phi = max_entangled(d)
-    sent = np.kron(um, np.eye(d)) @ phi
+    sent = _sent(um)
     return partial_trace(np.outer(sent, sent.conj()), (d, d), keep=0)
 
 
@@ -94,29 +105,24 @@ def superdense_send(u, basis: OperatorBasis, shots: int = 0,
                     seed: int | None = None) -> ChannelTranscript:
     """One round: encode u on the shared pair, decode in the Bell family.
 
-    Exact outcome probabilities are |C_a|^2 from the unitary's
-    expansion; a basis element encodes its own index with certainty.
-    Alice need not know u: the transcript is computed from the state
-    she produced, not from a lookup.
+    Bob's amplitude on Bell vector a is tr(B_a^dag u)/d, the expansion
+    coefficient C_a of the unitary, so the exact outcome probabilities
+    are |C_a|^2 and a basis element encodes its own index with
+    certainty. Alice need not know u: the transcript, coefficients
+    included, is computed from the state she produced, not from a
+    lookup.
     """
     um = UnitaryOperator(as_matrix(u)).matrix
     if um.shape[0] != basis.dim:
         raise ValueError("unitary dimension does not match basis")
-    coeffs = expand(um, basis)
-    bell = bell_basis(basis)
-    sent = np.kron(um, np.eye(basis.dim)) @ max_entangled(basis.dim)
-    amplitudes = bell.vectors.conj() @ sent
+    amplitudes = bell_basis(basis).vectors.conj() @ _sent(um)
     probs = np.abs(amplitudes) ** 2
     counts = None
     if shots:
-        if seed is None:
-            raise ValueError("seed is required when shots > 0")
-        rng = np.random.default_rng(seed)
-        drawn = rng.choice(probs.size, size=shots, p=probs / probs.sum())
-        counts = np.bincount(drawn, minlength=probs.size)
+        counts = np.bincount(_sample(probs, shots, seed), minlength=probs.size)
     return ChannelTranscript(
         labels=basis.labels,
-        coefficients=coeffs.coeffs,
+        coefficients=amplitudes,
         probabilities=probs,
         eavesdropper_marginal=eavesdropper_marginal(um),
         counts=counts,

@@ -1,13 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from evometry import (
     ExpansionCoefficients,
+    OperatorBasis,
     clock_shift,
+    clock_shift_powers,
     expand,
     gram,
     pauli_basis,
     pauli_string,
+    pauli_strings,
     reconstruct,
     rotate_basis,
     weyl_basis,
@@ -164,3 +169,28 @@ def test_constructor_misuse_gets_a_pointed_error():
         pauli_basis(4)
     with pytest.raises(ValueError, match="integer"):
         weyl_basis(np.eye(3))
+
+
+def test_nan_element_is_rejected():
+    els = [np.eye(2, dtype=complex), X.copy(), Y.copy(), Z.copy()]
+    els[2][0, 1] = np.nan
+    with pytest.raises(ValueError, match="trace-orthogonal"):
+        OperatorBasis(2, tuple(els), ("I", "X", "Y", "Z"))
+
+
+def test_pauli_strings_table_matches_kron_chains():
+    for n in (1, 2, 3):
+        table = pauli_strings(n)
+        assert table.shape == (4 ** n, 2 ** n, 2 ** n)
+        for a, letters in enumerate(itertools.product(range(4), repeat=n)):
+            assert np.array_equal(table[a], pauli_string(letters))
+
+
+def test_clock_shift_powers_match_matrix_powers():
+    for d in (2, 3, 5):
+        z, x = clock_shift(d)
+        zp, xp = clock_shift_powers(d)
+        assert not zp.flags.writeable and not xp.flags.writeable
+        for m in range(d):
+            assert np.abs(zp[m] - np.linalg.matrix_power(z.matrix, m)).max() < 1e-12
+            assert np.array_equal(xp[m], np.linalg.matrix_power(x.matrix, m))

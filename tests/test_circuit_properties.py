@@ -1,0 +1,72 @@
+"""Properties of the echo circuit and the dense-coding decode over random
+inputs: each is checked against the closed form from expand."""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evometry import (
+    expand,
+    measure_which_unitary,
+    measure_which_unitary_qudit,
+    pauli_basis,
+    superdense_send,
+    weyl_basis,
+)
+from evometry.linalg import random_state, random_unitary
+
+ATOL = 1e-10
+FEW = settings(max_examples=8, deadline=None)
+
+
+def _bystander_state(psi, d):
+    m = np.asarray(psi).reshape(d, -1)
+    return m.T @ m.conj()
+
+
+def _check_circuit(u, basis, psi, measure):
+    """Born law, closed-form rows, bystander untouched, dense coding."""
+    d = basis.dim
+    coeffs = expand(u, basis).coeffs
+    dist, results = measure(u, basis, psi)
+    assert np.abs(dist.probabilities - np.abs(coeffs) ** 2).max() < ATOL
+
+    # row a, unnormalized, is C_a (B_a (x) 1) psi with B_a = u0 s_a
+    reported = {r.outcome for r in results}
+    assert all(abs(coeffs[a]) ** 2 <= 1e-14
+               for a in set(range(d * d)) - reported)
+    for r in results:
+        row = np.sqrt(r.exact_prob) * r.collapsed.amplitudes
+        want = coeffs[r.outcome] * (
+            basis.elements[r.outcome] @ psi.reshape(d, -1)
+        ).ravel()
+        assert np.abs(row - want).max() < ATOL
+        if psi.size > d:
+            assert np.abs(_bystander_state(r.collapsed.amplitudes, d)
+                          - _bystander_state(psi, d)).max() < ATOL
+
+    sent = superdense_send(u, basis)
+    assert np.abs(sent.coefficients - coeffs).max() < ATOL
+
+
+@FEW
+@given(n=st.integers(1, 3), with_u0=st.booleans(), bystander=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pauli_circuit_matches_closed_form(n, with_u0, bystander, seed):
+    rng = np.random.default_rng(seed)
+    d = 2 ** n
+    basis = (pauli_basis(random_unitary(d, rng)) if with_u0
+             else pauli_basis(dim=d))
+    u = random_unitary(d, rng)
+    psi = random_state(2 * d if bystander else d, rng)
+    _check_circuit(u, basis, psi, measure_which_unitary)
+
+
+@FEW
+@given(d=st.sampled_from([3, 5, 7]), with_u0=st.booleans(),
+       bystander=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_weyl_circuit_matches_closed_form(d, with_u0, bystander, seed):
+    rng = np.random.default_rng(seed)
+    basis = weyl_basis(d, random_unitary(d, rng) if with_u0 else None)
+    u = random_unitary(d, rng)
+    psi = random_state(2 * d if bystander else d, rng)
+    _check_circuit(u, basis, psi, measure_which_unitary_qudit)

@@ -282,3 +282,17 @@ def test_pure_state_norm_check():
 def test_outcome_distribution_shots_property():
     d = OutcomeDistribution(("a", "b"), np.array([0.5, 0.5]))
     assert d.shots == 0
+
+
+def test_pure_state_rejects_nan():
+    with pytest.raises(ValueError):
+        PureState(np.array([np.nan, 0.0], dtype=complex))
+
+
+def test_product_form_check_names_the_deviating_element():
+    rng = np.random.default_rng(30)
+    k = np.eye(16, dtype=complex)
+    k[5:7, 5:7] = random_unitary(2, rng)
+    rotated = rotate_basis(pauli_basis(dim=4), k)
+    with pytest.raises(ValueError, match="element 5 deviates"):
+        measure_which_unitary(np.eye(4), rotated, np.eye(4)[0])

@@ -196,3 +196,30 @@ def test_retrieval_herald_is_scale_invariant():
     psi = PureState(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2))
     out = probabilistic_retrieve(0, m, psi, 2)
     assert abs(out.herald_probability - 0.5) < 1e-12
+
+
+def test_verify_sequence_requires_a_seed():
+    dil = stinespring(named_channel("dephasing:0.5"))
+    rep = kraus_from_ancilla_basis(dil)
+    with pytest.raises(ValueError, match="seed"):
+        verify_sequence(dil, None, EvolutionSequence(rep, (0, 1)), None)
+
+
+def test_retrieval_herald_rate_is_the_normalized_one():
+    # the canonical elements diag(1,0,0,0) and diag(0,1,1,1) are not
+    # proportional to unitaries: d ||M psi||^2 / (tr(M^dag M) D) would
+    # read 2.0 here, while the heralded branch carries half the weight
+    m = KrausMap((np.diag([1.0, 0, 0, 0]), np.diag([0.0, 1, 1, 1])))
+    psi = PureState(np.array([1.0, 0, 0, 0], dtype=complex))
+    out = probabilistic_retrieve(0, m, psi, 1)
+    assert abs(out.herald_probability - 0.5) < 1e-12
+
+
+def test_unitary_frame_retrieval_heralds_at_one_over_support():
+    m = KrausMap((np.sqrt(0.5) * I2, np.sqrt(0.3) * X, np.sqrt(0.2) * Z))
+    rng = np.random.default_rng(45)
+    for index in range(3):
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        psi = PureState(v / np.linalg.norm(v))
+        out = probabilistic_retrieve(index, m, psi, index)
+        assert abs(out.herald_probability - 1.0 / 3.0) < 1e-12

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from evometry import (
+    BellBasis,
     bell_basis,
     eavesdropper_marginal,
     expand,
@@ -83,3 +84,22 @@ def test_send_requires_matching_dimension():
 def test_shots_require_seed():
     with pytest.raises(ValueError):
         superdense_send(X, pauli_basis(dim=2), shots=5)
+
+
+def test_nan_vector_is_rejected():
+    bell = bell_basis(pauli_basis(dim=2))
+    vectors = bell.vectors.copy()
+    vectors[1, 0] = np.nan
+    with pytest.raises(ValueError):
+        BellBasis(2, vectors, bell.labels)
+
+
+def test_non_unitary_family_is_not_maximally_entangled():
+    # orthonormal vectors whose operators are not unitary: |00>, |01>, ...
+    with pytest.raises(ValueError, match="maximally entangled"):
+        BellBasis(2, np.eye(4, dtype=complex), ("a", "b", "c", "d"))
+
+
+def test_bell_vectors_must_live_on_the_doubled_space():
+    with pytest.raises(ValueError, match="shape"):
+        BellBasis(2, np.eye(3, dtype=complex), ("a", "b", "c"))
