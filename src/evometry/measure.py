@@ -239,12 +239,13 @@ def _echo_joint(u, u0, site_dims, psi):
     shape = anc + qs + (psi.size // dim,)
     t = np.broadcast_to(psi.reshape(shape[2 * n:]) / np.sqrt(n_cfg), shape)
     # per site: phases w[m, k] = zeta^(m k) of Z^m, and the cyclic index
-    # (k -/+ m) mod q that X^m / X^-m gathers from
+    # (k -/+ m) mod q that X^m / X^-m gathers level k from
     sites = []
     for j, q in enumerate(qs):
         w = np.diagonal(clock_shift_powers(q)[0], axis1=1, axis2=2)
-        m, k = np.ogrid[:q, :q]
-        sites.append((2 * j, 2 * n + j, w, (k - m) % q, (k + m) % q))
+        power, level = np.ogrid[:q, :q]
+        sites.append((2 * j, 2 * n + j, w,
+                      (level - power) % q, (level + power) % q))
 
     # t1: Z^beta then X^alpha on every site
     for a, k, w, shift, _ in sites:
