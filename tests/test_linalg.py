@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evometry.linalg import (
     deterministic_eigh,
@@ -81,3 +83,76 @@ def test_phase_fixed_largest_entry_real_positive():
     f = phase_fixed(v)
     k = np.argmax(np.abs(f))
     assert f[k].real > 0 and abs(f[k].imag) < 1e-12
+
+
+def _column_loop_eigh(h, degeneracy_tol=1e-10):
+    """Reference: the gauge fix as a per-column Gram-Schmidt loop.
+
+    Projects e_0, e_1, ... onto each degenerate eigenspace, keeps the
+    projections with norm above 1e-6 after orthogonalizing them in order,
+    falls back to the LAPACK block when too few survive, and fixes each
+    vector's phase.
+    """
+    vals, vecs = np.linalg.eigh(np.asarray(h))
+    vals = vals[::-1].copy()
+    vecs = vecs[:, ::-1].copy()
+    n = vals.size
+    out = np.zeros_like(vecs)
+    i = 0
+    while i < n:
+        j = i + 1
+        while j < n and abs(vals[j] - vals[i]) <= degeneracy_tol:
+            j += 1
+        block = vecs[:, i:j]
+        proj = block @ block.conj().T
+        cols = []
+        for k in range(n):
+            v = proj[:, k].copy()
+            for c in cols:
+                v -= c * np.vdot(c, v)
+            nv = np.linalg.norm(v)
+            if nv > 1e-6:
+                cols.append(v / nv)
+            if len(cols) == j - i:
+                break
+        if len(cols) < j - i:
+            for k in range(j - i):
+                v = block[:, k].copy()
+                for c in cols:
+                    v -= c * np.vdot(c, v)
+                nv = np.linalg.norm(v)
+                if nv > 1e-8:
+                    cols.append(v / nv)
+                if len(cols) == j - i:
+                    break
+        for m, c in enumerate(cols):
+            out[:, i + m] = phase_fixed(c)
+        i = j
+    return vals, out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    multiplicities=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    rotated=st.integers(0, 20),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_deterministic_eigh_matches_the_column_loop(multiplicities, rotated,
+                                                    seed):
+    """Planted degenerate levels; eigenvectors mixed by a Haar unitary on
+    the first `rotated` coordinates and then permuted, so some blocks
+    project e_k to zero and take the loop's fallback."""
+    rng = np.random.default_rng(seed)
+    levels = rng.permutation(len(multiplicities)) * 0.5
+    vals = np.repeat(levels, multiplicities)
+    n = vals.size
+    r = min(rotated, n)
+    v = np.eye(n, dtype=complex)
+    if r:
+        v[:r, :r] = random_unitary(r, rng)
+    v = v[rng.permutation(n)]
+    h = v @ np.diag(vals) @ v.conj().T
+    w, vecs = deterministic_eigh(h)
+    want_w, want_vecs = _column_loop_eigh(h)
+    assert np.array_equal(w, want_w)
+    assert np.abs(vecs - want_vecs).max() <= 1e-10
