@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gates
-from .linalg import as_matrix, dag, is_unitary
+from .linalg import as_matrix, is_unitary
 
 ATOL = 1e-10
 
@@ -31,8 +31,8 @@ class UnitaryOperator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not is_unitary(m, ATOL):
-            dev = np.abs(dag(m) @ m - np.eye(m.shape[0])).max()
+        dev = _unitary_deviation(m[None])
+        if not dev <= ATOL:
             raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
         object.__setattr__(self, "matrix", m)
 
@@ -88,7 +88,9 @@ class OperatorBasis:
 
     elements[0] is u0 itself whenever a reference unitary was supplied.
     is_unitary records whether every element is unitary, which is what
-    makes the which-element measurement a measurement over unitaries.
+    makes the which-element measurement a measurement over unitaries; a
+    True claim is checked. stack holds the elements as one (d^2, d, d)
+    array, and elements are views of it.
     """
 
     dim: int
@@ -96,23 +98,29 @@ class OperatorBasis:
     labels: tuple
     u0: UnitaryOperator | None = None
     is_unitary: bool = True
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        els = tuple(np.asarray(e, dtype=complex) for e in self.elements)
-        if len(els) != self.dim ** 2:
-            raise ValueError(
-                f"need {self.dim ** 2} elements for dim {self.dim}, "
-                f"got {len(els)}"
-            )
-        if len(self.labels) != len(els):
+        d = self.dim
+        stack = np.asarray(self.elements, dtype=complex)
+        if stack.shape != (d * d, d, d):
+            raise ValueError(f"need {d * d} elements of shape ({d}, {d}) "
+                             f"for dim {d}, got shape {stack.shape}")
+        if len(self.labels) != d * d:
             raise ValueError("one label per element required")
-        g = gram(els)
-        dev = np.abs(g - self.dim * np.eye(len(els))).max()
+        dev = np.abs(gram(stack) - d * np.eye(d * d)).max()
         if not dev <= ATOL:
             raise ValueError(
                 f"elements are not trace-orthogonal (deviation {dev:.3e})"
             )
-        object.__setattr__(self, "elements", els)
+        if self.is_unitary:
+            dev = _unitary_deviation(stack)
+            if not dev <= ATOL:
+                raise ValueError(
+                    f"elements claimed unitary are not (deviation {dev:.3e})"
+                )
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "elements", tuple(stack))
         object.__setattr__(self, "labels", tuple(self.labels))
 
     def __len__(self) -> int:
@@ -123,13 +131,16 @@ class OperatorBasis:
 
 
 def gram(elements) -> np.ndarray:
-    """Trace-inner-product Gram matrix tr(B_a^dag B_b)."""
-    n = len(elements)
-    g = np.empty((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            g[a, b] = np.trace(dag(elements[a]) @ elements[b])
-    return g
+    """Trace-inner-product Gram matrix tr(B_a^dag B_b), as one product of
+    the flattened elements."""
+    flat = np.reshape(elements, (len(elements), -1))
+    return flat.conj() @ flat.T
+
+
+def _unitary_deviation(stack: np.ndarray) -> float:
+    """Largest entry of B^dag B - 1 over a (k, d, d) stack."""
+    eye = np.eye(stack.shape[-1])
+    return float(np.abs(stack.conj().swapaxes(1, 2) @ stack - eye).max())
 
 
 def _n_qubits(dim: int) -> int:
@@ -190,8 +201,7 @@ def pauli_basis(u0=None, dim: int = 2) -> OperatorBasis:
         "".join(gates.PAULI_LABELS[l] for l in letters)
         for letters in itertools.product(range(4), repeat=n)
     ]
-    elements = ref @ pauli_strings(n)
-    return OperatorBasis(dim, tuple(elements), tuple(labels), u0=u0)
+    return OperatorBasis(dim, ref @ pauli_strings(n), tuple(labels), u0=u0)
 
 
 def clock_shift(dim: int) -> tuple[UnitaryOperator, UnitaryOperator]:
@@ -257,7 +267,7 @@ def weyl_basis(dim: int, u0=None) -> OperatorBasis:
             raise ValueError(f"u0 has dim {u0.dim}, expected {dim}")
     ref = np.eye(dim, dtype=complex) if u0 is None else u0.matrix
     labels = [f"Z^{mu}X^{nu}" for mu in range(dim) for nu in range(dim)]
-    return OperatorBasis(dim, tuple(ref @ products), tuple(labels), u0=u0)
+    return OperatorBasis(dim, ref @ products, tuple(labels), u0=u0)
 
 
 def expand(op, basis: OperatorBasis) -> ExpansionCoefficients:
@@ -272,20 +282,15 @@ def expand(op, basis: OperatorBasis) -> ExpansionCoefficients:
         raise ValueError(
             f"operator shape {m.shape} does not match basis dim {basis.dim}"
         )
-    coeffs = np.array(
-        [np.trace(dag(b) @ m) / basis.dim for b in basis.elements]
-    )
-    return ExpansionCoefficients(basis.dim, coeffs)
+    coeffs = basis.stack.reshape(len(basis), -1).conj() @ m.ravel()
+    return ExpansionCoefficients(basis.dim, coeffs / basis.dim)
 
 
 def reconstruct(coeffs: ExpansionCoefficients, basis: OperatorBasis) -> np.ndarray:
     """Rebuild sum_a C_a B_a from coefficients; inverse of expand."""
     if coeffs.dim != basis.dim:
         raise ValueError("coefficient and basis dimensions differ")
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for c, b in zip(coeffs.coeffs, basis.elements):
-        out += c * b
-    return out
+    return np.tensordot(coeffs.coeffs, basis.stack, axes=1)
 
 
 def rotate_basis(basis: OperatorBasis, k) -> OperatorBasis:
@@ -302,14 +307,9 @@ def rotate_basis(basis: OperatorBasis, k) -> OperatorBasis:
             f"rotation order {k.order} does not match basis size "
             f"{basis.dim ** 2}"
         )
-    elements = []
-    for m in range(k.order):
-        a = np.zeros((basis.dim, basis.dim), dtype=complex)
-        for n in range(k.order):
-            a += k.matrix[m, n] * basis.elements[n]
-        elements.append(a)
-    unitary = all(is_unitary(e, ATOL) for e in elements)
+    elements = np.tensordot(k.matrix, basis.stack, axes=1)
+    unitary = _unitary_deviation(elements) <= ATOL
     labels = tuple(f"R{m}" for m in range(k.order))
     return OperatorBasis(
-        basis.dim, tuple(elements), labels, u0=None, is_unitary=unitary
+        basis.dim, elements, labels, u0=None, is_unitary=unitary
     )

@@ -19,7 +19,6 @@ from .linalg import (
     as_matrix,
     dag,
     deterministic_eigh,
-    max_entangled,
     partial_trace,
     shannon_entropy,
 )
@@ -52,7 +51,7 @@ class KrausMap:
                 raise ValueError("operator elements must share one square shape")
         total = sum(dag(m) @ m for m in ops)
         dev = np.abs(total - np.eye(d)).max()
-        if dev > TP_ATOL:
+        if not dev <= TP_ATOL:
             raise ValueError(
                 f"completeness sum deviates from identity by {dev:.3e}"
             )
@@ -88,15 +87,15 @@ class ChoiState:
         d = self.dim
         if m.shape != (d * d, d * d):
             raise ValueError("channel state must be d^2 x d^2")
-        if np.abs(m - dag(m)).max() > UNITARY_ATOL:
+        if not np.abs(m - dag(m)).max() <= UNITARY_ATOL:
             raise ValueError("channel state is not Hermitian")
         w = np.linalg.eigvalsh(m)
-        if w.min() < -CHOI_ATOL:
+        if not w.min() >= -CHOI_ATOL:
             raise ValueError(f"channel state has negative eigenvalue {w.min():.3e}")
-        if abs(np.trace(m) - 1.0) > CHOI_ATOL:
+        if not abs(np.trace(m) - 1.0) <= CHOI_ATOL:
             raise ValueError("channel state trace is not 1")
         acted = partial_trace(m, (d, d), keep=1)
-        if np.abs(acted - np.eye(d) / d).max() > CHOI_ATOL:
+        if not np.abs(acted - np.eye(d) / d).max() <= CHOI_ATOL:
             raise ValueError("map is not trace preserving (acted-side marginal)")
         object.__setattr__(self, "matrix", m)
 
@@ -143,20 +142,20 @@ class StinespringDilation:
         da = self.system_dim * self.ancilla_dim
         if m.shape != (da, da):
             raise ValueError("dilation matrix shape must be (d*a, d*a)")
-        if np.abs(m @ dag(m) - np.eye(da)).max() > UNITARY_ATOL:
+        if not np.abs(m @ dag(m) - np.eye(da)).max() <= UNITARY_ATOL:
             raise ValueError("dilation matrix is not unitary")
         object.__setattr__(self, "matrix", m)
 
 
 def choi(kraus: KrausMap) -> ChoiState:
-    """Channel state of the map, acting on the first tensor factor."""
+    """Channel state of the map, acting on the first tensor factor.
+
+    (M_i (x) 1)|phi+> is M_i flattened row-major over sqrt(d), so the
+    state sum_i v_i v_i^dag is one product of the stacked elements.
+    """
     d = kraus.dim
-    phi = max_entangled(d)
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for m in kraus.operators:
-        v = np.kron(m, np.eye(d)) @ phi
-        out += np.outer(v, v.conj())
-    return ChoiState(d, out)
+    v = np.reshape(kraus.operators, (len(kraus), d * d)) / np.sqrt(d)
+    return ChoiState(d, v.T @ v.conj())
 
 
 def canonical_kraus(kraus: KrausMap) -> CanonicalKraus:
@@ -170,10 +169,8 @@ def canonical_kraus(kraus: KrausMap) -> CanonicalKraus:
     w, v = deterministic_eigh(choi(kraus).matrix)
     keep = w > TRIM
     w, v = w[keep], v[:, keep]
-    ops = tuple(
-        np.sqrt(d * w[m]) * v[:, m].reshape(d, d) for m in range(w.size)
-    )
-    return CanonicalKraus(w, ops)
+    ops = (v * np.sqrt(d * w)).T.reshape(w.size, d, d)
+    return CanonicalKraus(w, tuple(ops))
 
 
 def entropy(kraus: KrausMap) -> float:
@@ -195,13 +192,9 @@ def kraus_rotation(kraus: KrausMap, u: np.ndarray) -> KrausMap:
     if u.ndim != 2 or u.shape[0] != k:
         raise ValueError("row count must match number of operator elements")
     dev = np.abs(u @ dag(u) - np.eye(k)).max()
-    if dev > TP_ATOL:
+    if not dev <= TP_ATOL:
         raise ValueError(f"rows are not orthonormal (deviation {dev:.3e})")
-    ops = [
-        sum(kraus.operators[i] * u[i, j] for i in range(k))
-        for j in range(u.shape[1])
-    ]
-    return KrausMap(tuple(ops))
+    return KrausMap(tuple(np.tensordot(u.T, kraus.operators, axes=1)))
 
 
 def equivalent(a: KrausMap, b: KrausMap, tol: float = TP_ATOL) -> bool:
@@ -249,14 +242,10 @@ def kraus_from_ancilla_basis(dil: StinespringDilation,
         if ancilla_basis.shape != (a, a):
             raise ValueError("ancilla basis must have a rows of dimension a")
         dev = np.abs(ancilla_basis @ dag(ancilla_basis) - np.eye(a)).max()
-        if dev > TP_ATOL:
+        if not dev <= TP_ATOL:
             raise ValueError(f"ancilla basis not orthonormal (dev {dev:.3e})")
-    cols = [dil.matrix[:, j * a + dil.ancilla_start] for j in range(d)]
-    v0 = np.stack(cols, axis=1).reshape(d, a, d)
-    ops = [
-        np.einsum("c,rcj->rj", ancilla_basis[i].conj(), v0)
-        for i in range(ancilla_basis.shape[0])
-    ]
+    v0 = dil.matrix[:, dil.ancilla_start::a].reshape(d, a, d)
+    ops = np.einsum("ic,rcj->irj", ancilla_basis.conj(), v0)
     return KrausMap(tuple(ops))
 
 

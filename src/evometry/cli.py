@@ -62,7 +62,7 @@ def _ints(a):
 def cmd_basis(args):
     basis = _basis_for(args.kind, args.dim)
     d = basis.dim
-    dev = float(np.abs(gram(basis.elements) / d - np.eye(d * d)).max())
+    dev = float(np.abs(gram(basis.stack) / d - np.eye(d * d)).max())
     report = {
         "command": "basis",
         "config": {"kind": args.kind, "dim": d, "seed": args.seed},

@@ -41,7 +41,7 @@ class BipartiteUnitary:
         m = np.asarray(as_matrix(self.matrix), dtype=complex)
         if m.shape != (da * db, da * db):
             raise ValueError("matrix shape does not match dims")
-        if np.abs(m @ dag(m) - np.eye(da * db)).max() > SCHMIDT_ATOL:
+        if not np.abs(m @ dag(m) - np.eye(da * db)).max() <= SCHMIDT_ATOL:
             raise ValueError("matrix is not unitary")
         object.__setattr__(self, "dims", (int(da), int(db)))
         object.__setattr__(self, "matrix", m)
@@ -61,7 +61,7 @@ class OperatorSchmidt:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if abs(v @ v - 1.0) > SCHMIDT_ATOL:
+        if not abs(v @ v - 1.0) <= SCHMIDT_ATOL:
             raise ValueError("squared Schmidt values must sum to 1")
         object.__setattr__(self, "values", v)
 
@@ -100,7 +100,9 @@ def bipartite_expand(u, basis_a: OperatorBasis | None = None,
     """Coefficient matrix C[m, n] = tr((A_m (x) B_n)^dag u)/(dA dB).
 
     Rows run over the A-side basis, columns over the B side; the
-    squared magnitudes sum to 1 for unitary input.
+    squared magnitudes sum to 1 for unitary input. With u realigned to
+    R[(r, s), (j, t)] = u[(r, j), (s, t)], C = conj(A) R conj(B)^T / (dA dB)
+    for the flattened stacked elements A and B: one contraction.
     """
     bu = _as_bipartite(u, dims)
     da, db = bu.dims
@@ -108,14 +110,10 @@ def bipartite_expand(u, basis_a: OperatorBasis | None = None,
     bb = basis_b if basis_b is not None else _default_basis(db)
     if ba.dim != da or bb.dim != db:
         raise ValueError("basis dimensions do not match the interaction")
-    u4 = bu.matrix.reshape(da, db, da, db)
-    coeff = np.empty((da * da, db * db), dtype=complex)
-    for m, am in enumerate(ba.elements):
-        # partial trace of (A_m^dag (x) 1) u over side A
-        reduced = np.einsum("rs,rjst->jt", am.conj(), u4)
-        for n, bn in enumerate(bb.elements):
-            coeff[m, n] = np.trace(dag(bn) @ reduced) / (da * db)
-    return coeff
+    realigned = bu.matrix.reshape(da, db, da, db).transpose(0, 2, 1, 3)
+    flat_a = ba.stack.reshape(da * da, -1).conj()
+    flat_b = bb.stack.reshape(db * db, -1).conj()
+    return flat_a @ realigned.reshape(da * da, db * db) @ flat_b.T / (da * db)
 
 
 def operator_schmidt(u, basis_a: OperatorBasis | None = None,
@@ -137,17 +135,10 @@ def operator_schmidt(u, basis_a: OperatorBasis | None = None,
     keep = w > TRIM
     w, left = w[keep], left[:, keep]
     values = np.sqrt(w)
-    ops_a = tuple(
-        sum(left[m, k] * ba.elements[m] for m in range(da * da))
-        for k in range(values.size)
-    )
-    ops_b = []
-    for k in range(values.size):
-        right = dag(coeff) @ left[:, k] / values[k]
-        ops_b.append(
-            sum(right[n].conj() * bb.elements[n] for n in range(db * db))
-        )
-    return OperatorSchmidt(values, ops_a, tuple(ops_b))
+    right = dag(coeff) @ left / values
+    ops_a = np.tensordot(left.T, ba.stack, axes=1)
+    ops_b = np.tensordot(right.conj().T, bb.stack, axes=1)
+    return OperatorSchmidt(values, tuple(ops_a), tuple(ops_b))
 
 
 def interaction_entanglement(u, basis_a=None, basis_b=None, dims=None) -> float:
@@ -248,7 +239,7 @@ def _normalize_amplitudes(alpha, beta):
         else complex(beta)
     )
     total = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(total - 1.0) > SCHMIDT_ATOL:
+    if not abs(total - 1.0) <= SCHMIDT_ATOL:
         raise ValueError(f"|alpha|^2 + |beta|^2 = {total} is not 1")
     return alpha, beta
 

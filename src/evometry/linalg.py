@@ -122,43 +122,61 @@ def deterministic_eigh(h: np.ndarray, degeneracy_tol: float = 1e-10):
     them in that order; each resulting vector has its global phase fixed
     by phase_fixed. The output therefore does not depend on the
     arbitrary rotation LAPACK picks inside a degenerate block.
+
+    The Gram-Schmidt is computed as a QR: the projection of e_k onto an
+    m-wide block V is V conj(V[k]), so the result is V Q for the QR of
+    the m x m matrix V[:m]^dag. Only a block where one of those
+    projections is dependent (below 1e-6) is processed column by column.
     """
-    h = np.asarray(h)
-    vals, vecs = np.linalg.eigh(h)
+    vals, vecs = np.linalg.eigh(np.asarray(h))
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
     n = vals.size
-    out = np.zeros_like(vecs)
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and abs(vals[j] - vals[i]) <= degeneracy_tol:
-            j += 1
-        block = vecs[:, i:j]
-        proj = block @ dag(block)
-        cols: list[np.ndarray] = []
-        for k in range(n):
-            v = proj[:, k].copy()
+    stop = 0
+    # a group runs from its first value while later ones agree with it
+    for i in np.flatnonzero(np.abs(np.diff(vals)) <= degeneracy_tol):
+        if i < stop:
+            continue
+        stop = i + 1
+        while stop < n and abs(vals[stop] - vals[i]) <= degeneracy_tol:
+            stop += 1
+        block = vecs[:, i:stop]
+        q, r = np.linalg.qr(block[: stop - i].conj().T)
+        if np.abs(np.diagonal(r)).min() > 1e-6:
+            vecs[:, i:stop] = block @ q
+        else:
+            vecs[:, i:stop] = _projection_gram_schmidt(block)
+    # phase_fixed, applied to every column at once
+    top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
+    return vals, vecs * (top / np.abs(top)).conj()
+
+
+def _projection_gram_schmidt(block: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt of the projections of e_0, e_1, ... onto the span of
+    the isometry block, one column at a time, skipping projections of
+    norm 1e-6 or less."""
+    n, m = block.shape
+    proj = block @ dag(block)
+    cols: list[np.ndarray] = []
+    for k in range(n):
+        v = proj[:, k].copy()
+        for c in cols:
+            v -= c * np.vdot(c, v)
+        nv = np.linalg.norm(v)
+        if nv > 1e-6:
+            cols.append(v / nv)
+        if len(cols) == m:
+            break
+    if len(cols) < m:
+        # ill-conditioned projections; fall back to the LAPACK block,
+        # orthogonalized against whatever was already accepted
+        for k in range(m):
+            v = block[:, k].copy()
             for c in cols:
                 v -= c * np.vdot(c, v)
             nv = np.linalg.norm(v)
-            if nv > 1e-6:
+            if nv > 1e-8:
                 cols.append(v / nv)
-            if len(cols) == j - i:
+            if len(cols) == m:
                 break
-        if len(cols) < j - i:
-            # ill-conditioned projections; fall back to the LAPACK block,
-            # orthogonalized against whatever was already accepted
-            for k in range(j - i):
-                v = block[:, k].copy()
-                for c in cols:
-                    v -= c * np.vdot(c, v)
-                nv = np.linalg.norm(v)
-                if nv > 1e-8:
-                    cols.append(v / nv)
-                if len(cols) == j - i:
-                    break
-        for m, c in enumerate(cols):
-            out[:, i + m] = phase_fixed(c)
-        i = j
-    return vals, out
+    return np.stack(cols, axis=1)

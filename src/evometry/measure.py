@@ -51,7 +51,7 @@ from .basis import (
     expand,
     pauli_strings,
 )
-from .linalg import _sample, as_matrix, dag, max_entangled
+from .linalg import _sample, as_matrix, dag
 
 PRODUCT_FORM_ATOL = 1e-9
 EIGEN_RTOL = 1e-9
@@ -289,7 +289,7 @@ def _reference(basis):
 
 def _check_product_form(basis, sigmas):
     """Require basis element a to equal u0 @ sigmas[a] within 1e-9."""
-    dev = np.abs(np.stack(basis.elements) - _reference(basis) @ sigmas)
+    dev = np.abs(basis.stack - _reference(basis) @ sigmas)
     bad = np.flatnonzero(~(dev.max(axis=(1, 2)) <= PRODUCT_FORM_ATOL))
     if bad.size:
         raise ValueError(
@@ -426,9 +426,8 @@ def measure_choi_side(op, basis: OperatorBasis, shots: int = 0,
     d = basis.dim
     if m.shape != (d, d):
         raise ValueError("operator dimension does not match basis")
-    phi = max_entangled(d)
-    final = np.kron(m, np.eye(d)) @ phi
-    vectors = [np.kron(b, np.eye(d)) @ phi for b in basis.elements]
-    amps = np.array([np.vdot(v, final) for v in vectors])
+    # (B (x) 1)|phi+> is B flattened row-major over sqrt(d)
+    vectors = basis.stack.reshape(d * d, d * d) / np.sqrt(d)
+    amps = vectors.conj() @ (m.ravel() / np.sqrt(d))
     probs = np.abs(amps) ** 2
     return _finish(basis.labels, probs, vectors, shots, seed)

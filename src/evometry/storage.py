@@ -19,7 +19,7 @@ import numpy as np
 from .channels import KrausMap, StinespringDilation, canonical_kraus
 from .channels import entropy as map_entropy
 from .channels import kraus_from_ancilla_basis
-from .linalg import _sample, dag, max_entangled
+from .linalg import _sample, max_entangled
 from .measure import PureState
 
 STORE_ATOL = 1e-10
@@ -56,7 +56,7 @@ class StoredEvolution:
 
     def __post_init__(self):
         for v in self.states:
-            if abs(np.linalg.norm(v) - 1.0) > STORE_ATOL:
+            if not abs(np.linalg.norm(v) - 1.0) <= STORE_ATOL:
                 raise ValueError("storage states must be unit vectors")
 
 
@@ -196,15 +196,13 @@ def verify_sequence(dil: StinespringDilation, ancilla_basis,
     dev = max(
         np.abs(a - b).max() for a, b in zip(rep.operators, claimed_ops)
     )
-    if dev > MATCH_ATOL:
+    if not dev <= MATCH_ATOL:
         raise ValueError(
             "representation selected by the ancilla basis does not match "
             f"the claimed map (deviation {dev:.3e})"
         )
     d = rep.dim
-    weights = np.array(
-        [np.trace(dag(m) @ m).real / d for m in rep.operators]
-    )
+    weights = np.sum(np.abs(rep.operators) ** 2, axis=(1, 2)) / d
     sampled = tuple(int(i) for i in _sample(weights, len(claimed), seed))
     return VerificationRecord(
         accepted=sampled == claimed.indices,
@@ -220,26 +218,24 @@ def _retrieval_rows(kraus: KrausMap, index: int, psi: PureState):
     Row m carries the canonical element m applied to psi, weighted by
     the stored operator's coefficient in the canonical expansion.
     """
+    if not 0 <= index < len(kraus):
+        raise ValueError(
+            f"operator index {index} outside the map's {len(kraus)} elements"
+        )
     canon = canonical_kraus(kraus)
     d = kraus.dim
     if psi.dim != d:
         raise ValueError("state dimension does not match the map")
     m_op = kraus.operators[index]
-    coeff = np.array([
-        np.trace(dag(k) @ m_op) / (d * p)
-        for k, p in zip(canon.operators, canon.probabilities)
-    ])
-    resid = m_op - sum(
-        c * k for c, k in zip(coeff, canon.operators)
-    )
-    if np.linalg.norm(resid) > MATCH_ATOL * max(1.0, np.linalg.norm(m_op)):
+    ops = np.asarray(canon.operators)
+    flat = ops.reshape(len(ops), -1)
+    coeff = flat.conj() @ m_op.ravel() / (d * canon.probabilities)
+    resid = m_op.ravel() - coeff @ flat
+    scale = max(1.0, np.linalg.norm(m_op))
+    if not np.linalg.norm(resid) <= MATCH_ATOL * scale:
         raise ValueError("stored operator lies outside the map's support")
     nsq = float(np.sum(np.abs(coeff) ** 2 * canon.probabilities))
-    rows = np.stack([
-        c * (k @ psi.amplitudes) / np.sqrt(nsq)
-        for c, k in zip(coeff, canon.operators)
-    ])
-    return rows
+    return coeff[:, None] * (ops @ psi.amplitudes) / np.sqrt(nsq)
 
 
 def _fourier_branches(rows: np.ndarray):

@@ -79,9 +79,8 @@ def bell_basis(basis: OperatorBasis) -> BellBasis:
     (B_a (x) 1)|phi+> is B_a flattened row-major over sqrt(d), so the
     family is one reshape of the stacked elements.
     """
-    d = basis.dim
-    vectors = np.stack(basis.elements).reshape(len(basis), d * d)
-    return BellBasis(d, vectors / np.sqrt(d), basis.labels)
+    vectors = basis.stack.reshape(len(basis), -1) / np.sqrt(basis.dim)
+    return BellBasis(basis.dim, vectors, basis.labels)
 
 
 def eavesdropper_marginal(u, basis: OperatorBasis | None = None,
@@ -110,12 +109,17 @@ def superdense_send(u, basis: OperatorBasis, shots: int = 0,
     are |C_a|^2 and a basis element encodes its own index with
     certainty. Alice need not know u: the transcript, coefficients
     included, is computed from the state she produced, not from a
-    lookup.
+    lookup. The family is orthonormal because the basis is trace
+    orthogonal, and maximally entangled because its elements are
+    unitary, which OperatorBasis checks whenever is_unitary is set.
     """
     um = UnitaryOperator(as_matrix(u)).matrix
     if um.shape[0] != basis.dim:
         raise ValueError("unitary dimension does not match basis")
-    amplitudes = bell_basis(basis).vectors.conj() @ _sent(um)
+    if not basis.is_unitary:
+        raise ValueError("the basis must consist of unitaries")
+    flat = basis.stack.reshape(len(basis), -1)
+    amplitudes = flat.conj() @ _sent(um) / np.sqrt(basis.dim)
     probs = np.abs(amplitudes) ** 2
     counts = None
     if shots:

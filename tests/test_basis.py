@@ -194,3 +194,23 @@ def test_clock_shift_powers_match_matrix_powers():
         for m in range(d):
             assert np.abs(zp[m] - np.linalg.matrix_power(z.matrix, m)).max() < 1e-12
             assert np.array_equal(xp[m], np.linalg.matrix_power(x.matrix, m))
+
+
+def test_unitary_claim_is_checked():
+    rb = rotate_basis(pauli_basis(dim=2), random_unitary(4, 15))
+    assert not rb.is_unitary
+    with pytest.raises(ValueError, match="claimed unitary"):
+        OperatorBasis(2, rb.elements, rb.labels, is_unitary=True)
+    OperatorBasis(2, rb.elements, rb.labels, is_unitary=False)
+
+
+def test_products_match_the_trace_loops():
+    b = weyl_basis(3)
+    u = random_unitary(3, 17)
+    want_gram = np.array([[np.trace(dag(x) @ y) for y in b] for x in b])
+    assert np.abs(gram(b.elements) - want_gram).max() < 1e-14
+    c = expand(u, b)
+    want = np.array([np.trace(dag(x) @ u) / 3 for x in b])
+    assert np.abs(c.coeffs - want).max() < 1e-15
+    rebuilt = sum(a * x for a, x in zip(c.coeffs, b))
+    assert np.abs(reconstruct(c, b) - rebuilt).max() < 1e-15

@@ -194,3 +194,43 @@ def test_apply_checks_dimension():
     m = named_channel("dephasing:0.5")
     with pytest.raises(ValueError):
         m.apply(np.eye(3, dtype=complex))
+
+
+NAN2 = np.full((2, 2), np.nan, dtype=complex)
+
+
+def test_kraus_map_rejects_nan():
+    with pytest.raises(ValueError, match="completeness"):
+        KrausMap((NAN2,))
+
+
+def test_choi_state_rejects_nan():
+    with pytest.raises(ValueError, match="Hermitian"):
+        ChoiState(2, np.full((4, 4), np.nan, dtype=complex))
+
+
+def test_stinespring_dilation_rejects_nan():
+    with pytest.raises(ValueError, match="unitary"):
+        StinespringDilation(np.full((4, 4), np.nan, dtype=complex), 2, 2)
+
+
+def test_kraus_rotation_rejects_nan_isometry():
+    with pytest.raises(ValueError, match="orthonormal"):
+        kraus_rotation(named_channel("dephasing:0.5"), NAN2)
+
+
+def test_ancilla_basis_rejects_nan():
+    dil = stinespring(named_channel("dephasing:0.5"))
+    with pytest.raises(ValueError, match="orthonormal"):
+        kraus_from_ancilla_basis(dil, NAN2)
+
+
+def test_choi_matches_kron_construction():
+    rng = np.random.default_rng(61)
+    m = random_channel(3, 4, rng)
+    phi = np.eye(3).ravel() / np.sqrt(3)
+    want = sum(
+        np.outer(v, v.conj())
+        for v in (np.kron(k, np.eye(3)) @ phi for k in m.operators)
+    )
+    assert np.abs(choi(m).matrix - want).max() < 1e-14

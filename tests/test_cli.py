@@ -93,6 +93,15 @@ def test_retrieve_requires_seed_for_trials(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("index", ["5", "-1"])
+def test_retrieve_op_index_outside_the_map_is_a_usage_error(capsys, index):
+    code, out, err = run(capsys, "retrieve", "--map", "dephasing:0.5",
+                         "--op-index", index)
+    assert code == 2
+    assert "outside the map" in err
+    assert out == ""
+
+
 def test_schmidt_command(capsys):
     code, report, _ = run_json(capsys, "schmidt", "--unitary", "CNOT")
     assert code == 0

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from evometry import (
+    BipartiteUnitary,
+    OperatorSchmidt,
     bipartite_expand,
     concentrate,
     concentration_sectors,
@@ -13,6 +15,8 @@ from evometry import (
     induced_local_map,
     interaction_entanglement,
     operator_schmidt,
+    pauli_basis,
+    weyl_basis,
 )
 from evometry.gates import CNOT, H, SWAP, X
 from evometry.linalg import random_unitary
@@ -169,3 +173,29 @@ def test_yield_never_exceeds_expected_count_exponent():
         y = concentration_yield(n, np.sqrt(0.75))
         e = math.log2(expected_term_count(n, np.sqrt(0.75)))
         assert y <= e + 1e-12
+
+
+def test_bipartite_unitary_rejects_nan():
+    with pytest.raises(ValueError, match="unitary"):
+        BipartiteUnitary((2, 2), np.full((4, 4), np.nan, dtype=complex))
+
+
+def test_operator_schmidt_rejects_nan_values():
+    with pytest.raises(ValueError, match="sum to 1"):
+        OperatorSchmidt(np.array([np.nan]), (np.eye(2),), (np.eye(2),))
+
+
+def test_concentration_rejects_nan_amplitude():
+    with pytest.raises(ValueError, match="is not 1"):
+        concentrate(2, np.nan)
+
+
+def test_expand_matches_the_trace_definition():
+    u = random_unitary(6, 71)
+    ba, bb = pauli_basis(dim=2), weyl_basis(3)
+    coeff = bipartite_expand(u, ba, bb, dims=(2, 3))
+    want = np.array([
+        [np.trace(np.kron(a, b).conj().T @ u) / 6 for b in bb.elements]
+        for a in ba.elements
+    ])
+    assert np.abs(coeff - want).max() < 1e-14

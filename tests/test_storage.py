@@ -5,6 +5,7 @@ from evometry import (
     EvolutionSequence,
     KrausMap,
     PureState,
+    StoredEvolution,
     compression_rate,
     kraus_from_ancilla_basis,
     named_channel,
@@ -18,6 +19,7 @@ from evometry import (
     verify_sequence,
 )
 from evometry.gates import H, I2, X, Z
+from evometry import storage
 from evometry.linalg import max_entangled, random_unitary
 
 
@@ -223,3 +225,32 @@ def test_unitary_frame_retrieval_heralds_at_one_over_support():
         psi = PureState(v / np.linalg.norm(v))
         out = probabilistic_retrieve(index, m, psi, index)
         assert abs(out.herald_probability - 1.0 / 3.0) < 1e-12
+
+
+def test_stored_evolution_rejects_nan_state():
+    seq = EvolutionSequence(named_channel("dephasing:0.5"), (0,))
+    with pytest.raises(ValueError, match="unit vectors"):
+        StoredEvolution(seq, (np.full(4, np.nan, dtype=complex),))
+
+
+def test_verify_sequence_rejects_nan_representation(monkeypatch):
+    # a NaN representation cannot pass the map validators, so it is
+    # injected past them to reach the comparison itself
+    nan_map = object.__new__(KrausMap)
+    object.__setattr__(nan_map, "operators",
+                       (np.full((2, 2), np.nan, dtype=complex),) * 2)
+    monkeypatch.setattr(storage, "kraus_from_ancilla_basis",
+                        lambda dil, basis: nan_map)
+    m = named_channel("dephasing:0.5")
+    with pytest.raises(ValueError, match="does not match"):
+        verify_sequence(stinespring(m), None, EvolutionSequence(m, (0, 1)), 3)
+
+
+@pytest.mark.parametrize("index", [2, 5, -1])
+def test_retrieval_rejects_index_outside_the_map(index):
+    m = named_channel("dephasing:0.5")
+    psi = PureState(np.array([1.0, 0.0], dtype=complex))
+    with pytest.raises(ValueError, match="outside the map"):
+        retrieval_statistics(index, m, psi, 10, 1)
+    with pytest.raises(ValueError, match="outside the map"):
+        probabilistic_retrieve(index, m, psi, 1)

@@ -7,6 +7,7 @@ from evometry import (
     eavesdropper_marginal,
     expand,
     pauli_basis,
+    rotate_basis,
     superdense_send,
     weyl_basis,
 )
@@ -103,3 +104,9 @@ def test_non_unitary_family_is_not_maximally_entangled():
 def test_bell_vectors_must_live_on_the_doubled_space():
     with pytest.raises(ValueError, match="shape"):
         BellBasis(2, np.eye(3, dtype=complex), ("a", "b", "c"))
+
+
+def test_send_refuses_a_non_unitary_basis():
+    rb = rotate_basis(pauli_basis(dim=2), random_unitary(4, 19))
+    with pytest.raises(ValueError, match="must consist of unitaries"):
+        superdense_send(X, rb)
