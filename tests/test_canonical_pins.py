@@ -273,3 +273,29 @@ def test_operator_schmidt_values_and_ops(key):
     _assert_digest(s.values, want_v)
     _assert_digest(s.ops_a, want_a)
     _assert_digest(s.ops_b, want_b)
+
+
+def _straddling_map(eps=5e-11):
+    """M0 = sqrt(1 - eps) U, M1 = sqrt(eps) V at d = 4.
+
+    The channel state's small weight (about eps) is kept, yet it lies
+    within the 1e-10 degeneracy tolerance of the null block, so one
+    degenerate group holds kept and trimmed eigenvectors at once.
+    """
+    u, v = random_unitary(4, 51), random_unitary(4, 52)
+    return KrausMap((np.sqrt(1 - eps) * u, np.sqrt(eps) * v))
+
+
+@pytest.mark.parametrize("key", list(MAPS) + ["depolarizing", "straddling"])
+def test_canonical_kraus_is_the_trimmed_gauged_eigensystem(key):
+    m = _straddling_map() if key == "straddling" else _map_for(key)
+    d = m.dim
+    w, v = deterministic_eigh(choi(m).matrix)
+    keep = w > 1e-12
+    if key == "straddling":
+        assert 0 < w[keep][-1] - w[~keep][0] <= 1e-10
+    want_ops = (v[:, keep] * np.sqrt(d * w[keep])).T.reshape(-1, d, d)
+    canon = canonical_kraus(m)
+    assert canon.probabilities.shape == w[keep].shape
+    assert np.abs(canon.probabilities - w[keep]).max() <= ATOL
+    assert np.abs(np.stack(canon.operators) - want_ops).max() <= ATOL
