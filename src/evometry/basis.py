@@ -270,6 +270,14 @@ def weyl_basis(dim: int, u0=None) -> OperatorBasis:
     return OperatorBasis(dim, ref @ products, tuple(labels), u0=u0)
 
 
+def _default_basis(dim: int) -> tuple[str, OperatorBasis]:
+    """The basis used where none is given, with its kind: the Pauli
+    basis when dim is a power of two, the Weyl basis otherwise."""
+    if dim & (dim - 1) == 0:
+        return "pauli", pauli_basis(dim=dim)
+    return "weyl", weyl_basis(dim)
+
+
 def expand(op, basis: OperatorBasis) -> ExpansionCoefficients:
     """Coefficients C_a = (1/d) tr(B_a^dag op) of op over the basis.
 

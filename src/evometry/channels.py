@@ -10,18 +10,13 @@ weight spectrum measures how many bits the channel costs to record.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gates import GATES, PAULIS
-from .linalg import (
-    as_matrix,
-    dag,
-    deterministic_eigh,
-    partial_trace,
-    shannon_entropy,
-)
+from .linalg import _fix_gauge, as_matrix, dag, partial_trace, shannon_entropy
 
 TP_ATOL = 1e-9
 CHOI_ATOL = 1e-9
@@ -34,15 +29,17 @@ class KrausMap:
     """Operator elements of a trace-preserving CP map.
 
     The completeness sum sum_i M_i^dag M_i must equal the identity
-    within 1e-9 elementwise.
+    within 1e-9 elementwise. The elements are stored as read-only copies,
+    so a map never changes after it is built, and its canonical form is
+    computed once and memoised (see canonical_kraus).
     """
 
     operators: tuple
 
     def __post_init__(self):
-        ops = tuple(
-            np.asarray(as_matrix(m), dtype=complex) for m in self.operators
-        )
+        ops = tuple(np.array(as_matrix(m)) for m in self.operators)
+        for m in ops:
+            m.setflags(write=False)
         if not ops:
             raise ValueError("a map needs at least one operator element")
         d = ops[0].shape[0]
@@ -64,6 +61,17 @@ class KrausMap:
     def __len__(self) -> int:
         return len(self.operators)
 
+    @functools.cached_property
+    def _canonical(self) -> CanonicalKraus:
+        d = self.dim
+        state = _channel_state(self)
+        w, v = _fix_gauge(*_checked_spectrum(state, d, vectors=True),
+                          floor=TRIM)
+        ops = (v * np.sqrt(d * w)).T.reshape(w.size, d, d)
+        w.setflags(write=False)
+        ops.setflags(write=False)
+        return CanonicalKraus(w, tuple(ops))
+
     def apply(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
@@ -84,20 +92,31 @@ class ChoiState:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        d = self.dim
-        if m.shape != (d * d, d * d):
-            raise ValueError("channel state must be d^2 x d^2")
-        if not np.abs(m - dag(m)).max() <= UNITARY_ATOL:
-            raise ValueError("channel state is not Hermitian")
-        w = np.linalg.eigvalsh(m)
-        if not w.min() >= -CHOI_ATOL:
-            raise ValueError(f"channel state has negative eigenvalue {w.min():.3e}")
-        if not abs(np.trace(m) - 1.0) <= CHOI_ATOL:
-            raise ValueError("channel state trace is not 1")
-        acted = partial_trace(m, (d, d), keep=1)
-        if not np.abs(acted - np.eye(d) / d).max() <= CHOI_ATOL:
-            raise ValueError("map is not trace preserving (acted-side marginal)")
+        _checked_spectrum(m, self.dim)
         object.__setattr__(self, "matrix", m)
+
+
+def _checked_spectrum(m: np.ndarray, d: int, vectors: bool = False):
+    """Validate a channel state and return its ascending spectrum.
+
+    The state must be d^2 x d^2, Hermitian (checked before any
+    eigensolver runs), positive, of unit trace and maximally mixed on
+    the acted side. Returns (eigenvalues, eigenvectors) from one eigh
+    when vectors is set, else (eigenvalues, None) from eigvalsh.
+    """
+    if m.shape != (d * d, d * d):
+        raise ValueError("channel state must be d^2 x d^2")
+    if not np.abs(m - dag(m)).max() <= UNITARY_ATOL:
+        raise ValueError("channel state is not Hermitian")
+    w, v = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
+    if not w.min() >= -CHOI_ATOL:
+        raise ValueError(f"channel state has negative eigenvalue {w.min():.3e}")
+    if not abs(np.trace(m) - 1.0) <= CHOI_ATOL:
+        raise ValueError("channel state trace is not 1")
+    acted = partial_trace(m, (d, d), keep=1)
+    if not np.abs(acted - np.eye(d) / d).max() <= CHOI_ATOL:
+        raise ValueError("map is not trace preserving (acted-side marginal)")
+    return w, v
 
 
 @dataclass(frozen=True)
@@ -147,15 +166,17 @@ class StinespringDilation:
         object.__setattr__(self, "matrix", m)
 
 
-def choi(kraus: KrausMap) -> ChoiState:
-    """Channel state of the map, acting on the first tensor factor.
-
-    (M_i (x) 1)|phi+> is M_i flattened row-major over sqrt(d), so the
-    state sum_i v_i v_i^dag is one product of the stacked elements.
-    """
+def _channel_state(kraus: KrausMap) -> np.ndarray:
+    """(M_i (x) 1)|phi+> is M_i flattened row-major over sqrt(d), so the
+    state sum_i v_i v_i^dag is one product of the stacked elements."""
     d = kraus.dim
     v = np.reshape(kraus.operators, (len(kraus), d * d)) / np.sqrt(d)
-    return ChoiState(d, v.T @ v.conj())
+    return v.T @ v.conj()
+
+
+def choi(kraus: KrausMap) -> ChoiState:
+    """Channel state of the map, acting on the first tensor factor."""
+    return ChoiState(kraus.dim, _channel_state(kraus))
 
 
 def canonical_kraus(kraus: KrausMap) -> CanonicalKraus:
@@ -163,14 +184,13 @@ def canonical_kraus(kraus: KrausMap) -> CanonicalKraus:
 
     Eigenvalues below 1e-12 are trimmed. Degenerate eigenspaces are
     resolved by the deterministic convention in deterministic_eigh, so
-    equal maps produce identical canonical forms.
+    equal maps produce identical canonical forms. The channel state is
+    validated as ChoiState does and diagonalised once; only the kept
+    eigenvectors are gauge-fixed. The result is memoised on the map
+    (whose elements are read-only copies), so repeat calls return the
+    same CanonicalKraus, whose arrays are read-only.
     """
-    d = kraus.dim
-    w, v = deterministic_eigh(choi(kraus).matrix)
-    keep = w > TRIM
-    w, v = w[keep], v[:, keep]
-    ops = (v * np.sqrt(d * w)).T.reshape(w.size, d, d)
-    return CanonicalKraus(w, tuple(ops))
+    return kraus._canonical
 
 
 def entropy(kraus: KrausMap) -> float:

@@ -9,12 +9,13 @@ when all checks pass, 1 when a check fails, 2 on input errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
 import numpy as np
 
-from .basis import gram, pauli_basis, weyl_basis
+from .basis import _default_basis, gram, pauli_basis, weyl_basis
 from .channels import (
     canonical_kraus,
     choi,
@@ -49,6 +50,19 @@ def _basis_for(kind: str, dim: int):
     if kind == "weyl":
         return weyl_basis(dim)
     raise ValueError(f"unknown basis kind {kind!r}")
+
+
+def _tolerance(text: str) -> float:
+    """--tol: a finite, non-negative number; anything else is a usage error."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite, non-negative number, got {text!r}"
+        )
+    return tol
 
 
 def _floats(a):
@@ -288,8 +302,7 @@ def cmd_superdense(args):
     d = u.shape[0]
     if args.dim and args.dim != d:
         raise ValueError(f"--dim {args.dim} conflicts with unitary dim {d}")
-    kind = "pauli" if d & (d - 1) == 0 else "weyl"
-    basis = _basis_for(kind, d)
+    kind, basis = _default_basis(d)
     tr = superdense_send(u, basis, shots=args.shots, seed=args.seed)
     eav_dev = float(
         np.abs(tr.eavesdropper_marginal - np.eye(d) / d).max()
@@ -379,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stream seed; mandatory whenever sampling occurs")
     common.add_argument("--json", action="store_true",
                         help="emit the JSON report on stdout")
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    common.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                         help="tolerance for the invariant checks")
 
     parser = argparse.ArgumentParser(

@@ -27,20 +27,26 @@ def matrix_json(m: np.ndarray) -> dict:
     }
 
 
-def matrix_from_json(obj: dict) -> np.ndarray:
+def _complex_from_json(obj: dict, kind: str):
+    """The re + i im array of a matrix or state object, and its dim."""
     try:
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
         dim = int(obj["dim"])
     except (KeyError, TypeError) as err:
-        raise ValueError(f"malformed matrix object: missing {err}")
+        raise ValueError(f"malformed {kind} object: missing {err}")
     if re.shape != im.shape:
         raise ValueError(
             f"re/im shapes differ: {re.shape} vs {im.shape}"
         )
-    if re.shape != (dim, dim):
-        raise ValueError(f"matrix shape {re.shape} does not match dim {dim}")
-    return re + 1j * im
+    return re + 1j * im, dim
+
+
+def matrix_from_json(obj: dict) -> np.ndarray:
+    m, dim = _complex_from_json(obj, "matrix")
+    if m.shape != (dim, dim):
+        raise ValueError(f"matrix shape {m.shape} does not match dim {dim}")
+    return m
 
 
 def state_json(v: np.ndarray) -> dict:
@@ -49,17 +55,8 @@ def state_json(v: np.ndarray) -> dict:
 
 
 def state_from_json(obj: dict) -> np.ndarray:
-    try:
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-        dim = int(obj["dim"])
-    except (KeyError, TypeError) as err:
-        raise ValueError(f"malformed state object: missing {err}")
-    if re.shape != im.shape:
-        raise ValueError(
-            f"re/im shapes differ: {re.shape} vs {im.shape}"
-        )
-    v = (re + 1j * im).ravel()
+    v, dim = _complex_from_json(obj, "state")
+    v = v.ravel()
     if v.size != dim:
         raise ValueError(f"state length {v.size} does not match dim {dim}")
     return v

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import OperatorBasis, pauli_basis, weyl_basis
+from .basis import OperatorBasis, _default_basis
 from .channels import KrausMap
 from .gates import X
 from .linalg import _sample, as_matrix, dag, deterministic_eigh, shannon_entropy
@@ -88,12 +88,6 @@ def _as_bipartite(u, dims=None) -> BipartiteUnitary:
     return BipartiteUnitary(tuple(dims), u)
 
 
-def _default_basis(d: int) -> OperatorBasis:
-    if d & (d - 1) == 0:
-        return pauli_basis(dim=d)
-    return weyl_basis(d)
-
-
 def bipartite_expand(u, basis_a: OperatorBasis | None = None,
                      basis_b: OperatorBasis | None = None,
                      dims=None) -> np.ndarray:
@@ -106,8 +100,8 @@ def bipartite_expand(u, basis_a: OperatorBasis | None = None,
     """
     bu = _as_bipartite(u, dims)
     da, db = bu.dims
-    ba = basis_a if basis_a is not None else _default_basis(da)
-    bb = basis_b if basis_b is not None else _default_basis(db)
+    ba = basis_a if basis_a is not None else _default_basis(da)[1]
+    bb = basis_b if basis_b is not None else _default_basis(db)[1]
     if ba.dim != da or bb.dim != db:
         raise ValueError("basis dimensions do not match the interaction")
     realigned = bu.matrix.reshape(da, db, da, db).transpose(0, 2, 1, 3)
@@ -128,8 +122,8 @@ def operator_schmidt(u, basis_a: OperatorBasis | None = None,
     """
     bu = _as_bipartite(u, dims)
     da, db = bu.dims
-    ba = basis_a if basis_a is not None else _default_basis(da)
-    bb = basis_b if basis_b is not None else _default_basis(db)
+    ba = basis_a if basis_a is not None else _default_basis(da)[1]
+    bb = basis_b if basis_b is not None else _default_basis(db)[1]
     coeff = bipartite_expand(bu, ba, bb)
     w, left = deterministic_eigh(coeff @ dag(coeff))
     keep = w > TRIM

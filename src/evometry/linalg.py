@@ -129,16 +129,30 @@ def deterministic_eigh(h: np.ndarray, degeneracy_tol: float = 1e-10):
     projections is dependent (below 1e-6) is processed column by column.
     """
     vals, vecs = np.linalg.eigh(np.asarray(h))
+    return _fix_gauge(vals, vecs, degeneracy_tol)
+
+
+def _fix_gauge(vals, vecs, degeneracy_tol=1e-10, floor=None):
+    """The gauge step of deterministic_eigh, applied to an ascending
+    eigendecomposition as np.linalg.eigh returns it.
+
+    With a floor, only the groups whose first (largest) value exceeds it
+    are gauged, and only the eigenpairs with values above it are
+    returned. A group that straddles the floor is gauged whole, so the
+    result equals gauging everything and then trimming.
+    """
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
-    n = vals.size
+    n = vals.size if floor is None else int(np.count_nonzero(vals > floor))
     stop = 0
     # a group runs from its first value while later ones agree with it
     for i in np.flatnonzero(np.abs(np.diff(vals)) <= degeneracy_tol):
+        if i >= n:
+            break
         if i < stop:
             continue
         stop = i + 1
-        while stop < n and abs(vals[stop] - vals[i]) <= degeneracy_tol:
+        while stop < vals.size and abs(vals[stop] - vals[i]) <= degeneracy_tol:
             stop += 1
         block = vecs[:, i:stop]
         q, r = np.linalg.qr(block[: stop - i].conj().T)
@@ -146,6 +160,7 @@ def deterministic_eigh(h: np.ndarray, degeneracy_tol: float = 1e-10):
             vecs[:, i:stop] = block @ q
         else:
             vecs[:, i:stop] = _projection_gram_schmidt(block)
+    vals, vecs = vals[:n], vecs[:, :n]
     # phase_fixed, applied to every column at once
     top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
     return vals, vecs * (top / np.abs(top)).conj()

@@ -234,3 +234,34 @@ def test_choi_matches_kron_construction():
         for v in (np.kron(k, np.eye(3)) @ phi for k in m.operators)
     )
     assert np.abs(choi(m).matrix - want).max() < 1e-14
+
+
+def test_kraus_map_keeps_a_read_only_copy_of_its_elements():
+    a = np.sqrt(0.5) * I2.astype(complex)
+    b = np.sqrt(0.5) * Z.astype(complex)
+    m = KrausMap((a, b))
+    a[:] = np.sqrt(0.5) * X
+    b[:] = np.sqrt(0.5) * Y
+    assert np.abs(m.operators[0] - np.sqrt(0.5) * I2).max() == 0.0
+    assert np.abs(m.operators[1] - np.sqrt(0.5) * Z).max() == 0.0
+    canon = canonical_kraus(m)
+    want = canonical_kraus(named_channel("dephasing:0.5"))
+    assert np.array_equal(canon.probabilities, want.probabilities)
+    assert np.array_equal(np.stack(canon.operators), np.stack(want.operators))
+    with pytest.raises(ValueError):
+        m.operators[0][0, 0] = 0.0
+
+
+def test_canonical_form_is_read_only_and_repeatable():
+    m = named_channel("depolarizing:0.3")
+    canon = canonical_kraus(m)
+    with pytest.raises(ValueError):
+        canon.probabilities[0] = 1.0
+    with pytest.raises(ValueError):
+        canon.operators[0][0, 0] = 1.0
+    for again in (canonical_kraus(m),
+                  canonical_kraus(named_channel("depolarizing:0.3"))):
+        assert np.array_equal(again.probabilities, canon.probabilities)
+        assert np.array_equal(np.stack(again.operators),
+                              np.stack(canon.operators))
+    assert entropy(m) == entropy(m)

@@ -173,3 +173,13 @@ def test_human_readable_output(capsys):
     assert code == 0
     assert "entropy_bits" in out
     assert "checks" in out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tolerance_must_be_finite_and_non_negative(capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(["channel", "--map", "dephasing:0.5", "--tol", tol])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "--tol" in captured.err
+    assert captured.out == ""
