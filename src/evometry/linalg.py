@@ -104,10 +104,24 @@ def _sample(probs, shots: int, seed) -> np.ndarray:
     return rng.choice(p.size, size=shots, p=p / p.sum())
 
 
+# entries within this relative distance of the largest magnitude tie
+PHASE_TIE_RTOL = 1e-9
+
+
+def _phase_anchors(mag: np.ndarray) -> np.ndarray:
+    """Per column of magnitudes, the first entry that ties the column
+    maximum, so rounding in the last bits never picks the anchor."""
+    return np.argmax(mag >= (1 - PHASE_TIE_RTOL) * mag.max(axis=0), axis=0)
+
+
 def phase_fixed(v: np.ndarray) -> np.ndarray:
     """Rescale a vector's global phase so its largest-magnitude entry is
-    real and positive."""
-    k = int(np.argmax(np.abs(v)))
+    real and positive.
+
+    Entries whose magnitudes lie within a relative 1e-9 of the largest
+    tie, and the first of them is the one made real and positive.
+    """
+    k = int(_phase_anchors(np.abs(v)))
     ph = v[k] / abs(v[k])
     return v * ph.conj()
 
@@ -121,7 +135,9 @@ def deterministic_eigh(h: np.ndarray, degeneracy_tol: float = 1e-10):
     e_0, e_1, ... onto the eigenspace and Gram-Schmidt orthonormalizing
     them in that order; each resulting vector has its global phase fixed
     by phase_fixed. The output therefore does not depend on the
-    arbitrary rotation LAPACK picks inside a degenerate block.
+    arbitrary rotation LAPACK picks inside a degenerate block, nor on
+    rounding: phase_fixed anchors each vector at the first entry within
+    a relative 1e-9 of its largest magnitude.
 
     The Gram-Schmidt is computed as a QR: the projection of e_k onto an
     m-wide block V is V conj(V[k]), so the result is V Q for the QR of
@@ -162,7 +178,7 @@ def _fix_gauge(vals, vecs, degeneracy_tol=1e-10, floor=None):
             vecs[:, i:stop] = _projection_gram_schmidt(block)
     vals, vecs = vals[:n], vecs[:, :n]
     # phase_fixed, applied to every column at once
-    top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
+    top = vecs[_phase_anchors(np.abs(vecs)), np.arange(n)]
     return vals, vecs * (top / np.abs(top)).conj()
 
 

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evometry.linalg import (
+    _fix_gauge,
     deterministic_eigh,
     entanglement_entropy,
     is_unitary,
@@ -83,6 +85,30 @@ def test_phase_fixed_largest_entry_real_positive():
     f = phase_fixed(v)
     k = np.argmax(np.abs(f))
     assert f[k].real > 0 and abs(f[k].imag) < 1e-12
+
+
+def _tied(nudged, phases):
+    """Entries 1 and 2 share the largest magnitude, except that entry
+    `nudged` is one ulp larger."""
+    mags = np.array([0.3, 0.6, 0.6, 0.2])
+    mags[nudged] = np.nextafter(mags[nudged], 1.0)
+    return mags * np.array([1.0, *phases, -1j])
+
+
+@pytest.mark.parametrize("phases", [(1, -1), (1j, 1), (np.exp(0.3j),
+                                                        np.exp(2.1j))])
+def test_phase_fix_anchors_the_first_of_tied_entries(phases):
+    """Either nudge gives one gauge, with the first tied entry real and
+    positive, in phase_fixed and in the gauge step of deterministic_eigh."""
+    fixed = [phase_fixed(_tied(k, phases)) for k in (1, 2)]
+    assert np.abs(fixed[0] - fixed[1]).max() <= 1e-15
+    assert fixed[0][1].real > 0 and abs(fixed[0][1].imag) <= 1e-15
+    other = np.array([0.5, -0.5j, 0.5, 0.5])
+    gauged = [_fix_gauge(np.array([0.1, 0.9]),
+                         np.stack([_tied(k, phases), other], axis=1))[1]
+              for k in (1, 2)]
+    assert np.abs(gauged[0] - gauged[1]).max() <= 1e-15
+    assert np.abs(gauged[0][:, 1] - fixed[0]).max() <= 1e-15
 
 
 def _column_loop_eigh(h, degeneracy_tol=1e-10):
