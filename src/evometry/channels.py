@@ -7,16 +7,26 @@ on a maximally mixed input. The canonical form diagonalizes the channel
 state (the map applied to half of a maximally entangled pair), yielding
 operator elements that are mutually trace orthogonal; the entropy of its
 weight spectrum measures how many bits the channel costs to record.
+The state has rank at most k for k elements, so the canonical form is
+computed from one SVD of the stacked elements, with the same weights
+and gauge as diagonalising the channel state.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .gates import GATES, PAULIS
-from .linalg import _fix_gauge, as_matrix, dag, partial_trace, shannon_entropy
+from .linalg import (
+    DEGENERACY_TOL,
+    _fix_gauge,
+    as_matrix,
+    dag,
+    partial_trace,
+    shannon_entropy,
+)
 
 TP_ATOL = 1e-9
 CHOI_ATOL = 1e-9
@@ -24,35 +34,57 @@ UNITARY_ATOL = 1e-10
 TRIM = 1e-12
 
 
-@dataclass(frozen=True)
+def _arrays_equal(a, b):
+    """== for the frozen array records: the same type, and every compared
+    field of equal shape and equal entries."""
+    if type(a) is not type(b):
+        return NotImplemented
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.compare and not (np.shape(x) == np.shape(y)
+                              and np.array_equal(x, y)):
+            return False
+    return True
+
+
+@dataclass(frozen=True, eq=False)
 class KrausMap:
     """Operator elements of a trace-preserving CP map.
 
     The completeness sum sum_i M_i^dag M_i must equal the identity
-    within 1e-9 elementwise. The elements are stored as read-only copies,
-    so a map never changes after it is built, and its canonical form is
-    computed once and memoised (see canonical_kraus).
+    within 1e-9 elementwise. The elements are stored as one read-only
+    (k, d, d) array, stack, and operators are views of it, so a map
+    never changes after it is built; its canonical form is computed once
+    and memoised (see canonical_kraus). Maps with equal elements are
+    equal and hash alike.
     """
 
     operators: tuple
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ops = tuple(np.array(as_matrix(m)) for m in self.operators)
-        for m in ops:
-            m.setflags(write=False)
+        ops = [as_matrix(m) for m in self.operators]
         if not ops:
             raise ValueError("a map needs at least one operator element")
         d = ops[0].shape[0]
-        for m in ops:
-            if m.shape != (d, d):
-                raise ValueError("operator elements must share one square shape")
-        total = sum(dag(m) @ m for m in ops)
-        dev = np.abs(total - np.eye(d)).max()
+        if any(m.shape != (d, d) for m in ops):
+            raise ValueError("operator elements must share one square shape")
+        stack = np.array(ops)
+        stack.setflags(write=False)
+        rows = stack.reshape(-1, d)
+        dev = np.abs(dag(rows) @ rows - np.eye(d)).max()
         if not dev <= TP_ATOL:
             raise ValueError(
                 f"completeness sum deviates from identity by {dev:.3e}"
             )
-        object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "operators", tuple(stack))
+
+    __eq__ = _arrays_equal
+
+    def __hash__(self) -> int:
+        # + 0.0 turns -0.0 into 0.0, which compare equal
+        return hash((self.stack.shape, (self.stack + 0.0).tobytes()))
 
     @property
     def dim(self) -> int:
@@ -63,10 +95,21 @@ class KrausMap:
 
     @functools.cached_property
     def _canonical(self) -> CanonicalKraus:
-        d = self.dim
-        state = _channel_state(self)
-        w, v = _fix_gauge(*_checked_spectrum(state, d, vectors=True),
-                          floor=TRIM)
+        # the columns (M_i (x) 1)|phi+> of the channel state A A^dag
+        d, k = self.dim, len(self)
+        a = self.stack.reshape(k, d * d).T / np.sqrt(d)
+        u, s, _ = np.linalg.svd(a, full_matrices=False)
+        w = s * s
+        rows = self.stack.reshape(k * d, d)
+        _check_normalised(w.sum(), rows.T @ rows.conj() / d, d)
+        n = int(np.count_nonzero(w > TRIM))
+        if k < d * d and w[n - 1] <= DEGENERACY_TOL:
+            # the last kept weight may share a degenerate group with the
+            # null block, which is gauged whole: take all of it
+            u, s, _ = np.linalg.svd(a, full_matrices=True)
+            w = np.zeros(d * d)
+            w[:s.size] = s * s
+        w, v = _fix_gauge(w, u, floor=TRIM)
         ops = (v * np.sqrt(d * w)).T.reshape(w.size, d, d)
         w.setflags(write=False)
         ops.setflags(write=False)
@@ -76,10 +119,10 @@ class KrausMap:
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise ValueError("density matrix dimension does not match map")
-        return sum(m @ rho @ dag(m) for m in self.operators)
+        return (self.stack @ rho @ self.stack.conj().swapaxes(1, 2)).sum(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiState:
     """The map applied to the first half of |phi+><phi+|.
 
@@ -92,44 +135,48 @@ class ChoiState:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        _checked_spectrum(m, self.dim)
+        d = self.dim
+        if m.shape != (d * d, d * d):
+            raise ValueError("channel state must be d^2 x d^2")
+        if not np.abs(m - dag(m)).max() <= UNITARY_ATOL:
+            raise ValueError("channel state is not Hermitian")
+        w = np.linalg.eigvalsh(m)
+        if not w.min() >= -CHOI_ATOL:
+            raise ValueError(
+                f"channel state has negative eigenvalue {w.min():.3e}"
+            )
+        _check_normalised(np.trace(m), partial_trace(m, (d, d), keep=1), d)
         object.__setattr__(self, "matrix", m)
 
+    __eq__ = _arrays_equal
+    __hash__ = None
 
-def _checked_spectrum(m: np.ndarray, d: int, vectors: bool = False):
-    """Validate a channel state and return its ascending spectrum.
 
-    The state must be d^2 x d^2, Hermitian (checked before any
-    eigensolver runs), positive, of unit trace and maximally mixed on
-    the acted side. Returns (eigenvalues, eigenvectors) from one eigh
-    when vectors is set, else (eigenvalues, None) from eigvalsh.
-    """
-    if m.shape != (d * d, d * d):
-        raise ValueError("channel state must be d^2 x d^2")
-    if not np.abs(m - dag(m)).max() <= UNITARY_ATOL:
-        raise ValueError("channel state is not Hermitian")
-    w, v = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
-    if not w.min() >= -CHOI_ATOL:
-        raise ValueError(f"channel state has negative eigenvalue {w.min():.3e}")
-    if not abs(np.trace(m) - 1.0) <= CHOI_ATOL:
+def _check_normalised(trace, acted: np.ndarray, d: int) -> None:
+    """The channel state has unit trace and is maximally mixed on the
+    acted side (its marginal there is the identity over d)."""
+    if not abs(trace - 1.0) <= CHOI_ATOL:
         raise ValueError("channel state trace is not 1")
-    acted = partial_trace(m, (d, d), keep=1)
     if not np.abs(acted - np.eye(d) / d).max() <= CHOI_ATOL:
         raise ValueError("map is not trace preserving (acted-side marginal)")
-    return w, v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalKraus:
     """Trace-orthogonal operator elements with their weights.
 
     K_m = sqrt(d p_m) W_m where the W_m are the unit-normalized
     eigenvectors of the channel state, so tr(K_m^dag K_n) = d p_m
-    delta_mn and the probabilities p_m sum to 1 (descending).
+    delta_mn and the probabilities p_m sum to 1 (descending). They are
+    computed from the SVD of the stacked elements, with the same weights
+    and gauge as diagonalising the channel state.
     """
 
     probabilities: np.ndarray
     operators: tuple
+
+    __eq__ = _arrays_equal
+    __hash__ = None
 
     @property
     def dim(self) -> int:
@@ -142,7 +189,7 @@ class CanonicalKraus:
         return KrausMap(self.operators)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StinespringDilation:
     """A unitary one-system picture of a channel.
 
@@ -165,12 +212,15 @@ class StinespringDilation:
             raise ValueError("dilation matrix is not unitary")
         object.__setattr__(self, "matrix", m)
 
+    __eq__ = _arrays_equal
+    __hash__ = None
+
 
 def _channel_state(kraus: KrausMap) -> np.ndarray:
     """(M_i (x) 1)|phi+> is M_i flattened row-major over sqrt(d), so the
     state sum_i v_i v_i^dag is one product of the stacked elements."""
     d = kraus.dim
-    v = np.reshape(kraus.operators, (len(kraus), d * d)) / np.sqrt(d)
+    v = kraus.stack.reshape(len(kraus), d * d) / np.sqrt(d)
     return v.T @ v.conj()
 
 
@@ -182,13 +232,21 @@ def choi(kraus: KrausMap) -> ChoiState:
 def canonical_kraus(kraus: KrausMap) -> CanonicalKraus:
     """Diagonalize the channel state into trace-orthogonal elements.
 
-    Eigenvalues below 1e-12 are trimmed. Degenerate eigenspaces are
-    resolved by the deterministic convention in deterministic_eigh, so
-    equal maps produce identical canonical forms. The channel state is
-    validated as ChoiState does and diagonalised once; only the kept
-    eigenvectors are gauge-fixed. The result is memoised on the map
-    (whose elements are read-only copies), so repeat calls return the
-    same CanonicalKraus, whose arrays are read-only.
+    Computed from the SVD of the stacked elements, the d^2 x k matrix A
+    with the channel state A A^dag; same weights and gauge as
+    diagonalising the channel state: the weights are the squared
+    singular values, the eigenvectors the left singular vectors. Weights
+    below 1e-12 are trimmed. Degenerate eigenspaces are resolved by the
+    deterministic convention in deterministic_eigh, so equal maps produce
+    identical canonical forms; only the kept vectors are gauge-fixed,
+    and when the last kept weight lies within the 1e-10 degeneracy
+    tolerance of the null block (k < d^2), the full left factor is taken
+    so that the group is gauged whole. The state's unit trace and
+    acted-side marginal are checked as ChoiState does, from the weights
+    and the elements; it is Hermitian and positive by construction. The
+    result is memoised on the map (whose elements are read-only), so
+    repeat calls return the same CanonicalKraus, whose arrays are
+    read-only.
     """
     return kraus._canonical
 
@@ -214,7 +272,7 @@ def kraus_rotation(kraus: KrausMap, u: np.ndarray) -> KrausMap:
     dev = np.abs(u @ dag(u) - np.eye(k)).max()
     if not dev <= TP_ATOL:
         raise ValueError(f"rows are not orthonormal (deviation {dev:.3e})")
-    return KrausMap(tuple(np.tensordot(u.T, kraus.operators, axes=1)))
+    return KrausMap(tuple(np.tensordot(u.T, kraus.stack, axes=1)))
 
 
 def equivalent(a: KrausMap, b: KrausMap, tol: float = TP_ATOL) -> bool:
@@ -233,9 +291,8 @@ def stinespring(kraus: KrausMap) -> StinespringDilation:
     """
     d = kraus.dim
     a = len(kraus)
-    iso = np.zeros((d * a, d), dtype=complex)
-    for i, m in enumerate(kraus.operators):
-        iso[i::a, :] = m
+    # row r * a + i of the isometry is row r of M_i
+    iso = kraus.stack.transpose(1, 0, 2).reshape(d * a, d)
     full = np.zeros((d * a, d * a), dtype=complex)
     full[:, [j * a for j in range(d)]] = iso
     # complete the remaining columns from the orthogonal complement

@@ -291,9 +291,9 @@ def cmd_concentrate(args):
         },
         "empirical": {"sector_counts": sample_counts},
     }
-    checks = {"normalized": abs(float(probs.sum()) - 1.0) <= 1e-12}
+    checks = {"normalized": abs(float(probs.sum()) - 1.0) <= args.tol}
     if dist.sector_deviation is not None:
-        checks["sectors_match"] = dist.sector_deviation <= 1e-10
+        checks["sectors_match"] = dist.sector_deviation <= args.tol
     return report, checks
 
 
@@ -324,7 +324,7 @@ def cmd_superdense(args):
         },
     }
     checks = {
-        "eavesdropper_ignorant": eav_dev < 1e-12,
+        "eavesdropper_ignorant": eav_dev <= args.tol,
         "normalized": abs(float(tr.probabilities.sum()) - 1.0) <= args.tol,
     }
     return report, checks

@@ -86,10 +86,13 @@ def entanglement_entropy(psi: np.ndarray, dims: tuple[int, int]) -> float:
 
 
 def shannon_entropy(p) -> float:
-    """Shannon entropy in bits; zero-probability entries are skipped."""
+    """Shannon entropy in bits; zero-probability entries are skipped.
+
+    Never negative: a weight rounded just above 1 reads 0.0.
+    """
     p = np.asarray(p, dtype=float)
     nz = p[p > 1e-15]
-    return float(-(nz * np.log2(nz)).sum()) if nz.size else 0.0
+    return max(0.0, float(-(nz * np.log2(nz)).sum()))
 
 
 def _sample(probs, shots: int, seed) -> np.ndarray:
@@ -106,6 +109,8 @@ def _sample(probs, shots: int, seed) -> np.ndarray:
 
 # entries within this relative distance of the largest magnitude tie
 PHASE_TIE_RTOL = 1e-9
+# eigenvalues this close to the first of a group are one degenerate level
+DEGENERACY_TOL = 1e-10
 
 
 def _phase_anchors(mag: np.ndarray) -> np.ndarray:
@@ -126,7 +131,7 @@ def phase_fixed(v: np.ndarray) -> np.ndarray:
     return v * ph.conj()
 
 
-def deterministic_eigh(h: np.ndarray, degeneracy_tol: float = 1e-10):
+def deterministic_eigh(h: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL):
     """Hermitian eigendecomposition with eigenvalues descending and a
     deterministic gauge inside degenerate eigenspaces.
 
@@ -145,20 +150,20 @@ def deterministic_eigh(h: np.ndarray, degeneracy_tol: float = 1e-10):
     projections is dependent (below 1e-6) is processed column by column.
     """
     vals, vecs = np.linalg.eigh(np.asarray(h))
-    return _fix_gauge(vals, vecs, degeneracy_tol)
+    return _fix_gauge(vals[::-1], vecs[:, ::-1], degeneracy_tol)
 
 
-def _fix_gauge(vals, vecs, degeneracy_tol=1e-10, floor=None):
-    """The gauge step of deterministic_eigh, applied to an ascending
-    eigendecomposition as np.linalg.eigh returns it.
+def _fix_gauge(vals, vecs, degeneracy_tol=DEGENERACY_TOL, floor=None):
+    """The gauge step of deterministic_eigh, applied to a descending
+    eigendecomposition (vecs is not modified).
 
     With a floor, only the groups whose first (largest) value exceeds it
     are gauged, and only the eigenpairs with values above it are
     returned. A group that straddles the floor is gauged whole, so the
     result equals gauging everything and then trimming.
     """
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
+    vals = vals.copy()
+    vecs = vecs.copy()
     n = vals.size if floor is None else int(np.count_nonzero(vals > floor))
     stop = 0
     # a group runs from its first value while later ones agree with it

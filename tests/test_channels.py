@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evometry import (
     ChoiState,
@@ -14,8 +18,10 @@ from evometry import (
     named_channel,
     stinespring,
 )
+from evometry.basis import clock_shift_powers, pauli_strings
+from evometry.channels import CanonicalKraus
 from evometry.gates import H, I2, X, Y, Z
-from evometry.linalg import dag, random_unitary
+from evometry.linalg import dag, deterministic_eigh, random_unitary
 
 
 def random_channel(d, a, rng):
@@ -265,3 +271,95 @@ def test_canonical_form_is_read_only_and_repeatable():
         assert np.array_equal(np.stack(again.operators),
                               np.stack(canon.operators))
     assert entropy(m) == entropy(m)
+
+
+def _random_isometry_map(rng):
+    d = int(rng.integers(2, 6))
+    k = int(rng.integers(1, d * d + 3))
+    return KrausMap(tuple(random_unitary(d * k, rng)[:, :d].reshape(k, d, d)))
+
+
+def _pauli_frame_map(rng):
+    """Pauli strings with phases 1, -1, i, -i and weights from {1, 2, 3}
+    normalised: the canonical vectors have entries of exactly equal
+    magnitude, and equal weights make degenerate groups."""
+    n = int(rng.integers(1, 3))
+    k = int(rng.integers(1, 4 ** n + 1))
+    idx = rng.choice(4 ** n, size=k, replace=False)
+    w = rng.integers(1, 4, size=k) / 1.0
+    phases = np.array([1, -1, 1j, -1j])[rng.integers(0, 4, size=k)]
+    amps = np.sqrt(w / w.sum()) * phases
+    return KrausMap(tuple(pauli_strings(n)[idx] * amps[:, None, None]))
+
+
+def _straddling_map(rng, eps):
+    """M0 = sqrt(1 - eps) U, M1 = sqrt(eps) U Z: trace orthogonal, so the
+    weights are 1 - eps and eps, and eps lies within the 1e-10 degeneracy
+    tolerance of the null block."""
+    d = int(rng.integers(2, 5))
+    u = random_unitary(d, rng)
+    z = clock_shift_powers(d)[0][1]
+    return KrausMap((np.sqrt(1 - eps) * u, np.sqrt(eps) * u @ z))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["random", "pauli-frame", "straddling"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       eps=st.floats(1.001e-12, 0.999e-10))
+def test_canonical_kraus_is_the_trimmed_gauged_eigensystem(kind, seed, eps):
+    """The SVD route against deterministic_eigh of the channel state,
+    trimmed at 1e-12: weights and unit vectors (the gauge) entrywise at
+    1e-12, and operators entrywise at 1e-12 wherever the weight exceeds
+    1e-10. eigh resolves a weight w only to about 1e-17 absolute, so a
+    reference operator sqrt(d w) W of weight 1e-11 is itself off by about
+    1e-6 relative; the planted weight is checked against eps instead.
+    For the same reason eps keeps 0.1% away from the 1e-12 trim floor
+    and the 1e-10 degeneracy tolerance: on those edges the reference's
+    rounding decides whether the weight is kept or joins the null block."""
+    rng = np.random.default_rng(seed)
+    m = {"random": lambda: _random_isometry_map(rng),
+         "pauli-frame": lambda: _pauli_frame_map(rng),
+         "straddling": lambda: _straddling_map(rng, eps)}[kind]()
+    d = m.dim
+    w, v = deterministic_eigh(choi(m).matrix)
+    keep = w > 1e-12
+    w, v = w[keep], v[:, keep]
+    canon = canonical_kraus(m)
+    p, ops = canon.probabilities, np.stack(canon.operators)
+    assert p.shape == w.shape
+    assert np.abs(p - w).max() <= 1e-12
+    units = ops.reshape(p.size, d * d).T / np.sqrt(d * p)
+    assert np.abs(units - v).max() <= 1e-12
+    want = (v * np.sqrt(d * w)).T.reshape(-1, d, d)
+    large = w > 1e-10
+    assert np.abs(ops[large] - want[large]).max() <= 1e-12
+    if kind == "straddling":
+        assert p.size == 2 and abs(p[1] - eps) <= 1e-12 * eps
+
+
+def test_maps_with_equal_elements_are_equal_and_hash_alike():
+    a, b = named_channel("dephasing:0.5"), named_channel("dephasing:0.5")
+    assert a == b and hash(a) == hash(b)
+    assert (a != named_channel("dephasing:0.4")) is True
+    assert (a == named_channel("unitary:H")) is False
+    assert a != "dephasing:0.5"
+    assert len({a, b, KrausMap((-0.0 * X, np.array(I2)))}) == 2
+    assert KrausMap((-0.0 * X, np.array(I2))) == KrausMap((0 * X, I2))
+
+
+def test_canonical_forms_compare_by_entries():
+    a = canonical_kraus(named_channel("depolarizing:0.3"))
+    b = canonical_kraus(named_channel("depolarizing:0.3"))
+    assert a is not b and (a == b) is True
+    assert (a == canonical_kraus(named_channel("dephasing:0.5"))) is False
+    assert (a == CanonicalKraus(a.probabilities, a.operators[:2])) is False
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+@pytest.mark.parametrize("gate", ["I", "X", "Y", "Z", "H", "CNOT", "SWAP"])
+def test_entropy_of_a_unitary_is_never_negative(gate):
+    """CNOT's weight rounds to 1.0000000000000004 at the eigh route and
+    to 1.0 here, H's to 0.9999999999999996 (its entries are rounded)."""
+    h = entropy(named_channel(f"unitary:{gate}"))
+    assert math.copysign(1.0, h) == 1.0 and h <= 1e-15

@@ -119,6 +119,23 @@ def test_concentrate_command(capsys):
     assert report["exact"]["sector_deviation"] < 1e-10
 
 
+@pytest.mark.parametrize("argv, check, residual", [
+    (("concentrate", "--n", "4", "--alpha", "0.8660254037844386",
+      "--mode", "exact-matrix"), "sectors_match", "sector_deviation"),
+    (("superdense", "--unitary", "H"), "eavesdropper_ignorant",
+     "eavesdropper_marginal_deviation"),
+])
+def test_checks_compare_their_residual_with_tol(capsys, argv, check,
+                                                residual):
+    code, report, _ = run_json(capsys, *argv)
+    dev = report["exact"][residual]
+    assert code == 0 and 0 < dev <= 1e-9
+    _, report, _ = run_json(capsys, *argv, "--tol", repr(dev))
+    assert report["checks"][check]
+    code, report, _ = run_json(capsys, *argv, "--tol", repr(dev / 2))
+    assert code == 1 and not report["checks"][check]
+
+
 def test_superdense_command(capsys):
     code, report, _ = run_json(
         capsys, "superdense", "--unitary", "X", "--shots", "64", "--seed", "9")

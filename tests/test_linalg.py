@@ -59,6 +59,9 @@ def test_entanglement_entropy_of_bell_pair():
 
 def test_shannon_entropy_edge_cases():
     assert shannon_entropy(np.array([1.0, 0.0])) == 0.0
+    for p in ([1.0000000000000004], [1.0], []):
+        h = shannon_entropy(np.array(p))
+        assert h == 0.0 and np.copysign(1.0, h) == 1.0
     assert abs(shannon_entropy(np.array([0.25] * 4)) - 2.0) < 1e-12
 
 
@@ -104,11 +107,11 @@ def test_phase_fix_anchors_the_first_of_tied_entries(phases):
     assert np.abs(fixed[0] - fixed[1]).max() <= 1e-15
     assert fixed[0][1].real > 0 and abs(fixed[0][1].imag) <= 1e-15
     other = np.array([0.5, -0.5j, 0.5, 0.5])
-    gauged = [_fix_gauge(np.array([0.1, 0.9]),
+    gauged = [_fix_gauge(np.array([0.9, 0.1]),
                          np.stack([_tied(k, phases), other], axis=1))[1]
               for k in (1, 2)]
     assert np.abs(gauged[0] - gauged[1]).max() <= 1e-15
-    assert np.abs(gauged[0][:, 1] - fixed[0]).max() <= 1e-15
+    assert np.abs(gauged[0][:, 0] - fixed[0]).max() <= 1e-15
 
 
 def _column_loop_eigh(h, degeneracy_tol=1e-10):
