@@ -98,8 +98,13 @@ class KrausMap:
         # the columns (M_i (x) 1)|phi+> of the channel state A A^dag
         d, k = self.dim, len(self)
         a = self.stack.reshape(k, d * d).T / np.sqrt(d)
-        u, s, _ = np.linalg.svd(a, full_matrices=False)
-        w = s * s
+        if k < d * d:
+            u, s, _ = np.linalg.svd(a, full_matrices=False)
+            w = s * s
+        else:
+            # A is not thin: the eigh of A A^dag is cheaper than its SVD
+            w, u = np.linalg.eigh(a @ dag(a))
+            w, u = w[::-1], u[:, ::-1]
         rows = self.stack.reshape(k * d, d)
         _check_normalised(w.sum(), rows.T @ rows.conj() / d, d)
         n = int(np.count_nonzero(w > TRIM))
@@ -235,7 +240,8 @@ def canonical_kraus(kraus: KrausMap) -> CanonicalKraus:
     Computed from the SVD of the stacked elements, the d^2 x k matrix A
     with the channel state A A^dag; same weights and gauge as
     diagonalising the channel state: the weights are the squared
-    singular values, the eigenvectors the left singular vectors. Weights
+    singular values, the eigenvectors the left singular vectors. When
+    k >= d^2, A is not thin and the eigh of A A^dag is cheaper. Weights
     below 1e-12 are trimmed. Degenerate eigenspaces are resolved by the
     deterministic convention in deterministic_eigh, so equal maps produce
     identical canonical forms; only the kept vectors are gauge-fixed,

@@ -359,7 +359,8 @@ def test_canonical_forms_compare_by_entries():
 
 @pytest.mark.parametrize("gate", ["I", "X", "Y", "Z", "H", "CNOT", "SWAP"])
 def test_entropy_of_a_unitary_is_never_negative(gate):
-    """CNOT's weight rounds to 1.0000000000000004 at the eigh route and
-    to 1.0 here, H's to 0.9999999999999996 (its entries are rounded)."""
+    """A unitary's one weight is 1 up to rounding on either side (H's is
+    0.9999999999999996, since its entries are rounded); a weight above 1
+    must not read as a negative entropy."""
     h = entropy(named_channel(f"unitary:{gate}"))
     assert math.copysign(1.0, h) == 1.0 and h <= 1e-15
