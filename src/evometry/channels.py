@@ -103,7 +103,7 @@ class KrausMap:
             w = s * s
         else:
             # A is not thin: the eigh of A A^dag is cheaper than its SVD
-            w, u = np.linalg.eigh(a @ dag(a))
+            w, u = np.linalg.eigh(_channel_state(self))
             w, u = w[::-1], u[:, ::-1]
         rows = self.stack.reshape(k * d, d)
         _check_normalised(w.sum(), rows.T @ rows.conj() / d, d)
