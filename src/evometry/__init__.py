@@ -7,6 +7,7 @@ records with an entropy, storable, compressible, verifiable, and
 retrievable states, and gives bipartite interactions a Schmidt
 structure with an entanglement measure and a concentration protocol.
 """
+import types
 
 from .basis import (
     BasisRotation,
@@ -72,7 +73,6 @@ from .storage import (
     StoredEvolution,
     TypicalCompression,
     VerificationRecord,
-    compression_rate,
     probabilistic_retrieve,
     retrieval_statistics,
     store,
@@ -91,73 +91,9 @@ from .superdense import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisRotation",
-    "BellBasis",
-    "BipartiteUnitary",
-    "CanonicalKraus",
-    "ChannelTranscript",
-    "ChoiState",
-    "ConcentrationDistribution",
-    "ConcentrationRecord",
-    "EvolutionSequence",
-    "ExpansionCoefficients",
-    "KrausMap",
-    "NotAnEigenoperator",
-    "OperatorBasis",
-    "OperatorSchmidt",
-    "OutcomeDistribution",
-    "PureState",
-    "RetrievalOutcome",
-    "StinespringDilation",
-    "StoredEvolution",
-    "TwoTimeObservable",
-    "TypicalCompression",
-    "UnitaryOperator",
-    "VerificationRecord",
-    "WhichUnitaryResult",
-    "bell_basis",
-    "bipartite_expand",
-    "canonical_kraus",
-    "choi",
-    "circuit_end_state",
-    "clock_shift",
-    "clock_shift_powers",
-    "compression_rate",
-    "concentrate",
-    "concentration_sectors",
-    "concentration_yield",
-    "eavesdropper_marginal",
-    "entropy",
-    "equivalent",
-    "expand",
-    "expected_term_count",
-    "gram",
-    "induced_local_map",
-    "interaction_entanglement",
-    "kraus_from_ancilla_basis",
-    "kraus_rotation",
-    "measure_choi_side",
-    "measure_which_unitary",
-    "measure_which_unitary_qudit",
-    "named_channel",
-    "observable_commutator_norm",
-    "operator_schmidt",
-    "pauli_basis",
-    "pauli_string",
-    "pauli_strings",
-    "probabilistic_retrieve",
-    "reconstruct",
-    "retrieval_statistics",
-    "rotate_basis",
-    "stinespring",
-    "store",
-    "stored_state",
-    "storage_overlap",
-    "superdense_send",
-    "temporal_eigenvalue",
-    "typical_compress",
-    "verify_sequence",
-    "weyl_basis",
-    "which_unitary_distribution",
-]
+# the public names are exactly the imports above: classes and functions,
+# no submodules and nothing private
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates
-from .linalg import as_matrix, is_unitary
+from .linalg import _check, _isometry_deviation, as_matrix, is_unitary
 
 ATOL = 1e-10
 
@@ -31,9 +31,7 @@ class UnitaryOperator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        dev = _unitary_deviation(m[None])
-        if not dev <= ATOL:
-            raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
+        _check(_isometry_deviation(m), ATOL, "matrix is not unitary")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -108,17 +106,11 @@ class OperatorBasis:
                              f"for dim {d}, got shape {stack.shape}")
         if len(self.labels) != d * d:
             raise ValueError("one label per element required")
-        dev = np.abs(gram(stack) - d * np.eye(d * d)).max()
-        if not dev <= ATOL:
-            raise ValueError(
-                f"elements are not trace-orthogonal (deviation {dev:.3e})"
-            )
+        _check(np.abs(gram(stack) - d * np.eye(d * d)).max(), ATOL,
+               "elements are not trace-orthogonal")
         if self.is_unitary:
-            dev = _unitary_deviation(stack)
-            if not dev <= ATOL:
-                raise ValueError(
-                    f"elements claimed unitary are not (deviation {dev:.3e})"
-                )
+            _check(_isometry_deviation(stack), ATOL,
+                   "elements claimed unitary are not")
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "elements", tuple(stack))
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -137,10 +129,9 @@ def gram(elements) -> np.ndarray:
     return flat.conj() @ flat.T
 
 
-def _unitary_deviation(stack: np.ndarray) -> float:
-    """Largest entry of B^dag B - 1 over a (k, d, d) stack."""
-    eye = np.eye(stack.shape[-1])
-    return float(np.abs(stack.conj().swapaxes(1, 2) @ stack - eye).max())
+def _reference(u0, dim: int) -> np.ndarray:
+    """The reference unitary's matrix, or the identity when there is none."""
+    return np.eye(dim, dtype=complex) if u0 is None else as_matrix(u0)
 
 
 def _n_qubits(dim: int) -> int:
@@ -196,7 +187,7 @@ def pauli_basis(u0=None, dim: int = 2) -> OperatorBasis:
             u0 = UnitaryOperator(u0)
         dim = u0.dim
     n = _n_qubits(dim)
-    ref = np.eye(dim, dtype=complex) if u0 is None else u0.matrix
+    ref = _reference(u0, dim)
     labels = [
         "".join(gates.PAULI_LABELS[l] for l in letters)
         for letters in itertools.product(range(4), repeat=n)
@@ -210,16 +201,10 @@ def clock_shift(dim: int) -> tuple[UnitaryOperator, UnitaryOperator]:
     Z = sum_j zeta^j |j><j| and X = sum_j |j+1 mod d><j| with
     zeta = exp(2 pi i / d). They satisfy Z^d = X^d = 1 and the commutation
     rule Z X = zeta X Z; at d = 2 they are exactly the z and x Pauli
-    matrices.
+    matrices. They are the first powers in clock_shift_powers.
     """
-    if dim < 2:
-        raise ValueError("clock/shift pair needs dimension >= 2")
-    zeta = np.exp(2j * np.pi / dim)
-    z = np.diag(zeta ** np.arange(dim))
-    x = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        x[(j + 1) % dim, j] = 1.0
-    return UnitaryOperator(z), UnitaryOperator(x)
+    zp, xp = clock_shift_powers(dim)
+    return UnitaryOperator(zp[1]), UnitaryOperator(xp[1])
 
 
 @functools.lru_cache(maxsize=None)
@@ -244,6 +229,20 @@ def clock_shift_powers(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return zp, xp
 
 
+@functools.lru_cache(maxsize=None)
+def _fourier(n: int) -> np.ndarray:
+    """The n x n Fourier matrix zeta^(j k) / sqrt(n), zeta = exp(2 pi i / n),
+    which is the diagonals of clock_shift_powers(n) over sqrt(n). Built
+    once per n and read-only; n = 1 gives [[1]], a one-level register.
+    """
+    if n == 1:
+        f = np.ones((1, 1), dtype=complex)
+    else:
+        f = np.diagonal(clock_shift_powers(n)[0], axis1=1, axis2=2) / np.sqrt(n)
+    f.flags.writeable = False
+    return f
+
+
 def _weyl_products(dim: int) -> np.ndarray:
     """Z^mu X^nu at index mu * d + nu, as one (d^2, d, d) array."""
     zp, xp = clock_shift_powers(dim)
@@ -265,7 +264,7 @@ def weyl_basis(dim: int, u0=None) -> OperatorBasis:
         u0 = u0 if isinstance(u0, UnitaryOperator) else UnitaryOperator(u0)
         if u0.dim != dim:
             raise ValueError(f"u0 has dim {u0.dim}, expected {dim}")
-    ref = np.eye(dim, dtype=complex) if u0 is None else u0.matrix
+    ref = _reference(u0, dim)
     labels = [f"Z^{mu}X^{nu}" for mu in range(dim) for nu in range(dim)]
     return OperatorBasis(dim, ref @ products, tuple(labels), u0=u0)
 
@@ -316,7 +315,7 @@ def rotate_basis(basis: OperatorBasis, k) -> OperatorBasis:
             f"{basis.dim ** 2}"
         )
     elements = np.tensordot(k.matrix, basis.stack, axes=1)
-    unitary = _unitary_deviation(elements) <= ATOL
+    unitary = _isometry_deviation(elements) <= ATOL
     labels = tuple(f"R{m}" for m in range(k.order))
     return OperatorBasis(
         basis.dim, elements, labels, u0=None, is_unitary=unitary

@@ -21,7 +21,11 @@ import numpy as np
 from .gates import GATES, PAULIS
 from .linalg import (
     DEGENERACY_TOL,
+    TRIM,
+    _check,
     _fix_gauge,
+    _isometry_deviation,
+    _records,
     as_matrix,
     dag,
     partial_trace,
@@ -31,7 +35,6 @@ from .linalg import (
 TP_ATOL = 1e-9
 CHOI_ATOL = 1e-9
 UNITARY_ATOL = 1e-10
-TRIM = 1e-12
 
 
 def _arrays_equal(a, b):
@@ -71,12 +74,9 @@ class KrausMap:
             raise ValueError("operator elements must share one square shape")
         stack = np.array(ops)
         stack.setflags(write=False)
-        rows = stack.reshape(-1, d)
-        dev = np.abs(dag(rows) @ rows - np.eye(d)).max()
-        if not dev <= TP_ATOL:
-            raise ValueError(
-                f"completeness sum deviates from identity by {dev:.3e}"
-            )
+        # sum_i M_i^dag M_i is one product of the (k d) x d reshape
+        _check(_isometry_deviation(stack.reshape(-1, d)), TP_ATOL,
+               "completeness sum is not the identity")
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "operators", tuple(stack))
 
@@ -97,7 +97,7 @@ class KrausMap:
     def _canonical(self) -> CanonicalKraus:
         # the columns (M_i (x) 1)|phi+> of the channel state A A^dag
         d, k = self.dim, len(self)
-        a = self.stack.reshape(k, d * d).T / np.sqrt(d)
+        a = _records(self.stack).T
         if k < d * d:
             u, s, _ = np.linalg.svd(a, full_matrices=False)
             w = s * s
@@ -143,13 +143,10 @@ class ChoiState:
         d = self.dim
         if m.shape != (d * d, d * d):
             raise ValueError("channel state must be d^2 x d^2")
-        if not np.abs(m - dag(m)).max() <= UNITARY_ATOL:
-            raise ValueError("channel state is not Hermitian")
-        w = np.linalg.eigvalsh(m)
-        if not w.min() >= -CHOI_ATOL:
-            raise ValueError(
-                f"channel state has negative eigenvalue {w.min():.3e}"
-            )
+        _check(np.abs(m - dag(m)).max(), UNITARY_ATOL,
+               "channel state is not Hermitian")
+        _check(-np.linalg.eigvalsh(m).min(), CHOI_ATOL,
+               "channel state has a negative eigenvalue")
         _check_normalised(np.trace(m), partial_trace(m, (d, d), keep=1), d)
         object.__setattr__(self, "matrix", m)
 
@@ -160,10 +157,9 @@ class ChoiState:
 def _check_normalised(trace, acted: np.ndarray, d: int) -> None:
     """The channel state has unit trace and is maximally mixed on the
     acted side (its marginal there is the identity over d)."""
-    if not abs(trace - 1.0) <= CHOI_ATOL:
-        raise ValueError("channel state trace is not 1")
-    if not np.abs(acted - np.eye(d) / d).max() <= CHOI_ATOL:
-        raise ValueError("map is not trace preserving (acted-side marginal)")
+    _check(abs(trace - 1.0), CHOI_ATOL, "channel state trace is not 1")
+    _check(np.abs(acted - np.eye(d) / d).max(), CHOI_ATOL,
+           "map is not trace preserving (acted-side marginal)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,8 +209,8 @@ class StinespringDilation:
         da = self.system_dim * self.ancilla_dim
         if m.shape != (da, da):
             raise ValueError("dilation matrix shape must be (d*a, d*a)")
-        if not np.abs(m @ dag(m) - np.eye(da)).max() <= UNITARY_ATOL:
-            raise ValueError("dilation matrix is not unitary")
+        _check(_isometry_deviation(dag(m)), UNITARY_ATOL,
+               "dilation matrix is not unitary")
         object.__setattr__(self, "matrix", m)
 
     __eq__ = _arrays_equal
@@ -222,11 +218,16 @@ class StinespringDilation:
 
 
 def _channel_state(kraus: KrausMap) -> np.ndarray:
-    """(M_i (x) 1)|phi+> is M_i flattened row-major over sqrt(d), so the
-    state sum_i v_i v_i^dag is one product of the stacked elements."""
-    d = kraus.dim
-    v = kraus.stack.reshape(len(kraus), d * d) / np.sqrt(d)
+    """The state sum_i v_i v_i^dag over the records v_i = (M_i (x) 1)|phi+>,
+    as one product."""
+    v = _records(kraus.stack)
     return v.T @ v.conj()
+
+
+def _born_weights(kraus: KrausMap) -> np.ndarray:
+    """tr(M_i^dag M_i)/d per element: the weight of outcome i when the
+    element is read out on a maximally entangled (or mixed) input."""
+    return np.sum(np.abs(kraus.stack) ** 2, axis=(1, 2)) / kraus.dim
 
 
 def choi(kraus: KrausMap) -> ChoiState:
@@ -275,9 +276,7 @@ def kraus_rotation(kraus: KrausMap, u: np.ndarray) -> KrausMap:
     k = len(kraus)
     if u.ndim != 2 or u.shape[0] != k:
         raise ValueError("row count must match number of operator elements")
-    dev = np.abs(u @ dag(u) - np.eye(k)).max()
-    if not dev <= TP_ATOL:
-        raise ValueError(f"rows are not orthonormal (deviation {dev:.3e})")
+    _check(_isometry_deviation(dag(u)), TP_ATOL, "rows are not orthonormal")
     return KrausMap(tuple(np.tensordot(u.T, kraus.stack, axes=1)))
 
 
@@ -324,9 +323,8 @@ def kraus_from_ancilla_basis(dil: StinespringDilation,
         ancilla_basis = np.asarray(ancilla_basis, dtype=complex)
         if ancilla_basis.shape != (a, a):
             raise ValueError("ancilla basis must have a rows of dimension a")
-        dev = np.abs(ancilla_basis @ dag(ancilla_basis) - np.eye(a)).max()
-        if not dev <= TP_ATOL:
-            raise ValueError(f"ancilla basis not orthonormal (dev {dev:.3e})")
+        _check(_isometry_deviation(dag(ancilla_basis)), TP_ATOL,
+               "ancilla basis not orthonormal")
     v0 = dil.matrix[:, dil.ancilla_start::a].reshape(d, a, d)
     ops = np.einsum("ic,rcj->irj", ancilla_basis.conj(), v0)
     return KrausMap(tuple(ops))

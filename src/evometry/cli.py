@@ -15,8 +15,9 @@ import time
 
 import numpy as np
 
-from .basis import _default_basis, gram, pauli_basis, weyl_basis
+from .basis import _default_basis, _fourier, gram, pauli_basis, weyl_basis
 from .channels import (
+    _born_weights,
     canonical_kraus,
     choi,
     entropy,
@@ -25,7 +26,7 @@ from .channels import (
 )
 from .formats import json_report, load_map, load_state, load_unitary
 from .interaction import concentrate, operator_schmidt
-from .linalg import _sample, dag, partial_trace, shannon_entropy
+from .linalg import _isometry_deviation, _sample, partial_trace, shannon_entropy
 from .measure import (
     PureState,
     measure_which_unitary,
@@ -34,7 +35,6 @@ from .measure import (
 )
 from .storage import (
     EvolutionSequence,
-    compression_rate,
     retrieval_statistics,
     typical_compress,
     verify_sequence,
@@ -44,12 +44,12 @@ from .superdense import superdense_send
 DEFAULT_TOL = 1e-9
 
 
-def _basis_for(kind: str, dim: int):
-    if kind == "pauli":
-        return pauli_basis(dim=dim)
-    if kind == "weyl":
-        return weyl_basis(dim)
-    raise ValueError(f"unknown basis kind {kind!r}")
+# each basis kind of basis --kind and measure --basis: its builder,
+# called with dim= and u0=, and the circuit that measures over it
+_KINDS = {
+    "pauli": (pauli_basis, measure_which_unitary),
+    "weyl": (weyl_basis, measure_which_unitary_qudit),
+}
 
 
 def _tolerance(text: str) -> float:
@@ -74,7 +74,7 @@ def _ints(a):
 
 
 def cmd_basis(args):
-    basis = _basis_for(args.kind, args.dim)
+    basis = _KINDS[args.kind][0](dim=args.dim)
     d = basis.dim
     dev = float(np.abs(gram(basis.stack) / d - np.eye(d * d)).max())
     report = {
@@ -95,16 +95,10 @@ def cmd_measure(args):
     u = load_unitary(args.unitary)
     d = u.shape[0]
     u0 = load_unitary(args.u0) if args.u0 else None
-    if args.basis == "pauli":
-        basis = pauli_basis(u0=u0, dim=d)
-    else:
-        basis = weyl_basis(d, u0=u0)
+    build, runner = _KINDS[args.basis]
+    basis = build(dim=d, u0=u0)
     psi = PureState(load_state(args.state, d))
     exact = which_unitary_distribution(u, basis)
-    runner = (
-        measure_which_unitary if args.basis == "pauli"
-        else measure_which_unitary_qudit
-    )
     dist, results = runner(u, basis, psi, shots=args.shots, seed=args.seed)
     circuit_dev = float(
         np.abs(dist.probabilities - exact.probabilities).max()
@@ -140,9 +134,7 @@ def cmd_channel(args):
     m = load_map(args.map)
     canon = canonical_kraus(m)
     d = m.dim
-    tp_dev = float(np.abs(
-        sum(dag(k) @ k for k in m.operators) - np.eye(d)
-    ).max())
+    tp_dev = _isometry_deviation(m.stack.reshape(-1, d))
     c = choi(m)
     acted = partial_trace(c.matrix, (d, d), keep=1)
     report = {
@@ -171,7 +163,7 @@ def cmd_channel(args):
 def cmd_compress(args):
     m = load_map(args.map)
     tc = typical_compress(m, args.n, args.delta)
-    rate_target = compression_rate(m)
+    rate_target = entropy(m)
     report = {
         "command": "compress",
         "config": {
@@ -232,14 +224,9 @@ def cmd_retrieve(args):
 
 def cmd_schmidt(args):
     u = load_unitary(args.unitary)
-    if args.dims:
-        da, db = (int(x) for x in args.dims.split(","))
-    else:
-        root = round(u.shape[0] ** 0.5)
-        if root * root != u.shape[0]:
-            raise ValueError("--dims dA,dB required for unequal factors")
-        da = db = root
-    schmidt = operator_schmidt(u, dims=(da, db))
+    dims = tuple(int(x) for x in args.dims.split(",")) if args.dims else None
+    schmidt = operator_schmidt(u, dims=dims)
+    da, db = schmidt.ops_a[0].shape[0], schmidt.ops_b[0].shape[0]
     su = shannon_entropy(schmidt.values ** 2)
     recon = float(np.linalg.norm(schmidt.reconstruct() - u))
     norm_dev = float(abs(np.sum(schmidt.values ** 2) - 1.0))
@@ -300,8 +287,6 @@ def cmd_concentrate(args):
 def cmd_superdense(args):
     u = load_unitary(args.unitary)
     d = u.shape[0]
-    if args.dim and args.dim != d:
-        raise ValueError(f"--dim {args.dim} conflicts with unitary dim {d}")
     kind, basis = _default_basis(d)
     tr = superdense_send(u, basis, shots=args.shots, seed=args.seed)
     eav_dev = float(
@@ -333,23 +318,18 @@ def cmd_superdense(args):
 def cmd_verify(args):
     m = load_map(args.map)
     dil = stinespring(m)
-    a = dil.ancilla_dim
-    if args.ancilla_basis == "computational":
-        ab = np.eye(a, dtype=complex)
-    else:
-        omega = np.exp(2j * np.pi / a)
-        ab = omega ** np.outer(np.arange(a), np.arange(a)) / np.sqrt(a)
+    ab = _fourier(dil.ancilla_dim) if args.ancilla_basis == "fourier" else None
     rep = kraus_from_ancilla_basis(dil, ab)
     if args.seed is None:
         raise ValueError("--seed is required for verify")
-    d = rep.dim
-    weights = np.array(
-        [np.trace(dag(k) @ k).real / d for k in rep.operators]
-    )
+    weights = _born_weights(rep)
     claimed = [int(i) for i in _sample(weights, args.steps, args.seed)]
     if args.flip is not None:
         if not 0 <= args.flip < args.steps:
             raise ValueError("--flip index out of range")
+        if len(rep) == 1:
+            raise ValueError("--flip needs a map of two or more elements: "
+                             "a one-element record cannot be corrupted")
         claimed[args.flip] = (claimed[args.flip] + 1) % len(rep)
     record = verify_sequence(
         dil, ab, EvolutionSequence(rep, tuple(claimed)), args.seed
@@ -404,13 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("basis", parents=[common],
                        help="build an orthogonal unitary basis")
-    p.add_argument("--kind", choices=("pauli", "weyl"), default="pauli")
+    p.add_argument("--kind", choices=tuple(_KINDS), default="pauli")
     p.add_argument("--dim", type=int, default=2)
 
     p = sub.add_parser("measure", parents=[common],
                        help="which-unitary measurement of an evolution")
     p.add_argument("--unitary", required=True)
-    p.add_argument("--basis", choices=("pauli", "weyl"), default="pauli")
+    p.add_argument("--basis", choices=tuple(_KINDS), default="pauli")
     p.add_argument("--u0", default=None,
                    help="reference unitary prefacing every basis element")
     p.add_argument("--state", default="zero")
@@ -451,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("superdense", parents=[common],
                        help="dense coding with a unitary payload")
     p.add_argument("--unitary", required=True)
-    p.add_argument("--dim", type=int, default=None)
     p.add_argument("--shots", type=int, default=0)
 
     p = sub.add_parser("verify", parents=[common],

@@ -20,11 +20,18 @@ import numpy as np
 from .basis import OperatorBasis, _default_basis
 from .channels import KrausMap
 from .gates import X
-from .linalg import _sample, as_matrix, dag, deterministic_eigh, shannon_entropy
+from .linalg import (
+    TRIM,
+    _check,
+    _isometry_deviation,
+    _sample,
+    as_matrix,
+    dag,
+    deterministic_eigh,
+    shannon_entropy,
+)
 
 SCHMIDT_ATOL = 1e-10
-RECON_ATOL = 1e-9
-TRIM = 1e-12
 MAX_EXACT_N = 4
 MAX_COMB_N = 64
 
@@ -41,8 +48,8 @@ class BipartiteUnitary:
         m = np.asarray(as_matrix(self.matrix), dtype=complex)
         if m.shape != (da * db, da * db):
             raise ValueError("matrix shape does not match dims")
-        if not np.abs(m @ dag(m) - np.eye(da * db)).max() <= SCHMIDT_ATOL:
-            raise ValueError("matrix is not unitary")
+        _check(_isometry_deviation(dag(m)), SCHMIDT_ATOL,
+               "matrix is not unitary")
         object.__setattr__(self, "dims", (int(da), int(db)))
         object.__setattr__(self, "matrix", m)
 
@@ -61,8 +68,8 @@ class OperatorSchmidt:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if not abs(v @ v - 1.0) <= SCHMIDT_ATOL:
-            raise ValueError("squared Schmidt values must sum to 1")
+        _check(abs(v @ v - 1.0), SCHMIDT_ATOL,
+               "squared Schmidt values must sum to 1")
         object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:
@@ -232,9 +239,8 @@ def _normalize_amplitudes(alpha, beta):
         if beta is None
         else complex(beta)
     )
-    total = abs(alpha) ** 2 + abs(beta) ** 2
-    if not abs(total - 1.0) <= SCHMIDT_ATOL:
-        raise ValueError(f"|alpha|^2 + |beta|^2 = {total} is not 1")
+    _check(abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0), SCHMIDT_ATOL,
+           "|alpha|^2 + |beta|^2 is not 1")
     return alpha, beta
 
 

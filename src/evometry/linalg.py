@@ -1,4 +1,7 @@
-"""Small dense linear-algebra helpers shared across the package."""
+"""Small dense linear-algebra helpers shared across the package, and the
+one home of its shared conventions: the records (M (x) 1)|phi+> of a
+stack, the fail-closed residual check, the isometry deviation, the seeded
+sampler and the spectral tolerances."""
 from __future__ import annotations
 
 import math
@@ -34,7 +37,24 @@ def is_unitary(a: np.ndarray, atol: float = 1e-10) -> bool:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    return np.abs(dag(a) @ a - np.eye(a.shape[0])).max() <= atol
+    return _isometry_deviation(a) <= atol
+
+
+def _isometry_deviation(a) -> float:
+    """Largest entry of A^dag A - 1 for a matrix or each matrix of a
+    stack: 0 when the columns are orthonormal. Pass dag(A) to test the
+    rows instead (A A^dag = 1)."""
+    a = np.asarray(a)
+    return float(np.abs(a.conj().swapaxes(-1, -2) @ a
+                        - np.eye(a.shape[-1])).max())
+
+
+def _check(dev, tol: float, what: str) -> None:
+    """Fail closed on a residual: raise ValueError(what) unless
+    dev <= tol, so a NaN residual is rejected too. The message, with the
+    deviation, is formatted only when it is raised."""
+    if not dev <= tol:
+        raise ValueError(f"{what} (deviation {dev:.3e})")
 
 
 def random_unitary(dim: int, rng) -> np.ndarray:
@@ -54,6 +74,14 @@ def random_state(dim: int, rng) -> np.ndarray:
     rng = np.random.default_rng(rng)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def _records(stack) -> np.ndarray:
+    """The records (M (x) 1)|phi+> of a (k, d, d) stack as the rows of a
+    k x d^2 matrix: each is M flattened row-major over sqrt(d)."""
+    stack = np.asarray(stack)
+    d = stack.shape[-1]
+    return stack.reshape(len(stack), d * d) / np.sqrt(d)
 
 
 def max_entangled(dim: int) -> np.ndarray:
@@ -98,15 +126,18 @@ def shannon_entropy(p) -> float:
 def _sample(probs, shots: int, seed) -> np.ndarray:
     """Draw shots outcome indices from the weights probs, normalized.
 
-    Sampling is never unseeded: a missing seed is an error.
+    Sampling is never unseeded: a missing seed is an error whenever
+    anything is drawn.
     """
-    if seed is None:
+    if seed is None and shots:
         raise ValueError("a seed is required for sampling")
     p = np.asarray(probs, dtype=float)
     rng = np.random.default_rng(seed)
     return rng.choice(p.size, size=shots, p=p / p.sum())
 
 
+# weights at or below this are zero and are trimmed from spectra
+TRIM = 1e-12
 # entries within this relative distance of the largest magnitude tie
 PHASE_TIE_RTOL = 1e-9
 # eigenvalues this close to the first of a group are one degenerate level
@@ -191,28 +222,17 @@ def _projection_gram_schmidt(block: np.ndarray) -> np.ndarray:
     """Gram-Schmidt of the projections of e_0, e_1, ... onto the span of
     the isometry block, one column at a time, skipping projections of
     norm 1e-6 or less."""
-    n, m = block.shape
-    proj = block @ dag(block)
+    m = block.shape[1]
     cols: list[np.ndarray] = []
-    for k in range(n):
-        v = proj[:, k].copy()
-        for c in cols:
-            v -= c * np.vdot(c, v)
-        nv = np.linalg.norm(v)
-        if nv > 1e-6:
-            cols.append(v / nv)
-        if len(cols) == m:
-            break
-    if len(cols) < m:
-        # ill-conditioned projections; fall back to the LAPACK block,
-        # orthogonalized against whatever was already accepted
-        for k in range(m):
-            v = block[:, k].copy()
-            for c in cols:
-                v -= c * np.vdot(c, v)
-            nv = np.linalg.norm(v)
-            if nv > 1e-8:
-                cols.append(v / nv)
+    # when too few projections survive (ill-conditioned), fall back to the
+    # LAPACK block, orthogonalized against whatever was already accepted
+    for candidates, floor in ((block @ dag(block), 1e-6), (block, 1e-8)):
+        for v in candidates.T:
             if len(cols) == m:
                 break
+            for c in cols:
+                v = v - c * np.vdot(c, v)
+            nv = np.linalg.norm(v)
+            if nv > floor:
+                cols.append(v / nv)
     return np.stack(cols, axis=1)

@@ -45,13 +45,15 @@ import numpy as np
 from .basis import (
     OperatorBasis,
     UnitaryOperator,
+    _fourier,
+    _reference,
     _weyl_products,
     clock_shift,
     clock_shift_powers,
     expand,
     pauli_strings,
 )
-from .linalg import _sample, as_matrix, dag
+from .linalg import _check, _records, _sample, as_matrix, dag
 
 PRODUCT_FORM_ATOL = 1e-9
 EIGEN_RTOL = 1e-9
@@ -71,9 +73,7 @@ class PureState:
 
     def __post_init__(self):
         v = np.asarray(self.amplitudes, dtype=complex).ravel()
-        n = np.linalg.norm(v)
-        if not abs(n - 1.0) <= NORM_ATOL:
-            raise ValueError(f"state norm {n} is not 1 within {NORM_ATOL}")
+        _check(abs(np.linalg.norm(v) - 1.0), NORM_ATOL, "state norm is not 1")
         object.__setattr__(self, "amplitudes", v)
 
     @property
@@ -106,7 +106,7 @@ class TwoTimeObservable:
         return z.matrix if self.family == "z" else x.matrix
 
     def reference(self) -> np.ndarray:
-        return np.eye(self.dim, dtype=complex) if self.u0 is None else self.u0
+        return _reference(self.u0, self.dim)
 
 
 @dataclass(frozen=True)
@@ -273,23 +273,14 @@ def _circuit_rows(u, u0, site_dims, psi):
     # alpha} / sqrt(q), second with g = zeta^{-nu beta} / sqrt(q); the
     # projection applies their conjugates
     for j, q in enumerate(site_dims):
-        w = np.diagonal(clock_shift_powers(q)[0], axis1=1, axis2=2)
-        t = _contract(t, 2 * j, w.conj() / np.sqrt(q))
-        t = _contract(t, 2 * j + 1, w / np.sqrt(q))
+        t = _contract(t, 2 * j, _fourier(q).conj())
+        t = _contract(t, 2 * j + 1, _fourier(q))
     return t.reshape(joint.shape)
-
-
-def _reference(basis):
-    return (
-        np.eye(basis.dim, dtype=complex)
-        if basis.u0 is None
-        else basis.u0.matrix
-    )
 
 
 def _check_product_form(basis, sigmas):
     """Require basis element a to equal u0 @ sigmas[a] within 1e-9."""
-    dev = np.abs(basis.stack - _reference(basis) @ sigmas)
+    dev = np.abs(basis.stack - _reference(basis.u0, basis.dim) @ sigmas)
     bad = np.flatnonzero(~(dev.max(axis=(1, 2)) <= PRODUCT_FORM_ATOL))
     if bad.size:
         raise ValueError(
@@ -346,7 +337,7 @@ def _run_product_measurement(u, basis, psi, shots, seed, site_dims,
     pair index q * mu + nu that carries it.
     """
     um, psi = _circuit_inputs(u, basis, psi)
-    rows = _circuit_rows(um, _reference(basis), site_dims, psi)
+    rows = _circuit_rows(um, _reference(basis.u0, basis.dim), site_dims, psi)
     if pair_order is not None:
         per_site = rows.reshape((len(pair_order),) * len(site_dims) + (-1,))
         rows = per_site[np.ix_(*[pair_order] * len(site_dims))]
@@ -407,7 +398,7 @@ def circuit_end_state(u, basis: OperatorBasis, psi) -> np.ndarray:
     """
     _check_product_form(basis, _weyl_products(basis.dim))
     um, psi = _circuit_inputs(u, basis, psi)
-    return _echo_joint(um, _reference(basis), [basis.dim], psi)
+    return _echo_joint(um, _reference(basis.u0, basis.dim), [basis.dim], psi)
 
 
 def measure_choi_side(op, basis: OperatorBasis, shots: int = 0,
@@ -422,12 +413,6 @@ def measure_choi_side(op, basis: OperatorBasis, shots: int = 0,
     arbitrary input state. Collapsed states are the post-measurement
     pair states.
     """
-    m = as_matrix(op)
-    d = basis.dim
-    if m.shape != (d, d):
-        raise ValueError("operator dimension does not match basis")
-    # (B (x) 1)|phi+> is B flattened row-major over sqrt(d)
-    vectors = basis.stack.reshape(d * d, d * d) / np.sqrt(d)
-    amps = vectors.conj() @ (m.ravel() / np.sqrt(d))
-    probs = np.abs(amps) ** 2
-    return _finish(basis.labels, probs, vectors, shots, seed)
+    # the amplitude on (B_a (x) 1)|phi+> is <<B_a|op>>/d = C_a
+    probs = expand(op, basis).probabilities()
+    return _finish(basis.labels, probs, _records(basis.stack), shots, seed)

@@ -16,15 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausMap, StinespringDilation, canonical_kraus
-from .channels import entropy as map_entropy
-from .channels import kraus_from_ancilla_basis
-from .linalg import _sample, max_entangled
+from .basis import _fourier
+from .channels import (
+    KrausMap,
+    StinespringDilation,
+    _born_weights,
+    canonical_kraus,
+    kraus_from_ancilla_basis,
+)
+from .linalg import TRIM, _check, _records, _sample
 from .measure import PureState
 
 STORE_ATOL = 1e-10
 MATCH_ATOL = 1e-9
-TRIM = 1e-12
 MAX_EXACT_N = 20
 
 
@@ -55,9 +59,9 @@ class StoredEvolution:
     states: tuple
 
     def __post_init__(self):
-        for v in self.states:
-            if not abs(np.linalg.norm(v) - 1.0) <= STORE_ATOL:
-                raise ValueError("storage states must be unit vectors")
+        norms = np.array([np.linalg.norm(v) for v in self.states])
+        _check(np.abs(norms - 1.0).max(initial=0.0), STORE_ATOL,
+               "storage states must be unit vectors")
 
 
 @dataclass(frozen=True)
@@ -92,12 +96,11 @@ class TypicalCompression:
 
 def stored_state(op: np.ndarray, atol: float = TRIM) -> np.ndarray:
     """Normalized record (M (x) 1)|phi+> of a single operator."""
-    op = np.asarray(op, dtype=complex)
-    d = op.shape[0]
-    v = np.kron(op, np.eye(d)) @ max_entangled(d)
+    v = _records(np.asarray(op, dtype=complex)[None])[0]
     n = np.linalg.norm(v)
-    if n <= atol:
-        raise ValueError("operator annihilates the entangled record state")
+    if not n > atol:
+        raise ValueError("operator annihilates the entangled record state "
+                         f"(record norm {n:.3e})")
     return v / n
 
 
@@ -122,11 +125,6 @@ def store(kraus: KrausMap, indices) -> StoredEvolution:
     return StoredEvolution(seq, states)
 
 
-def compression_rate(kraus: KrausMap) -> float:
-    """Bits per use needed to store draws from the map: its entropy."""
-    return map_entropy(kraus)
-
-
 def typical_compress(kraus: KrausMap, n: int, delta: float) -> TypicalCompression:
     """Exact typical-set size for n draws from the canonical spectrum.
 
@@ -138,6 +136,8 @@ def typical_compress(kraus: KrausMap, n: int, delta: float) -> TypicalCompressio
     """
     if n < 1 or n > MAX_EXACT_N:
         raise ValueError(f"n must lie in [1, {MAX_EXACT_N}] for exact enumeration")
+    if not delta >= 0:
+        raise ValueError(f"delta must be a non-negative number, got {delta}")
     p = canonical_kraus(kraus).probabilities
     if p.size == 1:
         return TypicalCompression(1, 0.0, 0.0)
@@ -189,20 +189,13 @@ def verify_sequence(dil: StinespringDilation, ancilla_basis,
     with the probability of the disagreeing outcomes.
     """
     rep = kraus_from_ancilla_basis(dil, ancilla_basis)
-    claimed_ops = claimed.map.operators
-    if len(rep) != len(claimed_ops):
+    if len(rep) != len(claimed.map):
         raise ValueError("ancilla basis selects a different element count "
                          "than the claimed map")
-    dev = max(
-        np.abs(a - b).max() for a, b in zip(rep.operators, claimed_ops)
-    )
-    if not dev <= MATCH_ATOL:
-        raise ValueError(
-            "representation selected by the ancilla basis does not match "
-            f"the claimed map (deviation {dev:.3e})"
-        )
-    d = rep.dim
-    weights = np.sum(np.abs(rep.operators) ** 2, axis=(1, 2)) / d
+    _check(np.abs(np.subtract(rep.operators, claimed.map.stack)).max(),
+           MATCH_ATOL, "representation selected by the ancilla basis does "
+           "not match the claimed map")
+    weights = _born_weights(rep)
     sampled = tuple(int(i) for i in _sample(weights, len(claimed), seed))
     return VerificationRecord(
         accepted=sampled == claimed.indices,
@@ -232,18 +225,15 @@ def _retrieval_rows(kraus: KrausMap, index: int, psi: PureState):
     coeff = flat.conj() @ m_op.ravel() / (d * canon.probabilities)
     resid = m_op.ravel() - coeff @ flat
     scale = max(1.0, np.linalg.norm(m_op))
-    if not np.linalg.norm(resid) <= MATCH_ATOL * scale:
-        raise ValueError("stored operator lies outside the map's support")
+    _check(np.linalg.norm(resid), MATCH_ATOL * scale,
+           "stored operator lies outside the map's support")
     nsq = float(np.sum(np.abs(coeff) ** 2 * canon.probabilities))
     return coeff[:, None] * (ops @ psi.amplitudes) / np.sqrt(nsq)
 
 
 def _fourier_branches(rows: np.ndarray):
     """Post-measurement branches of the Fourier readout, with weights."""
-    big_d = rows.shape[0]
-    omega = np.exp(2j * np.pi / big_d)
-    kernel = omega ** np.outer(np.arange(big_d), np.arange(big_d))
-    branches = (kernel.conj() @ rows) / np.sqrt(big_d)
+    branches = _fourier(rows.shape[0]).conj() @ rows
     weights = np.sum(np.abs(branches) ** 2, axis=1)
     return branches, weights / weights.sum()
 
@@ -269,8 +259,7 @@ def probabilistic_retrieve(index: int, kraus: KrausMap, psi: PureState,
     """
     rows = _retrieval_rows(kraus, index, psi)
     branches, weights = _fourier_branches(rows)
-    rng = np.random.default_rng(seed)
-    k = int(rng.choice(weights.size, p=weights))
+    k = int(_sample(weights, 1, seed)[0])
     out = branches[k]
     return RetrievalOutcome(
         heralded_success=k == 0,
@@ -285,9 +274,7 @@ def retrieval_statistics(index: int, kraus: KrausMap, psi: PureState,
     """Herald rate over many retrieval attempts, sampled in one stream."""
     rows = _retrieval_rows(kraus, index, psi)
     branches, weights = _fourier_branches(rows)
-    rng = np.random.default_rng(seed)
-    outcomes = rng.choice(weights.size, size=trials, p=weights)
-    successes = int(np.count_nonzero(outcomes == 0))
+    successes = int(np.count_nonzero(_sample(weights, trials, seed) == 0))
     target = branches[0] / np.linalg.norm(branches[0])
     expected = kraus.operators[index] @ psi.amplitudes
     expected /= np.linalg.norm(expected)

@@ -15,11 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import OperatorBasis, UnitaryOperator
-from .linalg import _sample, as_matrix, partial_trace
+from .basis import OperatorBasis, UnitaryOperator, expand
+from .linalg import (
+    _check,
+    _isometry_deviation,
+    _records,
+    _sample,
+    as_matrix,
+    partial_trace,
+)
 
 BELL_ATOL = 1e-10
-MARGINAL_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -37,18 +43,15 @@ class BellBasis:
             raise ValueError(
                 f"expected vectors on C^{d} (x) C^{d}, got shape {v.shape}"
             )
-        dev = np.abs(v.conj() @ v.T - np.eye(v.shape[0])).max()
-        if not dev <= BELL_ATOL:
-            raise ValueError("encoded vectors are not orthonormal")
+        _check(_isometry_deviation(v.T), BELL_ATOL,
+               "encoded vectors are not orthonormal")
         # the vector (B (x) 1)|phi+> reshaped to d x d is B / sqrt(d), and
         # its marginal on the first factor is B B^dag / d
         m = v.reshape(-1, d, d)
         rho = m @ m.conj().swapaxes(1, 2)
-        if not np.abs(rho - np.eye(d) / d).max() <= BELL_ATOL:
-            raise ValueError(
-                "an encoded vector is not maximally entangled; "
-                "the basis must consist of unitaries"
-            )
+        _check(np.abs(rho - np.eye(d) / d).max(), BELL_ATOL,
+               "an encoded vector is not maximally entangled; "
+               "the basis must consist of unitaries")
         object.__setattr__(self, "vectors", v)
 
 
@@ -68,35 +71,21 @@ class ChannelTranscript:
         return 0 if self.counts is None else int(self.counts.sum())
 
 
-def _sent(um: np.ndarray) -> np.ndarray:
-    """(u (x) 1)|phi+>: entry (i, j) is u[i, j] / sqrt(d)."""
-    return um.ravel() / np.sqrt(um.shape[0])
-
-
 def bell_basis(basis: OperatorBasis) -> BellBasis:
     """Lift an orthogonal unitary family to an entangled vector basis.
 
     (B_a (x) 1)|phi+> is B_a flattened row-major over sqrt(d), so the
-    family is one reshape of the stacked elements.
+    family is the records of the stacked elements.
     """
-    vectors = basis.stack.reshape(len(basis), -1) / np.sqrt(basis.dim)
-    return BellBasis(basis.dim, vectors, basis.labels)
+    return BellBasis(basis.dim, _records(basis.stack), basis.labels)
 
 
-def eavesdropper_marginal(u, basis: OperatorBasis | None = None,
-                          dim: int | None = None) -> np.ndarray:
-    """Density matrix of the transmitted half alone: always 1/d.
-
-    The basis argument is accepted for signature symmetry; the marginal
-    does not depend on it, nor on u.
-    """
+def eavesdropper_marginal(u) -> np.ndarray:
+    """Density matrix of the transmitted half alone: always 1/d, whatever
+    the unitary u was."""
     um = UnitaryOperator(as_matrix(u)).matrix
     d = um.shape[0]
-    if basis is not None and basis.dim != d:
-        raise ValueError("basis dimension does not match the unitary")
-    if dim is not None and dim != d:
-        raise ValueError("dim does not match the unitary")
-    sent = _sent(um)
+    sent = _records(um[None])[0]
     return partial_trace(np.outer(sent, sent.conj()), (d, d), keep=0)
 
 
@@ -107,26 +96,24 @@ def superdense_send(u, basis: OperatorBasis, shots: int = 0,
     Bob's amplitude on Bell vector a is tr(B_a^dag u)/d, the expansion
     coefficient C_a of the unitary, so the exact outcome probabilities
     are |C_a|^2 and a basis element encodes its own index with
-    certainty. Alice need not know u: the transcript, coefficients
-    included, is computed from the state she produced, not from a
-    lookup. The family is orthonormal because the basis is trace
-    orthogonal, and maximally entangled because its elements are
-    unitary, which OperatorBasis checks whenever is_unitary is set.
+    certainty; the amplitudes are computed by expand. The family is
+    orthonormal because the basis is trace orthogonal, and maximally
+    entangled because its elements are unitary, which OperatorBasis
+    checks whenever is_unitary is set.
     """
     um = UnitaryOperator(as_matrix(u)).matrix
     if um.shape[0] != basis.dim:
         raise ValueError("unitary dimension does not match basis")
     if not basis.is_unitary:
         raise ValueError("the basis must consist of unitaries")
-    flat = basis.stack.reshape(len(basis), -1)
-    amplitudes = flat.conj() @ _sent(um) / np.sqrt(basis.dim)
-    probs = np.abs(amplitudes) ** 2
+    coeffs = expand(um, basis)
+    probs = coeffs.probabilities()
     counts = None
     if shots:
         counts = np.bincount(_sample(probs, shots, seed), minlength=probs.size)
     return ChannelTranscript(
         labels=basis.labels,
-        coefficients=amplitudes,
+        coefficients=coeffs.coeffs,
         probabilities=probs,
         eavesdropper_marginal=eavesdropper_marginal(um),
         counts=counts,

@@ -17,6 +17,7 @@ from evometry import (
     rotate_basis,
     weyl_basis,
 )
+from evometry.basis import _fourier
 from evometry.gates import CNOT, H, I2, X, Y, Z
 from evometry.linalg import dag, random_unitary
 
@@ -194,6 +195,16 @@ def test_clock_shift_powers_match_matrix_powers():
         for m in range(d):
             assert np.abs(zp[m] - np.linalg.matrix_power(z.matrix, m)).max() < 1e-12
             assert np.array_equal(xp[m], np.linalg.matrix_power(x.matrix, m))
+
+
+def test_fourier_table_is_the_unitary_dft():
+    for n in range(1, 12):
+        f = _fourier(n)
+        jk = np.outer(np.arange(n), np.arange(n)) % n
+        want = np.exp(2j * np.pi * jk / n) / np.sqrt(n)
+        assert np.abs(f - want).max() <= 1e-15
+        assert np.abs(dag(f) @ f - np.eye(n)).max() <= 1e-15
+        assert not f.flags.writeable and _fourier(n) is f
 
 
 def test_unitary_claim_is_checked():

@@ -102,6 +102,15 @@ def test_retrieve_op_index_outside_the_map_is_a_usage_error(capsys, index):
     assert out == ""
 
 
+@pytest.mark.parametrize("delta", ["nan", "-1"])
+def test_compress_delta_must_be_non_negative(capsys, delta):
+    code, out, err = run(capsys, "compress", "--map", "dephasing:0.5",
+                         "--n", "4", "--delta", delta)
+    assert code == 2
+    assert "delta" in err
+    assert out == ""
+
+
 def test_schmidt_command(capsys):
     code, report, _ = run_json(capsys, "schmidt", "--unitary", "CNOT")
     assert code == 0

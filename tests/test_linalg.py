@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evometry.linalg import (
+    _check,
     _fix_gauge,
+    _isometry_deviation,
+    _records,
     deterministic_eigh,
     entanglement_entropy,
     is_unitary,
@@ -35,6 +38,29 @@ def test_max_entangled_marginal_is_uniform():
         rho = np.outer(phi, phi.conj())
         marg = partial_trace(rho, (d, d), 0)
         assert np.abs(marg - np.eye(d) / d).max() < 1e-12
+
+
+def test_records_are_the_element_on_half_a_max_entangled_pair():
+    rng = np.random.default_rng(82)
+    for d in (1, 2, 3):
+        stack = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
+        want = [np.kron(m, np.eye(d)) @ max_entangled(d) for m in stack]
+        assert np.abs(_records(stack) - want).max() < 1e-15
+
+
+def test_isometry_deviation_reads_columns_of_each_matrix():
+    u = random_unitary(4, 83)
+    assert _isometry_deviation(u[:, :2]) < 1e-15
+    assert _isometry_deviation(np.stack([u, u.T])) < 1e-15
+    # the rows of a tall isometry are not orthonormal
+    assert _isometry_deviation(u[:, :2].conj().T) > 0.1
+
+
+def test_check_fails_closed():
+    _check(1e-10, 1e-10, "at the bound")
+    for dev in (2e-10, np.nan):
+        with pytest.raises(ValueError, match=r"residual \(deviation"):
+            _check(dev, 1e-10, "residual")
 
 
 def test_partial_trace_both_sides():

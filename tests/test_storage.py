@@ -6,7 +6,7 @@ from evometry import (
     KrausMap,
     PureState,
     StoredEvolution,
-    compression_rate,
+    entropy,
     kraus_from_ancilla_basis,
     named_channel,
     probabilistic_retrieve,
@@ -48,6 +48,11 @@ def test_stored_state_rejects_zero_operator():
         stored_state(np.zeros((2, 2), dtype=complex))
 
 
+def test_stored_state_rejects_nan_operator():
+    with pytest.raises(ValueError, match="annihilates"):
+        stored_state(np.full((2, 2), np.nan, dtype=complex))
+
+
 def test_store_builds_unit_norm_records():
     m = named_channel("dephasing:0.5")
     rec = store(m, (0, 1, 1, 0))
@@ -62,9 +67,10 @@ def test_sequence_index_range_checked():
         EvolutionSequence(m, (0, 2))
 
 
-def test_compression_rate_equals_map_entropy():
-    assert abs(compression_rate(named_channel("dephasing:0.5")) - 1.0) < 1e-12
-    assert abs(compression_rate(named_channel("unitary:H"))) < 1e-12
+def test_entropy_is_the_rate_to_store_draws():
+    # bits per use needed to store draws from the map
+    assert abs(entropy(named_channel("dephasing:0.5")) - 1.0) < 1e-12
+    assert abs(entropy(named_channel("unitary:H"))) < 1e-12
 
 
 def test_typical_compress_frozen_binary_case():
