@@ -262,8 +262,11 @@ def concentration_sectors(n, alpha, beta=None):
     two-time readout conjugates the block by sigma_z on the A qubit:
     identity slots commute with it (+1), XX slots anticommute (-1), so
     the joint operator splits into sectors graded by the number of +1
-    copies. Returns the list G_0..G_n with sum_k G_k equal to the full
-    n-copy operator.
+    copies. Entry (i, j) of the operator carries the sign +1 in a copy
+    when basis states i and j agree on that copy's A qubit, so G_k keeps
+    the entries whose indices agree on exactly k A qubits and zeroes the
+    rest: a mask over the 4^n x 4^n operator, with no projection. Returns
+    the list G_0..G_n with sum_k G_k equal to the full n-copy operator.
     """
     alpha, beta = _normalize_amplitudes(alpha, beta)
     if not 1 <= n <= MAX_EXACT_N:
@@ -273,20 +276,12 @@ def concentration_sectors(n, alpha, beta=None):
     for _ in range(n - 1):
         full = np.kron(full, block)
     nq = 2 * n
-    buckets = {0: full}
+    index = np.arange(2 ** nq)
+    agree = np.zeros(full.shape, dtype=int)
     for copy in range(n):
-        signs = 1.0 - 2.0 * (
-            (np.arange(2 ** nq) >> (nq - 1 - 2 * copy)) & 1
-        )
-        nxt = {}
-        for count, mat in buckets.items():
-            flipped = signs[:, None] * mat * signs[None, :]
-            up = 0.5 * (mat + flipped)
-            down = 0.5 * (mat - flipped)
-            nxt[count + 1] = nxt.get(count + 1, 0) + up
-            nxt[count] = nxt.get(count, 0) + down
-        buckets = nxt
-    return [buckets[k] for k in range(n + 1)]
+        bit = (index >> (nq - 1 - 2 * copy)) & 1
+        agree += bit[:, None] == bit[None, :]
+    return [np.where(agree == k, full, 0) for k in range(n + 1)]
 
 
 def concentrate(n, alpha, beta=None, mode: str = "combinatorial",
@@ -303,6 +298,14 @@ def concentrate(n, alpha, beta=None, mode: str = "combinatorial",
     alpha, beta = _normalize_amplitudes(alpha, beta)
     if n < 1:
         raise ValueError("n must be at least 1")
+    if mode == "exact-matrix":
+        if n > MAX_EXACT_N:
+            raise ValueError(f"exact sectors need 1 <= n <= {MAX_EXACT_N}")
+    elif mode == "combinatorial":
+        if n > MAX_COMB_N:
+            raise ValueError(f"combinatorial mode capped at n = {MAX_COMB_N}")
+    else:
+        raise ValueError("mode must be 'exact-matrix' or 'combinatorial'")
     probs = _sector_probabilities(n, alpha, beta)
     deviation = None
     if mode == "exact-matrix":
@@ -310,11 +313,6 @@ def concentrate(n, alpha, beta=None, mode: str = "combinatorial",
         weights = np.array([np.linalg.norm(g) ** 2 for g in sectors])
         weights /= weights.sum()
         deviation = float(np.abs(weights - probs).max())
-    elif mode == "combinatorial":
-        if n > MAX_COMB_N:
-            raise ValueError(f"combinatorial mode capped at n = {MAX_COMB_N}")
-    else:
-        raise ValueError("mode must be 'exact-matrix' or 'combinatorial'")
     records = tuple(
         ConcentrationRecord(n, k, math.comb(n, k), float(probs[k]))
         for k in range(n + 1)

@@ -188,6 +188,14 @@ def _fix_gauge(vals, vecs, degeneracy_tol=DEGENERACY_TOL, floor=None):
     """The gauge step of deterministic_eigh, applied to a descending
     eigendecomposition (vecs is not modified).
 
+    A group is anchored at its first (largest) value and takes every
+    later value within an absolute degeneracy_tol of that anchor, so
+    groups do not chain. This is the contract at the tolerance's edge: a
+    value within degeneracy_tol of the null block (a kept channel weight
+    below about 1e-10, say) is gauged together with it, one just beyond
+    is gauged alone, and which side a value at the edge falls on is
+    decided by rounding.
+
     With a floor, only the groups whose first (largest) value exceeds it
     are gauged, and only the eigenpairs with values above it are
     returned. A group that straddles the floor is gauged whole, so the

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +31,10 @@ from .measure import PureState
 STORE_ATOL = 1e-10
 MATCH_ATOL = 1e-9
 MAX_EXACT_N = 20
+# largest composition table typical_compress builds, in cells (rows x k)
+MAX_TABLE_CELLS = 10_000_000
+_FACTORIALS = np.array([math.factorial(i) for i in range(MAX_EXACT_N + 1)],
+                       dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -131,8 +136,13 @@ def typical_compress(kraus: KrausMap, n: int, delta: float) -> TypicalCompressio
     Keeps the composition classes whose per-draw surprisal sits within
     delta of the map entropy; kept_dim counts the records kept (an exact
     integer), infidelity_bound is the discarded probability mass, and
-    rate is log2(kept_dim)/n. Enumeration is exact, hence the n <= 20
-    cap.
+    rate is log2(kept_dim)/n. The classes are the rows of an integer
+    table of the C(n+k-1, k-1) compositions of n over the k canonical
+    weights, with their exact multinomials; the surprisal of every row
+    and the typical mask are a few array operations over it. Enumeration
+    is exact, hence the n <= 20 cap (20! fits a 64-bit integer), and a
+    table of more than MAX_TABLE_CELLS cells is refused before it is
+    built: k <= 8 fits at n = 20.
     """
     if n < 1 or n > MAX_EXACT_N:
         raise ValueError(f"n must lie in [1, {MAX_EXACT_N}] for exact enumeration")
@@ -141,40 +151,52 @@ def typical_compress(kraus: KrausMap, n: int, delta: float) -> TypicalCompressio
     p = canonical_kraus(kraus).probabilities
     if p.size == 1:
         return TypicalCompression(1, 0.0, 0.0)
+    counts, sizes = _composition_table(n, p.size)
     surprisal = -np.log2(p)
     ent = float(p @ surprisal)
-    kept = 0
-    mass_terms = []
-    # compositions of n over the support, as occupation counts
-    for counts in _compositions(n, p.size):
-        s = sum(c * surprisal[j] for j, c in enumerate(counts)) / n
-        if abs(s - ent) <= delta + 1e-12:
-            size = _multinomial(n, counts)
-            kept += size
-            mass_terms.append(
-                size * math.prod(p[j] ** c for j, c in enumerate(counts))
-            )
-    mass = math.fsum(mass_terms)
+    # column by column, the order of a per-class sum and product, with
+    # the scalar pow of each weight (numpy's vector pow may differ by an ulp)
+    powers = np.array([[x ** c for c in range(n + 1)] for x in p.tolist()])
+    total = counts[:, 0] * surprisal[0]
+    prob = powers[0, counts[:, 0]]
+    for j in range(1, p.size):
+        total += counts[:, j] * surprisal[j]
+        prob *= powers[j, counts[:, j]]
+    keep = np.abs(total / n - ent) <= delta + 1e-12
+    kept = sum(sizes[keep].tolist())
+    mass = math.fsum((sizes[keep] * prob[keep]).tolist())
     rate = math.log2(kept) / n if kept else 0.0
     return TypicalCompression(kept, max(0.0, 1.0 - mass), rate)
 
 
-def _compositions(n, k):
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
-
-
-def _multinomial(n, counts) -> int:
-    out = 1
-    rest = n
-    for c in counts[:-1]:
-        out *= math.comb(rest, c)
-        rest -= c
-    return out
+@lru_cache(maxsize=8)
+def _composition_table(n: int, k: int):
+    """Read-only table of the compositions of n into k parts, in
+    lexicographic order, as a uint8 (rows, k) array, with their
+    multinomials n!/(c_0! ... c_(k-1)!) as int64 (exact for n <= 20)."""
+    rows = math.comb(n + k - 1, k - 1)
+    if rows * k > MAX_TABLE_CELLS:
+        raise ValueError(
+            f"{rows} compositions of n = {n} over {k} weights exceed the "
+            f"table budget of {MAX_TABLE_CELLS} cells"
+        )
+    # extend every prefix by each part that fits in what it leaves of n
+    counts = np.zeros((1, 0), dtype=np.uint8)
+    left = np.array([n], dtype=np.uint8)
+    for _ in range(k - 1):
+        fits = left + 1
+        prefix = np.repeat(np.arange(left.size), fits)
+        part = np.arange(prefix.size) - np.repeat(np.cumsum(fits) - fits, fits)
+        part = part.astype(np.uint8)
+        counts = np.column_stack([counts[prefix], part])
+        left = left[prefix] - part
+    counts = np.column_stack([counts, left])
+    sizes = np.full(rows, _FACTORIALS[n])
+    for j in range(k):
+        sizes //= _FACTORIALS[counts[:, j]]
+    counts.setflags(write=False)
+    sizes.setflags(write=False)
+    return counts, sizes
 
 
 def verify_sequence(dil: StinespringDilation, ancilla_basis,

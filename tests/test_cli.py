@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from evometry import KrausMap, weyl_basis
 from evometry.cli import main
+from evometry.formats import kraus_json
 
 
 def run(capsys, *argv):
@@ -108,6 +110,30 @@ def test_compress_delta_must_be_non_negative(capsys, delta):
                          "--n", "4", "--delta", delta)
     assert code == 2
     assert "delta" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("n, mode, message", [
+    ("2000", "combinatorial", "capped at n = 64"),
+    ("100", "combinatorial", "capped at n = 64"),
+    ("2000", "exact-matrix", "1 <= n <= 4"),
+])
+def test_concentrate_large_n_is_a_usage_error(capsys, n, mode, message):
+    code, out, err = run(capsys, "concentrate", "--n", n, "--alpha", "0.8",
+                         "--mode", mode)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
+def test_compress_over_the_table_budget_is_a_usage_error(capsys, tmp_path):
+    """16 Weyl elements at d = 4 at n = 20: 3247943160 compositions."""
+    els = weyl_basis(4).stack / 4
+    path = tmp_path / "frame16.json"
+    path.write_text(json.dumps(kraus_json(KrausMap(tuple(els)))))
+    code, out, err = run(capsys, "compress", "--map", str(path), "--n", "20")
+    assert code == 2
+    assert "3247943160 compositions" in err
     assert out == ""
 
 

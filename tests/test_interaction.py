@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evometry import (
     BipartiteUnitary,
@@ -123,6 +125,39 @@ def test_concentration_sector_blocks_have_expected_weight():
         math.comb(n, k) * 0.6 ** k * 0.4 ** (n - k) for k in range(n + 1)
     ])
     assert np.abs(weights - want).max() < 1e-10
+
+
+def _bucket_sectors(n, alpha, beta):
+    """Reference: the sectors by projecting the full operator onto the
+    +1 and -1 parts of each copy's sign conjugation in turn."""
+    block = alpha * np.eye(4, dtype=complex) + beta * np.kron(X, X)
+    full = block
+    for _ in range(n - 1):
+        full = np.kron(full, block)
+    nq = 2 * n
+    buckets = {0: full}
+    for copy in range(n):
+        signs = 1.0 - 2.0 * ((np.arange(2 ** nq) >> (nq - 1 - 2 * copy)) & 1)
+        nxt = {}
+        for count, mat in buckets.items():
+            flipped = signs[:, None] * mat * signs[None, :]
+            nxt[count + 1] = nxt.get(count + 1, 0) + 0.5 * (mat + flipped)
+            nxt[count] = nxt.get(count, 0) + 0.5 * (mat - flipped)
+        buckets = nxt
+    return [buckets[k] for k in range(n + 1)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_concentration_sectors_equal_the_bucket_projections(n, seed):
+    rng = np.random.default_rng(seed)
+    alpha, beta = rng.normal(size=2) + 1j * rng.normal(size=2)
+    norm = math.hypot(abs(alpha), abs(beta))
+    alpha, beta = alpha / norm, beta / norm
+    got = concentration_sectors(n, alpha, beta)
+    want = _bucket_sectors(n, alpha, beta)
+    assert len(got) == n + 1
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_concentration_block_sizes_are_binomial():

@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evometry import (
     EvolutionSequence,
     KrausMap,
     PureState,
     StoredEvolution,
+    canonical_kraus,
     entropy,
     kraus_from_ancilla_basis,
     named_channel,
@@ -17,6 +22,7 @@ from evometry import (
     stored_state,
     typical_compress,
     verify_sequence,
+    weyl_basis,
 )
 from evometry.gates import H, I2, X, Z
 from evometry import storage
@@ -105,6 +111,107 @@ def test_typical_compress_unitary_is_free():
 def test_typical_compress_caps_block_length():
     with pytest.raises(ValueError):
         typical_compress(named_channel("dephasing:0.5"), 21, 0.1)
+
+
+def _reference_compositions(n, k):
+    """Reference: the compositions of n into k parts, one at a time."""
+    if k == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _reference_compositions(n - first, k - 1):
+            yield (first,) + rest
+
+
+def _reference_multinomial(n, counts):
+    out = 1
+    rest = n
+    for c in counts[:-1]:
+        out *= math.comb(rest, c)
+        rest -= c
+    return out
+
+
+def _reference_typical(p, n, delta):
+    """Reference: typical_compress as a per-composition loop over the
+    canonical spectrum p, returning (kept_dim, infidelity_bound, rate)."""
+    if p.size == 1:
+        return 1, 0.0, 0.0
+    surprisal = -np.log2(p)
+    ent = float(p @ surprisal)
+    kept = 0
+    mass_terms = []
+    for counts in _reference_compositions(n, p.size):
+        s = sum(c * surprisal[j] for j, c in enumerate(counts)) / n
+        if abs(s - ent) <= delta + 1e-12:
+            size = _reference_multinomial(n, counts)
+            kept += size
+            mass_terms.append(
+                size * math.prod(p[j] ** c for j, c in enumerate(counts)))
+    rate = math.log2(kept) / n if kept else 0.0
+    return kept, max(0.0, 1.0 - math.fsum(mass_terms)), rate
+
+
+def _unitary_mixture(weights, d=3):
+    """sqrt(w_i) W_i over distinct Weyl elements W_i: a map whose
+    canonical spectrum is the weights."""
+    els = weyl_basis(d).stack[:len(weights)]
+    return KrausMap(tuple(np.sqrt(w) * u for w, u in zip(weights, els)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    k=st.integers(2, 6),
+    n=st.integers(1, 20),
+    tied=st.integers(0, 2),
+    delta=st.sampled_from([0.0, 1e-3, 0.05, 0.1, 0.3, 1.0]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_typical_compress_matches_the_composition_loop(k, n, tied, delta,
+                                                       seed):
+    """Random spectra, uniform ones (every surprisal tied) and spectra
+    with one repeated weight, over the delta = 0 edge and wider windows."""
+    rng = np.random.default_rng(seed)
+    if tied == 0:
+        weights = rng.dirichlet(np.ones(k))
+    elif tied == 1:
+        weights = np.full(k, 1.0 / k)
+    else:
+        weights = rng.dirichlet(np.ones(k - 1))
+        weights = np.append(weights, weights[0]) / (1 + weights[0])
+    m = _unitary_mixture(weights)
+    p = canonical_kraus(m).probabilities
+    got = typical_compress(m, n, delta)
+    kept, tail, rate = _reference_typical(p, n, delta)
+    assert got.kept_dim == kept
+    assert got.rate == rate
+    assert abs(got.infidelity_bound - tail) <= 4.4e-16
+
+
+@pytest.mark.parametrize("n, k", [(1, 2), (7, 2), (20, 3), (16, 4), (10, 5),
+                                  (8, 6), (3, 9)])
+def test_composition_table_invariants(n, k):
+    counts, sizes = storage._composition_table(n, k)
+    assert counts.shape == (math.comb(n + k - 1, k - 1), k)
+    assert counts.dtype == np.uint8 and sizes.dtype == np.int64
+    assert (counts.sum(axis=1) == n).all()
+    assert sum(sizes.tolist()) == k ** n
+    assert counts.tolist() == [list(c) for c in _reference_compositions(n, k)]
+    assert sizes.tolist() == [_reference_multinomial(n, c)
+                              for c in counts.tolist()]
+    for table in (counts, sizes):
+        with pytest.raises(ValueError):
+            table[0] = 0
+
+
+def test_typical_compress_refuses_a_table_over_budget():
+    """16 weights at n = 20 have C(35, 15) = 3247943160 compositions."""
+    m = _unitary_mixture(np.full(16, 1 / 16), d=4)
+    with pytest.raises(ValueError, match="3247943160 compositions"):
+        typical_compress(m, 20, 0.1)
+    # eight weights at n = 20 fit the budget
+    rows = math.comb(27, 7)
+    assert rows * 8 <= storage.MAX_TABLE_CELLS < math.comb(28, 8) * 9
 
 
 def test_typical_rate_approaches_entropy():
