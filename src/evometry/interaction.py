@@ -290,22 +290,19 @@ def concentrate(n, alpha, beta=None, mode: str = "combinatorial",
 
     Combinatorial mode evaluates P(k) = C(n,k) |alpha|^{2k}
     |beta|^{2(n-k)} exactly up to n = 64. Exact-matrix mode (n <= 4)
-    additionally builds the 4^n-dimensional operator, projects it onto
-    the readout sectors, and records the largest deviation between the
+    additionally builds the 4^n-dimensional operator, splits it into
+    the readout sectors (concentration_sectors), and records the largest deviation between the
     sector weights and the combinatorial law. With shots > 0 a seeded
     stream draws that many sector outcomes.
     """
     alpha, beta = _normalize_amplitudes(alpha, beta)
     if n < 1:
         raise ValueError("n must be at least 1")
-    if mode == "exact-matrix":
-        if n > MAX_EXACT_N:
-            raise ValueError(f"exact sectors need 1 <= n <= {MAX_EXACT_N}")
-    elif mode == "combinatorial":
-        if n > MAX_COMB_N:
-            raise ValueError(f"combinatorial mode capped at n = {MAX_COMB_N}")
-    else:
+    caps = {"exact-matrix": MAX_EXACT_N, "combinatorial": MAX_COMB_N}
+    if mode not in caps:
         raise ValueError("mode must be 'exact-matrix' or 'combinatorial'")
+    if n > caps[mode]:
+        raise ValueError(f"{mode} mode capped at n = {caps[mode]}")
     probs = _sector_probabilities(n, alpha, beta)
     deviation = None
     if mode == "exact-matrix":

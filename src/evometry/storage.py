@@ -154,8 +154,9 @@ def typical_compress(kraus: KrausMap, n: int, delta: float) -> TypicalCompressio
     counts, sizes = _composition_table(n, p.size)
     surprisal = -np.log2(p)
     ent = float(p @ surprisal)
-    # column by column, the order of a per-class sum and product, with
-    # the scalar pow of each weight (numpy's vector pow may differ by an ulp)
+    # accumulate column by column, the order of summing each composition's
+    # terms in turn, so the mask at the delta edge does not move; the
+    # powers are scalar pow (numpy's vector pow can differ in the last bit)
     powers = np.array([[x ** c for c in range(n + 1)] for x in p.tolist()])
     total = counts[:, 0] * surprisal[0]
     prob = powers[0, counts[:, 0]]
@@ -177,8 +178,8 @@ def _composition_table(n: int, k: int):
     rows = math.comb(n + k - 1, k - 1)
     if rows * k > MAX_TABLE_CELLS:
         raise ValueError(
-            f"{rows} compositions of n = {n} over {k} weights exceed the "
-            f"table budget of {MAX_TABLE_CELLS} cells"
+            f"{rows} compositions of n = {n} over {k} weights ({rows * k} "
+            f"cells) exceed the table budget of {MAX_TABLE_CELLS} cells"
         )
     # extend every prefix by each part that fits in what it leaves of n
     counts = np.zeros((1, 0), dtype=np.uint8)

@@ -116,7 +116,7 @@ def test_compress_delta_must_be_non_negative(capsys, delta):
 @pytest.mark.parametrize("n, mode, message", [
     ("2000", "combinatorial", "capped at n = 64"),
     ("100", "combinatorial", "capped at n = 64"),
-    ("2000", "exact-matrix", "1 <= n <= 4"),
+    ("2000", "exact-matrix", "capped at n = 4"),
 ])
 def test_concentrate_large_n_is_a_usage_error(capsys, n, mode, message):
     code, out, err = run(capsys, "concentrate", "--n", n, "--alpha", "0.8",
