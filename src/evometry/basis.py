@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gates
-from .linalg import _check, _isometry_deviation, as_matrix, is_unitary
+from .linalg import _check, _frozen, _isometry_deviation, as_matrix, is_unitary
 
 ATOL = 1e-10
 
@@ -87,32 +87,30 @@ class OperatorBasis:
     elements[0] is u0 itself whenever a reference unitary was supplied.
     is_unitary records whether every element is unitary, which is what
     makes the which-element measurement a measurement over unitaries; a
-    True claim is checked. stack holds the elements as one (d^2, d, d)
-    array, and elements are views of it.
+    True claim is checked. elements is one read-only (d^2, d, d) array,
+    copied from the input, so a basis never changes after it is checked.
     """
 
     dim: int
-    elements: tuple
+    elements: np.ndarray
     labels: tuple
     u0: UnitaryOperator | None = None
     is_unitary: bool = True
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.dim
-        stack = np.asarray(self.elements, dtype=complex)
-        if stack.shape != (d * d, d, d):
+        elements = _frozen(self.elements)
+        if elements.shape != (d * d, d, d):
             raise ValueError(f"need {d * d} elements of shape ({d}, {d}) "
-                             f"for dim {d}, got shape {stack.shape}")
+                             f"for dim {d}, got shape {elements.shape}")
         if len(self.labels) != d * d:
             raise ValueError("one label per element required")
-        _check(np.abs(gram(stack) - d * np.eye(d * d)).max(), ATOL,
+        _check(np.abs(gram(elements) - d * np.eye(d * d)).max(), ATOL,
                "elements are not trace-orthogonal")
         if self.is_unitary:
-            _check(_isometry_deviation(stack), ATOL,
+            _check(_isometry_deviation(elements), ATOL,
                    "elements claimed unitary are not")
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "elements", tuple(stack))
+        object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "labels", tuple(self.labels))
 
     def __len__(self) -> int:
@@ -224,9 +222,7 @@ def clock_shift_powers(dim: int) -> tuple[np.ndarray, np.ndarray]:
     zp[:, np.arange(dim), np.arange(dim)] = zeta ** ((m * j) % dim)
     xp = np.zeros((dim, dim, dim), dtype=complex)
     xp[m, (j + m) % dim, j] = 1.0
-    zp.flags.writeable = False
-    xp.flags.writeable = False
-    return zp, xp
+    return _frozen(zp), _frozen(xp)
 
 
 @functools.lru_cache(maxsize=None)
@@ -236,11 +232,9 @@ def _fourier(n: int) -> np.ndarray:
     once per n and read-only; n = 1 gives [[1]], a one-level register.
     """
     if n == 1:
-        f = np.ones((1, 1), dtype=complex)
-    else:
-        f = np.diagonal(clock_shift_powers(n)[0], axis1=1, axis2=2) / np.sqrt(n)
-    f.flags.writeable = False
-    return f
+        return _frozen(np.ones((1, 1)))
+    zp = clock_shift_powers(n)[0]
+    return _frozen(np.diagonal(zp, axis1=1, axis2=2) / np.sqrt(n))
 
 
 def _weyl_products(dim: int) -> np.ndarray:
@@ -289,7 +283,7 @@ def expand(op, basis: OperatorBasis) -> ExpansionCoefficients:
         raise ValueError(
             f"operator shape {m.shape} does not match basis dim {basis.dim}"
         )
-    coeffs = basis.stack.reshape(len(basis), -1).conj() @ m.ravel()
+    coeffs = basis.elements.reshape(len(basis), -1).conj() @ m.ravel()
     return ExpansionCoefficients(basis.dim, coeffs / basis.dim)
 
 
@@ -297,7 +291,7 @@ def reconstruct(coeffs: ExpansionCoefficients, basis: OperatorBasis) -> np.ndarr
     """Rebuild sum_a C_a B_a from coefficients; inverse of expand."""
     if coeffs.dim != basis.dim:
         raise ValueError("coefficient and basis dimensions differ")
-    return np.tensordot(coeffs.coeffs, basis.stack, axes=1)
+    return np.tensordot(coeffs.coeffs, basis.elements, axes=1)
 
 
 def rotate_basis(basis: OperatorBasis, k) -> OperatorBasis:
@@ -314,7 +308,7 @@ def rotate_basis(basis: OperatorBasis, k) -> OperatorBasis:
             f"rotation order {k.order} does not match basis size "
             f"{basis.dim ** 2}"
         )
-    elements = np.tensordot(k.matrix, basis.stack, axes=1)
+    elements = np.tensordot(k.matrix, basis.elements, axes=1)
     unitary = _isometry_deviation(elements) <= ATOL
     labels = tuple(f"R{m}" for m in range(k.order))
     return OperatorBasis(

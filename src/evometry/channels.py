@@ -14,7 +14,7 @@ and gauge as diagonalising the channel state.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .linalg import (
     TRIM,
     _check,
     _fix_gauge,
+    _frozen,
     _isometry_deviation,
     _records,
     as_matrix,
@@ -56,14 +57,12 @@ class KrausMap:
 
     The completeness sum sum_i M_i^dag M_i must equal the identity
     within 1e-9 elementwise. The elements are stored as one read-only
-    (k, d, d) array, stack, and operators are views of it, so a map
-    never changes after it is built; its canonical form is computed once
-    and memoised (see canonical_kraus). Maps with equal elements are
-    equal and hash alike.
+    (k, d, d) array, copied from the input, so a map never changes after
+    it is built; its canonical form is computed once and memoised (see
+    canonical_kraus). Maps with equal elements are equal and hash alike.
     """
 
-    operators: tuple
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    operators: np.ndarray
 
     def __post_init__(self):
         ops = [as_matrix(m) for m in self.operators]
@@ -72,23 +71,21 @@ class KrausMap:
         d = ops[0].shape[0]
         if any(m.shape != (d, d) for m in ops):
             raise ValueError("operator elements must share one square shape")
-        stack = np.array(ops)
-        stack.setflags(write=False)
+        ops = _frozen(ops)
         # sum_i M_i^dag M_i is one product of the (k d) x d reshape
-        _check(_isometry_deviation(stack.reshape(-1, d)), TP_ATOL,
+        _check(_isometry_deviation(ops.reshape(-1, d)), TP_ATOL,
                "completeness sum is not the identity")
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "operators", tuple(stack))
+        object.__setattr__(self, "operators", ops)
 
     __eq__ = _arrays_equal
 
     def __hash__(self) -> int:
         # + 0.0 turns -0.0 into 0.0, which compare equal
-        return hash((self.stack.shape, (self.stack + 0.0).tobytes()))
+        return hash((self.operators.shape, (self.operators + 0.0).tobytes()))
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[-1]
 
     def __len__(self) -> int:
         return len(self.operators)
@@ -97,7 +94,7 @@ class KrausMap:
     def _canonical(self) -> CanonicalKraus:
         # the columns (M_i (x) 1)|phi+> of the channel state A A^dag
         d, k = self.dim, len(self)
-        a = _records(self.stack).T
+        a = _records(self.operators).T
         if k < d * d:
             u, s, _ = np.linalg.svd(a, full_matrices=False)
             w = s * s
@@ -105,7 +102,7 @@ class KrausMap:
             # A is not thin: the eigh of A A^dag is cheaper than its SVD
             w, u = np.linalg.eigh(_channel_state(self))
             w, u = w[::-1], u[:, ::-1]
-        rows = self.stack.reshape(k * d, d)
+        rows = self.operators.reshape(k * d, d)
         _check_normalised(w.sum(), rows.T @ rows.conj() / d, d)
         n = int(np.count_nonzero(w > TRIM))
         if k < d * d and w[n - 1] <= DEGENERACY_TOL:
@@ -117,14 +114,13 @@ class KrausMap:
         w, v = _fix_gauge(w, u, floor=TRIM)
         ops = (v * np.sqrt(d * w)).T.reshape(w.size, d, d)
         w.setflags(write=False)
-        ops.setflags(write=False)
-        return CanonicalKraus(w, tuple(ops))
+        return CanonicalKraus(w, ops)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise ValueError("density matrix dimension does not match map")
-        return (self.stack @ rho @ self.stack.conj().swapaxes(1, 2)).sum(0)
+        return (self.operators @ rho @ self.operators.conj().swapaxes(1, 2)).sum(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,18 +166,22 @@ class CanonicalKraus:
     eigenvectors of the channel state, so tr(K_m^dag K_n) = d p_m
     delta_mn and the probabilities p_m sum to 1 (descending). They are
     computed from the SVD of the stacked elements, with the same weights
-    and gauge as diagonalising the channel state.
+    and gauge as diagonalising the channel state. The operators are one
+    read-only (D, d, d) array, copied from the input.
     """
 
     probabilities: np.ndarray
-    operators: tuple
+    operators: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "operators", _frozen(self.operators))
 
     __eq__ = _arrays_equal
     __hash__ = None
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[-1]
 
     def __len__(self) -> int:
         return len(self.operators)
@@ -220,14 +220,14 @@ class StinespringDilation:
 def _channel_state(kraus: KrausMap) -> np.ndarray:
     """The state sum_i v_i v_i^dag over the records v_i = (M_i (x) 1)|phi+>,
     as one product."""
-    v = _records(kraus.stack)
+    v = _records(kraus.operators)
     return v.T @ v.conj()
 
 
 def _born_weights(kraus: KrausMap) -> np.ndarray:
     """tr(M_i^dag M_i)/d per element: the weight of outcome i when the
     element is read out on a maximally entangled (or mixed) input."""
-    return np.sum(np.abs(kraus.stack) ** 2, axis=(1, 2)) / kraus.dim
+    return np.sum(np.abs(kraus.operators) ** 2, axis=(1, 2)) / kraus.dim
 
 
 def choi(kraus: KrausMap) -> ChoiState:
@@ -277,7 +277,7 @@ def kraus_rotation(kraus: KrausMap, u: np.ndarray) -> KrausMap:
     if u.ndim != 2 or u.shape[0] != k:
         raise ValueError("row count must match number of operator elements")
     _check(_isometry_deviation(dag(u)), TP_ATOL, "rows are not orthonormal")
-    return KrausMap(tuple(np.tensordot(u.T, kraus.stack, axes=1)))
+    return KrausMap(np.tensordot(u.T, kraus.operators, axes=1))
 
 
 def equivalent(a: KrausMap, b: KrausMap, tol: float = TP_ATOL) -> bool:
@@ -297,7 +297,7 @@ def stinespring(kraus: KrausMap) -> StinespringDilation:
     d = kraus.dim
     a = len(kraus)
     # row r * a + i of the isometry is row r of M_i
-    iso = kraus.stack.transpose(1, 0, 2).reshape(d * a, d)
+    iso = kraus.operators.transpose(1, 0, 2).reshape(d * a, d)
     full = np.zeros((d * a, d * a), dtype=complex)
     full[:, [j * a for j in range(d)]] = iso
     # complete the remaining columns from the orthogonal complement
@@ -327,7 +327,7 @@ def kraus_from_ancilla_basis(dil: StinespringDilation,
                "ancilla basis not orthonormal")
     v0 = dil.matrix[:, dil.ancilla_start::a].reshape(d, a, d)
     ops = np.einsum("ic,rcj->irj", ancilla_basis.conj(), v0)
-    return KrausMap(tuple(ops))
+    return KrausMap(ops)
 
 
 def _parse_prob(text: str, name: str) -> float:

@@ -76,7 +76,7 @@ def _ints(a):
 def cmd_basis(args):
     basis = _KINDS[args.kind][0](dim=args.dim)
     d = basis.dim
-    dev = float(np.abs(gram(basis.stack) / d - np.eye(d * d)).max())
+    dev = float(np.abs(gram(basis.elements) / d - np.eye(d * d)).max())
     report = {
         "command": "basis",
         "config": {"kind": args.kind, "dim": d, "seed": args.seed},
@@ -134,7 +134,7 @@ def cmd_channel(args):
     m = load_map(args.map)
     canon = canonical_kraus(m)
     d = m.dim
-    tp_dev = _isometry_deviation(m.stack.reshape(-1, d))
+    tp_dev = _isometry_deviation(m.operators.reshape(-1, d))
     c = choi(m)
     acted = partial_trace(c.matrix, (d, d), keep=1)
     report = {
@@ -226,7 +226,7 @@ def cmd_schmidt(args):
     u = load_unitary(args.unitary)
     dims = tuple(int(x) for x in args.dims.split(",")) if args.dims else None
     schmidt = operator_schmidt(u, dims=dims)
-    da, db = schmidt.ops_a[0].shape[0], schmidt.ops_b[0].shape[0]
+    da, db = schmidt.ops_a.shape[-1], schmidt.ops_b.shape[-1]
     su = shannon_entropy(schmidt.values ** 2)
     recon = float(np.linalg.norm(schmidt.reconstruct() - u))
     norm_dev = float(abs(np.sum(schmidt.values ** 2) - 1.0))

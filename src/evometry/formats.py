@@ -70,9 +70,15 @@ def kraus_json(kraus: KrausMap) -> dict:
 
 
 def kraus_from_json(obj: dict) -> KrausMap:
-    if "kraus" not in obj:
+    """A channel object; its elements must be dim x dim when dim is given."""
+    ops = obj.get("kraus") if isinstance(obj, dict) else None
+    if not isinstance(ops, list):
         raise ValueError("channel object needs a 'kraus' list")
-    return KrausMap(tuple(matrix_from_json(m) for m in obj["kraus"]))
+    ops = [matrix_from_json(m) for m in ops]
+    if any("dim" in obj and m.shape[0] != obj["dim"] for m in ops):
+        raise ValueError(f"channel of dim {obj['dim']} has an element of "
+                         "another shape")
+    return KrausMap(ops)
 
 
 def _read_json(path: str) -> dict:

@@ -23,6 +23,7 @@ from .gates import X
 from .linalg import (
     TRIM,
     _check,
+    _frozen,
     _isometry_deviation,
     _sample,
     as_matrix,
@@ -59,27 +60,30 @@ class OperatorSchmidt:
     """Schmidt form of an interaction: values and local operator pairs.
 
     The local operators are trace-orthonormal under (1/d) tr(A^dag B)
-    on their own side; squared values sum to 1 for unitary input.
+    on their own side, each side one read-only (k, d, d) array copied
+    from the input; squared values sum to 1 for unitary input.
     """
 
     values: np.ndarray
-    ops_a: tuple
-    ops_b: tuple
+    ops_a: np.ndarray
+    ops_b: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         _check(abs(v @ v - 1.0), SCHMIDT_ATOL,
                "squared Schmidt values must sum to 1")
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "ops_a", _frozen(self.ops_a))
+        object.__setattr__(self, "ops_b", _frozen(self.ops_b))
 
     def __len__(self) -> int:
         return self.values.size
 
     def reconstruct(self) -> np.ndarray:
-        return sum(
-            s * np.kron(a, b)
-            for s, a, b in zip(self.values, self.ops_a, self.ops_b)
-        )
+        """sum_m d_m A_m (x) B_m, as one contraction."""
+        da, db = self.ops_a.shape[-1], self.ops_b.shape[-1]
+        return np.einsum("mij,mkl,m->ikjl", self.ops_a, self.ops_b,
+                         self.values).reshape(da * db, da * db)
 
 
 def _as_bipartite(u, dims=None) -> BipartiteUnitary:
@@ -112,8 +116,8 @@ def bipartite_expand(u, basis_a: OperatorBasis | None = None,
     if ba.dim != da or bb.dim != db:
         raise ValueError("basis dimensions do not match the interaction")
     realigned = bu.matrix.reshape(da, db, da, db).transpose(0, 2, 1, 3)
-    flat_a = ba.stack.reshape(da * da, -1).conj()
-    flat_b = bb.stack.reshape(db * db, -1).conj()
+    flat_a = ba.elements.reshape(da * da, -1).conj()
+    flat_b = bb.elements.reshape(db * db, -1).conj()
     return flat_a @ realigned.reshape(da * da, db * db) @ flat_b.T / (da * db)
 
 
@@ -137,9 +141,9 @@ def operator_schmidt(u, basis_a: OperatorBasis | None = None,
     w, left = w[keep], left[:, keep]
     values = np.sqrt(w)
     right = dag(coeff) @ left / values
-    ops_a = np.tensordot(left.T, ba.stack, axes=1)
-    ops_b = np.tensordot(right.conj().T, bb.stack, axes=1)
-    return OperatorSchmidt(values, tuple(ops_a), tuple(ops_b))
+    ops_a = np.tensordot(left.T, ba.elements, axes=1)
+    ops_b = np.tensordot(right.conj().T, bb.elements, axes=1)
+    return OperatorSchmidt(values, ops_a, ops_b)
 
 
 def interaction_entanglement(u, basis_a=None, basis_b=None, dims=None) -> float:
@@ -171,12 +175,9 @@ def induced_local_map(u, side: str = "A", other_state=None,
     if isinstance(other_state, str):
         if other_state != "maximally_mixed":
             raise ValueError(f"unknown traced-side state {other_state!r}")
-        ops = tuple(
-            blocks[:, j, :, t] / np.sqrt(d_other)
-            for j in range(d_other)
-            for t in range(d_other)
-        )
-        return KrausMap(ops)
+        # element (j, t) is the block [:, j, :, t]
+        ops = blocks.transpose(1, 3, 0, 2).reshape(-1, d_keep, d_keep)
+        return KrausMap(ops / np.sqrt(d_other))
     if other_state is None:
         phi = np.zeros(d_other, dtype=complex)
         phi[0] = 1.0
@@ -185,10 +186,7 @@ def induced_local_map(u, side: str = "A", other_state=None,
         if phi.size != d_other:
             raise ValueError("traced-side state has the wrong dimension")
         phi = phi / np.linalg.norm(phi)
-    ops = tuple(
-        np.einsum("rct,t->rc", blocks[:, j], phi) for j in range(d_other)
-    )
-    return KrausMap(ops)
+    return KrausMap(np.einsum("rjct,t->jrc", blocks, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +321,12 @@ def concentrate(n, alpha, beta=None, mode: str = "combinatorial",
 
 
 def concentration_yield(n, alpha, beta=None) -> float:
-    """Expected bits of block size: sum_k P(k) log2 C(n, k)."""
-    alpha, beta = _normalize_amplitudes(alpha, beta)
-    probs = _sector_probabilities(n, alpha, beta)
-    return math.fsum(
-        float(probs[k]) * math.log2(math.comb(n, k)) for k in range(n + 1)
-    )
+    """Expected bits of block size: sum_k P(k) log2 C(n, k), for
+    1 <= n <= 64 as in concentrate."""
+    return concentrate(n, alpha, beta).yield_bits()
 
 
 def expected_term_count(n, alpha, beta=None) -> float:
-    """Expected number of equally weighted surviving terms."""
-    alpha, beta = _normalize_amplitudes(alpha, beta)
-    probs = _sector_probabilities(n, alpha, beta)
-    return math.fsum(
-        float(probs[k]) * math.comb(n, k) for k in range(n + 1)
-    )
+    """Expected number of equally weighted surviving terms, for
+    1 <= n <= 64 as in concentrate."""
+    return concentrate(n, alpha, beta).expected_term_count()

@@ -28,6 +28,13 @@ def as_matrix(op) -> np.ndarray:
     return np.asarray(getattr(op, "matrix", op), dtype=complex)
 
 
+def _frozen(a) -> np.ndarray:
+    """A read-only complex copy of a, for records that own their arrays."""
+    a = np.array(a, dtype=complex)
+    a.setflags(write=False)
+    return a
+
+
 def dag(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(a).conj().T
@@ -79,7 +86,6 @@ def random_state(dim: int, rng) -> np.ndarray:
 def _records(stack) -> np.ndarray:
     """The records (M (x) 1)|phi+> of a (k, d, d) stack as the rows of a
     k x d^2 matrix: each is M flattened row-major over sqrt(d)."""
-    stack = np.asarray(stack)
     d = stack.shape[-1]
     return stack.reshape(len(stack), d * d) / np.sqrt(d)
 

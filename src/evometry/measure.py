@@ -280,7 +280,7 @@ def _circuit_rows(u, u0, site_dims, psi):
 
 def _check_product_form(basis, sigmas):
     """Require basis element a to equal u0 @ sigmas[a] within 1e-9."""
-    dev = np.abs(basis.stack - _reference(basis.u0, basis.dim) @ sigmas)
+    dev = np.abs(basis.elements - _reference(basis.u0, basis.dim) @ sigmas)
     bad = np.flatnonzero(~(dev.max(axis=(1, 2)) <= PRODUCT_FORM_ATOL))
     if bad.size:
         raise ValueError(
@@ -415,4 +415,4 @@ def measure_choi_side(op, basis: OperatorBasis, shots: int = 0,
     """
     # the amplitude on (B_a (x) 1)|phi+> is <<B_a|op>>/d = C_a
     probs = expand(op, basis).probabilities()
-    return _finish(basis.labels, probs, _records(basis.stack), shots, seed)
+    return _finish(basis.labels, probs, _records(basis.elements), shots, seed)

@@ -215,7 +215,7 @@ def verify_sequence(dil: StinespringDilation, ancilla_basis,
     if len(rep) != len(claimed.map):
         raise ValueError("ancilla basis selects a different element count "
                          "than the claimed map")
-    _check(np.abs(np.subtract(rep.operators, claimed.map.stack)).max(),
+    _check(np.abs(rep.operators - claimed.map.operators).max(),
            MATCH_ATOL, "representation selected by the ancilla basis does "
            "not match the claimed map")
     weights = _born_weights(rep)
@@ -243,15 +243,14 @@ def _retrieval_rows(kraus: KrausMap, index: int, psi: PureState):
     if psi.dim != d:
         raise ValueError("state dimension does not match the map")
     m_op = kraus.operators[index]
-    ops = np.asarray(canon.operators)
-    flat = ops.reshape(len(ops), -1)
+    flat = canon.operators.reshape(len(canon), -1)
     coeff = flat.conj() @ m_op.ravel() / (d * canon.probabilities)
     resid = m_op.ravel() - coeff @ flat
     scale = max(1.0, np.linalg.norm(m_op))
     _check(np.linalg.norm(resid), MATCH_ATOL * scale,
            "stored operator lies outside the map's support")
     nsq = float(np.sum(np.abs(coeff) ** 2 * canon.probabilities))
-    return coeff[:, None] * (ops @ psi.amplitudes) / np.sqrt(nsq)
+    return coeff[:, None] * (canon.operators @ psi.amplitudes) / np.sqrt(nsq)
 
 
 def _fourier_branches(rows: np.ndarray):

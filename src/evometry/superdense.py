@@ -77,7 +77,7 @@ def bell_basis(basis: OperatorBasis) -> BellBasis:
     (B_a (x) 1)|phi+> is B_a flattened row-major over sqrt(d), so the
     family is the records of the stacked elements.
     """
-    return BellBasis(basis.dim, _records(basis.stack), basis.labels)
+    return BellBasis(basis.dim, _records(basis.elements), basis.labels)
 
 
 def eavesdropper_marginal(u) -> np.ndarray:

@@ -225,3 +225,17 @@ def test_products_match_the_trace_loops():
     assert np.abs(c.coeffs - want).max() < 1e-15
     rebuilt = sum(a * x for a, x in zip(c.coeffs, b))
     assert np.abs(reconstruct(c, b) - rebuilt).max() < 1e-15
+
+
+def test_basis_keeps_a_read_only_copy_of_its_elements():
+    arr = np.stack([I2, X, Y, Z]).astype(complex)
+    b = OperatorBasis(2, arr, ("I", "X", "Y", "Z"))
+    arr[:] = 0.0
+    assert np.abs(b.elements - np.stack([I2, X, Y, Z])).max() == 0.0
+    with pytest.raises(ValueError):
+        b.elements[1][0, 0] = 0.0
+    rotated = rotate_basis(b, random_unitary(4, 3))
+    for basis in (b, pauli_basis(dim=4), weyl_basis(3), rotated):
+        assert isinstance(basis.elements, np.ndarray)
+        assert basis.elements.shape == (basis.dim ** 2, basis.dim, basis.dim)
+        assert not basis.elements.flags.writeable

@@ -128,7 +128,7 @@ def test_concentrate_large_n_is_a_usage_error(capsys, n, mode, message):
 
 def test_compress_over_the_table_budget_is_a_usage_error(capsys, tmp_path):
     """16 Weyl elements at d = 4 at n = 20: 3247943160 compositions."""
-    els = weyl_basis(4).stack / 4
+    els = weyl_basis(4).elements / 4
     path = tmp_path / "frame16.json"
     path.write_text(json.dumps(kraus_json(KrausMap(tuple(els)))))
     code, out, err = run(capsys, "compress", "--map", str(path), "--n", "20")
@@ -218,6 +218,20 @@ def test_unknown_gate_is_a_usage_error(capsys):
 def test_missing_map_file_is_a_usage_error(capsys):
     code, out, err = run(capsys, "channel", "--map", "/no/such/file.json")
     assert code == 2
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"dim": 2, "kraus": 5}, "'kraus' list"),
+    ({"dim": 2, "kraus": [{"dim": 3, "re": np.eye(3).tolist(),
+                           "im": np.zeros((3, 3)).tolist()}]}, "dim 2"),
+])
+def test_malformed_map_file_is_a_usage_error(capsys, tmp_path, obj, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "channel", "--map", str(path))
+    assert code == 2
+    assert message in err
+    assert out == ""
 
 
 def test_human_readable_output(capsys):

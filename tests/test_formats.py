@@ -86,6 +86,15 @@ def test_load_map_named_and_file(tmp_path):
         assert np.abs(a - b).max() == 0.0
 
 
+@pytest.mark.parametrize("obj, message", [
+    ({"dim": 2, "kraus": 5}, "'kraus' list"),
+    ({"dim": 2, "kraus": [matrix_json(np.eye(3))]}, "dim 2"),
+])
+def test_kraus_from_json_rejects_malformed_channels(obj, message):
+    with pytest.raises(ValueError, match=message):
+        kraus_from_json(obj)
+
+
 def test_bad_json_raises_value_error(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

@@ -210,6 +210,46 @@ def test_yield_never_exceeds_expected_count_exponent():
         assert y <= e + 1e-12
 
 
+@pytest.mark.parametrize("n, message", [(0, "at least 1"),
+                                        (2000, "capped at n = 64")])
+def test_yield_and_term_count_share_the_cap_of_concentrate(n, message):
+    for f in (concentration_yield, expected_term_count):
+        with pytest.raises(ValueError, match=message):
+            f(n, 0.8)
+
+
+def test_schmidt_operators_are_read_only_arrays():
+    s = operator_schmidt(CNOT)
+    for ops in (s.ops_a, s.ops_b):
+        assert isinstance(ops, np.ndarray) and ops.shape == (len(s), 2, 2)
+        assert not ops.flags.writeable
+        with pytest.raises(ValueError):
+            ops[0][0, 0] = 0.0
+
+
+def test_reconstruct_matches_the_kron_sum():
+    for u, dims in ((CNOT, None), (random_unitary(16, 5), None),
+                    (random_unitary(6, 7), (2, 3))):
+        s = operator_schmidt(u, dims=dims)
+        want = sum(v * np.kron(a, b)
+                   for v, a, b in zip(s.values, s.ops_a, s.ops_b))
+        assert np.abs(s.reconstruct() - want).max() <= 1e-14
+
+
+def test_induced_map_elements_are_the_blocks_in_order():
+    u = random_unitary(6, 9)
+    u4 = u.reshape(2, 3, 2, 3)
+    mixed = induced_local_map(u, other_state="maximally_mixed", dims=(2, 3))
+    want = [u4[:, j, :, t] / np.sqrt(3) for j in range(3) for t in range(3)]
+    assert np.abs(mixed.operators - np.stack(want)).max() == 0.0
+    phi = np.array([0.6, 0.8j])
+    fixed = induced_local_map(u, side="B", other_state=phi, dims=(2, 3))
+    ub = u4.transpose(1, 0, 3, 2)
+    want = [np.einsum("rct,t->rc", ub[:, j], phi) for j in range(2)]
+    assert np.abs(fixed.operators - np.stack(want)).max() < 1e-15
+    assert not fixed.operators.flags.writeable
+
+
 def test_bipartite_unitary_rejects_nan():
     with pytest.raises(ValueError, match="unitary"):
         BipartiteUnitary((2, 2), np.full((4, 4), np.nan, dtype=complex))

@@ -77,7 +77,7 @@ def test_stinespring_round_trip_in_a_random_ancilla_basis(d, k, seed):
     rep = kraus_from_ancilla_basis(stinespring(m), b)
     assert equivalent(rep, m)
     # reading ancilla row b_i mixes the elements by b^dag
-    assert np.abs(rep.stack - kraus_rotation(m, dag(b)).stack).max() < ATOL
+    assert np.abs(rep.operators - kraus_rotation(m, dag(b)).operators).max() < ATOL
 
 
 @FEW
@@ -88,7 +88,7 @@ def test_unitary_frame_maps_herald_at_one_over_support(d, k, seed):
     rng = np.random.default_rng(seed)
     p = rng.dirichlet(np.ones(k))
     assume(p.min() > 1e-6 and (k == 1 or np.diff(np.sort(p)).min() > 1e-6))
-    frame = weyl_basis(d, random_unitary(d, rng)).stack
+    frame = weyl_basis(d, random_unitary(d, rng)).elements
     pick = rng.choice(d * d, size=k, replace=False)
     m = KrausMap(tuple(np.sqrt(p)[:, None, None] * frame[pick]))
     psi = PureState(random_state(d, rng))

@@ -155,7 +155,7 @@ def _reference_typical(p, n, delta):
 def _unitary_mixture(weights, d=3):
     """sqrt(w_i) W_i over distinct Weyl elements W_i: a map whose
     canonical spectrum is the weights."""
-    els = weyl_basis(d).stack[:len(weights)]
+    els = weyl_basis(d).elements[:len(weights)]
     return KrausMap(tuple(np.sqrt(w) * u for w, u in zip(weights, els)))
 
 
