@@ -16,30 +16,47 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates
-from .linalg import _check, _frozen, _isometry_deviation, as_matrix, is_unitary
+from .linalg import (
+    _array_hash,
+    _arrays_equal,
+    _check,
+    _frozen,
+    _isometry_deviation,
+    as_matrix,
+    is_unitary,
+)
 
 ATOL = 1e-10
+# largest entry by which an element may differ from u0 s_a and still be
+# the product the echo circuit measures
+PRODUCT_FORM_ATOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryOperator:
-    """A validated unitary matrix."""
+    """A validated unitary matrix, stored as a read-only copy of the
+    input. Operators with equal matrices are equal and hash alike."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = _frozen(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         _check(_isometry_deviation(m), ATOL, "matrix is not unitary")
         object.__setattr__(self, "matrix", m)
+
+    __eq__ = _arrays_equal
+
+    def __hash__(self) -> int:
+        return _array_hash(self.matrix)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisRotation:
     """A unitary acting on basis labels, i.e. a D x D matrix with D = d^2."""
 
@@ -51,12 +68,15 @@ class BasisRotation:
             raise ValueError("basis rotation must be unitary")
         object.__setattr__(self, "matrix", m)
 
+    __eq__ = _arrays_equal
+    __hash__ = None
+
     @property
     def order(self) -> int:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpansionCoefficients:
     """Coefficients C_a of an operator over an orthogonal basis."""
 
@@ -71,6 +91,9 @@ class ExpansionCoefficients:
             )
         object.__setattr__(self, "coeffs", c)
 
+    __eq__ = _arrays_equal
+    __hash__ = None
+
     def probabilities(self) -> np.ndarray:
         """|C_a|^2 for every basis element."""
         return np.abs(self.coeffs) ** 2
@@ -80,15 +103,18 @@ class ExpansionCoefficients:
         return float(self.probabilities().sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorBasis:
     """d^2 trace-orthogonal operators on C^d, reference element first.
 
-    elements[0] is u0 itself whenever a reference unitary was supplied.
-    is_unitary records whether every element is unitary, which is what
-    makes the which-element measurement a measurement over unitaries; a
-    True claim is checked. elements is one read-only (d^2, d, d) array,
-    copied from the input, so a basis never changes after it is checked.
+    elements[0] is u0 itself whenever a reference unitary was supplied
+    (checked within 1e-10); u0 is stored as a UnitaryOperator, which
+    owns a read-only copy of its matrix. is_unitary records whether every
+    element is unitary, which is what makes the which-element
+    measurement a measurement over unitaries; a True claim is checked.
+    elements is one read-only (d^2, d, d) array, copied from the input,
+    so a basis never changes after it is checked. Bases with equal
+    fields are equal and hash alike.
     """
 
     dim: int
@@ -110,8 +136,36 @@ class OperatorBasis:
         if self.is_unitary:
             _check(_isometry_deviation(elements), ATOL,
                    "elements claimed unitary are not")
+        u0 = self.u0
+        if u0 is not None:
+            if not isinstance(u0, UnitaryOperator):
+                u0 = UnitaryOperator(u0)
+            if u0.dim != d:
+                raise ValueError(f"u0 has dim {u0.dim}, expected {d}")
+            _check(np.abs(elements[0] - u0.matrix).max(), ATOL,
+                   "elements[0] is not u0")
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "u0", u0)
+
+    __eq__ = _arrays_equal
+
+    def __hash__(self) -> int:
+        return _array_hash(self.elements)
+
+    # The echo circuit's product-form checks, run on first use for each
+    # family and memoised: a basis is frozen, so a check it passed holds
+    # for good, while a failed check raises and is run again next time.
+    # Neither is a field, so neither takes part in ==.
+    @functools.cached_property
+    def _pauli_form(self) -> float:
+        """Worst deviation of elements[a] from u0 @ pauli_strings(n)[a]."""
+        return _product_form(self, pauli_strings(_n_qubits(self.dim)))
+
+    @functools.cached_property
+    def _weyl_form(self) -> float:
+        """Worst deviation of elements[a] from u0 Z^mu X^nu, a = mu d + nu."""
+        return _product_form(self, _weyl_products(self.dim))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -241,6 +295,20 @@ def _weyl_products(dim: int) -> np.ndarray:
     """Z^mu X^nu at index mu * d + nu, as one (d^2, d, d) array."""
     zp, xp = clock_shift_powers(dim)
     return np.einsum("mij,njk->mnik", zp, xp).reshape(dim * dim, dim, dim)
+
+
+def _product_form(basis: OperatorBasis, sigmas) -> float:
+    """Largest entry of |B_a - u0 sigmas[a]|; a ValueError naming the
+    first element that deviates by more than PRODUCT_FORM_ATOL."""
+    ref = _reference(basis.u0, basis.dim)
+    dev = np.abs(basis.elements - ref @ sigmas).max(axis=(1, 2))
+    bad = np.flatnonzero(~(dev <= PRODUCT_FORM_ATOL))
+    if bad.size:
+        raise ValueError(
+            "basis is not of the product form {u0 s_a} this circuit "
+            f"measures (element {bad[0]} deviates)"
+        )
+    return float(dev.max())
 
 
 def weyl_basis(dim: int, u0=None) -> OperatorBasis:

@@ -14,7 +14,7 @@ and gauge as diagonalising the channel state.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .gates import GATES, PAULIS
 from .linalg import (
     DEGENERACY_TOL,
     TRIM,
+    _array_hash,
+    _arrays_equal,
     _check,
     _fix_gauge,
     _frozen,
@@ -36,19 +38,6 @@ from .linalg import (
 TP_ATOL = 1e-9
 CHOI_ATOL = 1e-9
 UNITARY_ATOL = 1e-10
-
-
-def _arrays_equal(a, b):
-    """== for the frozen array records: the same type, and every compared
-    field of equal shape and equal entries."""
-    if type(a) is not type(b):
-        return NotImplemented
-    for f in fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if f.compare and not (np.shape(x) == np.shape(y)
-                              and np.array_equal(x, y)):
-            return False
-    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +69,7 @@ class KrausMap:
     __eq__ = _arrays_equal
 
     def __hash__(self) -> int:
-        # + 0.0 turns -0.0 into 0.0, which compare equal
-        return hash((self.operators.shape, (self.operators + 0.0).tobytes()))
+        return _array_hash(self.operators)
 
     @property
     def dim(self) -> int:

@@ -22,6 +22,7 @@ from .channels import KrausMap
 from .gates import X
 from .linalg import (
     TRIM,
+    _arrays_equal,
     _check,
     _frozen,
     _isometry_deviation,
@@ -37,7 +38,7 @@ MAX_EXACT_N = 4
 MAX_COMB_N = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteUnitary:
     """A unitary on two subsystems, factor ordering A (x) B."""
 
@@ -54,8 +55,11 @@ class BipartiteUnitary:
         object.__setattr__(self, "dims", (int(da), int(db)))
         object.__setattr__(self, "matrix", m)
 
+    __eq__ = _arrays_equal
+    __hash__ = None
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class OperatorSchmidt:
     """Schmidt form of an interaction: values and local operator pairs.
 
@@ -75,6 +79,9 @@ class OperatorSchmidt:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "ops_a", _frozen(self.ops_a))
         object.__setattr__(self, "ops_b", _frozen(self.ops_b))
+
+    __eq__ = _arrays_equal
+    __hash__ = None
 
     def __len__(self) -> int:
         return self.values.size

@@ -5,6 +5,7 @@ sampler and the spectral tolerances."""
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -33,6 +34,26 @@ def _frozen(a) -> np.ndarray:
     a = np.array(a, dtype=complex)
     a.setflags(write=False)
     return a
+
+
+def _arrays_equal(a, b):
+    """== for the frozen array records: the same type, and every compared
+    field of equal shape and equal entries."""
+    if type(a) is not type(b):
+        return NotImplemented
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.compare and not (np.shape(x) == np.shape(y)
+                              and np.array_equal(x, y)):
+            return False
+    return True
+
+
+def _array_hash(a: np.ndarray) -> int:
+    """Hash of a read-only array consistent with _arrays_equal: equal
+    shapes and entries hash alike (+ 0.0 turns -0.0 into 0.0, which
+    compare equal)."""
+    return hash((a.shape, (a + 0.0).tobytes()))
 
 
 def dag(a: np.ndarray) -> np.ndarray:

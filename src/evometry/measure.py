@@ -43,19 +43,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
+    PRODUCT_FORM_ATOL,
     OperatorBasis,
     UnitaryOperator,
     _fourier,
     _reference,
-    _weyl_products,
     clock_shift,
     clock_shift_powers,
     expand,
-    pauli_strings,
 )
 from .linalg import _check, _records, _sample, as_matrix, dag
 
-PRODUCT_FORM_ATOL = 1e-9
 EIGEN_RTOL = 1e-9
 NORM_ATOL = 1e-12
 
@@ -278,20 +276,11 @@ def _circuit_rows(u, u0, site_dims, psi):
     return t.reshape(joint.shape)
 
 
-def _check_product_form(basis, sigmas):
-    """Require basis element a to equal u0 @ sigmas[a] within 1e-9."""
-    dev = np.abs(basis.elements - _reference(basis.u0, basis.dim) @ sigmas)
-    bad = np.flatnonzero(~(dev.max(axis=(1, 2)) <= PRODUCT_FORM_ATOL))
-    if bad.size:
-        raise ValueError(
-            "basis is not of the product form {u0 s_a} this circuit "
-            f"measures (element {bad[0]} deviates)"
-        )
-
-
 def _finish(labels, probs, collapsed_rows, shots, seed):
+    """The distribution and one result per observed outcome, whose
+    collapsed state is its row of collapsed_rows normalised (all the
+    observed rows at once)."""
     probs = np.asarray(probs)
-    results = []
     counts = None
     shot_outcomes = None
     if shots:
@@ -300,15 +289,13 @@ def _finish(labels, probs, collapsed_rows, shots, seed):
         observed = np.flatnonzero(counts)
     else:
         observed = np.flatnonzero(probs > 1e-14)
-    for a in observed:
-        row = collapsed_rows[a]
-        results.append(
-            WhichUnitaryResult(
-                outcome=int(a),
-                collapsed=PureState(row / np.linalg.norm(row)),
-                exact_prob=float(probs[a]),
-            )
-        )
+    rows = collapsed_rows[observed]
+    rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    results = [
+        WhichUnitaryResult(outcome=int(a), collapsed=PureState(row),
+                           exact_prob=float(probs[a]))
+        for a, row in zip(observed, rows)
+    ]
     dist = OutcomeDistribution(
         labels, probs, counts=counts, shot_outcomes=shot_outcomes, seed=seed
     )
@@ -369,7 +356,7 @@ def measure_which_unitary(u, basis: OperatorBasis, psi, shots: int = 0,
     n = basis.dim.bit_length() - 1
     if 2 ** n != basis.dim:
         raise ValueError("Pauli-form measurement needs dim = 2^n")
-    _check_product_form(basis, pauli_strings(n))
+    basis._pauli_form  # ValueError unless the elements are u0 s_a
     return _run_product_measurement(
         u, basis, psi, shots, seed, [2] * n, _PAULI_PAIRS
     )
@@ -383,7 +370,7 @@ def measure_which_unitary_qudit(u, basis: OperatorBasis, psi,
     ancilla end state for element (mu, nu) is the product of the two
     Fourier vectors with kernels zeta^{alpha mu} and zeta^{-beta nu}.
     """
-    _check_product_form(basis, _weyl_products(basis.dim))
+    basis._weyl_form  # ValueError unless the elements are u0 Z^mu X^nu
     return _run_product_measurement(u, basis, psi, shots, seed, [basis.dim])
 
 
@@ -396,7 +383,7 @@ def circuit_end_state(u, basis: OperatorBasis, psi) -> np.ndarray:
     stopped before its readout, exposed for inspection of the ancilla
     end states.
     """
-    _check_product_form(basis, _weyl_products(basis.dim))
+    basis._weyl_form  # ValueError unless the elements are u0 Z^mu X^nu
     um, psi = _circuit_inputs(u, basis, psi)
     return _echo_joint(um, _reference(basis.u0, basis.dim), [basis.dim], psi)
 
