@@ -34,6 +34,12 @@ formed. For n qubits and a bystander of dimension b the joint array
 holds 4^n * 2^n * b amplitudes, and each per-site step costs time in
 proportion to that; the two products with the 2^n x 2^n unitaries cost
 4^n * 4^n * b.
+
+Validation: a circuit requires its basis to be of the product form
+{u0 s_a} in its family's ordering. A basis is frozen and owns a
+read-only copy of its u0, so the check runs once per basis object and
+family (Pauli or Weyl) and is memoised on the basis; a failed check
+raises and runs again on the next call.
 """
 from __future__ import annotations
 

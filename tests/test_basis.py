@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from evometry import (
+    BasisRotation,
+    BipartiteUnitary,
     ExpansionCoefficients,
     OperatorBasis,
+    UnitaryOperator,
     clock_shift,
     clock_shift_powers,
     expand,
     gram,
+    operator_schmidt,
     pauli_basis,
     pauli_string,
     pauli_strings,
@@ -239,3 +243,75 @@ def test_basis_keeps_a_read_only_copy_of_its_elements():
         assert isinstance(basis.elements, np.ndarray)
         assert basis.elements.shape == (basis.dim ** 2, basis.dim, basis.dim)
         assert not basis.elements.flags.writeable
+
+
+def test_basis_refuses_a_u0_of_the_wrong_dimension():
+    p = pauli_basis(dim=4)
+    with pytest.raises(ValueError, match="u0 has dim 2, expected 4"):
+        OperatorBasis(4, p.elements, p.labels, u0=np.eye(2))
+
+
+def test_basis_refuses_a_u0_that_is_not_its_first_element():
+    p = pauli_basis(dim=4)
+    with pytest.raises(ValueError, match="elements\\[0\\] is not u0"):
+        OperatorBasis(4, p.elements, p.labels, u0=random_unitary(4, 5))
+    b = OperatorBasis(4, p.elements, p.labels, u0=np.eye(4))
+    assert isinstance(b.u0, UnitaryOperator)
+    assert np.abs(b.u0.matrix - np.eye(4)).max() == 0.0
+
+
+def test_basis_owns_a_read_only_copy_of_its_u0():
+    u0 = random_unitary(4, 6)
+    kept = u0.copy()
+    b = pauli_basis(u0)
+    u0[:] = np.eye(4)
+    assert np.abs(b.u0.matrix - kept).max() == 0.0
+    assert np.abs(b.elements[0] - kept).max() == 0.0
+    m = H.copy()
+    op = UnitaryOperator(m)
+    m[:] = 0.0
+    assert np.abs(op.matrix - H).max() == 0.0
+    for frozen in (b.u0.matrix, op.matrix):
+        with pytest.raises(ValueError):
+            frozen[0, 0] = 1.0
+
+
+def test_records_compare_by_their_arrays():
+    """== compares fields entry by entry (it used to raise on the truth
+    value of an array); the two read-only records also hash."""
+    u0 = random_unitary(2, 8)
+    pairs = [
+        (pauli_basis(dim=2), pauli_basis(dim=2), weyl_basis(2)),
+        (pauli_basis(u0), pauli_basis(u0.copy()), pauli_basis(dim=2)),
+        (UnitaryOperator(H), UnitaryOperator(H.copy()), UnitaryOperator(X)),
+        (BasisRotation(np.eye(4)), BasisRotation(np.eye(4)),
+         BasisRotation(np.eye(4)[::-1])),
+        (ExpansionCoefficients(2, [1, 0, 0, 0]),
+         ExpansionCoefficients(2, [1, 0, 0, 0]),
+         ExpansionCoefficients(2, [0, 1, 0, 0])),
+        (BipartiteUnitary((2, 2), CNOT),
+         BipartiteUnitary((2, 2), CNOT.copy()),
+         BipartiteUnitary((2, 2), np.eye(4))),
+        (operator_schmidt(CNOT), operator_schmidt(CNOT),
+         operator_schmidt(np.kron(H, X))),
+    ]
+    for a, b, other in pairs:
+        assert a is not b and (a == b) is True and (a != b) is False
+        assert (a == other) is False
+        assert a != "not a record"
+    for a, b, _ in pairs[:3]:
+        assert hash(a) == hash(b)
+    assert len({pauli_basis(dim=2), pauli_basis(dim=2), weyl_basis(2)}) == 2
+    # -I2 has -0.0 off the diagonal, which equals 0.0
+    minus = UnitaryOperator(np.diag([-1.0, -1.0]))
+    assert UnitaryOperator(-I2) == minus
+    assert hash(UnitaryOperator(-I2)) == hash(minus)
+    for a, _, _ in pairs[3:]:
+        with pytest.raises(TypeError):
+            hash(a)
+
+
+def test_memoised_form_check_takes_no_part_in_equality():
+    a, b = pauli_basis(dim=4), pauli_basis(dim=4)
+    assert a._pauli_form == 0.0
+    assert a == b and hash(a) == hash(b)

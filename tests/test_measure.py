@@ -1,6 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evometry import basis as basis_module
+from evometry import measure as measure_module
 from evometry import (
     NotAnEigenoperator,
     OutcomeDistribution,
@@ -19,7 +25,13 @@ from evometry import (
     which_unitary_distribution,
 )
 from evometry.gates import H, I2, X, Y, Z
-from evometry.linalg import entanglement_entropy, max_entangled, random_state, random_unitary
+from evometry.linalg import (
+    _sample,
+    entanglement_entropy,
+    max_entangled,
+    random_state,
+    random_unitary,
+)
 
 
 def field_unitary(bt):
@@ -296,3 +308,106 @@ def test_product_form_check_names_the_deviating_element():
     rotated = rotate_basis(pauli_basis(dim=4), k)
     with pytest.raises(ValueError, match="element 5 deviates"):
         measure_which_unitary(np.eye(4), rotated, np.eye(4)[0])
+
+
+def test_d2_weyl_basis_is_refused_on_every_pauli_call():
+    """(1, X, Z, iY) is not the Pauli ordering: the refusal is not
+    memoised, and passing the Weyl check does not pass the Pauli one."""
+    w, psi = weyl_basis(2), np.eye(2)[0]
+    for _ in range(3):
+        with pytest.raises(ValueError, match="element 2 deviates"):
+            measure_which_unitary(H, w, psi)
+    measure_which_unitary_qudit(H, w, psi)
+    with pytest.raises(ValueError, match="element 2 deviates"):
+        measure_which_unitary(H, w, psi)
+    p = pauli_basis(dim=2)
+    measure_which_unitary(H, p, psi)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="element 2 deviates"):
+            measure_which_unitary_qudit(H, p, psi)
+
+
+def test_product_form_table_is_built_once_per_basis():
+    rng = np.random.default_rng(31)
+    pauli_calls = mock.patch.object(basis_module, "pauli_strings",
+                                    wraps=basis_module.pauli_strings)
+    weyl_calls = mock.patch.object(basis_module, "_weyl_products",
+                                   wraps=basis_module._weyl_products)
+    p, w = pauli_basis(random_unitary(8, rng)), weyl_basis(3)
+    with pauli_calls as pauli_strings, weyl_calls as weyl_products:
+        for _ in range(3):
+            measure_which_unitary(random_unitary(8, rng), p, np.eye(8)[0])
+            measure_which_unitary_qudit(random_unitary(3, rng), w,
+                                        np.eye(3)[0])
+            circuit_end_state(random_unitary(3, rng), w, np.eye(3)[0])
+    assert pauli_strings.call_count == 1 and weyl_products.call_count == 1
+
+
+def test_writing_the_callers_u0_changes_no_measurement():
+    rng = np.random.default_rng(32)
+    u0, u = random_unitary(4, rng), random_unitary(4, rng)
+    psi = random_state(4, rng)
+    b = pauli_basis(u0)
+    kept = u0.copy()
+    before, rb = measure_which_unitary(u, b, psi, shots=64, seed=7)
+    u0[:] = np.eye(4)
+    after, ra = measure_which_unitary(u, b, psi, shots=64, seed=7)
+    assert np.abs(b.u0.matrix - kept).max() == 0.0
+    assert np.array_equal(before.probabilities, after.probabilities)
+    assert np.array_equal(before.shot_outcomes, after.shot_outcomes)
+    assert [r.outcome for r in rb] == [r.outcome for r in ra]
+    for x, y in zip(rb, ra):
+        assert np.array_equal(x.collapsed.amplitudes, y.collapsed.amplitudes)
+
+
+def _finish_by_rows(probs, rows, shots, seed):
+    """The per-row loop _finish used to run, one norm per observed row:
+    (outcome, collapsed state, exact probability) per result."""
+    probs = np.asarray(probs)
+    if shots:
+        counts = np.bincount(_sample(probs, shots, seed), minlength=probs.size)
+        observed = np.flatnonzero(counts)
+    else:
+        observed = np.flatnonzero(probs > 1e-14)
+    return [(int(a), rows[a] / np.linalg.norm(rows[a]), float(probs[a]))
+            for a in observed]
+
+
+def _run_with_rows(run):
+    """run() with the rows _finish received, and its results."""
+    with mock.patch.object(measure_module, "_finish",
+                           wraps=measure_module._finish) as finish:
+        _, results = run()
+    _, probs, rows, shots, seed = finish.call_args.args
+    return _finish_by_rows(probs, rows, shots, seed), results
+
+
+@settings(max_examples=12, deadline=None)
+@given(backend=st.sampled_from(["pauli", "weyl", "choi"]),
+       size=st.integers(1, 3), with_u0=st.booleans(),
+       bystander=st.booleans(), shots=st.sampled_from([0, 64]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_branch_normalisation_matches_the_per_row_loop(
+        backend, size, with_u0, bystander, shots, seed):
+    rng = np.random.default_rng(seed)
+    if backend == "weyl":
+        d = (3, 5, 3)[size - 1]
+        basis = weyl_basis(d, random_unitary(d, rng) if with_u0 else None)
+        measure = measure_which_unitary_qudit
+    else:
+        d = 2 ** size
+        basis = (pauli_basis(random_unitary(d, rng)) if with_u0
+                 else pauli_basis(dim=d))
+        measure = measure_which_unitary
+    u = random_unitary(d, rng)
+    psi = random_state(2 * d if bystander else d, rng)
+    if backend == "choi":
+        want, got = _run_with_rows(
+            lambda: measure_choi_side(u, basis, shots=shots, seed=seed))
+    else:
+        want, got = _run_with_rows(
+            lambda: measure(u, basis, psi, shots=shots, seed=seed))
+    assert [r.outcome for r in got] == [a for a, _, _ in want]
+    for r, (_, state, prob) in zip(got, want):
+        assert np.abs(r.collapsed.amplitudes - state).max() <= 1e-15
+        assert abs(r.exact_prob - prob) <= 1e-15
