@@ -215,7 +215,7 @@ class ConcentrationRecord:
         return 1.0 / math.sqrt(self.term_count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConcentrationDistribution:
     """Full sector law of the collective readout on n copies."""
 
@@ -227,6 +227,9 @@ class ConcentrationDistribution:
     mode: str
     sector_deviation: float | None = None
     samples: np.ndarray | None = None
+
+    __eq__ = _arrays_equal
+    __hash__ = None
 
     def yield_bits(self) -> float:
         return math.fsum(

@@ -39,7 +39,11 @@ Validation: a circuit requires its basis to be of the product form
 {u0 s_a} in its family's ordering. A basis is frozen and owns a
 read-only copy of its u0, so the check runs once per basis object and
 family (Pauli or Weyl) and is memoised on the basis; a failed check
-raises and runs again on the next call.
+raises and runs again on the next call. The branch records are checked
+in bulk: one norm check per call covers every observed row (one bad
+row, NaN included, rejects the call), and each record is then filled
+without running its validator. A PureState built directly, or through
+dataclasses.replace, still checks its own norm.
 """
 from __future__ import annotations
 
@@ -58,7 +62,16 @@ from .basis import (
     clock_shift_powers,
     expand,
 )
-from .linalg import _check, _records, _sample, as_matrix, dag
+from .linalg import (
+    _array_hash,
+    _arrays_equal,
+    _check,
+    _prechecked,
+    _records,
+    _sample,
+    as_matrix,
+    dag,
+)
 
 EIGEN_RTOL = 1e-9
 NORM_ATOL = 1e-12
@@ -69,7 +82,7 @@ class NotAnEigenoperator(Exception):
     two-time observable."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """A unit vector; tolerance on the norm is 1e-12."""
 
@@ -80,12 +93,25 @@ class PureState:
         _check(abs(np.linalg.norm(v) - 1.0), NORM_ATOL, "state norm is not 1")
         object.__setattr__(self, "amplitudes", v)
 
+    __eq__ = _arrays_equal
+    __hash__ = None
+
+    @classmethod
+    def _rows(cls, rows) -> list:
+        """One state per row of a 2-D array, each holding a view of its
+        row. The norm check runs once over all rows, so one bad row (NaN
+        included) rejects the batch, and __post_init__ is not run."""
+        rows = np.asarray(rows, dtype=complex)
+        dev = np.abs(np.linalg.norm(rows, axis=1) - 1.0).max(initial=0.0)
+        _check(dev, NORM_ATOL, "state norm is not 1")
+        return _prechecked(cls, rows)
+
     @property
     def dim(self) -> int:
         return self.amplitudes.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoTimeObservable:
     """A correlation [u0 g u0^dag at t2][g at t1] with generator g.
 
@@ -105,6 +131,12 @@ class TwoTimeObservable:
                 self, "u0", UnitaryOperator(as_matrix(self.u0)).matrix
             )
 
+    __eq__ = _arrays_equal
+
+    def __hash__(self) -> int:
+        u0 = None if self.u0 is None else _array_hash(self.u0)
+        return hash((self.family, self.dim, u0))
+
     def generator(self) -> np.ndarray:
         z, x = clock_shift(self.dim)
         return z.matrix if self.family == "z" else x.matrix
@@ -113,7 +145,7 @@ class TwoTimeObservable:
         return _reference(self.u0, self.dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WhichUnitaryResult:
     """One measurement branch: outcome index, collapsed state, exact
     probability of that branch."""
@@ -122,8 +154,11 @@ class WhichUnitaryResult:
     collapsed: PureState
     exact_prob: float
 
+    __eq__ = _arrays_equal
+    __hash__ = None
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """Exact outcome probabilities, optionally with sampled counts."""
 
@@ -136,6 +171,9 @@ class OutcomeDistribution:
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
         object.__setattr__(self, "probabilities", p)
+
+    __eq__ = _arrays_equal
+    __hash__ = None
 
     @property
     def shots(self) -> int:
@@ -284,8 +322,9 @@ def _circuit_rows(u, u0, site_dims, psi):
 
 def _finish(labels, probs, collapsed_rows, shots, seed):
     """The distribution and one result per observed outcome, whose
-    collapsed state is its row of collapsed_rows normalised (all the
-    observed rows at once)."""
+    collapsed state is its row of collapsed_rows normalised. The observed
+    rows are normalised and norm-checked as one array, and the records
+    are filled without a per-row validator."""
     probs = np.asarray(probs)
     counts = None
     shot_outcomes = None
@@ -297,11 +336,8 @@ def _finish(labels, probs, collapsed_rows, shots, seed):
         observed = np.flatnonzero(probs > 1e-14)
     rows = collapsed_rows[observed]
     rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    results = [
-        WhichUnitaryResult(outcome=int(a), collapsed=PureState(row),
-                           exact_prob=float(probs[a]))
-        for a, row in zip(observed, rows)
-    ]
+    results = _prechecked(WhichUnitaryResult, observed.tolist(),
+                          PureState._rows(rows), probs[observed].tolist())
     dist = OutcomeDistribution(
         labels, probs, counts=counts, shot_outcomes=shot_outcomes, seed=seed
     )

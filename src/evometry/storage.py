@@ -25,7 +25,7 @@ from .channels import (
     canonical_kraus,
     kraus_from_ancilla_basis,
 )
-from .linalg import TRIM, _check, _records, _sample
+from .linalg import TRIM, _arrays_equal, _check, _records, _sample
 from .measure import PureState
 
 STORE_ATOL = 1e-10
@@ -56,7 +56,7 @@ class EvolutionSequence:
         return len(self.indices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StoredEvolution:
     """Per-step storage states, unit vectors on the doubled system."""
 
@@ -68,8 +68,11 @@ class StoredEvolution:
         _check(np.abs(norms - 1.0).max(initial=0.0), STORE_ATOL,
                "storage states must be unit vectors")
 
+    __eq__ = _arrays_equal
+    __hash__ = None
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class RetrievalOutcome:
     """One retrieval attempt: herald flag, post-measurement system state,
     which storage outcome was observed, and the exact herald weight."""
@@ -79,8 +82,11 @@ class RetrievalOutcome:
     outcome_index: int
     herald_probability: float
 
+    __eq__ = _arrays_equal
+    __hash__ = None
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class VerificationRecord:
     """Sampled ancilla record compared against a claimed sequence."""
 
@@ -88,6 +94,9 @@ class VerificationRecord:
     sampled: tuple
     claimed: tuple
     step_weights: np.ndarray
+
+    __eq__ = _arrays_equal
+    __hash__ = None
 
 
 @dataclass(frozen=True)

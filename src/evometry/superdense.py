@@ -17,18 +17,18 @@ import numpy as np
 
 from .basis import OperatorBasis, UnitaryOperator, expand
 from .linalg import (
+    _arrays_equal,
     _check,
     _isometry_deviation,
     _records,
     _sample,
     as_matrix,
-    partial_trace,
 )
 
 BELL_ATOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BellBasis:
     """The d^2 orthonormal entangled vectors (B_a (x) 1)|phi+>."""
 
@@ -54,8 +54,11 @@ class BellBasis:
                "the basis must consist of unitaries")
         object.__setattr__(self, "vectors", v)
 
+    __eq__ = _arrays_equal
+    __hash__ = None
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class ChannelTranscript:
     """What each party holds after one dense-coding round."""
 
@@ -65,6 +68,9 @@ class ChannelTranscript:
     eavesdropper_marginal: np.ndarray
     counts: np.ndarray | None = None
     seed: int | None = None
+
+    __eq__ = _arrays_equal
+    __hash__ = None
 
     @property
     def shots(self) -> int:
@@ -83,10 +89,17 @@ def bell_basis(basis: OperatorBasis) -> BellBasis:
 def eavesdropper_marginal(u) -> np.ndarray:
     """Density matrix of the transmitted half alone: always 1/d, whatever
     the unitary u was."""
-    um = UnitaryOperator(as_matrix(u)).matrix
+    return _marginal(UnitaryOperator(as_matrix(u)).matrix)
+
+
+def _marginal(um: np.ndarray) -> np.ndarray:
+    """eavesdropper_marginal of an already-validated unitary matrix.
+
+    The sent record reshaped to d x d is m = u / sqrt(d), and tracing
+    the half that was never sent out of |sent><sent| leaves m m^dag."""
     d = um.shape[0]
-    sent = _records(um[None])[0]
-    return partial_trace(np.outer(sent, sent.conj()), (d, d), keep=0)
+    m = _records(um[None])[0].reshape(d, d)
+    return m @ m.conj().T
 
 
 def superdense_send(u, basis: OperatorBasis, shots: int = 0,
@@ -115,7 +128,7 @@ def superdense_send(u, basis: OperatorBasis, shots: int = 0,
         labels=basis.labels,
         coefficients=coeffs.coeffs,
         probabilities=probs,
-        eavesdropper_marginal=eavesdropper_marginal(um),
+        eavesdropper_marginal=_marginal(um),
         counts=counts,
         seed=seed,
     )
