@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -411,3 +412,53 @@ def test_branch_normalisation_matches_the_per_row_loop(
     for r, (_, state, prob) in zip(got, want):
         assert np.abs(r.collapsed.amplitudes - state).max() <= 1e-15
         assert abs(r.exact_prob - prob) <= 1e-15
+
+
+def test_branch_records_run_no_per_row_validator():
+    """A call counts, not times: at n = 4 with 512 shots only the input
+    state runs PureState.__post_init__, however many outcomes occur."""
+    rng = np.random.default_rng(33)
+    basis = pauli_basis(dim=16)
+    for _ in range(3):
+        u, psi = random_unitary(16, rng), random_state(16, rng)
+        with mock.patch.object(PureState, "__post_init__", autospec=True,
+                               side_effect=PureState.__post_init__) as post:
+            _, results = measure_which_unitary(u, basis, psi, shots=512,
+                                               seed=int(rng.integers(99)))
+        assert len(results) > 50
+        assert post.call_count == 1
+        assert np.array_equal(post.call_args.args[0].amplitudes, psi)
+        assert all(type(r.collapsed) is PureState for r in results)
+
+
+def test_batch_states_fail_closed():
+    rows = np.eye(4, dtype=complex)
+    states = PureState._rows(rows)
+    assert states == [PureState(row) for row in rows]
+    assert all(np.shares_memory(s.amplitudes, rows) for s in states)
+    for bad in (np.nan, 1 + 1e-9):
+        rows = np.eye(4, dtype=complex)
+        rows[2, 2] = bad
+        with pytest.raises(ValueError, match="state norm is not 1"):
+            PureState._rows(rows)
+
+
+def test_a_nan_branch_row_rejects_the_call():
+    rows = np.eye(4, dtype=complex)
+    rows[1, 1] = np.nan
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValueError, match="state norm is not 1"):
+        measure_module._finish(tuple("abcd"), np.full(4, 0.25), rows, 0,
+                               None)
+
+
+def test_replacing_a_branch_record_still_validates():
+    _, results = measure_which_unitary(random_unitary(4, 34),
+                                       pauli_basis(dim=4),
+                                       random_state(4, 35), shots=16, seed=3)
+    r = results[0]
+    with pytest.raises(ValueError, match="state norm is not 1"):
+        dataclasses.replace(r.collapsed, amplitudes=np.ones(4))
+    moved = dataclasses.replace(
+        r, collapsed=PureState(np.roll(r.collapsed.amplitudes, 1)))
+    assert moved.outcome == r.outcome and moved != r

@@ -1,8 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evometry import (
     BellBasis,
+    UnitaryOperator,
     bell_basis,
     eavesdropper_marginal,
     expand,
@@ -12,7 +17,8 @@ from evometry import (
     weyl_basis,
 )
 from evometry.gates import PAULIS, X
-from evometry.linalg import max_entangled, random_unitary
+from evometry.linalg import max_entangled, partial_trace, random_unitary
+from evometry.superdense import BELL_ATOL
 
 
 def test_bell_family_is_orthonormal():
@@ -110,3 +116,27 @@ def test_send_refuses_a_non_unitary_basis():
     rb = rotate_basis(pauli_basis(dim=2), random_unitary(4, 19))
     with pytest.raises(ValueError, match="must consist of unitaries"):
         superdense_send(X, rb)
+
+
+def test_send_checks_its_unitary_once():
+    basis, rng = pauli_basis(dim=4), np.random.default_rng(40)
+    us = [random_unitary(4, rng) for _ in range(3)]
+    with mock.patch.object(UnitaryOperator, "__post_init__", autospec=True,
+                           side_effect=UnitaryOperator.__post_init__) as post:
+        for u in us:
+            superdense_send(u, basis, shots=8, seed=1)
+    assert post.call_count == len(us)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(2, 16), seed=st.integers(0, 2 ** 32 - 1))
+def test_transcript_marginal_is_the_partial_trace(d, seed):
+    """m m^dag, with m the sent record as a d x d matrix, is the partial
+    trace of |sent><sent| over the half that was never sent."""
+    u = random_unitary(d, seed)
+    sent = np.kron(u, np.eye(d)) @ max_entangled(d)
+    want = partial_trace(np.outer(sent, sent.conj()), (d, d), keep=0)
+    got = superdense_send(u, weyl_basis(d)).eavesdropper_marginal
+    assert np.abs(got - want).max() <= 1e-15
+    assert np.abs(got - np.eye(d) / d).max() <= BELL_ATOL
+    assert np.array_equal(eavesdropper_marginal(u), got)
