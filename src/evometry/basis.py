@@ -279,18 +279,6 @@ def clock_shift_powers(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(zp), _frozen(xp)
 
 
-@functools.lru_cache(maxsize=None)
-def _fourier(n: int) -> np.ndarray:
-    """The n x n Fourier matrix zeta^(j k) / sqrt(n), zeta = exp(2 pi i / n),
-    which is the diagonals of clock_shift_powers(n) over sqrt(n). Built
-    once per n and read-only; n = 1 gives [[1]], a one-level register.
-    """
-    if n == 1:
-        return _frozen(np.ones((1, 1)))
-    zp = clock_shift_powers(n)[0]
-    return _frozen(np.diagonal(zp, axis1=1, axis2=2) / np.sqrt(n))
-
-
 def _weyl_products(dim: int) -> np.ndarray:
     """Z^mu X^nu at index mu * d + nu, as one (d^2, d, d) array."""
     zp, xp = clock_shift_powers(dim)

@@ -5,6 +5,12 @@ mandatory seed, runs the owning module's invariant checks, and emits a
 report that is byte-identical across runs with the same configuration.
 Wall time goes to stderr so it never perturbs the report. Exit status: 0
 when all checks pass, 1 when a check fails, 2 on input errors.
+
+Each cmd_* imports the package modules it uses when it runs, and the
+parser holds only names, so a call loads the modules of its subcommand
+and no others: basis loads basis, channel loads channels, and neither
+loads the measure, storage, interaction or superdense layers. Start-up
+is most of a short call, and a module that is not loaded is not compiled.
 """
 from __future__ import annotations
 
@@ -15,40 +21,15 @@ import time
 
 import numpy as np
 
-from .basis import _default_basis, _fourier, gram, pauli_basis, weyl_basis
-from .channels import (
-    _born_weights,
-    canonical_kraus,
-    choi,
-    entropy,
-    kraus_from_ancilla_basis,
-    stinespring,
-)
-from .formats import json_report, load_map, load_state, load_unitary
-from .interaction import concentrate, operator_schmidt
-from .linalg import _isometry_deviation, _sample, partial_trace, shannon_entropy
-from .measure import (
-    PureState,
-    measure_which_unitary,
-    measure_which_unitary_qudit,
-    which_unitary_distribution,
-)
-from .storage import (
-    EvolutionSequence,
-    retrieval_statistics,
-    typical_compress,
-    verify_sequence,
-)
-from .superdense import superdense_send
-
 DEFAULT_TOL = 1e-9
 
 
-# each basis kind of basis --kind and measure --basis: its builder,
-# called with dim= and u0=, and the circuit that measures over it
+# each basis kind of basis --kind and measure --basis: the name of its
+# builder in basis, called with dim= and u0=, and of the circuit in
+# measure that reads it out
 _KINDS = {
-    "pauli": (pauli_basis, measure_which_unitary),
-    "weyl": (weyl_basis, measure_which_unitary_qudit),
+    "pauli": ("pauli_basis", "measure_which_unitary"),
+    "weyl": ("weyl_basis", "measure_which_unitary_qudit"),
 }
 
 
@@ -65,6 +46,20 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _count(text: str) -> int:
+    """--shots, --trials, --steps: a non-negative integer, refused at parse
+    time, before any computation runs."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}"
+        )
+    return n
+
+
 def _floats(a):
     return [float(x) for x in np.asarray(a).ravel()]
 
@@ -74,9 +69,11 @@ def _ints(a):
 
 
 def cmd_basis(args):
-    basis = _KINDS[args.kind][0](dim=args.dim)
+    from . import basis as bases
+
+    basis = getattr(bases, _KINDS[args.kind][0])(dim=args.dim)
     d = basis.dim
-    dev = float(np.abs(gram(basis.elements) / d - np.eye(d * d)).max())
+    dev = float(np.abs(bases.gram(basis.elements) / d - np.eye(d * d)).max())
     report = {
         "command": "basis",
         "config": {"kind": args.kind, "dim": d, "seed": args.seed},
@@ -92,14 +89,20 @@ def cmd_basis(args):
 
 
 def cmd_measure(args):
+    from . import basis as bases
+    from . import measure
+    from .formats import load_state, load_unitary
+
     u = load_unitary(args.unitary)
     d = u.shape[0]
     u0 = load_unitary(args.u0) if args.u0 else None
     build, runner = _KINDS[args.basis]
-    basis = build(dim=d, u0=u0)
-    psi = PureState(load_state(args.state, d))
-    exact = which_unitary_distribution(u, basis)
-    dist, results = runner(u, basis, psi, shots=args.shots, seed=args.seed)
+    basis = getattr(bases, build)(dim=d, u0=u0)
+    psi = measure.PureState(load_state(args.state, d))
+    exact = measure.which_unitary_distribution(u, basis)
+    dist, results = getattr(measure, runner)(
+        u, basis, psi, shots=args.shots, seed=args.seed
+    )
     circuit_dev = float(
         np.abs(dist.probabilities - exact.probabilities).max()
     )
@@ -131,6 +134,10 @@ def cmd_measure(args):
 
 
 def cmd_channel(args):
+    from .channels import canonical_kraus, choi, entropy
+    from .formats import load_map
+    from .linalg import _isometry_deviation, partial_trace
+
     m = load_map(args.map)
     canon = canonical_kraus(m)
     d = m.dim
@@ -161,6 +168,10 @@ def cmd_channel(args):
 
 
 def cmd_compress(args):
+    from .channels import entropy
+    from .formats import load_map
+    from .storage import typical_compress
+
     m = load_map(args.map)
     tc = typical_compress(m, args.n, args.delta)
     rate_target = entropy(m)
@@ -186,6 +197,10 @@ def cmd_compress(args):
 
 
 def cmd_retrieve(args):
+    from .formats import load_map, load_state
+    from .measure import PureState
+    from .storage import retrieval_statistics
+
     m = load_map(args.map)
     psi = PureState(load_state(args.state, m.dim))
     if args.trials > 0 and args.seed is None:
@@ -223,6 +238,10 @@ def cmd_retrieve(args):
 
 
 def cmd_schmidt(args):
+    from .formats import load_unitary
+    from .interaction import operator_schmidt
+    from .linalg import shannon_entropy
+
     u = load_unitary(args.unitary)
     dims = tuple(int(x) for x in args.dims.split(",")) if args.dims else None
     schmidt = operator_schmidt(u, dims=dims)
@@ -249,6 +268,8 @@ def cmd_schmidt(args):
 
 
 def cmd_concentrate(args):
+    from .interaction import concentrate
+
     dist = concentrate(
         args.n, args.alpha, args.beta, mode=args.mode,
         seed=args.seed, shots=args.shots,
@@ -285,6 +306,10 @@ def cmd_concentrate(args):
 
 
 def cmd_superdense(args):
+    from .basis import _default_basis
+    from .formats import load_unitary
+    from .superdense import superdense_send
+
     u = load_unitary(args.unitary)
     d = u.shape[0]
     kind, basis = _default_basis(d)
@@ -316,6 +341,11 @@ def cmd_superdense(args):
 
 
 def cmd_verify(args):
+    from .channels import _born_weights, kraus_from_ancilla_basis, stinespring
+    from .formats import load_map
+    from .linalg import _fourier, _sample
+    from .storage import EvolutionSequence, verify_sequence
+
     m = load_map(args.map)
     dil = stinespring(m)
     ab = _fourier(dil.ancilla_dim) if args.ancilla_basis == "fourier" else None
@@ -394,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u0", default=None,
                    help="reference unitary prefacing every basis element")
     p.add_argument("--state", default="zero")
-    p.add_argument("--shots", type=int, default=0)
+    p.add_argument("--shots", type=_count, default=0)
 
     p = sub.add_parser("channel", parents=[common],
                        help="canonical form and entropy of a channel")
@@ -411,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--op-index", type=int, default=0)
     p.add_argument("--state", default="zero")
-    p.add_argument("--trials", type=int, default=0)
+    p.add_argument("--trials", type=_count, default=0)
 
     p = sub.add_parser("schmidt", parents=[common],
                        help="operator Schmidt form of an interaction")
@@ -426,19 +456,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--mode", choices=("exact-matrix", "combinatorial"),
                    default="combinatorial")
-    p.add_argument("--shots", type=int, default=0)
+    p.add_argument("--shots", type=_count, default=0)
 
     p = sub.add_parser("superdense", parents=[common],
                        help="dense coding with a unitary payload")
     p.add_argument("--unitary", required=True)
-    p.add_argument("--shots", type=int, default=0)
+    p.add_argument("--shots", type=_count, default=0)
 
     p = sub.add_parser("verify", parents=[common],
                        help="check a claimed draw record against a dilation")
     p.add_argument("--map", required=True)
     p.add_argument("--ancilla-basis", choices=("computational", "fourier"),
                    default="computational")
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--steps", type=_count, default=100)
     p.add_argument("--flip", type=int, default=None,
                    help="corrupt the claimed record at this step")
 
@@ -474,6 +504,8 @@ def main(argv=None) -> int:
         return 2
     report["checks"] = {name: bool(ok) for name, ok in checks.items()}
     if args.json:
+        from .formats import json_report
+
         sys.stdout.write(json_report(report))
     else:
         _print_human(report)

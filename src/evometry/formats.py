@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import json
 import os
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import KrausMap, named_channel
 from .gates import GATES
 from .linalg import random_state
+
+if TYPE_CHECKING:  # annotations; the two channel readers import channels
+    from .channels import KrausMap
 
 
 def matrix_json(m: np.ndarray) -> dict:
@@ -71,6 +74,8 @@ def kraus_json(kraus: KrausMap) -> dict:
 
 def kraus_from_json(obj: dict) -> KrausMap:
     """A channel object; its elements must be dim x dim when dim is given."""
+    from .channels import KrausMap
+
     ops = obj.get("kraus") if isinstance(obj, dict) else None
     if not isinstance(ops, list):
         raise ValueError("channel object needs a 'kraus' list")
@@ -124,6 +129,8 @@ def load_state(arg: str, dim: int) -> np.ndarray:
 
 def load_map(arg: str) -> KrausMap:
     """A channel tag, or a {"dim", "kraus"} JSON file."""
+    from .channels import named_channel
+
     text = arg.strip()
     if os.path.exists(text):
         return kraus_from_json(_read_json(text))

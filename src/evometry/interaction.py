@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .basis import OperatorBasis, _default_basis
-from .channels import KrausMap
 from .gates import X
 from .linalg import (
     TRIM,
@@ -32,6 +31,10 @@ from .linalg import (
     deterministic_eigh,
     shannon_entropy,
 )
+
+if TYPE_CHECKING:  # annotations; the functions import what they call
+    from .basis import OperatorBasis
+    from .channels import KrausMap
 
 SCHMIDT_ATOL = 1e-10
 MAX_EXACT_N = 4
@@ -106,6 +109,19 @@ def _as_bipartite(u, dims=None) -> BipartiteUnitary:
     return BipartiteUnitary(tuple(dims), u)
 
 
+def _bases(basis_a, basis_b, da: int, db: int):
+    """The given bases, or each side's default basis, checked against the
+    interaction's dimensions. basis is imported here, for the default
+    only, so the concentration protocol loads without it."""
+    from .basis import _default_basis
+
+    ba = basis_a if basis_a is not None else _default_basis(da)[1]
+    bb = basis_b if basis_b is not None else _default_basis(db)[1]
+    if ba.dim != da or bb.dim != db:
+        raise ValueError("basis dimensions do not match the interaction")
+    return ba, bb
+
+
 def bipartite_expand(u, basis_a: OperatorBasis | None = None,
                      basis_b: OperatorBasis | None = None,
                      dims=None) -> np.ndarray:
@@ -118,10 +134,7 @@ def bipartite_expand(u, basis_a: OperatorBasis | None = None,
     """
     bu = _as_bipartite(u, dims)
     da, db = bu.dims
-    ba = basis_a if basis_a is not None else _default_basis(da)[1]
-    bb = basis_b if basis_b is not None else _default_basis(db)[1]
-    if ba.dim != da or bb.dim != db:
-        raise ValueError("basis dimensions do not match the interaction")
+    ba, bb = _bases(basis_a, basis_b, da, db)
     realigned = bu.matrix.reshape(da, db, da, db).transpose(0, 2, 1, 3)
     flat_a = ba.elements.reshape(da * da, -1).conj()
     flat_b = bb.elements.reshape(db * db, -1).conj()
@@ -139,9 +152,7 @@ def operator_schmidt(u, basis_a: OperatorBasis | None = None,
     generally not unitary, but stay trace orthogonal.
     """
     bu = _as_bipartite(u, dims)
-    da, db = bu.dims
-    ba = basis_a if basis_a is not None else _default_basis(da)[1]
-    bb = basis_b if basis_b is not None else _default_basis(db)[1]
+    ba, bb = _bases(basis_a, basis_b, *bu.dims)
     coeff = bipartite_expand(bu, ba, bb)
     w, left = deterministic_eigh(coeff @ dag(coeff))
     keep = w > TRIM
@@ -168,6 +179,8 @@ def induced_local_map(u, side: str = "A", other_state=None,
     instead, giving d^2 operator elements whose map entropy equals the
     interaction entanglement of u.
     """
+    from .channels import KrausMap  # the only use of channels here
+
     bu = _as_bipartite(u, dims)
     da, db = bu.dims
     u4 = bu.matrix.reshape(da, db, da, db)

@@ -4,6 +4,7 @@ stack, the fail-closed residual check, the isometry deviation, the seeded
 sampler and the spectral tolerances."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import fields
 
@@ -125,6 +126,19 @@ def _records(stack) -> np.ndarray:
     k x d^2 matrix: each is M flattened row-major over sqrt(d)."""
     d = stack.shape[-1]
     return stack.reshape(len(stack), d * d) / np.sqrt(d)
+
+
+@functools.lru_cache(maxsize=None)
+def _fourier(n: int) -> np.ndarray:
+    """The n x n Fourier matrix zeta^(j k) / sqrt(n), zeta = exp(2 pi i / n),
+    which is the diagonals of basis.clock_shift_powers(n) over sqrt(n),
+    computed the same way. Built once per n and read-only; n = 1 gives
+    [[1]], a one-level register.
+    """
+    if n == 1:
+        return _frozen(np.ones((1, 1)))
+    jk = np.arange(n)[:, None] * np.arange(n)[None, :] % n
+    return _frozen(np.exp(2j * np.pi / n) ** jk / np.sqrt(n))
 
 
 def max_entangled(dim: int) -> np.ndarray:

@@ -56,7 +56,6 @@ from .basis import (
     PRODUCT_FORM_ATOL,
     OperatorBasis,
     UnitaryOperator,
-    _fourier,
     _reference,
     clock_shift,
     clock_shift_powers,
@@ -66,6 +65,7 @@ from .linalg import (
     _array_hash,
     _arrays_equal,
     _check,
+    _fourier,
     _prechecked,
     _records,
     _sample,
@@ -75,6 +75,9 @@ from .linalg import (
 
 EIGEN_RTOL = 1e-9
 NORM_ATOL = 1e-12
+# an outcome law sums to 1 within this: the law of a unitary that passes
+# its 1e-10 check does, with room for the rounding of 4^n terms
+PROBABILITY_ATOL = 1e-9
 
 
 class NotAnEigenoperator(Exception):
@@ -127,9 +130,11 @@ class TwoTimeObservable:
         if self.family not in ("z", "x"):
             raise ValueError("family must be 'z' or 'x'")
         if self.u0 is not None:
-            object.__setattr__(
-                self, "u0", UnitaryOperator(as_matrix(self.u0)).matrix
-            )
+            u0 = UnitaryOperator(as_matrix(self.u0)).matrix
+            if u0.shape != (self.dim, self.dim):
+                raise ValueError(f"u0 of shape {u0.shape} does not match "
+                                 f"dim {self.dim}")
+            object.__setattr__(self, "u0", u0)
 
     __eq__ = _arrays_equal
 
@@ -160,7 +165,11 @@ class WhichUnitaryResult:
 
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
-    """Exact outcome probabilities, optionally with sampled counts."""
+    """Exact outcome probabilities, optionally with sampled counts.
+
+    One finite, non-negative probability per label, summing to 1 within
+    PROBABILITY_ATOL; counts, when given, hold one entry per label and
+    sum to the number of shot_outcomes."""
 
     labels: tuple
     probabilities: np.ndarray
@@ -170,6 +179,24 @@ class OutcomeDistribution:
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
+        n = len(self.labels)
+        if p.shape != (n,):
+            raise ValueError(f"need one probability per label: {n} labels, "
+                             f"probabilities of shape {p.shape}")
+        # a NaN makes the minimum NaN, and an infinity the sum
+        if not p.min(initial=0.0) >= 0.0:
+            raise ValueError("probabilities must be finite and non-negative")
+        _check(abs(p.sum() - 1.0), PROBABILITY_ATOL,
+               "probabilities do not sum to 1")
+        if self.counts is not None:
+            counts = np.asarray(self.counts)
+            if counts.shape != (n,):
+                raise ValueError(f"need one count per label: {n} labels, "
+                                 f"counts of shape {counts.shape}")
+            shots = 0 if self.shot_outcomes is None else len(self.shot_outcomes)
+            if counts.sum() != shots:
+                raise ValueError(f"counts sum to {counts.sum()}, not to the "
+                                 f"{shots} shot outcomes")
         object.__setattr__(self, "probabilities", p)
 
     __eq__ = _arrays_equal

@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .basis import _fourier
 from .channels import (
     KrausMap,
     StinespringDilation,
@@ -25,8 +25,10 @@ from .channels import (
     canonical_kraus,
     kraus_from_ancilla_basis,
 )
-from .linalg import TRIM, _arrays_equal, _check, _records, _sample
-from .measure import PureState
+from .linalg import TRIM, _arrays_equal, _check, _fourier, _records, _sample
+
+if TYPE_CHECKING:  # annotations; probabilistic_retrieve imports it to build
+    from .measure import PureState
 
 STORE_ATOL = 1e-10
 MATCH_ATOL = 1e-9
@@ -288,6 +290,8 @@ def probabilistic_retrieve(index: int, kraus: KrausMap, psi: PureState,
     stored element is unitary up to scale. Other outcomes are returned
     as failures with their post-measurement state.
     """
+    from .measure import PureState  # so storage loads without measure
+
     rows = _retrieval_rows(kraus, index, psi)
     branches, weights = _fourier_branches(rows)
     k = int(_sample(weights, 1, seed)[0])

@@ -21,9 +21,8 @@ from evometry import (
     rotate_basis,
     weyl_basis,
 )
-from evometry.basis import _fourier
 from evometry.gates import CNOT, H, I2, X, Y, Z
-from evometry.linalg import dag, random_unitary
+from evometry.linalg import _fourier, dag, random_unitary
 
 
 def test_pauli_basis_single_qubit_elements():
@@ -209,6 +208,10 @@ def test_fourier_table_is_the_unitary_dft():
         assert np.abs(f - want).max() <= 1e-15
         assert np.abs(dag(f) @ f - np.eye(n)).max() <= 1e-15
         assert not f.flags.writeable and _fourier(n) is f
+        if n > 1:  # the diagonals of the clock powers, bit for bit
+            zp = clock_shift_powers(n)[0]
+            assert np.array_equal(
+                f, np.diagonal(zp, axis1=1, axis2=2) / np.sqrt(n))
 
 
 def test_unitary_claim_is_checked():

@@ -249,3 +249,29 @@ def test_tolerance_must_be_finite_and_non_negative(capsys, tol):
     assert exc.value.code == 2
     assert "--tol" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("measure", "--unitary", "H", "--shots", "-5", "--seed", "1"), "--shots"),
+    (("superdense", "--unitary", "H", "--shots", "-5", "--seed", "1"),
+     "--shots"),
+    (("concentrate", "--n", "3", "--alpha", "0.6", "--shots", "-5",
+      "--seed", "1"), "--shots"),
+    (("retrieve", "--map", "dephasing:0.5", "--trials", "-2", "--seed", "1"),
+     "--trials"),
+    (("verify", "--map", "dephasing:0.5", "--steps", "-3", "--seed", "1"),
+     "--steps"),
+    (("measure", "--unitary", "H", "--shots", "1.5", "--seed", "1"),
+     "--shots"),
+])
+def test_negative_counts_are_refused_at_parse_time(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert option in captured.err
+    assert "must be a non-negative integer" in captured.err
+    # refused by the parser: no command ran, so no time was reported
+    assert "elapsed" not in captured.err
+    assert captured.out == ""
+

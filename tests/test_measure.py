@@ -297,6 +297,45 @@ def test_outcome_distribution_shots_property():
     assert d.shots == 0
 
 
+@pytest.mark.parametrize("probabilities, message", [
+    ([0.5, 0.5, 7.0], "one probability per label"),
+    ([1.0], "one probability per label"),
+    ([[0.5, 0.5]], "one probability per label"),
+    ([1.5, -0.5], "finite and non-negative"),
+    ([np.nan, 1.0], "finite and non-negative"),
+    ([np.inf, 0.0], "do not sum to 1"),
+    ([0.5, 0.4], "do not sum to 1"),
+])
+def test_outcome_distribution_refuses_a_malformed_law(probabilities, message):
+    with pytest.raises(ValueError, match=message):
+        OutcomeDistribution(("a", "b"), probabilities)
+
+
+@pytest.mark.parametrize("counts, shots, message", [
+    ([1, 1, 0], [0, 1], "one count per label"),
+    ([2, 1], [0, 1], "not to the 2 shot outcomes"),
+    ([1, 1], None, "not to the 0 shot outcomes"),
+])
+def test_outcome_distribution_refuses_mismatched_counts(counts, shots,
+                                                        message):
+    with pytest.raises(ValueError, match=message):
+        OutcomeDistribution(("a", "b"), [0.5, 0.5], counts=np.array(counts),
+                            shot_outcomes=shots)
+
+
+def test_outcome_distribution_accepts_consistent_counts():
+    d = OutcomeDistribution(("a", "b"), [0.25, 0.75], counts=np.array([1, 2]),
+                            shot_outcomes=np.array([1, 0, 1]))
+    assert d.shots == 3
+
+
+def test_two_time_observable_refuses_u0_of_another_dimension():
+    with pytest.raises(ValueError, match=r"u0 of shape \(3, 3\) does not "
+                                         r"match dim 2"):
+        TwoTimeObservable("z", 2, np.eye(3))
+    assert TwoTimeObservable("z", 2, np.eye(2)).u0.shape == (2, 2)
+
+
 def test_pure_state_rejects_nan():
     with pytest.raises(ValueError):
         PureState(np.array([np.nan, 0.0], dtype=complex))
