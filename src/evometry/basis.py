@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import gates
 from .linalg import (
     _array_hash,
-    _arrays_equal,
     _check,
     _frozen,
     _isometry_deviation,
+    _record,
     as_matrix,
     is_unitary,
 )
@@ -32,7 +31,7 @@ ATOL = 1e-10
 PRODUCT_FORM_ATOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class UnitaryOperator:
     """A validated unitary matrix, stored as a read-only copy of the
     input. Operators with equal matrices are equal and hash alike."""
@@ -46,8 +45,6 @@ class UnitaryOperator:
         _check(_isometry_deviation(m), ATOL, "matrix is not unitary")
         object.__setattr__(self, "matrix", m)
 
-    __eq__ = _arrays_equal
-
     def __hash__(self) -> int:
         return _array_hash(self.matrix)
 
@@ -56,7 +53,7 @@ class UnitaryOperator:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class BasisRotation:
     """A unitary acting on basis labels, i.e. a D x D matrix with D = d^2."""
 
@@ -68,15 +65,12 @@ class BasisRotation:
             raise ValueError("basis rotation must be unitary")
         object.__setattr__(self, "matrix", m)
 
-    __eq__ = _arrays_equal
-    __hash__ = None
-
     @property
     def order(self) -> int:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class ExpansionCoefficients:
     """Coefficients C_a of an operator over an orthogonal basis."""
 
@@ -91,9 +85,6 @@ class ExpansionCoefficients:
             )
         object.__setattr__(self, "coeffs", c)
 
-    __eq__ = _arrays_equal
-    __hash__ = None
-
     def probabilities(self) -> np.ndarray:
         """|C_a|^2 for every basis element."""
         return np.abs(self.coeffs) ** 2
@@ -103,7 +94,7 @@ class ExpansionCoefficients:
         return float(self.probabilities().sum())
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class OperatorBasis:
     """d^2 trace-orthogonal operators on C^d, reference element first.
 
@@ -147,8 +138,6 @@ class OperatorBasis:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "u0", u0)
-
-    __eq__ = _arrays_equal
 
     def __hash__(self) -> int:
         return _array_hash(self.elements)

@@ -14,7 +14,6 @@ and gauge as diagonalising the channel state.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,11 +22,11 @@ from .linalg import (
     DEGENERACY_TOL,
     TRIM,
     _array_hash,
-    _arrays_equal,
     _check,
     _fix_gauge,
     _frozen,
     _isometry_deviation,
+    _record,
     _records,
     as_matrix,
     dag,
@@ -40,7 +39,7 @@ CHOI_ATOL = 1e-9
 UNITARY_ATOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class KrausMap:
     """Operator elements of a trace-preserving CP map.
 
@@ -65,8 +64,6 @@ class KrausMap:
         _check(_isometry_deviation(ops.reshape(-1, d)), TP_ATOL,
                "completeness sum is not the identity")
         object.__setattr__(self, "operators", ops)
-
-    __eq__ = _arrays_equal
 
     def __hash__(self) -> int:
         return _array_hash(self.operators)
@@ -111,7 +108,7 @@ class KrausMap:
         return (self.operators @ rho @ self.operators.conj().swapaxes(1, 2)).sum(0)
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class ChoiState:
     """The map applied to the first half of |phi+><phi+|.
 
@@ -134,9 +131,6 @@ class ChoiState:
         _check_normalised(np.trace(m), partial_trace(m, (d, d), keep=1), d)
         object.__setattr__(self, "matrix", m)
 
-    __eq__ = _arrays_equal
-    __hash__ = None
-
 
 def _check_normalised(trace, acted: np.ndarray, d: int) -> None:
     """The channel state has unit trace and is maximally mixed on the
@@ -146,7 +140,7 @@ def _check_normalised(trace, acted: np.ndarray, d: int) -> None:
            "map is not trace preserving (acted-side marginal)")
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class CanonicalKraus:
     """Trace-orthogonal operator elements with their weights.
 
@@ -164,9 +158,6 @@ class CanonicalKraus:
     def __post_init__(self):
         object.__setattr__(self, "operators", _frozen(self.operators))
 
-    __eq__ = _arrays_equal
-    __hash__ = None
-
     @property
     def dim(self) -> int:
         return self.operators.shape[-1]
@@ -178,7 +169,7 @@ class CanonicalKraus:
         return KrausMap(self.operators)
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class StinespringDilation:
     """A unitary one-system picture of a channel.
 
@@ -200,9 +191,6 @@ class StinespringDilation:
         _check(_isometry_deviation(dag(m)), UNITARY_ATOL,
                "dilation matrix is not unitary")
         object.__setattr__(self, "matrix", m)
-
-    __eq__ = _arrays_equal
-    __hash__ = None
 
 
 def _channel_state(kraus: KrausMap) -> np.ndarray:

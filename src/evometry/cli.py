@@ -60,6 +60,19 @@ def _count(text: str) -> int:
     return n
 
 
+def _dims(text: str) -> tuple:
+    """schmidt --dims: two positive integers dA,dB, refused at parse time."""
+    try:
+        da, db = (int(x) for x in text.split(","))
+    except ValueError:
+        da = db = 0
+    if min(da, db) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be two positive integers dA,dB, got {text!r}"
+        )
+    return da, db
+
+
 def _floats(a):
     return [float(x) for x in np.asarray(a).ravel()]
 
@@ -243,8 +256,7 @@ def cmd_schmidt(args):
     from .linalg import shannon_entropy
 
     u = load_unitary(args.unitary)
-    dims = tuple(int(x) for x in args.dims.split(",")) if args.dims else None
-    schmidt = operator_schmidt(u, dims=dims)
+    schmidt = operator_schmidt(u, dims=args.dims)
     da, db = schmidt.ops_a.shape[-1], schmidt.ops_b.shape[-1]
     su = shannon_entropy(schmidt.values ** 2)
     recon = float(np.linalg.norm(schmidt.reconstruct() - u))
@@ -446,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schmidt", parents=[common],
                        help="operator Schmidt form of an interaction")
     p.add_argument("--unitary", required=True)
-    p.add_argument("--dims", default=None,
+    p.add_argument("--dims", type=_dims, default=None,
                    help="dA,dB factor dimensions (default: square split)")
 
     p = sub.add_parser("concentrate", parents=[common],

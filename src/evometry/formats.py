@@ -30,18 +30,33 @@ def matrix_json(m: np.ndarray) -> dict:
     }
 
 
+def _dim(value, kind: str) -> int:
+    """The dim field of an object: a JSON integer >= 1, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{kind} dim must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _complex_from_json(obj: dict, kind: str):
-    """The re + i im array of a matrix or state object, and its dim."""
+    """The re + i im array of a matrix or state object, and its dim (see
+    _dim); the object must be a JSON object and every entry finite."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"malformed {kind} object: not a JSON object")
     try:
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
-        dim = int(obj["dim"])
-    except (KeyError, TypeError) as err:
+        dim = obj["dim"]
+    except KeyError as err:
         raise ValueError(f"malformed {kind} object: missing {err}")
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"malformed {kind} object: {err}")
+    dim = _dim(dim, kind)
     if re.shape != im.shape:
         raise ValueError(
-            f"re/im shapes differ: {re.shape} vs {im.shape}"
+            f"{kind} re/im shapes differ: {re.shape} vs {im.shape}"
         )
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError(f"{kind} entries must be finite numbers")
     return re + 1j * im, dim
 
 
@@ -80,9 +95,11 @@ def kraus_from_json(obj: dict) -> KrausMap:
     if not isinstance(ops, list):
         raise ValueError("channel object needs a 'kraus' list")
     ops = [matrix_from_json(m) for m in ops]
-    if any("dim" in obj and m.shape[0] != obj["dim"] for m in ops):
-        raise ValueError(f"channel of dim {obj['dim']} has an element of "
-                         "another shape")
+    if "dim" in obj:
+        dim = _dim(obj["dim"], "channel")
+        if any(m.shape[0] != dim for m in ops):
+            raise ValueError(f"channel of dim {dim} has an element of "
+                             "another shape")
     return KrausMap(ops)
 
 

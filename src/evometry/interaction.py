@@ -21,10 +21,10 @@ import numpy as np
 from .gates import X
 from .linalg import (
     TRIM,
-    _arrays_equal,
     _check,
     _frozen,
     _isometry_deviation,
+    _record,
     _sample,
     as_matrix,
     dag,
@@ -41,7 +41,7 @@ MAX_EXACT_N = 4
 MAX_COMB_N = 64
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class BipartiteUnitary:
     """A unitary on two subsystems, factor ordering A (x) B."""
 
@@ -58,11 +58,8 @@ class BipartiteUnitary:
         object.__setattr__(self, "dims", (int(da), int(db)))
         object.__setattr__(self, "matrix", m)
 
-    __eq__ = _arrays_equal
-    __hash__ = None
 
-
-@dataclass(frozen=True, eq=False)
+@_record
 class OperatorSchmidt:
     """Schmidt form of an interaction: values and local operator pairs.
 
@@ -82,9 +79,6 @@ class OperatorSchmidt:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "ops_a", _frozen(self.ops_a))
         object.__setattr__(self, "ops_b", _frozen(self.ops_b))
-
-    __eq__ = _arrays_equal
-    __hash__ = None
 
     def __len__(self) -> int:
         return self.values.size
@@ -228,7 +222,7 @@ class ConcentrationRecord:
         return 1.0 / math.sqrt(self.term_count)
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class ConcentrationDistribution:
     """Full sector law of the collective readout on n copies."""
 
@@ -240,9 +234,6 @@ class ConcentrationDistribution:
     mode: str
     sector_deviation: float | None = None
     samples: np.ndarray | None = None
-
-    __eq__ = _arrays_equal
-    __hash__ = None
 
     def yield_bits(self) -> float:
         return math.fsum(

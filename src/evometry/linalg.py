@@ -1,12 +1,13 @@
 """Small dense linear-algebra helpers shared across the package, and the
-one home of its shared conventions: the records (M (x) 1)|phi+> of a
-stack, the fail-closed residual check, the isometry deviation, the seeded
-sampler and the spectral tolerances."""
+one home of its shared conventions: the declaration of the records that
+hold arrays (_record), the records (M (x) 1)|phi+> of a stack, the
+fail-closed residual check, the isometry deviation, the seeded sampler
+and the spectral tolerances."""
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,6 +49,16 @@ def _arrays_equal(a, b):
                               and np.array_equal(x, y)):
             return False
     return True
+
+
+def _record(cls):
+    """Declare a record that holds arrays: a frozen dataclass compared by
+    _arrays_equal, unhashable unless its body defines __hash__ (over
+    read-only arrays, consistent with ==)."""
+    cls.__eq__ = _arrays_equal
+    if "__hash__" not in vars(cls):
+        cls.__hash__ = None
+    return dataclass(frozen=True, eq=False)(cls)
 
 
 def _prechecked(cls, *columns) -> list:

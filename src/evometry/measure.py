@@ -48,7 +48,6 @@ dataclasses.replace, still checks its own norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,10 +62,10 @@ from .basis import (
 )
 from .linalg import (
     _array_hash,
-    _arrays_equal,
     _check,
     _fourier,
     _prechecked,
+    _record,
     _records,
     _sample,
     as_matrix,
@@ -85,7 +84,7 @@ class NotAnEigenoperator(Exception):
     two-time observable."""
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class PureState:
     """A unit vector; tolerance on the norm is 1e-12."""
 
@@ -95,9 +94,6 @@ class PureState:
         v = np.asarray(self.amplitudes, dtype=complex).ravel()
         _check(abs(np.linalg.norm(v) - 1.0), NORM_ATOL, "state norm is not 1")
         object.__setattr__(self, "amplitudes", v)
-
-    __eq__ = _arrays_equal
-    __hash__ = None
 
     @classmethod
     def _rows(cls, rows) -> list:
@@ -114,7 +110,7 @@ class PureState:
         return self.amplitudes.size
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class TwoTimeObservable:
     """A correlation [u0 g u0^dag at t2][g at t1] with generator g.
 
@@ -136,8 +132,6 @@ class TwoTimeObservable:
                                  f"dim {self.dim}")
             object.__setattr__(self, "u0", u0)
 
-    __eq__ = _arrays_equal
-
     def __hash__(self) -> int:
         u0 = None if self.u0 is None else _array_hash(self.u0)
         return hash((self.family, self.dim, u0))
@@ -150,7 +144,7 @@ class TwoTimeObservable:
         return _reference(self.u0, self.dim)
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class WhichUnitaryResult:
     """One measurement branch: outcome index, collapsed state, exact
     probability of that branch."""
@@ -159,11 +153,8 @@ class WhichUnitaryResult:
     collapsed: PureState
     exact_prob: float
 
-    __eq__ = _arrays_equal
-    __hash__ = None
 
-
-@dataclass(frozen=True, eq=False)
+@_record
 class OutcomeDistribution:
     """Exact outcome probabilities, optionally with sampled counts.
 
@@ -198,9 +189,6 @@ class OutcomeDistribution:
                 raise ValueError(f"counts sum to {counts.sum()}, not to the "
                                  f"{shots} shot outcomes")
         object.__setattr__(self, "probabilities", p)
-
-    __eq__ = _arrays_equal
-    __hash__ = None
 
     @property
     def shots(self) -> int:

@@ -25,7 +25,8 @@ from .channels import (
     canonical_kraus,
     kraus_from_ancilla_basis,
 )
-from .linalg import TRIM, _arrays_equal, _check, _fourier, _records, _sample
+from .linalg import (TRIM, _check, _fourier, _frozen, _record, _records,
+                     _sample)
 
 if TYPE_CHECKING:  # annotations; probabilistic_retrieve imports it to build
     from .measure import PureState
@@ -58,23 +59,26 @@ class EvolutionSequence:
         return len(self.indices)
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class StoredEvolution:
-    """Per-step storage states, unit vectors on the doubled system."""
+    """Per-step storage states: one read-only (n, d^2) array whose row i
+    is the unit record, on the doubled system, of step i's element."""
 
     sequence: EvolutionSequence
-    states: tuple
+    states: np.ndarray
 
     def __post_init__(self):
-        norms = np.array([np.linalg.norm(v) for v in self.states])
-        _check(np.abs(norms - 1.0).max(initial=0.0), STORE_ATOL,
-               "storage states must be unit vectors")
+        states = _frozen(self.states)
+        shape = (len(self.sequence), self.sequence.map.dim ** 2)
+        if states.shape != shape:
+            raise ValueError(f"need storage states of shape {shape}, "
+                             f"got {states.shape}")
+        _check(np.abs(np.linalg.norm(states, axis=1) - 1.0).max(initial=0.0),
+               STORE_ATOL, "storage states must be unit vectors")
+        object.__setattr__(self, "states", states)
 
-    __eq__ = _arrays_equal
-    __hash__ = None
 
-
-@dataclass(frozen=True, eq=False)
+@_record
 class RetrievalOutcome:
     """One retrieval attempt: herald flag, post-measurement system state,
     which storage outcome was observed, and the exact herald weight."""
@@ -84,11 +88,8 @@ class RetrievalOutcome:
     outcome_index: int
     herald_probability: float
 
-    __eq__ = _arrays_equal
-    __hash__ = None
 
-
-@dataclass(frozen=True, eq=False)
+@_record
 class VerificationRecord:
     """Sampled ancilla record compared against a claimed sequence."""
 
@@ -96,9 +97,6 @@ class VerificationRecord:
     sampled: tuple
     claimed: tuple
     step_weights: np.ndarray
-
-    __eq__ = _arrays_equal
-    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -110,14 +108,20 @@ class TypicalCompression:
     rate: float
 
 
+def _unit_records(stack: np.ndarray, atol: float = TRIM) -> np.ndarray:
+    """The records of a (k, d, d) stack, each normalized; a record of
+    norm atol or less (or NaN) is refused."""
+    v = _records(stack)
+    n = np.linalg.norm(v, axis=1)
+    if not (n > atol).all():
+        raise ValueError("operator annihilates the entangled record state "
+                         f"(record norm {n.min():.3e})")
+    return v / n[:, None]
+
+
 def stored_state(op: np.ndarray, atol: float = TRIM) -> np.ndarray:
     """Normalized record (M (x) 1)|phi+> of a single operator."""
-    v = _records(np.asarray(op, dtype=complex)[None])[0]
-    n = np.linalg.norm(v)
-    if not n > atol:
-        raise ValueError("operator annihilates the entangled record state "
-                         f"(record norm {n:.3e})")
-    return v / n
+    return _unit_records(np.asarray(op, dtype=complex)[None], atol)[0]
 
 
 def storage_overlap(op_a: np.ndarray, op_b: np.ndarray) -> complex:
@@ -131,13 +135,17 @@ def storage_overlap(op_a: np.ndarray, op_b: np.ndarray) -> complex:
 
 
 def store(kraus: KrausMap, indices) -> StoredEvolution:
-    """Record a realized sequence of operator elements as states."""
+    """Record a realized sequence of operator elements as states, one
+    row each; a sequence drawn from another map is refused."""
     seq = (
         indices
         if isinstance(indices, EvolutionSequence)
         else EvolutionSequence(kraus, tuple(indices))
     )
-    states = tuple(stored_state(kraus.operators[i]) for i in seq.indices)
+    if seq.map != kraus:
+        raise ValueError("the sequence was drawn from another map than the "
+                         "one it is stored with")
+    states = _unit_records(kraus.operators[list(seq.indices)])
     return StoredEvolution(seq, states)
 
 

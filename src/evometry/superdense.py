@@ -11,15 +11,14 @@ maximally mixed state whatever u was.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import OperatorBasis, UnitaryOperator, expand
 from .linalg import (
-    _arrays_equal,
     _check,
     _isometry_deviation,
+    _record,
     _records,
     _sample,
     as_matrix,
@@ -28,7 +27,7 @@ from .linalg import (
 BELL_ATOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class BellBasis:
     """The d^2 orthonormal entangled vectors (B_a (x) 1)|phi+>."""
 
@@ -54,11 +53,8 @@ class BellBasis:
                "the basis must consist of unitaries")
         object.__setattr__(self, "vectors", v)
 
-    __eq__ = _arrays_equal
-    __hash__ = None
 
-
-@dataclass(frozen=True, eq=False)
+@_record
 class ChannelTranscript:
     """What each party holds after one dense-coding round."""
 
@@ -68,9 +64,6 @@ class ChannelTranscript:
     eavesdropper_marginal: np.ndarray
     counts: np.ndarray | None = None
     seed: int | None = None
-
-    __eq__ = _arrays_equal
-    __hash__ = None
 
     @property
     def shots(self) -> int:

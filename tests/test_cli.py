@@ -145,6 +145,25 @@ def test_schmidt_command(capsys):
     assert np.abs(vals - np.sqrt(0.5)).max() < 1e-9
 
 
+def test_schmidt_with_explicit_dims(capsys):
+    code, report, _ = run_json(capsys, "schmidt", "--unitary", "CNOT",
+                               "--dims", "2,2")
+    assert code == 0
+    assert report["config"]["dims"] == [2, 2]
+
+
+@pytest.mark.parametrize("dims", ["2,x", "4", "2,2,2", "0,4"])
+def test_schmidt_dims_are_refused_at_parse_time(capsys, dims):
+    with pytest.raises(SystemExit) as exc:
+        main(["schmidt", "--unitary", "CNOT", "--dims", dims])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "--dims" in captured.err
+    assert "must be two positive integers dA,dB" in captured.err
+    assert "elapsed" not in captured.err
+    assert captured.out == ""
+
+
 def test_concentrate_command(capsys):
     code, report, _ = run_json(
         capsys, "concentrate", "--n", "4", "--alpha", "0.8660254037844386",

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -89,10 +90,61 @@ def test_load_map_named_and_file(tmp_path):
 @pytest.mark.parametrize("obj, message", [
     ({"dim": 2, "kraus": 5}, "'kraus' list"),
     ({"dim": 2, "kraus": [matrix_json(np.eye(3))]}, "dim 2"),
+    ({"dim": True, "kraus": [matrix_json(np.eye(1))]},
+     "channel dim must be an integer"),
+    ({"dim": 2.0, "kraus": [matrix_json(np.eye(2))]},
+     "channel dim must be an integer"),
 ])
 def test_kraus_from_json_rejects_malformed_channels(obj, message):
     with pytest.raises(ValueError, match=message):
         kraus_from_json(obj)
+
+
+def _with(obj, **changes):
+    return {**obj, **changes}
+
+
+_M = matrix_json(np.eye(2))
+_V = state_json(np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("read, obj, message", [
+    (matrix_from_json, _with(_M, dim=2.5), "matrix dim must be an integer"),
+    (matrix_from_json, _with(_M, dim=True), "matrix dim must be an integer"),
+    (matrix_from_json, _with(_M, dim="two"), "matrix dim must be an integer"),
+    (matrix_from_json, _with(_M, dim=0), "matrix dim must be an integer"),
+    (state_from_json, _with(_V, dim=2.5), "state dim must be an integer"),
+    (state_from_json, _with(_V, dim=True), "state dim must be an integer"),
+    (state_from_json, _with(_V, dim="two"), "state dim must be an integer"),
+    (matrix_from_json, _with(_M, re=[[1.0, math.nan], [0.0, 1.0]]),
+     "matrix entries must be finite"),
+    (matrix_from_json, _with(_M, im=[[0.0, 0.0], [math.inf, 0.0]]),
+     "matrix entries must be finite"),
+    (state_from_json, _with(_V, re=[math.nan, 0.0]),
+     "state entries must be finite"),
+    (state_from_json, _with(_V, im=[0.0, -math.inf]),
+     "state entries must be finite"),
+    (matrix_from_json, [_M], "malformed matrix object: not a JSON object"),
+    (state_from_json, [1.0, 0.0], "malformed state object: not a JSON object"),
+    (matrix_from_json, {"dim": 2, "re": [[1.0]]},
+     "malformed matrix object: missing 'im'"),
+    (state_from_json, _with(_V, re="ab"), "malformed state object"),
+    (state_from_json, _with(_V, im=[0.0]), "state re/im shapes differ"),
+])
+def test_complex_objects_fail_closed(read, obj, message):
+    with pytest.raises(ValueError, match=message):
+        read(obj)
+
+
+def test_non_finite_json_entries_are_refused_from_files(tmp_path):
+    path = tmp_path / "u.json"
+    path.write_text('{"dim": 2, "re": [[1, 0], [0, NaN]], '
+                    '"im": [[0, 0], [0, 0]]}')
+    with pytest.raises(ValueError, match="must be finite"):
+        load_unitary(str(path))
+    path.write_text('{"dim": 2, "re": [1, Infinity], "im": [0, 0]}')
+    with pytest.raises(ValueError, match="must be finite"):
+        load_state(str(path), 2)
 
 
 def test_bad_json_raises_value_error(tmp_path):

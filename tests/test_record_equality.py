@@ -8,12 +8,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+import evometry
 from evometry import (
     EvolutionSequence,
     OutcomeDistribution,
     PureState,
     TwoTimeObservable,
     bell_basis,
+    choi,
     concentrate,
     kraus_from_ancilla_basis,
     measure_which_unitary,
@@ -26,7 +28,7 @@ from evometry import (
     verify_sequence,
     weyl_basis,
 )
-from evometry.linalg import random_state, random_unitary
+from evometry.linalg import _arrays_equal, random_state, random_unitary
 
 
 def assert_compares(a, b, other, hashable=False):
@@ -121,3 +123,41 @@ def test_concentration_distribution():
     assert_compares(concentrate(2, 0.8, mode="exact-matrix"),
                     concentrate(2, 0.8, mode="exact-matrix"),
                     concentrate(2, 0.8))
+
+
+def test_choi_state():
+    assert_compares(choi(named_channel("dephasing:0.5")),
+                    choi(named_channel("dephasing:0.5")),
+                    choi(named_channel("dephasing:0.2")))
+
+
+def test_stinespring_dilation():
+    assert_compares(stinespring(named_channel("dephasing:0.5")),
+                    stinespring(named_channel("dephasing:0.5")),
+                    stinespring(named_channel("dephasing:0.2")))
+
+
+# the records that hold no array keep the dataclass == and hash
+PLAIN_RECORDS = {"EvolutionSequence", "TypicalCompression",
+                 "ConcentrationRecord"}
+HASHABLE_RECORDS = PLAIN_RECORDS | {"UnitaryOperator", "OperatorBasis",
+                                    "KrausMap", "TwoTimeObservable"}
+
+
+def test_every_public_record_follows_the_record_convention():
+    records = {}
+    for name in evometry.__all__:
+        obj = getattr(evometry, name)
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj):
+            records[name] = obj
+    for name, cls in records.items():
+        assert cls.__dataclass_params__.frozen, name
+    array_records = set(records) - PLAIN_RECORDS
+    assert len(array_records) == 20
+    for name in array_records:
+        assert records[name].__eq__ is _arrays_equal, name
+    for name in PLAIN_RECORDS:
+        assert records[name].__dataclass_params__.eq, name
+    hashable = {name for name, cls in records.items()
+                if cls.__hash__ is not None}
+    assert hashable == HASHABLE_RECORDS

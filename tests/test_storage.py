@@ -67,6 +67,44 @@ def test_store_builds_unit_norm_records():
         assert abs(np.linalg.norm(v) - 1.0) < 1e-10
 
 
+def test_store_keeps_the_states_as_one_read_only_array():
+    m = named_channel("depolarizing:0.3")
+    rec = store(m, (0, 3, 2))
+    assert rec.states.shape == (3, 4)
+    assert not rec.states.flags.writeable
+    for row, i in zip(rec.states, (0, 3, 2)):
+        assert np.array_equal(row, stored_state(m.operators[i]))
+    assert store(m, ()).states.shape == (0, 4)
+
+
+def test_store_refuses_a_zero_record():
+    m = KrausMap((I2, np.zeros((2, 2))))
+    assert store(m, (0, 0)).states.shape == (2, 4)
+    with pytest.raises(ValueError, match="annihilates"):
+        store(m, (0, 1))
+
+
+@pytest.mark.parametrize("indices", [(0, 1), (0, 3)])
+def test_store_refuses_a_sequence_of_another_map(indices):
+    # (0, 3) used to raise a bare IndexError, (0, 1) to store the
+    # dephasing records under the depolarizing sequence
+    a = named_channel("dephasing:0.5")
+    b = named_channel("depolarizing:0.3")
+    with pytest.raises(ValueError, match="another map"):
+        store(a, EvolutionSequence(b, indices))
+    # an equal map built separately is the same map
+    assert store(named_channel("dephasing:0.5"),
+                 EvolutionSequence(a, (0, 1))) == store(a, (0, 1))
+
+
+@pytest.mark.parametrize("states", [(), np.zeros((3, 4)), np.zeros((2, 2))])
+def test_stored_evolution_refuses_a_state_count_or_size_off_the_sequence(
+        states):
+    seq = EvolutionSequence(named_channel("dephasing:0.5"), (0, 1))
+    with pytest.raises(ValueError, match="shape"):
+        StoredEvolution(seq, states)
+
+
 def test_sequence_index_range_checked():
     m = named_channel("dephasing:0.5")
     with pytest.raises(ValueError):
