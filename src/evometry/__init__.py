@@ -22,10 +22,10 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "basis": (
-        "BasisRotation", "ExpansionCoefficients", "OperatorBasis",
-        "UnitaryOperator", "clock_shift", "clock_shift_powers", "expand",
-        "gram", "pauli_basis", "pauli_string", "pauli_strings",
-        "reconstruct", "rotate_basis", "weyl_basis",
+        "ExpansionCoefficients", "OperatorBasis", "UnitaryOperator",
+        "clock_shift", "clock_shift_powers", "expand", "gram",
+        "pauli_basis", "pauli_string", "pauli_strings", "reconstruct",
+        "rotate_basis", "weyl_basis",
     ),
     "channels": (
         "CanonicalKraus", "ChoiState", "KrausMap", "StinespringDilation",

@@ -11,21 +11,22 @@ from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import field
 
 import numpy as np
 
 from . import gates
 from .linalg import (
+    UNITARY_ATOL,
     _array_hash,
     _check,
     _frozen,
     _isometry_deviation,
     _record,
+    _unitary,
     as_matrix,
-    is_unitary,
 )
 
-ATOL = 1e-10
 # largest entry by which an element may differ from u0 s_a and still be
 # the product the echo circuit measures
 PRODUCT_FORM_ATOL = 1e-9
@@ -39,34 +40,13 @@ class UnitaryOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _frozen(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        _check(_isometry_deviation(m), ATOL, "matrix is not unitary")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _unitary(self.matrix))
 
     def __hash__(self) -> int:
         return _array_hash(self.matrix)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@_record
-class BasisRotation:
-    """A unitary acting on basis labels, i.e. a D x D matrix with D = d^2."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if not is_unitary(m, ATOL):
-            raise ValueError("basis rotation must be unitary")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def order(self) -> int:
         return self.matrix.shape[0]
 
 
@@ -100,9 +80,9 @@ class OperatorBasis:
 
     elements[0] is u0 itself whenever a reference unitary was supplied
     (checked within 1e-10); u0 is stored as a UnitaryOperator, which
-    owns a read-only copy of its matrix. is_unitary records whether every
-    element is unitary, which is what makes the which-element
-    measurement a measurement over unitaries; a True claim is checked.
+    owns a read-only copy of its matrix. is_unitary is computed, not
+    passed: whether every element is unitary within 1e-10, which is what
+    makes the which-element measurement a measurement over unitaries.
     elements is one read-only (d^2, d, d) array, copied from the input,
     so a basis never changes after it is checked. Bases with equal
     fields are equal and hash alike.
@@ -112,7 +92,7 @@ class OperatorBasis:
     elements: np.ndarray
     labels: tuple
     u0: UnitaryOperator | None = None
-    is_unitary: bool = True
+    is_unitary: bool = field(init=False)
 
     def __post_init__(self):
         d = self.dim
@@ -122,20 +102,19 @@ class OperatorBasis:
                              f"for dim {d}, got shape {elements.shape}")
         if len(self.labels) != d * d:
             raise ValueError("one label per element required")
-        _check(np.abs(gram(elements) - d * np.eye(d * d)).max(), ATOL,
-               "elements are not trace-orthogonal")
-        if self.is_unitary:
-            _check(_isometry_deviation(elements), ATOL,
-                   "elements claimed unitary are not")
+        _check(np.abs(gram(elements) - d * np.eye(d * d)).max(),
+               UNITARY_ATOL, "elements are not trace-orthogonal")
         u0 = self.u0
         if u0 is not None:
             if not isinstance(u0, UnitaryOperator):
                 u0 = UnitaryOperator(u0)
             if u0.dim != d:
                 raise ValueError(f"u0 has dim {u0.dim}, expected {d}")
-            _check(np.abs(elements[0] - u0.matrix).max(), ATOL,
+            _check(np.abs(elements[0] - u0.matrix).max(), UNITARY_ATOL,
                    "elements[0] is not u0")
         object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "is_unitary", bool(
+            _isometry_deviation(elements) <= UNITARY_ATOL))
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "u0", u0)
 
@@ -300,9 +279,7 @@ def weyl_basis(dim: int, u0=None) -> OperatorBasis:
                          "goes second, weyl_basis(d, u0)")
     products = _weyl_products(dim)
     if u0 is not None:
-        u0 = u0 if isinstance(u0, UnitaryOperator) else UnitaryOperator(u0)
-        if u0.dim != dim:
-            raise ValueError(f"u0 has dim {u0.dim}, expected {dim}")
+        u0 = UnitaryOperator(_unitary(u0, dim, "u0"))
     ref = _reference(u0, dim)
     labels = [f"Z^{mu}X^{nu}" for mu in range(dim) for nu in range(dim)]
     return OperatorBasis(dim, ref @ products, tuple(labels), u0=u0)
@@ -340,22 +317,15 @@ def reconstruct(coeffs: ExpansionCoefficients, basis: OperatorBasis) -> np.ndarr
 
 
 def rotate_basis(basis: OperatorBasis, k) -> OperatorBasis:
-    """New basis A_m = sum_n K_mn B_n for a unitary K on the label space.
+    """New basis A_m = sum_n K_mn B_n for a unitary K (a matrix or a
+    UnitaryOperator) of order d^2 on the label space.
 
     Trace orthogonality is preserved for any unitary K, but the rotated
-    elements are in general no longer unitary matrices; the is_unitary
-    flag of the result is recomputed. Composition order:
+    elements are in general no longer unitary matrices, which the
+    is_unitary flag of the result records. Composition order:
     rotate_basis(rotate_basis(B, k1), k2) == rotate_basis(B, k2 @ k1).
     """
-    k = k if isinstance(k, BasisRotation) else BasisRotation(k)
-    if k.order != basis.dim ** 2:
-        raise ValueError(
-            f"rotation order {k.order} does not match basis size "
-            f"{basis.dim ** 2}"
-        )
-    elements = np.tensordot(k.matrix, basis.elements, axes=1)
-    unitary = _isometry_deviation(elements) <= ATOL
-    labels = tuple(f"R{m}" for m in range(k.order))
-    return OperatorBasis(
-        basis.dim, elements, labels, u0=None, is_unitary=unitary
-    )
+    k = _unitary(k, basis.dim ** 2, "rotation")
+    elements = np.tensordot(k, basis.elements, axes=1)
+    labels = tuple(f"R{m}" for m in range(len(k)))
+    return OperatorBasis(basis.dim, elements, labels)

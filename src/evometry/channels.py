@@ -21,6 +21,7 @@ from .gates import GATES, PAULIS
 from .linalg import (
     DEGENERACY_TOL,
     TRIM,
+    UNITARY_ATOL,
     _array_hash,
     _check,
     _fix_gauge,
@@ -28,6 +29,7 @@ from .linalg import (
     _isometry_deviation,
     _record,
     _records,
+    _unitary,
     as_matrix,
     dag,
     partial_trace,
@@ -36,7 +38,6 @@ from .linalg import (
 
 TP_ATOL = 1e-9
 CHOI_ATOL = 1e-9
-UNITARY_ATOL = 1e-10
 
 
 @_record
@@ -173,24 +174,19 @@ class CanonicalKraus:
 class StinespringDilation:
     """A unitary one-system picture of a channel.
 
-    matrix has shape (d*a, d*a) and acts on system (x) ancilla, the
-    ancilla starting at index ancilla_start; reading the ancilla in a
+    matrix is a read-only (d*a, d*a) unitary on system (x) ancilla, the
+    ancilla starting in its first basis state; reading the ancilla in a
     basis afterwards selects one operator element per outcome.
     """
 
     matrix: np.ndarray
     system_dim: int
     ancilla_dim: int
-    ancilla_start: int = 0
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        da = self.system_dim * self.ancilla_dim
-        if m.shape != (da, da):
-            raise ValueError("dilation matrix shape must be (d*a, d*a)")
-        _check(_isometry_deviation(dag(m)), UNITARY_ATOL,
-               "dilation matrix is not unitary")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _unitary(
+            self.matrix, self.system_dim * self.ancilla_dim,
+            "dilation matrix"))
 
 
 def _channel_state(kraus: KrausMap) -> np.ndarray:
@@ -256,11 +252,12 @@ def kraus_rotation(kraus: KrausMap, u: np.ndarray) -> KrausMap:
     return KrausMap(np.tensordot(u.T, kraus.operators, axes=1))
 
 
-def equivalent(a: KrausMap, b: KrausMap, tol: float = TP_ATOL) -> bool:
-    """Whether two operator-element sets present the same channel."""
+def equivalent(a: KrausMap, b: KrausMap) -> bool:
+    """Whether two operator-element sets present the same channel: their
+    channel states differ by at most 1e-9 in Frobenius norm."""
     if a.dim != b.dim:
         return False
-    return bool(np.linalg.norm(choi(a).matrix - choi(b).matrix) <= tol)
+    return bool(np.linalg.norm(choi(a).matrix - choi(b).matrix) <= TP_ATOL)
 
 
 def stinespring(kraus: KrausMap) -> StinespringDilation:
@@ -301,7 +298,7 @@ def kraus_from_ancilla_basis(dil: StinespringDilation,
             raise ValueError("ancilla basis must have a rows of dimension a")
         _check(_isometry_deviation(dag(ancilla_basis)), TP_ATOL,
                "ancilla basis not orthonormal")
-    v0 = dil.matrix[:, dil.ancilla_start::a].reshape(d, a, d)
+    v0 = dil.matrix[:, ::a].reshape(d, a, d)
     ops = np.einsum("ic,rcj->irj", ancilla_basis.conj(), v0)
     return KrausMap(ops)
 

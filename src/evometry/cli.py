@@ -88,8 +88,6 @@ def cmd_basis(args):
     d = basis.dim
     dev = float(np.abs(bases.gram(basis.elements) / d - np.eye(d * d)).max())
     report = {
-        "command": "basis",
-        "config": {"kind": args.kind, "dim": d, "seed": args.seed},
         "exact": {
             "labels": list(basis.labels),
             "element_count": len(basis),
@@ -121,12 +119,7 @@ def cmd_measure(args):
     )
     total = float(dist.probabilities.sum())
     report = {
-        "command": "measure",
-        "config": {
-            "unitary": args.unitary, "basis": args.basis, "u0": args.u0,
-            "dim": d, "state": args.state, "shots": args.shots,
-            "seed": args.seed,
-        },
+        "config": {"dim": d},
         "exact": {
             "labels": list(basis.labels),
             "probabilities": _floats(exact.probabilities),
@@ -158,8 +151,6 @@ def cmd_channel(args):
     c = choi(m)
     acted = partial_trace(c.matrix, (d, d), keep=1)
     report = {
-        "command": "channel",
-        "config": {"map": args.map, "seed": args.seed},
         "exact": {
             "dim": d,
             "element_count": len(m),
@@ -189,11 +180,6 @@ def cmd_compress(args):
     tc = typical_compress(m, args.n, args.delta)
     rate_target = entropy(m)
     report = {
-        "command": "compress",
-        "config": {
-            "map": args.map, "n": args.n, "delta": args.delta,
-            "seed": args.seed,
-        },
         "exact": {
             "kept_dim": tc.kept_dim,
             "rate_bits_per_use": tc.rate,
@@ -228,11 +214,6 @@ def cmd_retrieve(args):
         or abs(stats["empirical_rate"] - p) <= 5 * sigma + 1e-15
     )
     report = {
-        "command": "retrieve",
-        "config": {
-            "map": args.map, "op_index": args.op_index, "state": args.state,
-            "trials": args.trials, "seed": args.seed,
-        },
         "exact": {
             "support_dim": stats["support_dim"],
             "herald_probability": p,
@@ -262,10 +243,7 @@ def cmd_schmidt(args):
     recon = float(np.linalg.norm(schmidt.reconstruct() - u))
     norm_dev = float(abs(np.sum(schmidt.values ** 2) - 1.0))
     report = {
-        "command": "schmidt",
-        "config": {
-            "unitary": args.unitary, "dims": [da, db], "seed": args.seed,
-        },
+        "config": {"dims": [da, db]},
         "exact": {
             "schmidt_values": _floats(schmidt.values),
             "entanglement_bits": float(su),
@@ -292,11 +270,6 @@ def cmd_concentrate(args):
         if dist.samples is not None else None
     )
     report = {
-        "command": "concentrate",
-        "config": {
-            "n": args.n, "alpha": args.alpha, "beta": args.beta,
-            "mode": args.mode, "shots": args.shots, "seed": args.seed,
-        },
         "exact": {
             "sectors": [
                 {"k": r.k, "term_count": r.term_count,
@@ -330,11 +303,7 @@ def cmd_superdense(args):
         np.abs(tr.eavesdropper_marginal - np.eye(d) / d).max()
     )
     report = {
-        "command": "superdense",
-        "config": {
-            "unitary": args.unitary, "dim": d, "basis": kind,
-            "shots": args.shots, "seed": args.seed,
-        },
+        "config": {"dim": d, "basis": kind},
         "exact": {
             "labels": list(tr.labels),
             "probabilities": _floats(tr.probabilities),
@@ -379,11 +348,6 @@ def cmd_verify(args):
     freq = np.bincount(record.sampled, minlength=len(rep))
     expected = args.flip is None
     report = {
-        "command": "verify",
-        "config": {
-            "map": args.map, "ancilla_basis": args.ancilla_basis,
-            "steps": args.steps, "flip": args.flip, "seed": args.seed,
-        },
         "exact": {
             "element_weights": _floats(weights),
             "accepted": bool(record.accepted),
@@ -509,12 +473,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        report, checks = _COMMANDS[args.command](args)
+        body, checks = _COMMANDS[args.command](args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         print(f"elapsed {time.perf_counter() - start:.3f}s", file=sys.stderr)
         return 2
-    report["checks"] = {name: bool(ok) for name, ok in checks.items()}
+    # the report's config is the parsed options, with what the command
+    # worked out itself (a dimension, a basis kind) added or replaced
+    config = {key: value for key, value in vars(args).items()
+              if key not in ("command", "json", "tol")}
+    config.update(body.pop("config", {}))
+    report = {"command": args.command, "config": config, **body,
+              "checks": {name: bool(ok) for name, ok in checks.items()}}
     if args.json:
         from .formats import json_report
 

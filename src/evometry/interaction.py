@@ -13,6 +13,7 @@ weighted block of C(n, k) terms, so the typical block size grows like
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -23,9 +24,9 @@ from .linalg import (
     TRIM,
     _check,
     _frozen,
-    _isometry_deviation,
     _record,
     _sample,
+    _unitary,
     as_matrix,
     dag,
     deterministic_eigh,
@@ -43,20 +44,23 @@ MAX_COMB_N = 64
 
 @_record
 class BipartiteUnitary:
-    """A unitary on two subsystems, factor ordering A (x) B."""
+    """A unitary on two subsystems, factor ordering A (x) B: dims is two
+    positive integers (dA, dB) and matrix a read-only copy of the
+    (dA dB) x (dA dB) unitary."""
 
     dims: tuple
     matrix: np.ndarray
 
     def __post_init__(self):
-        da, db = self.dims
-        m = np.asarray(as_matrix(self.matrix), dtype=complex)
-        if m.shape != (da * db, da * db):
-            raise ValueError("matrix shape does not match dims")
-        _check(_isometry_deviation(dag(m)), SCHMIDT_ATOL,
-               "matrix is not unitary")
-        object.__setattr__(self, "dims", (int(da), int(db)))
-        object.__setattr__(self, "matrix", m)
+        try:
+            da, db = map(operator.index, self.dims)
+        except (TypeError, ValueError):
+            da = db = 0
+        if min(da, db) < 1 or any(isinstance(x, bool) for x in self.dims):
+            raise ValueError(f"dims must be two positive integers, got "
+                             f"{self.dims!r}")
+        object.__setattr__(self, "dims", (da, db))
+        object.__setattr__(self, "matrix", _unitary(self.matrix, da * db))
 
 
 @_record
@@ -93,14 +97,14 @@ class OperatorSchmidt:
 def _as_bipartite(u, dims=None) -> BipartiteUnitary:
     if isinstance(u, BipartiteUnitary):
         return u
-    u = np.asarray(u, dtype=complex)
+    u = as_matrix(u)
     if dims is None:
         root = math.isqrt(u.shape[0])
         if root * root != u.shape[0]:
             raise ValueError("dims required unless the matrix splits into "
                              "two equal factors")
         dims = (root, root)
-    return BipartiteUnitary(tuple(dims), u)
+    return BipartiteUnitary(dims, u)
 
 
 def _bases(basis_a, basis_b, da: int, db: int):

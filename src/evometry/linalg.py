@@ -1,8 +1,9 @@
 """Small dense linear-algebra helpers shared across the package, and the
 one home of its shared conventions: the declaration of the records that
 hold arrays (_record), the records (M (x) 1)|phi+> of a stack, the
-fail-closed residual check, the isometry deviation, the seeded sampler
-and the spectral tolerances."""
+fail-closed residual check, the isometry deviation, the check of every
+unitary input (_unitary, within UNITARY_ATOL), the seeded sampler and
+the spectral tolerances."""
 from __future__ import annotations
 
 import functools
@@ -89,11 +90,30 @@ def dag(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-def is_unitary(a: np.ndarray, atol: float = 1e-10) -> bool:
+# largest entry of U^dag U - 1 that a unitary may have
+UNITARY_ATOL = 1e-10
+
+
+def is_unitary(a: np.ndarray) -> bool:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    return _isometry_deviation(a) <= atol
+    return _isometry_deviation(a) <= UNITARY_ATOL
+
+
+def _unitary(u, dim: int | None = None, what: str = "matrix") -> np.ndarray:
+    """The check of every unitary input: a read-only complex copy of u
+    (of u.matrix for a record). ValueError, naming what, unless it is a
+    square matrix, of size dim when dim is given, whose isometry
+    deviation is at most UNITARY_ATOL (a NaN is refused)."""
+    m = _frozen(getattr(u, "matrix", u))
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{what} must be a square matrix, got shape "
+                         f"{m.shape}")
+    if dim is not None and m.shape[0] != dim:
+        raise ValueError(f"{what} has dim {m.shape[0]}, expected {dim}")
+    _check(_isometry_deviation(m), UNITARY_ATOL, f"{what} is not unitary")
+    return m
 
 
 def _isometry_deviation(a) -> float:
@@ -230,11 +250,11 @@ def phase_fixed(v: np.ndarray) -> np.ndarray:
     return v * ph.conj()
 
 
-def deterministic_eigh(h: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL):
+def deterministic_eigh(h: np.ndarray):
     """Hermitian eigendecomposition with eigenvalues descending and a
     deterministic gauge inside degenerate eigenspaces.
 
-    Within each group of eigenvalues that agree to degeneracy_tol, the
+    Within each group of eigenvalues that agree to DEGENERACY_TOL, the
     eigenvectors are rebuilt by projecting the canonical basis vectors
     e_0, e_1, ... onto the eigenspace and Gram-Schmidt orthonormalizing
     them in that order; each resulting vector has its global phase fixed
@@ -249,17 +269,17 @@ def deterministic_eigh(h: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL):
     projections is dependent (below 1e-6) is processed column by column.
     """
     vals, vecs = np.linalg.eigh(np.asarray(h))
-    return _fix_gauge(vals[::-1], vecs[:, ::-1], degeneracy_tol)
+    return _fix_gauge(vals[::-1], vecs[:, ::-1])
 
 
-def _fix_gauge(vals, vecs, degeneracy_tol=DEGENERACY_TOL, floor=None):
+def _fix_gauge(vals, vecs, floor=None):
     """The gauge step of deterministic_eigh, applied to a descending
     eigendecomposition (vecs is not modified).
 
     A group is anchored at its first (largest) value and takes every
-    later value within an absolute degeneracy_tol of that anchor, so
+    later value within an absolute DEGENERACY_TOL of that anchor, so
     groups do not chain. This is the contract at the tolerance's edge: a
-    value within degeneracy_tol of the null block (a kept channel weight
+    value within DEGENERACY_TOL of the null block (a kept channel weight
     below about 1e-10, say) is gauged together with it, one just beyond
     is gauged alone, and which side a value at the edge falls on is
     decided by rounding.
@@ -274,13 +294,13 @@ def _fix_gauge(vals, vecs, degeneracy_tol=DEGENERACY_TOL, floor=None):
     n = vals.size if floor is None else int(np.count_nonzero(vals > floor))
     stop = 0
     # a group runs from its first value while later ones agree with it
-    for i in np.flatnonzero(np.abs(np.diff(vals)) <= degeneracy_tol):
+    for i in np.flatnonzero(np.abs(np.diff(vals)) <= DEGENERACY_TOL):
         if i >= n:
             break
         if i < stop:
             continue
         stop = i + 1
-        while stop < vals.size and abs(vals[stop] - vals[i]) <= degeneracy_tol:
+        while stop < vals.size and abs(vals[stop] - vals[i]) <= DEGENERACY_TOL:
             stop += 1
         block = vecs[:, i:stop]
         q, r = np.linalg.qr(block[: stop - i].conj().T)

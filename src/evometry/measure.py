@@ -54,7 +54,6 @@ import numpy as np
 from .basis import (
     PRODUCT_FORM_ATOL,
     OperatorBasis,
-    UnitaryOperator,
     _reference,
     clock_shift,
     clock_shift_powers,
@@ -68,7 +67,7 @@ from .linalg import (
     _record,
     _records,
     _sample,
-    as_matrix,
+    _unitary,
     dag,
 )
 
@@ -126,11 +125,7 @@ class TwoTimeObservable:
         if self.family not in ("z", "x"):
             raise ValueError("family must be 'z' or 'x'")
         if self.u0 is not None:
-            u0 = UnitaryOperator(as_matrix(self.u0)).matrix
-            if u0.shape != (self.dim, self.dim):
-                raise ValueError(f"u0 of shape {u0.shape} does not match "
-                                 f"dim {self.dim}")
-            object.__setattr__(self, "u0", u0)
+            object.__setattr__(self, "u0", _unitary(self.u0, self.dim, "u0"))
 
     def __hash__(self) -> int:
         u0 = None if self.u0 is None else _array_hash(self.u0)
@@ -207,9 +202,7 @@ def temporal_eigenvalue(obs: TwoTimeObservable, u) -> complex:
     power of exp(2 pi i / d) for clock/shift bases); otherwise
     NotAnEigenoperator is raised.
     """
-    um = UnitaryOperator(as_matrix(u)).matrix
-    if um.shape[0] != obs.dim:
-        raise ValueError("operator dimension does not match observable")
+    um = _unitary(u, obs.dim, "unitary")
     ref = obs.reference()
     g = obs.generator()
     m = ref @ g @ dag(ref) @ um @ dag(g)
@@ -362,9 +355,7 @@ def _finish(labels, probs, collapsed_rows, shots, seed):
 def _circuit_inputs(u, basis, psi):
     """Validated unitary and state (with any bystander factor) for a
     circuit over the basis."""
-    um = UnitaryOperator(as_matrix(u)).matrix
-    if um.shape[0] != basis.dim:
-        raise ValueError("unitary dimension does not match basis")
+    um = _unitary(u, basis.dim, "unitary")
     psi = np.asarray(getattr(psi, "amplitudes", psi), dtype=complex).ravel()
     if psi.size % basis.dim != 0:
         raise ValueError(

@@ -12,6 +12,7 @@ the exact action of the stored operator.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -42,13 +43,18 @@ _FACTORIALS = np.array([math.factorial(i) for i in range(MAX_EXACT_N + 1)],
 
 @dataclass(frozen=True)
 class EvolutionSequence:
-    """Which operator element acted at each of n steps."""
+    """Which operator element acted at each of n steps: integer indices
+    (numpy integers included) into the map's elements."""
 
     map: KrausMap
     indices: tuple
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        try:
+            idx = tuple(map(operator.index, self.indices))
+        except TypeError:
+            raise ValueError(f"indices must be integers, got "
+                             f"{self.indices!r}") from None
         k = len(self.map)
         for i in idx:
             if not 0 <= i < k:
@@ -108,20 +114,20 @@ class TypicalCompression:
     rate: float
 
 
-def _unit_records(stack: np.ndarray, atol: float = TRIM) -> np.ndarray:
+def _unit_records(stack: np.ndarray) -> np.ndarray:
     """The records of a (k, d, d) stack, each normalized; a record of
-    norm atol or less (or NaN) is refused."""
+    norm TRIM (1e-12) or less, or NaN, is refused."""
     v = _records(stack)
     n = np.linalg.norm(v, axis=1)
-    if not (n > atol).all():
+    if not (n > TRIM).all():
         raise ValueError("operator annihilates the entangled record state "
                          f"(record norm {n.min():.3e})")
     return v / n[:, None]
 
 
-def stored_state(op: np.ndarray, atol: float = TRIM) -> np.ndarray:
+def stored_state(op: np.ndarray) -> np.ndarray:
     """Normalized record (M (x) 1)|phi+> of a single operator."""
-    return _unit_records(np.asarray(op, dtype=complex)[None], atol)[0]
+    return _unit_records(np.asarray(op, dtype=complex)[None])[0]
 
 
 def storage_overlap(op_a: np.ndarray, op_b: np.ndarray) -> complex:

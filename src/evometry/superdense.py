@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import OperatorBasis, UnitaryOperator, expand
+from .basis import OperatorBasis, expand
 from .linalg import (
     _check,
     _isometry_deviation,
     _record,
     _records,
     _sample,
-    as_matrix,
+    _unitary,
 )
 
 BELL_ATOL = 1e-10
@@ -82,7 +82,7 @@ def bell_basis(basis: OperatorBasis) -> BellBasis:
 def eavesdropper_marginal(u) -> np.ndarray:
     """Density matrix of the transmitted half alone: always 1/d, whatever
     the unitary u was."""
-    return _marginal(UnitaryOperator(as_matrix(u)).matrix)
+    return _marginal(_unitary(u, what="unitary"))
 
 
 def _marginal(um: np.ndarray) -> np.ndarray:
@@ -105,11 +105,9 @@ def superdense_send(u, basis: OperatorBasis, shots: int = 0,
     certainty; the amplitudes are computed by expand. The family is
     orthonormal because the basis is trace orthogonal, and maximally
     entangled because its elements are unitary, which OperatorBasis
-    checks whenever is_unitary is set.
+    records in is_unitary.
     """
-    um = UnitaryOperator(as_matrix(u)).matrix
-    if um.shape[0] != basis.dim:
-        raise ValueError("unitary dimension does not match basis")
+    um = _unitary(u, basis.dim, "unitary")
     if not basis.is_unitary:
         raise ValueError("the basis must consist of unitaries")
     coeffs = expand(um, basis)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from evometry import (
-    BasisRotation,
     BipartiteUnitary,
     ExpansionCoefficients,
     OperatorBasis,
@@ -214,12 +213,14 @@ def test_fourier_table_is_the_unitary_dft():
                 f, np.diagonal(zp, axis1=1, axis2=2) / np.sqrt(n))
 
 
-def test_unitary_claim_is_checked():
-    rb = rotate_basis(pauli_basis(dim=2), random_unitary(4, 15))
-    assert not rb.is_unitary
-    with pytest.raises(ValueError, match="claimed unitary"):
+def test_is_unitary_is_computed_from_the_elements():
+    b = pauli_basis(dim=2)
+    rb = rotate_basis(b, random_unitary(4, 15))
+    assert b.is_unitary and not rb.is_unitary
+    assert OperatorBasis(2, rb.elements, rb.labels).is_unitary is False
+    assert rotate_basis(b, np.eye(4)[::-1]).is_unitary is True
+    with pytest.raises(TypeError):
         OperatorBasis(2, rb.elements, rb.labels, is_unitary=True)
-    OperatorBasis(2, rb.elements, rb.labels, is_unitary=False)
 
 
 def test_products_match_the_trace_loops():
@@ -287,8 +288,6 @@ def test_records_compare_by_their_arrays():
         (pauli_basis(dim=2), pauli_basis(dim=2), weyl_basis(2)),
         (pauli_basis(u0), pauli_basis(u0.copy()), pauli_basis(dim=2)),
         (UnitaryOperator(H), UnitaryOperator(H.copy()), UnitaryOperator(X)),
-        (BasisRotation(np.eye(4)), BasisRotation(np.eye(4)),
-         BasisRotation(np.eye(4)[::-1])),
         (ExpansionCoefficients(2, [1, 0, 0, 0]),
          ExpansionCoefficients(2, [1, 0, 0, 0]),
          ExpansionCoefficients(2, [0, 1, 0, 0])),

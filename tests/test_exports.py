@@ -5,7 +5,7 @@ import types
 import evometry
 
 PUBLIC = (
-    "BasisRotation BellBasis BipartiteUnitary CanonicalKraus "
+    "BellBasis BipartiteUnitary CanonicalKraus "
     "ChannelTranscript ChoiState ConcentrationDistribution "
     "ConcentrationRecord EvolutionSequence ExpansionCoefficients KrausMap "
     "NotAnEigenoperator OperatorBasis OperatorSchmidt OutcomeDistribution "
@@ -44,5 +44,5 @@ def test_every_name_resolves():
 
 
 def test_all_is_the_pinned_public_api():
-    assert len(PUBLIC) == 67
+    assert len(PUBLIC) == 66
     assert sorted(evometry.__all__) == sorted(PUBLIC)

@@ -255,6 +255,27 @@ def test_bipartite_unitary_rejects_nan():
         BipartiteUnitary((2, 2), np.full((4, 4), np.nan, dtype=complex))
 
 
+@pytest.mark.parametrize("dims, message", [
+    ((2,), "dims must be two positive integers"),
+    ((2.5, 1.6), "dims must be two positive integers"),
+    ((0, 4), "dims must be two positive integers"),
+    ((True, 4), "dims must be two positive integers"),
+    ((2, 3), "matrix has dim 4, expected 6"),
+])
+def test_caller_dims_are_checked(dims, message):
+    """dims used to pass unchecked: (2,) failed to unpack, and (2.5, 1.6)
+    was truncated to (2, 1) and failed in the basis builder."""
+    with pytest.raises(ValueError, match=message):
+        operator_schmidt(np.eye(4), dims=dims)
+    with pytest.raises(ValueError, match=message):
+        BipartiteUnitary(dims, np.eye(4))
+
+
+def test_numpy_integer_dims_are_plain_ints():
+    bu = BipartiteUnitary((np.int64(2), np.int64(2)), CNOT)
+    assert bu.dims == (2, 2) and all(type(x) is int for x in bu.dims)
+
+
 def test_operator_schmidt_rejects_nan_values():
     with pytest.raises(ValueError, match="sum to 1"):
         OperatorSchmidt(np.array([np.nan]), (np.eye(2),), (np.eye(2),))

@@ -330,8 +330,7 @@ def test_outcome_distribution_accepts_consistent_counts():
 
 
 def test_two_time_observable_refuses_u0_of_another_dimension():
-    with pytest.raises(ValueError, match=r"u0 of shape \(3, 3\) does not "
-                                         r"match dim 2"):
+    with pytest.raises(ValueError, match="u0 has dim 3, expected 2"):
         TwoTimeObservable("z", 2, np.eye(3))
     assert TwoTimeObservable("z", 2, np.eye(2)).u0.shape == (2, 2)
 

@@ -153,7 +153,7 @@ def test_every_public_record_follows_the_record_convention():
     for name, cls in records.items():
         assert cls.__dataclass_params__.frozen, name
     array_records = set(records) - PLAIN_RECORDS
-    assert len(array_records) == 20
+    assert len(array_records) == 19
     for name in array_records:
         assert records[name].__eq__ is _arrays_equal, name
     for name in PLAIN_RECORDS:

@@ -111,6 +111,20 @@ def test_sequence_index_range_checked():
         EvolutionSequence(m, (0, 2))
 
 
+@pytest.mark.parametrize("index", [0.7, 1.9])
+def test_sequence_refuses_a_non_integer_index(index):
+    """An index used to be truncated by int(): 0.7 and 1.9 read as 0, 1."""
+    with pytest.raises(ValueError, match="indices must be integers"):
+        EvolutionSequence(named_channel("dephasing:0.5"), (0, index))
+
+
+def test_sequence_takes_numpy_integers():
+    seq = EvolutionSequence(named_channel("dephasing:0.5"),
+                            (np.int64(1), 0))
+    assert seq.indices == (1, 0)
+    assert all(type(i) is int for i in seq.indices)
+
+
 def test_entropy_is_the_rate_to_store_draws():
     # bits per use needed to store draws from the map
     assert abs(entropy(named_channel("dephasing:0.5")) - 1.0) < 1e-12

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from evometry import (
     BellBasis,
-    UnitaryOperator,
     bell_basis,
     eavesdropper_marginal,
     expand,
@@ -18,6 +17,7 @@ from evometry import (
 )
 from evometry.gates import PAULIS, X
 from evometry.linalg import max_entangled, partial_trace, random_unitary
+from evometry import superdense
 from evometry.superdense import BELL_ATOL
 
 
@@ -121,8 +121,8 @@ def test_send_refuses_a_non_unitary_basis():
 def test_send_checks_its_unitary_once():
     basis, rng = pauli_basis(dim=4), np.random.default_rng(40)
     us = [random_unitary(4, rng) for _ in range(3)]
-    with mock.patch.object(UnitaryOperator, "__post_init__", autospec=True,
-                           side_effect=UnitaryOperator.__post_init__) as post:
+    with mock.patch.object(superdense, "_unitary",
+                           side_effect=superdense._unitary) as post:
         for u in us:
             superdense_send(u, basis, shots=8, seed=1)
     assert post.call_count == len(us)
