@@ -286,8 +286,11 @@ def weyl_basis(dim: int, u0=None) -> OperatorBasis:
 
 
 def _default_basis(dim: int) -> tuple[str, OperatorBasis]:
-    """The basis used where none is given, with its kind: the Pauli
-    basis when dim is a power of two, the Weyl basis otherwise."""
+    """The basis used where none is given, with its kind: the one
+    element [[1]] for a single level, the Pauli basis when dim is a
+    power of two, the Weyl basis otherwise."""
+    if dim == 1:
+        return "trivial", OperatorBasis(1, np.ones((1, 1, 1)), ("I",))
     if dim & (dim - 1) == 0:
         return "pauli", pauli_basis(dim=dim)
     return "weyl", weyl_basis(dim)

@@ -98,6 +98,9 @@ def _as_bipartite(u, dims=None) -> BipartiteUnitary:
     if isinstance(u, BipartiteUnitary):
         return u
     u = as_matrix(u)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"interaction must be a square matrix, got shape "
+                         f"{u.shape}")
     if dims is None:
         root = math.isqrt(u.shape[0])
         if root * root != u.shape[0]:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -269,6 +270,29 @@ def test_caller_dims_are_checked(dims, message):
         operator_schmidt(np.eye(4), dims=dims)
     with pytest.raises(ValueError, match=message):
         BipartiteUnitary(dims, np.eye(4))
+
+
+@pytest.mark.parametrize("entry", [operator_schmidt, bipartite_expand,
+                                   induced_local_map])
+@pytest.mark.parametrize("u, shape", [(5.0, "()"), (np.ones((2, 3)), "(2, 3)"),
+                                      (np.ones(4), "(4,)")])
+def test_an_interaction_must_be_a_square_matrix(entry, u, shape):
+    """A 0-d input used to raise IndexError from reading its shape."""
+    message = "interaction must be a square matrix, got shape " + shape
+    with pytest.raises(ValueError, match=re.escape(message)):
+        entry(u)
+
+
+def test_a_one_level_factor_has_the_one_element_basis():
+    """dim 1 used to be taken for a power of two and given a Pauli basis
+    of no qubits."""
+    s = operator_schmidt(np.eye(4), dims=(1, 4))
+    assert np.array_equal(s.values, [1.0])
+    assert s.ops_a.shape == (1, 1, 1) and s.ops_b.shape == (1, 4, 4)
+    assert interaction_entanglement(np.eye(1)) == 0.0
+    assert np.allclose(bipartite_expand(CNOT, dims=(4, 1)),
+                       pauli_basis(dim=4).elements.reshape(16, -1).conj()
+                       @ CNOT.ravel()[:, None] / 4)
 
 
 def test_numpy_integer_dims_are_plain_ints():

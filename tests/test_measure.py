@@ -500,3 +500,112 @@ def test_replacing_a_branch_record_still_validates():
     moved = dataclasses.replace(
         r, collapsed=PureState(np.roll(r.collapsed.amplitudes, 1)))
     assert moved.outcome == r.outcome and moved != r
+
+
+# The per-site engine the circuit ran on before its couplings were composed
+# into index tables, kept as the reference: one phase and one gather per
+# site and time step, one kernel contraction per ancilla axis, and the
+# Pauli labels picked out of the (mu, nu) pairs afterwards.
+
+
+def _on_axes(table, ndim, axes):
+    shape = [1] * ndim
+    shape[axes[0]], shape[axes[1]] = table.shape
+    return table.reshape(shape)
+
+
+def _gather(t, a, k, index):
+    """out[.., alpha, .., j, ..] = t[.., alpha, .., index[alpha, j], ..]"""
+    sel = [slice(None)] * t.ndim
+    sel[a] = np.arange(index.shape[0])[:, None]
+    sel[k] = index
+    return np.moveaxis(t[tuple(sel)], (0, 1), (a, k))
+
+
+def _contract(t, axis, kernel):
+    return np.moveaxis(np.tensordot(kernel, t, axes=(1, axis)), 0, axis)
+
+
+def _echo_joint_by_sites(u, u0, site_dims, psi):
+    qs = tuple(site_dims)
+    n, dim = len(qs), int(np.prod(qs))
+    anc = tuple(q for q in qs for _ in range(2))
+    n_cfg = int(np.prod(anc))
+    shape = anc + qs + (psi.size // dim,)
+    t = np.broadcast_to(psi.reshape(shape[2 * n:]) / np.sqrt(n_cfg), shape)
+    sites = []
+    for j, q in enumerate(qs):
+        w = np.diagonal(basis_module.clock_shift_powers(q)[0], axis1=1,
+                        axis2=2)
+        power, level = np.ogrid[:q, :q]
+        sites.append((2 * j, 2 * n + j, w,
+                      (level - power) % q, (level + power) % q))
+    for a, k, w, shift, _ in sites:
+        t = t * _on_axes(w, t.ndim, (a + 1, k))
+        t = _gather(t, a, k, shift)
+    t = (u0.conj().T @ u) @ t.reshape(n_cfg, dim, -1)
+    t = t.reshape(shape)
+    for a, k, w, _, unshift in sites:
+        t = _gather(t, a, k, unshift)
+        t = t * _on_axes(w.conj(), t.ndim, (a + 1, k))
+    return (u0 @ t.reshape(n_cfg, dim, -1)).reshape(n_cfg, -1)
+
+
+def _circuit_rows_by_sites(u, u0, site_dims, psi, pauli):
+    joint = _echo_joint_by_sites(u, u0, site_dims, psi)
+    t = joint.reshape(tuple(q for q in site_dims for _ in range(2)) + (-1,))
+    for j, q in enumerate(site_dims):
+        f = np.exp(2j * np.pi / q) ** np.outer(range(q), range(q))
+        t = _contract(t, 2 * j, f.conj() / np.sqrt(q))
+        t = _contract(t, 2 * j + 1, f / np.sqrt(q))
+    if pauli:
+        t = t.reshape((4,) * len(site_dims) + (-1,))
+        t = t[np.ix_(*[[0, 1, 3, 2]] * len(site_dims))]
+    return t.reshape(joint.shape)
+
+
+@settings(max_examples=30, deadline=None)
+@given(site_dims=st.sampled_from([(2,), (2, 2), (2, 2, 2), (3,), (5,), (7,)]),
+       with_u0=st.booleans(), bystander=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_composed_engine_matches_the_per_site_engine(site_dims, with_u0,
+                                                     bystander, seed):
+    rng = np.random.default_rng(seed)
+    d = int(np.prod(site_dims))
+    pauli = len(site_dims) > 1 or d == 2
+    u = random_unitary(d, rng)
+    u0 = random_unitary(d, rng) if with_u0 else np.eye(d, dtype=complex)
+    psi = random_state(2 * d if bystander else d, rng)
+    want = _circuit_rows_by_sites(u, u0, site_dims, psi, pauli)
+    got = measure_module._circuit_rows(u, u0, site_dims, psi, pauli)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13
+    if len(site_dims) == 1:
+        basis = weyl_basis(d, u0 if with_u0 else None)
+        end = circuit_end_state(u, basis, psi)
+        assert end.shape == (d * d, psi.size)
+        assert np.abs(end - _echo_joint_by_sites(u, u0, site_dims, psi)
+                      ).max() <= 1e-13
+
+
+def test_engine_tables_are_built_once_and_refuse_writes():
+    rng = np.random.default_rng(36)
+    measure_module._couplings.cache_clear()
+    measure_module._readout.cache_clear()
+    p, w = pauli_basis(dim=8), weyl_basis(5)
+    for _ in range(3):
+        measure_which_unitary(random_unitary(8, rng), p, np.eye(8)[0])
+        measure_which_unitary_qudit(random_unitary(5, rng), w, np.eye(5)[0])
+        circuit_end_state(random_unitary(5, rng), w, np.eye(5)[0])
+    couplings = measure_module._couplings.cache_info()
+    readout = measure_module._readout.cache_info()
+    assert (couplings.misses, couplings.currsize) == (2, 2)
+    assert (readout.misses, readout.currsize) == (2, 2)
+    tables = (*measure_module._couplings((2, 2, 2)),
+              *measure_module._couplings((5,)),
+              measure_module._readout(2, True),
+              measure_module._readout(5, False))
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0
