@@ -37,7 +37,7 @@ whose rows for a Pauli site are already in label order. For n qubits
 and a bystander of dimension b the joint array holds 4^n * 2^n * b
 amplitudes; the gathers and products cost time in proportion to that,
 the readout 4n times that, and the two GEMMs 4^n * 4^n * b. One call
-takes about 0.2 ms at n = 4, 2 ms at n = 5 and 19 ms at n = 6 (median,
+takes about 0.2 ms at n = 4, 2 ms at n = 5 and 20 ms at n = 6 (median,
 one BLAS thread, 2-vCPU Xeon VM).
 
 Validation: a circuit requires its basis to be of the product form
