@@ -36,8 +36,7 @@ _EXPORTS = {
     "interaction": (
         "BipartiteUnitary", "ConcentrationDistribution",
         "ConcentrationRecord", "OperatorSchmidt", "bipartite_expand",
-        "concentrate", "concentration_sectors", "concentration_yield",
-        "expected_term_count", "induced_local_map",
+        "concentrate", "concentration_sectors", "induced_local_map",
         "interaction_entanglement", "operator_schmidt",
     ),
     "measure": (
@@ -54,8 +53,7 @@ _EXPORTS = {
         "typical_compress", "verify_sequence",
     ),
     "superdense": (
-        "BellBasis", "ChannelTranscript", "bell_basis",
-        "eavesdropper_marginal", "superdense_send",
+        "ChannelTranscript", "eavesdropper_marginal", "superdense_send",
     ),
 }
 _OWNER = {name: f"{__name__}.{module}"

@@ -69,10 +69,6 @@ class ExpansionCoefficients:
         """|C_a|^2 for every basis element."""
         return np.abs(self.coeffs) ** 2
 
-    def weight(self) -> float:
-        """Total weight sum_a |C_a|^2 (1 for a unitary operator)."""
-        return float(self.probabilities().sum())
-
 
 @_record
 class OperatorBasis:

@@ -176,9 +176,10 @@ def induced_local_map(u, side: str = "A", other_state=None,
     """CP map seen by one side when the other is fixed and traced out.
 
     other_state None fixes the traced side in its first basis state; a
-    vector fixes it there; "maximally_mixed" purifies the traced side
-    instead, giving d^2 operator elements whose map entropy equals the
-    interaction entanglement of u.
+    nonzero finite vector, normalized here, fixes it there;
+    "maximally_mixed" purifies the traced side instead, giving d^2
+    operator elements whose map entropy equals the interaction
+    entanglement of u.
     """
     from .channels import KrausMap  # the only use of channels here
 
@@ -200,13 +201,15 @@ def induced_local_map(u, side: str = "A", other_state=None,
         ops = blocks.transpose(1, 3, 0, 2).reshape(-1, d_keep, d_keep)
         return KrausMap(ops / np.sqrt(d_other))
     if other_state is None:
-        phi = np.zeros(d_other, dtype=complex)
-        phi[0] = 1.0
-    else:
-        phi = np.asarray(other_state, dtype=complex).ravel()
-        if phi.size != d_other:
-            raise ValueError("traced-side state has the wrong dimension")
-        phi = phi / np.linalg.norm(phi)
+        other_state = np.eye(d_other)[0]
+    phi = np.asarray(other_state, dtype=complex).ravel()
+    if phi.size != d_other:
+        raise ValueError("traced-side state has the wrong dimension")
+    norm = np.linalg.norm(phi)
+    if not 0 < norm < np.inf:
+        raise ValueError(f"traced-side state must be a nonzero finite "
+                         f"vector, got norm {norm}")
+    phi = phi / norm
     return KrausMap(np.einsum("rjct,t->jrc", blocks, phi))
 
 
@@ -216,17 +219,13 @@ def induced_local_map(u, side: str = "A", other_state=None,
 
 @dataclass(frozen=True)
 class ConcentrationRecord:
-    """One sector of the collective readout: k identity slots remain."""
+    """One sector of the collective readout: k identity slots remain, and
+    its term_count = C(n, k) terms share the weight 1/sqrt(C(n, k))."""
 
     n: int
     k: int
     term_count: int
     probability: float
-
-    @property
-    def term_amplitude(self) -> float:
-        """Weight shared by every surviving term, 1/sqrt(C(n, k))."""
-        return 1.0 / math.sqrt(self.term_count)
 
 
 @_record
@@ -243,11 +242,14 @@ class ConcentrationDistribution:
     samples: np.ndarray | None = None
 
     def yield_bits(self) -> float:
+        """Expected bits of block size: sum_k P(k) log2 C(n, k)."""
         return math.fsum(
             r.probability * math.log2(r.term_count) for r in self.records
         )
 
     def expected_term_count(self) -> float:
+        """Expected number of equally weighted surviving terms,
+        sum_k P(k) C(n, k)."""
         return math.fsum(r.probability * r.term_count for r in self.records)
 
 
@@ -339,15 +341,3 @@ def concentrate(n, alpha, beta=None, mode: str = "combinatorial",
     return ConcentrationDistribution(
         n, alpha, beta, probs, records, mode, deviation, samples
     )
-
-
-def concentration_yield(n, alpha, beta=None) -> float:
-    """Expected bits of block size: sum_k P(k) log2 C(n, k), for
-    1 <= n <= 64 as in concentrate."""
-    return concentrate(n, alpha, beta).yield_bits()
-
-
-def expected_term_count(n, alpha, beta=None) -> float:
-    """Expected number of equally weighted surviving terms, for
-    1 <= n <= 64 as in concentrate."""
-    return concentrate(n, alpha, beta).expected_term_count()

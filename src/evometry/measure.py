@@ -60,6 +60,7 @@ import numpy as np
 from .basis import (
     PRODUCT_FORM_ATOL,
     OperatorBasis,
+    _n_qubits,
     _reference,
     clock_shift,
     clock_shift_powers,
@@ -92,21 +93,24 @@ class NotAnEigenoperator(Exception):
 
 @_record
 class PureState:
-    """A unit vector; tolerance on the norm is 1e-12."""
+    """A unit vector, held as a read-only copy of the input; tolerance on
+    the norm is 1e-12."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.amplitudes, dtype=complex).ravel()
+        v = _frozen(np.ravel(self.amplitudes))
         _check(abs(np.linalg.norm(v) - 1.0), NORM_ATOL, "state norm is not 1")
         object.__setattr__(self, "amplitudes", v)
 
     @classmethod
     def _rows(cls, rows) -> list:
-        """One state per row of a 2-D array, each holding a view of its
-        row. The norm check runs once over all rows, so one bad row (NaN
+        """One state per row of a 2-D array, each holding a read-only view
+        of its row: the caller hands the array over and keeps no use for
+        it. The norm check runs once over all rows, so one bad row (NaN
         included) rejects the batch, and __post_init__ is not run."""
-        rows = np.asarray(rows, dtype=complex)
+        rows = np.asarray(rows, dtype=complex).view()
+        rows.setflags(write=False)
         dev = np.abs(np.linalg.norm(rows, axis=1) - 1.0).max(initial=0.0)
         _check(dev, NORM_ATOL, "state norm is not 1")
         return _prechecked(cls, rows)
@@ -367,12 +371,12 @@ def _circuit_inputs(u, basis, psi):
     """Validated unitary and state (with any bystander factor) for a
     circuit over the basis."""
     um = _unitary(u, basis.dim, "unitary")
-    psi = np.asarray(getattr(psi, "amplitudes", psi), dtype=complex).ravel()
+    psi = PureState(getattr(psi, "amplitudes", psi)).amplitudes
     if psi.size % basis.dim != 0:
         raise ValueError(
             f"state dim {psi.size} is not a multiple of basis dim {basis.dim}"
         )
-    return um, PureState(psi).amplitudes
+    return um, psi
 
 
 def _run_product_measurement(u, basis, psi, shots, seed, site_dims,
@@ -400,12 +404,9 @@ def measure_which_unitary(u, basis: OperatorBasis, psi, shots: int = 0,
     the same outcome share the same collapsed state, so the per-shot
     record lives in the distribution's shot_outcomes.
     """
-    n = basis.dim.bit_length() - 1
-    if 2 ** n != basis.dim:
-        raise ValueError("Pauli-form measurement needs dim = 2^n")
     basis._pauli_form  # ValueError unless the elements are u0 s_a
     return _run_product_measurement(
-        u, basis, psi, shots, seed, (2,) * n, pauli=True
+        u, basis, psi, shots, seed, (2,) * _n_qubits(basis.dim), pauli=True
     )
 
 

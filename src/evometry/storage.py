@@ -29,7 +29,7 @@ from .channels import (
 from .linalg import (TRIM, _check, _fourier, _frozen, _record, _records,
                      _sample)
 
-if TYPE_CHECKING:  # annotations; probabilistic_retrieve imports it to build
+if TYPE_CHECKING:  # annotations; the retrieval functions import it to build
     from .measure import PureState
 
 STORE_ATOL = 1e-10
@@ -253,12 +253,16 @@ def verify_sequence(dil: StinespringDilation, ancilla_basis,
     )
 
 
-def _retrieval_rows(kraus: KrausMap, index: int, psi: PureState):
-    """Storage-register branches of the controlled-application protocol.
+def _retrieval_rows(kraus: KrausMap, index: int, psi):
+    """Storage-register branches of the controlled-application protocol,
+    and psi as a PureState (a plain vector is checked as one).
 
     Row m carries the canonical element m applied to psi, weighted by
     the stored operator's coefficient in the canonical expansion.
     """
+    from .measure import PureState  # so storage loads without measure
+
+    psi = PureState(getattr(psi, "amplitudes", psi))
     if not 0 <= index < len(kraus):
         raise ValueError(
             f"operator index {index} outside the map's {len(kraus)} elements"
@@ -275,7 +279,8 @@ def _retrieval_rows(kraus: KrausMap, index: int, psi: PureState):
     _check(np.linalg.norm(resid), MATCH_ATOL * scale,
            "stored operator lies outside the map's support")
     nsq = float(np.sum(np.abs(coeff) ** 2 * canon.probabilities))
-    return coeff[:, None] * (canon.operators @ psi.amplitudes) / np.sqrt(nsq)
+    rows = coeff[:, None] * (canon.operators @ psi.amplitudes) / np.sqrt(nsq)
+    return rows, psi
 
 
 def _fourier_branches(rows: np.ndarray):
@@ -285,7 +290,7 @@ def _fourier_branches(rows: np.ndarray):
     return branches, weights / weights.sum()
 
 
-def probabilistic_retrieve(index: int, kraus: KrausMap, psi: PureState,
+def probabilistic_retrieve(index: int, kraus: KrausMap, psi,
                            seed) -> RetrievalOutcome:
     """Push a stored operator element onto an unknown state, heralded.
 
@@ -302,11 +307,12 @@ def probabilistic_retrieve(index: int, kraus: KrausMap, psi: PureState,
     ||K_m psi||^2 = tr(K_m^dag K_m)/d and this reduces to
     d ||M_i psi||^2 / (tr(M_i^dag M_i) D), which is 1/D whenever the
     stored element is unitary up to scale. Other outcomes are returned
-    as failures with their post-measurement state.
+    as failures with their post-measurement state. psi is a PureState
+    or a unit vector of the map's dimension.
     """
-    from .measure import PureState  # so storage loads without measure
+    from .measure import PureState
 
-    rows = _retrieval_rows(kraus, index, psi)
+    rows, _ = _retrieval_rows(kraus, index, psi)
     branches, weights = _fourier_branches(rows)
     k = int(_sample(weights, 1, seed)[0])
     out = branches[k]
@@ -318,10 +324,11 @@ def probabilistic_retrieve(index: int, kraus: KrausMap, psi: PureState,
     )
 
 
-def retrieval_statistics(index: int, kraus: KrausMap, psi: PureState,
+def retrieval_statistics(index: int, kraus: KrausMap, psi,
                          trials: int, seed) -> dict:
-    """Herald rate over many retrieval attempts, sampled in one stream."""
-    rows = _retrieval_rows(kraus, index, psi)
+    """Herald rate over many retrieval attempts, sampled in one stream.
+    psi is a PureState or a unit vector, as in probabilistic_retrieve."""
+    rows, psi = _retrieval_rows(kraus, index, psi)
     branches, weights = _fourier_branches(rows)
     successes = int(np.count_nonzero(_sample(weights, trials, seed) == 0))
     target = branches[0] / np.linalg.norm(branches[0])

@@ -1,11 +1,12 @@
 """Dense coding where the payload is a unitary, not a bit pair.
 
 Alice applies u to her half of a shared maximally entangled pair and
-sends that half on. Bob measures both systems in the entangled basis
-built from an orthogonal unitary family and reads outcome a with
-probability |C_a|^2, the expansion weight of u. When u is itself a basis
-element the outcome is deterministic and the scheme reduces to the
-classical protocol: log2(d^2) symbols per transmitted qudit, one shared
+sends that half on. Bob measures both systems in the entangled family
+(B_a (x) 1)|phi+> of an orthogonal unitary basis, the records
+linalg._records(basis.elements), and reads outcome a with probability
+|C_a|^2, the expansion weight of u. When u is itself a basis element
+the outcome is deterministic and the scheme reduces to the classical
+protocol: log2(d^2) symbols per transmitted qudit, one shared
 pair consumed. Anyone holding only the transmitted half sees the
 maximally mixed state whatever u was.
 """
@@ -15,43 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import OperatorBasis, expand
-from .linalg import (
-    _check,
-    _isometry_deviation,
-    _record,
-    _records,
-    _sample,
-    _unitary,
-)
-
-BELL_ATOL = 1e-10
-
-
-@_record
-class BellBasis:
-    """The d^2 orthonormal entangled vectors (B_a (x) 1)|phi+>."""
-
-    dim: int
-    vectors: np.ndarray
-    labels: tuple
-
-    def __post_init__(self):
-        d = self.dim
-        v = np.asarray(self.vectors, dtype=complex)
-        if v.ndim != 2 or v.shape[1] != d * d:
-            raise ValueError(
-                f"expected vectors on C^{d} (x) C^{d}, got shape {v.shape}"
-            )
-        _check(_isometry_deviation(v.T), BELL_ATOL,
-               "encoded vectors are not orthonormal")
-        # the vector (B (x) 1)|phi+> reshaped to d x d is B / sqrt(d), and
-        # its marginal on the first factor is B B^dag / d
-        m = v.reshape(-1, d, d)
-        rho = m @ m.conj().swapaxes(1, 2)
-        _check(np.abs(rho - np.eye(d) / d).max(), BELL_ATOL,
-               "an encoded vector is not maximally entangled; "
-               "the basis must consist of unitaries")
-        object.__setattr__(self, "vectors", v)
+from .linalg import _record, _records, _sample, _unitary
 
 
 @_record
@@ -64,19 +29,6 @@ class ChannelTranscript:
     eavesdropper_marginal: np.ndarray
     counts: np.ndarray | None = None
     seed: int | None = None
-
-    @property
-    def shots(self) -> int:
-        return 0 if self.counts is None else int(self.counts.sum())
-
-
-def bell_basis(basis: OperatorBasis) -> BellBasis:
-    """Lift an orthogonal unitary family to an entangled vector basis.
-
-    (B_a (x) 1)|phi+> is B_a flattened row-major over sqrt(d), so the
-    family is the records of the stacked elements.
-    """
-    return BellBasis(basis.dim, _records(basis.elements), basis.labels)
 
 
 def eavesdropper_marginal(u) -> np.ndarray:

@@ -12,16 +12,13 @@ from evometry import (
     KrausMap,
     PureState,
     TwoTimeObservable,
-    bell_basis,
     circuit_end_state,
     clock_shift,
     concentrate,
-    concentration_yield,
     eavesdropper_marginal,
     entropy,
     equivalent,
     expand,
-    expected_term_count,
     induced_local_map,
     interaction_entanglement,
     kraus_rotation,
@@ -208,7 +205,7 @@ def test_criterion_08_superdense_coding():
         abs(superdense_send(sigma, b).probabilities[a] - 1.0) < 1e-12
         for a, sigma in enumerate(PAULIS)
     )
-    bits = math.log2(len(bell_basis(b).vectors)) / 2
+    bits = math.log2(len(b)) / 2
     ok = eav < 1e-12 and classical and bits == 1.0
     _report(8, "dense coding: 2 bits per qubit, eavesdropper blind", ok,
             f"marginal deviation {eav:.3e}, deterministic {classical}")
@@ -244,10 +241,11 @@ def test_criterion_10_concentration():
         for n in (1, 2, 3, 4)
     )
     h = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))
-    r16 = math.log2(expected_term_count(16, alpha)) / 16
-    r32 = math.log2(expected_term_count(32, alpha)) / 32
-    y16 = concentration_yield(16, alpha) / 16
-    y32 = concentration_yield(32, alpha) / 32
+    d16, d32 = concentrate(16, alpha), concentrate(32, alpha)
+    r16 = math.log2(d16.expected_term_count()) / 16
+    r32 = math.log2(d32.expected_term_count()) / 32
+    y16 = d16.yield_bits() / 16
+    y32 = d32.yield_bits() / 32
     ok = (sector < 1e-10
           and abs(r16 - h) / h <= 0.15
           and abs(r32 - h) < abs(r16 - h)

@@ -92,7 +92,6 @@ def test_unitary_expansion_probabilities_sum_to_one():
         u = random_unitary(2, rng)
         c = expand(u, pauli_basis(dim=2))
         assert abs(c.probabilities().sum() - 1.0) < 1e-12
-        assert abs(c.weight() - 1.0) < 1e-12
 
 
 def test_basis_element_expands_to_delta():

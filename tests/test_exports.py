@@ -5,16 +5,16 @@ import types
 import evometry
 
 PUBLIC = (
-    "BellBasis BipartiteUnitary CanonicalKraus "
+    "BipartiteUnitary CanonicalKraus "
     "ChannelTranscript ChoiState ConcentrationDistribution "
     "ConcentrationRecord EvolutionSequence ExpansionCoefficients KrausMap "
     "NotAnEigenoperator OperatorBasis OperatorSchmidt OutcomeDistribution "
     "PureState RetrievalOutcome StinespringDilation StoredEvolution "
     "TwoTimeObservable TypicalCompression UnitaryOperator "
-    "VerificationRecord WhichUnitaryResult bell_basis bipartite_expand "
+    "VerificationRecord WhichUnitaryResult bipartite_expand "
     "canonical_kraus choi circuit_end_state clock_shift clock_shift_powers "
-    "concentrate concentration_sectors concentration_yield "
-    "eavesdropper_marginal entropy equivalent expand expected_term_count "
+    "concentrate concentration_sectors "
+    "eavesdropper_marginal entropy equivalent expand "
     "gram induced_local_map interaction_entanglement "
     "kraus_from_ancilla_basis kraus_rotation measure_choi_side "
     "measure_which_unitary measure_which_unitary_qudit named_channel "
@@ -44,5 +44,5 @@ def test_every_name_resolves():
 
 
 def test_all_is_the_pinned_public_api():
-    assert len(PUBLIC) == 66
+    assert len(PUBLIC) == 62
     assert sorted(evometry.__all__) == sorted(PUBLIC)

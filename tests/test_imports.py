@@ -92,7 +92,7 @@ def test_importing_the_package_loads_no_module_and_lists_every_name():
     )
     assert loaded == []
     assert sub == "evometry.linalg"  # a submodule resolves on use
-    assert len(PUBLIC) == 66
+    assert len(PUBLIC) == 62
     assert set(PUBLIC) <= set(listed)
     assert star == sorted(PUBLIC)
 

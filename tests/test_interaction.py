@@ -12,9 +12,7 @@ from evometry import (
     bipartite_expand,
     concentrate,
     concentration_sectors,
-    concentration_yield,
     entropy,
-    expected_term_count,
     induced_local_map,
     interaction_entanglement,
     operator_schmidt,
@@ -89,6 +87,14 @@ def test_induced_map_on_fixed_state():
     p1 = np.diag([0.0, 1.0]).astype(complex)
     got = sorted((np.abs(op - p0).max(), np.abs(op - p1).max()) for op in m.operators)
     assert got[0][0] < 1e-9 and got[1][1] < 1e-9
+    # a zero or non-finite vector used to fail later, as a completeness
+    # sum of deviation nan
+    for bad in ([0, 0], [np.nan, 1], [np.inf, 0]):
+        with pytest.raises(ValueError, match="traced-side state must be a "
+                                             "nonzero finite vector"):
+            induced_local_map(CNOT, other_state=bad)
+    with pytest.raises(ValueError, match="traced-side state has the wrong"):
+        induced_local_map(CNOT, other_state=[1, 0, 0])
 
 
 def test_induced_map_side_b():
@@ -166,25 +172,21 @@ def test_concentration_block_sizes_are_binomial():
     assert [r.term_count for r in dist.records] == [
         math.comb(5, k) for k in range(6)
     ]
-    assert all(
-        abs(r.term_amplitude - 1 / np.sqrt(r.term_count)) < 1e-12
-        for r in dist.records
-    )
 
 
 def test_concentration_yield_frozen_values():
-    assert abs(concentration_yield(16, np.sqrt(0.75)) / 16
-               - 0.6346538529407203) < 1e-12
-    assert abs(math.log2(expected_term_count(16, np.sqrt(0.75))) / 16
+    d16, d32 = concentrate(16, np.sqrt(0.75)), concentrate(32, np.sqrt(0.75))
+    assert abs(d16.yield_bits() / 16 - 0.6346538529407203) < 1e-12
+    assert abs(math.log2(d16.expected_term_count()) / 16
                - 0.7261271321531075) < 1e-12
-    assert abs(math.log2(expected_term_count(32, np.sqrt(0.75))) / 32
+    assert abs(math.log2(d32.expected_term_count()) / 32
                - 0.7975701347752850) < 1e-12
 
 
 def test_concentration_rate_approaches_entropy():
     h = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))
-    r16 = math.log2(expected_term_count(16, np.sqrt(0.75))) / 16
-    r32 = math.log2(expected_term_count(32, np.sqrt(0.75))) / 32
+    r16 = math.log2(concentrate(16, np.sqrt(0.75)).expected_term_count()) / 16
+    r32 = math.log2(concentrate(32, np.sqrt(0.75)).expected_term_count()) / 32
     assert abs(r32 - h) < abs(r16 - h)
 
 
@@ -206,17 +208,17 @@ def test_concentration_rejects_unnormalized_amplitudes():
 def test_yield_never_exceeds_expected_count_exponent():
     # Jensen: E[log C] <= log E[C]
     for n in (8, 16, 24):
-        y = concentration_yield(n, np.sqrt(0.75))
-        e = math.log2(expected_term_count(n, np.sqrt(0.75)))
+        dist = concentrate(n, np.sqrt(0.75))
+        y = dist.yield_bits()
+        e = math.log2(dist.expected_term_count())
         assert y <= e + 1e-12
 
 
 @pytest.mark.parametrize("n, message", [(0, "at least 1"),
                                         (2000, "capped at n = 64")])
 def test_yield_and_term_count_share_the_cap_of_concentrate(n, message):
-    for f in (concentration_yield, expected_term_count):
-        with pytest.raises(ValueError, match=message):
-            f(n, 0.8)
+    with pytest.raises(ValueError, match=message):
+        concentrate(n, 0.8)
 
 
 def test_schmidt_operators_are_read_only_arrays():

@@ -292,6 +292,18 @@ def test_pure_state_norm_check():
         PureState(np.array([1.0, 1.0], dtype=complex))
 
 
+def test_pure_state_owns_a_read_only_copy():
+    """The state used to alias its input: a write to the input gave it
+    norm 5."""
+    v = np.array([1, 0], dtype=complex)
+    s = PureState(v)
+    v[0] = 5
+    assert np.array_equal(s.amplitudes, [1, 0])
+    assert not s.amplitudes.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        s.amplitudes[0] = 5
+
+
 def test_outcome_distribution_shots_property():
     d = OutcomeDistribution(("a", "b"), np.array([0.5, 0.5]))
     assert d.shots == 0
@@ -347,6 +359,11 @@ def test_product_form_check_names_the_deviating_element():
     rotated = rotate_basis(pauli_basis(dim=4), k)
     with pytest.raises(ValueError, match="element 5 deviates"):
         measure_which_unitary(np.eye(4), rotated, np.eye(4)[0])
+
+
+def test_pauli_measurement_needs_a_power_of_two_dimension():
+    with pytest.raises(ValueError, match="dimension 3 is not a power of two"):
+        measure_which_unitary(np.eye(3), weyl_basis(3), np.eye(3)[0])
 
 
 def test_d2_weyl_basis_is_refused_on_every_pauli_call():
@@ -474,6 +491,7 @@ def test_batch_states_fail_closed():
     states = PureState._rows(rows)
     assert states == [PureState(row) for row in rows]
     assert all(np.shares_memory(s.amplitudes, rows) for s in states)
+    assert not any(s.amplitudes.flags.writeable for s in states)
     for bad in (np.nan, 1 + 1e-9):
         rows = np.eye(4, dtype=complex)
         rows[2, 2] = bad

@@ -14,7 +14,6 @@ from evometry import (
     OutcomeDistribution,
     PureState,
     TwoTimeObservable,
-    bell_basis,
     choi,
     concentrate,
     kraus_from_ancilla_basis,
@@ -26,7 +25,6 @@ from evometry import (
     store,
     superdense_send,
     verify_sequence,
-    weyl_basis,
 )
 from evometry.linalg import _arrays_equal, random_state, random_unitary
 
@@ -76,12 +74,6 @@ def test_outcome_distribution():
     assert_compares(OutcomeDistribution(("a", "b"), p),
                     OutcomeDistribution(("a", "b"), p.copy()),
                     OutcomeDistribution(("a", "c"), p))
-
-
-def test_bell_basis():
-    assert_compares(bell_basis(pauli_basis(dim=2)),
-                    bell_basis(pauli_basis(dim=2)),
-                    bell_basis(weyl_basis(2)))
 
 
 def test_channel_transcript():
@@ -153,7 +145,7 @@ def test_every_public_record_follows_the_record_convention():
     for name, cls in records.items():
         assert cls.__dataclass_params__.frozen, name
     array_records = set(records) - PLAIN_RECORDS
-    assert len(array_records) == 19
+    assert len(array_records) == 18
     for name in array_records:
         assert records[name].__eq__ is _arrays_equal, name
     for name in PLAIN_RECORDS:

@@ -365,6 +365,22 @@ def test_retrieval_herald_is_scale_invariant():
     assert abs(out.herald_probability - 0.5) < 1e-12
 
 
+@pytest.mark.parametrize("retrieve", [
+    lambda psi: probabilistic_retrieve(0, named_channel("dephasing:0.5"),
+                                       psi, 1),
+    lambda psi: retrieval_statistics(0, named_channel("dephasing:0.5"),
+                                     psi, 10, 1),
+])
+def test_retrieval_takes_a_plain_vector_as_the_circuits_do(retrieve):
+    """A plain vector used to raise AttributeError on psi.dim."""
+    psi = np.array([0.6, 0.8j])
+    assert retrieve(psi) == retrieve(PureState(psi))
+    with pytest.raises(ValueError, match="state norm is not 1"):
+        retrieve(np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="state dimension does not match"):
+        retrieve(np.array([1.0, 0.0, 0.0]))
+
+
 def test_verify_sequence_requires_a_seed():
     dil = stinespring(named_channel("dephasing:0.5"))
     rep = kraus_from_ancilla_basis(dil)

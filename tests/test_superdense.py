@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evometry import (
-    BellBasis,
-    bell_basis,
     eavesdropper_marginal,
     expand,
     pauli_basis,
@@ -16,20 +14,25 @@ from evometry import (
     weyl_basis,
 )
 from evometry.gates import PAULIS, X
-from evometry.linalg import max_entangled, partial_trace, random_unitary
+from evometry.linalg import (
+    UNITARY_ATOL,
+    _records,
+    max_entangled,
+    partial_trace,
+    random_unitary,
+)
 from evometry import superdense
-from evometry.superdense import BELL_ATOL
 
 
 def test_bell_family_is_orthonormal():
-    bell = bell_basis(pauli_basis(dim=2))
-    g = bell.vectors.conj() @ bell.vectors.T
+    bell = _records(pauli_basis(dim=2).elements)
+    g = bell.conj() @ bell.T
     assert np.abs(g - np.eye(4)).max() < 1e-10
 
 
 def test_bell_vector_zero_is_the_shared_pair():
-    bell = bell_basis(pauli_basis(dim=2))
-    assert np.abs(bell.vectors[0] - max_entangled(2)).max() < 1e-12
+    bell = _records(pauli_basis(dim=2).elements)
+    assert np.abs(bell[0] - max_entangled(2)).max() < 1e-12
 
 
 def test_classical_messages_decode_deterministically():
@@ -93,25 +96,6 @@ def test_shots_require_seed():
         superdense_send(X, pauli_basis(dim=2), shots=5)
 
 
-def test_nan_vector_is_rejected():
-    bell = bell_basis(pauli_basis(dim=2))
-    vectors = bell.vectors.copy()
-    vectors[1, 0] = np.nan
-    with pytest.raises(ValueError):
-        BellBasis(2, vectors, bell.labels)
-
-
-def test_non_unitary_family_is_not_maximally_entangled():
-    # orthonormal vectors whose operators are not unitary: |00>, |01>, ...
-    with pytest.raises(ValueError, match="maximally entangled"):
-        BellBasis(2, np.eye(4, dtype=complex), ("a", "b", "c", "d"))
-
-
-def test_bell_vectors_must_live_on_the_doubled_space():
-    with pytest.raises(ValueError, match="shape"):
-        BellBasis(2, np.eye(3, dtype=complex), ("a", "b", "c"))
-
-
 def test_send_refuses_a_non_unitary_basis():
     rb = rotate_basis(pauli_basis(dim=2), random_unitary(4, 19))
     with pytest.raises(ValueError, match="must consist of unitaries"):
@@ -138,5 +122,5 @@ def test_transcript_marginal_is_the_partial_trace(d, seed):
     want = partial_trace(np.outer(sent, sent.conj()), (d, d), keep=0)
     got = superdense_send(u, weyl_basis(d)).eavesdropper_marginal
     assert np.abs(got - want).max() <= 1e-15
-    assert np.abs(got - np.eye(d) / d).max() <= BELL_ATOL
+    assert np.abs(got - np.eye(d) / d).max() <= UNITARY_ATOL
     assert np.array_equal(eavesdropper_marginal(u), got)
