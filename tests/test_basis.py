@@ -246,6 +246,8 @@ def test_basis_keeps_a_read_only_copy_of_its_elements():
         assert isinstance(basis.elements, np.ndarray)
         assert basis.elements.shape == (basis.dim ** 2, basis.dim, basis.dim)
         assert not basis.elements.flags.writeable
+    with pytest.raises(ValueError, match=r"need 4 elements of shape \(2, 2\)"):
+        OperatorBasis(2, np.eye(3), ("a", "b", "c"))
 
 
 def test_basis_refuses_a_u0_of_the_wrong_dimension():
