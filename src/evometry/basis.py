@@ -20,6 +20,7 @@ from .linalg import (
     UNITARY_ATOL,
     _array_hash,
     _check,
+    _count,
     _frozen,
     _isometry_deviation,
     _record,
@@ -117,19 +118,26 @@ class OperatorBasis:
     def __hash__(self) -> int:
         return _array_hash(self.elements)
 
-    # The echo circuit's product-form checks, run on first use for each
-    # family and memoised: a basis is frozen, so a check it passed holds
-    # for good, while a failed check raises and is run again next time.
-    # Neither is a field, so neither takes part in ==.
     @functools.cached_property
-    def _pauli_form(self) -> float:
-        """Worst deviation of elements[a] from u0 @ pauli_strings(n)[a]."""
-        return _product_form(self, pauli_strings(_n_qubits(self.dim)))
-
-    @functools.cached_property
-    def _weyl_form(self) -> float:
-        """Worst deviation of elements[a] from u0 Z^mu X^nu, a = mu d + nu."""
-        return _product_form(self, _weyl_products(self.dim))
+    def _product_form(self) -> tuple:
+        """(site_dims, pauli) of the echo circuit that reads the basis out:
+        n qubit sites if elements[a] == u0 @ pauli_strings(n)[a], else one
+        d-level site if elements[a] == u0 Z^mu X^nu. Memoised but not a
+        field (a basis is frozen); a basis of neither form is refused by
+        the family _default_basis picks, and again on every call."""
+        d = self.dim
+        n = d.bit_length() - 1
+        bad = None
+        if d == 2 ** n:
+            bad = _deviation(self, pauli_strings(n))
+            if bad is None:
+                return (2,) * n, True
+        weyl = _deviation(self, _weyl_products(d))
+        if weyl is None:
+            return (d,), False
+        raise ValueError("basis is not of the product form {u0 s_a} this "
+                         "circuit measures (element "
+                         f"{weyl if bad is None else bad} deviates)")
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -172,6 +180,7 @@ def pauli_strings(n: int) -> np.ndarray:
     significant, which is the pauli_basis ordering. Built with one einsum
     per qubit; not cached, since the table is as large as the basis.
     """
+    n = _count(n, "n")
     if n < 1:
         raise ValueError(f"need at least one qubit, got {n}")
     single = np.stack(gates.PAULIS)
@@ -249,18 +258,13 @@ def _weyl_products(dim: int) -> np.ndarray:
     return np.einsum("mij,njk->mnik", zp, xp).reshape(dim * dim, dim, dim)
 
 
-def _product_form(basis: OperatorBasis, sigmas) -> float:
-    """Largest entry of |B_a - u0 sigmas[a]|; a ValueError naming the
-    first element that deviates by more than PRODUCT_FORM_ATOL."""
+def _deviation(basis: OperatorBasis, sigmas) -> int | None:
+    """The first element that differs from u0 sigmas[a] by more than
+    PRODUCT_FORM_ATOL in some entry, or None when none does."""
     ref = _reference(basis.u0, basis.dim)
     dev = np.abs(basis.elements - ref @ sigmas).max(axis=(1, 2))
     bad = np.flatnonzero(~(dev <= PRODUCT_FORM_ATOL))
-    if bad.size:
-        raise ValueError(
-            "basis is not of the product form {u0 s_a} this circuit "
-            f"measures (element {bad[0]} deviates)"
-        )
-    return float(dev.max())
+    return int(bad[0]) if bad.size else None
 
 
 def weyl_basis(dim: int, u0=None) -> OperatorBasis:

@@ -25,12 +25,8 @@ DEFAULT_TOL = 1e-9
 
 
 # each basis kind of basis --kind and measure --basis: the name of its
-# builder in basis, called with dim= and u0=, and of the circuit in
-# measure that reads it out
-_KINDS = {
-    "pauli": ("pauli_basis", "measure_which_unitary"),
-    "weyl": ("weyl_basis", "measure_which_unitary_qudit"),
-}
+# builder in basis, called with dim= and u0=
+_KINDS = {"pauli": "pauli_basis", "weyl": "weyl_basis"}
 
 
 def _tolerance(text: str) -> float:
@@ -84,7 +80,7 @@ def _ints(a):
 def cmd_basis(args):
     from . import basis as bases
 
-    basis = getattr(bases, _KINDS[args.kind][0])(dim=args.dim)
+    basis = getattr(bases, _KINDS[args.kind])(dim=args.dim)
     d = basis.dim
     dev = float(np.abs(bases.gram(basis.elements) / d - np.eye(d * d)).max())
     report = {
@@ -107,11 +103,10 @@ def cmd_measure(args):
     u = load_unitary(args.unitary)
     d = u.shape[0]
     u0 = load_unitary(args.u0) if args.u0 else None
-    build, runner = _KINDS[args.basis]
-    basis = getattr(bases, build)(dim=d, u0=u0)
+    basis = getattr(bases, _KINDS[args.basis])(dim=d, u0=u0)
     psi = measure.PureState(load_state(args.state, d))
     exact = measure.which_unitary_distribution(u, basis)
-    dist, results = getattr(measure, runner)(
+    dist, results = measure.measure_which_unitary(
         u, basis, psi, shots=args.shots, seed=args.seed
     )
     circuit_dev = float(

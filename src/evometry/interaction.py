@@ -23,6 +23,7 @@ from .gates import X
 from .linalg import (
     TRIM,
     _check,
+    _count,
     _frozen,
     _record,
     _sample,
@@ -289,6 +290,7 @@ def concentration_sectors(n, alpha, beta=None):
     rest: a mask over the 4^n x 4^n operator, with no projection. Returns
     the list G_0..G_n with sum_k G_k equal to the full n-copy operator.
     """
+    n = _count(n, "n")
     alpha, beta = _normalize_amplitudes(alpha, beta)
     if not 1 <= n <= MAX_EXACT_N:
         raise ValueError(f"exact sectors need 1 <= n <= {MAX_EXACT_N}")
@@ -316,6 +318,7 @@ def concentrate(n, alpha, beta=None, mode: str = "combinatorial",
     sector weights and the combinatorial law. With shots > 0 a seeded
     stream draws that many sector outcomes.
     """
+    n, shots = _count(n, "n"), _count(shots, "shots")
     alpha, beta = _normalize_amplitudes(alpha, beta)
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -2,12 +2,14 @@
 one home of its shared conventions: the declaration of the records that
 hold arrays (_record), the records (M (x) 1)|phi+> of a stack, the
 fail-closed residual check, the isometry deviation, the check of every
-unitary input (_unitary, within UNITARY_ATOL), the seeded sampler and
-the spectral tolerances."""
+unitary input (_unitary, within UNITARY_ATOL), the check of every count,
+seed and n argument (_count), the seeded sampler and the spectral
+tolerances."""
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -211,14 +213,31 @@ def shannon_entropy(p) -> float:
     return max(0.0, float(-(nz * np.log2(nz)).sum()))
 
 
+def _count(value, name: str) -> int:
+    """The check of every count, seed and n argument: value as an int when
+    it is a non-negative integer, a numpy integer included. Anything else,
+    a bool, a float (NaN or whole) or a negative, is a ValueError naming
+    the argument."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = -1
+    if n < 0 or isinstance(value, bool):
+        raise ValueError(
+            f"{name} must be a non-negative integer, got {value!r}")
+    return n
+
+
 def _sample(probs, shots: int, seed) -> np.ndarray:
     """Draw shots outcome indices from the weights probs, normalized.
 
     Sampling is never unseeded: a missing seed is an error whenever
-    anything is drawn.
+    anything is drawn, and a seed must be a non-negative integer.
     """
     if seed is None and shots:
         raise ValueError("a seed is required for sampling")
+    if seed is not None:
+        seed = _count(seed, "seed")
     p = np.asarray(probs, dtype=float)
     rng = np.random.default_rng(seed)
     return rng.choice(p.size, size=shots, p=p / p.sum())

@@ -40,15 +40,18 @@ the readout 4n times that, and the two GEMMs 4^n * 4^n * b. One call
 takes about 0.2 ms at n = 4, 2 ms at n = 5 and 20 ms at n = 6 (median,
 one BLAS thread, 2-vCPU Xeon VM).
 
-Validation: a circuit requires its basis to be of the product form
-{u0 s_a} in its family's ordering. A basis is frozen and owns a
-read-only copy of its u0, so the check runs once per basis object and
-family (Pauli or Weyl) and is memoised on the basis; a failed check
-raises and runs again on the next call. The branch records are checked
-in bulk: one norm check per call covers every observed row (one bad
-row, NaN included, rejects the call), and each record is then filled
-without running its validator. A PureState built directly, or through
-dataclasses.replace, still checks its own norm.
+Validation: a circuit requires its basis to be of a product form
+{u0 s_a}, Pauli strings on qubit sites or clock/shift products on one
+d-level site, which the basis finds in its own elements once and
+memoises (it is frozen and owns a read-only copy of its u0); a basis of
+neither form raises, naming the first element that deviates, and is
+checked again on the next call.
+shots and seed go through linalg._count, which refuses a bool, a float
+or a negative with a ValueError naming the argument. The branch records
+are checked in bulk: one norm check per call covers every observed row
+(one bad row, NaN included, rejects the call), and each record is then
+filled without running its validator. A PureState built directly, or
+through dataclasses.replace, still checks its own norm.
 """
 from __future__ import annotations
 
@@ -60,7 +63,6 @@ import numpy as np
 from .basis import (
     PRODUCT_FORM_ATOL,
     OperatorBasis,
-    _n_qubits,
     _reference,
     clock_shift,
     clock_shift_powers,
@@ -69,6 +71,7 @@ from .basis import (
 from .linalg import (
     _array_hash,
     _check,
+    _count,
     _fourier,
     _frozen,
     _prechecked,
@@ -379,24 +382,18 @@ def _circuit_inputs(u, basis, psi):
     return um, psi
 
 
-def _run_product_measurement(u, basis, psi, shots, seed, site_dims,
-                             pauli=False):
-    """Run the circuit and read out in basis-label order."""
-    um, psi = _circuit_inputs(u, basis, psi)
-    rows = _circuit_rows(um, _reference(basis.u0, basis.dim), site_dims,
-                         psi, pauli)
-    probs = np.linalg.norm(rows, axis=1) ** 2
-    return _finish(basis.labels, probs, rows, shots, seed)
-
-
 def measure_which_unitary(u, basis: OperatorBasis, psi, shots: int = 0,
                           seed: int | None = None):
-    """Simulate the two-ancilla-per-qubit circuit for a Pauli-form basis.
+    """Simulate the echo circuit that reads out which basis element acted.
 
-    Requires basis elements u0 s_a with s_a the tensor-product Pauli
-    strings (the pauli_basis ordering). psi may live on C^d or carry an
-    extra untouched tensor factor, in which case the factor rides along
-    and stays entangled exactly as it was.
+    The basis must be of a product form {u0 s_a}, which its own elements
+    give: Pauli strings in pauli_basis ordering, read by two qubit
+    ancillas per qubit, or u0 Z^mu X^nu in weyl_basis ordering, read by
+    two d-level ancillas that end in the Fourier vectors with kernels
+    zeta^{alpha mu} and zeta^{-beta nu}. Any other basis is refused,
+    naming the first element that deviates. psi may live on C^d or carry
+    an extra untouched tensor factor, which rides along and stays
+    entangled exactly as it was.
 
     Returns (OutcomeDistribution, results) where results holds one
     WhichUnitaryResult per outcome that occurred (all outcomes of
@@ -404,22 +401,19 @@ def measure_which_unitary(u, basis: OperatorBasis, psi, shots: int = 0,
     the same outcome share the same collapsed state, so the per-shot
     record lives in the distribution's shot_outcomes.
     """
-    basis._pauli_form  # ValueError unless the elements are u0 s_a
-    return _run_product_measurement(
-        u, basis, psi, shots, seed, (2,) * _n_qubits(basis.dim), pauli=True
-    )
+    shots = _count(shots, "shots")
+    site_dims, pauli = basis._product_form
+    um, psi = _circuit_inputs(u, basis, psi)
+    rows = _circuit_rows(um, _reference(basis.u0, basis.dim), site_dims,
+                         psi, pauli)
+    probs = np.linalg.norm(rows, axis=1) ** 2
+    return _finish(basis.labels, probs, rows, shots, seed)
 
 
 def measure_which_unitary_qudit(u, basis: OperatorBasis, psi,
                                 shots: int = 0, seed: int | None = None):
-    """Simulate the two-qudit-ancilla circuit for a clock/shift basis.
-
-    Requires basis elements u0 Z^mu X^nu in weyl_basis ordering. The
-    ancilla end state for element (mu, nu) is the product of the two
-    Fourier vectors with kernels zeta^{alpha mu} and zeta^{-beta nu}.
-    """
-    basis._weyl_form  # ValueError unless the elements are u0 Z^mu X^nu
-    return _run_product_measurement(u, basis, psi, shots, seed, (basis.dim,))
+    """measure_which_unitary under the name of its clock/shift case."""
+    return measure_which_unitary(u, basis, psi, shots, seed)
 
 
 def circuit_end_state(u, basis: OperatorBasis, psi) -> np.ndarray:
@@ -427,14 +421,14 @@ def circuit_end_state(u, basis: OperatorBasis, psi) -> np.ndarray:
 
     Row c of the result is the unnormalized system vector paired with
     ancilla computational configuration c; summing |row|^2 gives 1.
-    This is the clock/shift circuit of measure_which_unitary_qudit
-    stopped before its readout, exposed for inspection of the ancilla
-    end states.
+    This is the circuit of measure_which_unitary stopped before its
+    readout, for either product form, exposed for inspection of the
+    ancilla end states.
     """
-    basis._weyl_form  # ValueError unless the elements are u0 Z^mu X^nu
+    site_dims, _ = basis._product_form
     um, psi = _circuit_inputs(u, basis, psi)
     return _system_rows(
-        _echo_joint(um, _reference(basis.u0, basis.dim), (basis.dim,), psi))
+        _echo_joint(um, _reference(basis.u0, basis.dim), site_dims, psi))
 
 
 def measure_choi_side(op, basis: OperatorBasis, shots: int = 0,
@@ -449,6 +443,7 @@ def measure_choi_side(op, basis: OperatorBasis, shots: int = 0,
     arbitrary input state. Collapsed states are the post-measurement
     pair states.
     """
+    shots = _count(shots, "shots")
     # the amplitude on (B_a (x) 1)|phi+> is <<B_a|op>>/d = C_a
     probs = expand(op, basis).probabilities()
     return _finish(basis.labels, probs, _records(basis.elements), shots, seed)

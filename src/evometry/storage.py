@@ -26,8 +26,8 @@ from .channels import (
     canonical_kraus,
     kraus_from_ancilla_basis,
 )
-from .linalg import (TRIM, _check, _fourier, _frozen, _record, _records,
-                     _sample)
+from .linalg import (TRIM, _check, _count, _fourier, _frozen, _record,
+                     _records, _sample)
 
 if TYPE_CHECKING:  # annotations; the retrieval functions import it to build
     from .measure import PureState
@@ -169,6 +169,7 @@ def typical_compress(kraus: KrausMap, n: int, delta: float) -> TypicalCompressio
     table of more than MAX_TABLE_CELLS cells is refused before it is
     built: k <= 8 fits at n = 20.
     """
+    n = _count(n, "n")
     if n < 1 or n > MAX_EXACT_N:
         raise ValueError(f"n must lie in [1, {MAX_EXACT_N}] for exact enumeration")
     if not delta >= 0:
@@ -328,6 +329,7 @@ def retrieval_statistics(index: int, kraus: KrausMap, psi,
                          trials: int, seed) -> dict:
     """Herald rate over many retrieval attempts, sampled in one stream.
     psi is a PureState or a unit vector, as in probabilistic_retrieve."""
+    trials = _count(trials, "trials")
     rows, psi = _retrieval_rows(kraus, index, psi)
     branches, weights = _fourier_branches(rows)
     successes = int(np.count_nonzero(_sample(weights, trials, seed) == 0))
@@ -337,7 +339,7 @@ def retrieval_statistics(index: int, kraus: KrausMap, psi,
     return {
         "support_dim": int(weights.size),
         "herald_probability": float(weights[0]),
-        "trials": int(trials),
+        "trials": trials,
         "successes": successes,
         "empirical_rate": successes / trials if trials else 0.0,
         "success_fidelity": float(abs(np.vdot(expected, target))),

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import OperatorBasis, expand
-from .linalg import _record, _records, _sample, _unitary
+from .linalg import _count, _record, _records, _sample, _unitary
 
 
 @_record
@@ -59,6 +59,7 @@ def superdense_send(u, basis: OperatorBasis, shots: int = 0,
     entangled because its elements are unitary, which OperatorBasis
     records in is_unitary.
     """
+    shots = _count(shots, "shots")
     um = _unitary(u, basis.dim, "unitary")
     if not basis.is_unitary:
         raise ValueError("the basis must consist of unitaries")

@@ -316,5 +316,7 @@ def test_records_compare_by_their_arrays():
 
 def test_memoised_form_check_takes_no_part_in_equality():
     a, b = pauli_basis(dim=4), pauli_basis(dim=4)
-    assert a._pauli_form == 0.0
+    assert a._product_form == ((2, 2), True)
     assert a == b and hash(a) == hash(b)
+    assert weyl_basis(4)._product_form == ((4,), False)
+    assert weyl_basis(3)._product_form == ((3,), False)

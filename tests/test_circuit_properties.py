@@ -14,7 +14,10 @@ from evometry import (
 )
 from evometry.linalg import random_state, random_unitary
 
-ATOL = 1e-10
+ATOL = 1e-13
+# the bystander of a normalised branch: a branch of weight 1e-9 scales
+# the rounding of its row by 3e4
+BYSTANDER_ATOL = 1e-10
 FEW = settings(max_examples=8, deadline=None)
 
 
@@ -23,11 +26,14 @@ def _bystander_state(psi, d):
     return m.T @ m.conj()
 
 
-def _check_circuit(u, basis, psi, measure):
-    """Born law, closed-form rows, bystander untouched, dense coding."""
+def _check_circuit(u, basis, psi):
+    """Both entry names bit for bit, then the Born law, closed-form rows,
+    bystander untouched, dense coding."""
     d = basis.dim
     coeffs = expand(u, basis).coeffs
-    dist, results = measure(u, basis, psi)
+    dist, results = measure_which_unitary(u, basis, psi)
+    other, other_results = measure_which_unitary_qudit(u, basis, psi)
+    assert other == dist and other_results == results
     assert np.abs(dist.probabilities - np.abs(coeffs) ** 2).max() < ATOL
 
     # row a, unnormalized, is C_a (B_a (x) 1) psi with B_a = u0 s_a
@@ -42,7 +48,7 @@ def _check_circuit(u, basis, psi, measure):
         assert np.abs(row - want).max() < ATOL
         if psi.size > d:
             assert np.abs(_bystander_state(r.collapsed.amplitudes, d)
-                          - _bystander_state(psi, d)).max() < ATOL
+                          - _bystander_state(psi, d)).max() < BYSTANDER_ATOL
 
     sent = superdense_send(u, basis)
     assert np.abs(sent.coefficients - coeffs).max() < ATOL
@@ -58,15 +64,16 @@ def test_pauli_circuit_matches_closed_form(n, with_u0, bystander, seed):
              else pauli_basis(dim=d))
     u = random_unitary(d, rng)
     psi = random_state(2 * d if bystander else d, rng)
-    _check_circuit(u, basis, psi, measure_which_unitary)
+    _check_circuit(u, basis, psi)
 
 
-@FEW
-@given(d=st.sampled_from([3, 5, 7]), with_u0=st.booleans(),
+@settings(max_examples=16, deadline=None)
+@given(d=st.sampled_from([2, 3, 4, 5, 7]), with_u0=st.booleans(),
        bystander=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_weyl_circuit_matches_closed_form(d, with_u0, bystander, seed):
+    """d = 2 and 4 are powers of two read out in Weyl order, not Pauli."""
     rng = np.random.default_rng(seed)
     basis = weyl_basis(d, random_unitary(d, rng) if with_u0 else None)
     u = random_unitary(d, rng)
     psi = random_state(2 * d if bystander else d, rng)
-    _check_circuit(u, basis, psi, measure_which_unitary_qudit)
+    _check_circuit(u, basis, psi)

@@ -361,26 +361,32 @@ def test_product_form_check_names_the_deviating_element():
         measure_which_unitary(np.eye(4), rotated, np.eye(4)[0])
 
 
-def test_pauli_measurement_needs_a_power_of_two_dimension():
-    with pytest.raises(ValueError, match="dimension 3 is not a power of two"):
-        measure_which_unitary(np.eye(3), weyl_basis(3), np.eye(3)[0])
+def test_either_entry_reads_either_family():
+    """(1, X, Z, iY) is not the Pauli ordering: each entry reads each
+    basis out in that basis's own label order, at d = 2 and d = 3."""
+    for b in (pauli_basis(dim=2), weyl_basis(2), weyl_basis(3)):
+        u = H if b.dim == 2 else random_unitary(3, 37)
+        psi = np.eye(b.dim)[0]
+        want = expand(u, b).probabilities()
+        for measure in (measure_which_unitary, measure_which_unitary_qudit):
+            dist, _ = measure(u, b, psi)
+            assert dist.labels == b.labels
+            assert np.abs(dist.probabilities - want).max() <= 1e-15
+    assert not np.allclose(expand(H, pauli_basis(dim=2)).probabilities(),
+                           expand(H, weyl_basis(2)).probabilities())
 
 
-def test_d2_weyl_basis_is_refused_on_every_pauli_call():
-    """(1, X, Z, iY) is not the Pauli ordering: the refusal is not
-    memoised, and passing the Weyl check does not pass the Pauli one."""
-    w, psi = weyl_basis(2), np.eye(2)[0]
-    for _ in range(3):
-        with pytest.raises(ValueError, match="element 2 deviates"):
-            measure_which_unitary(H, w, psi)
-    measure_which_unitary_qudit(H, w, psi)
-    with pytest.raises(ValueError, match="element 2 deviates"):
-        measure_which_unitary(H, w, psi)
-    p = pauli_basis(dim=2)
-    measure_which_unitary(H, p, psi)
+def test_a_basis_of_neither_form_is_refused_on_every_call():
+    """The refusal names the element and is not memoised: a Weyl-sized
+    basis is refused by the Weyl check, on every entry and every call."""
+    k = np.eye(9, dtype=complex)
+    k[1:3, 1:3] = random_unitary(2, 38)
+    rotated, psi = rotate_basis(weyl_basis(3), k), np.eye(3)[0]
     for _ in range(2):
-        with pytest.raises(ValueError, match="element 2 deviates"):
-            measure_which_unitary_qudit(H, p, psi)
+        for call in (measure_which_unitary, measure_which_unitary_qudit,
+                     circuit_end_state):
+            with pytest.raises(ValueError, match="element 1 deviates"):
+                call(np.eye(3), rotated, psi)
 
 
 def test_product_form_table_is_built_once_per_basis():
@@ -598,12 +604,14 @@ def test_composed_engine_matches_the_per_site_engine(site_dims, with_u0,
     got = measure_module._circuit_rows(u, u0, site_dims, psi, pauli)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13
-    if len(site_dims) == 1:
+    if pauli:
+        basis = pauli_basis(u0) if with_u0 else pauli_basis(dim=d)
+    else:
         basis = weyl_basis(d, u0 if with_u0 else None)
-        end = circuit_end_state(u, basis, psi)
-        assert end.shape == (d * d, psi.size)
-        assert np.abs(end - _echo_joint_by_sites(u, u0, site_dims, psi)
-                      ).max() <= 1e-13
+    end = circuit_end_state(u, basis, psi)
+    assert end.shape == (d * d, psi.size)
+    assert np.abs(end - _echo_joint_by_sites(u, u0, site_dims, psi)
+                  ).max() <= 1e-13
 
 
 def test_engine_tables_are_built_once_and_refuse_writes():

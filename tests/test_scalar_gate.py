@@ -1,0 +1,99 @@
+"""Every public entry that takes a count, a seed or an n checks it through
+the one gate, linalg._count: a bool, a float (NaN included) and a
+negative are refused with a ValueError that names the argument, before
+numpy or math sees them. A numpy integer is accepted."""
+import numpy as np
+import pytest
+
+from evometry import (
+    EvolutionSequence,
+    concentrate,
+    concentration_sectors,
+    kraus_from_ancilla_basis,
+    measure_choi_side,
+    measure_which_unitary,
+    measure_which_unitary_qudit,
+    named_channel,
+    pauli_basis,
+    pauli_strings,
+    probabilistic_retrieve,
+    retrieval_statistics,
+    stinespring,
+    superdense_send,
+    typical_compress,
+    verify_sequence,
+    weyl_basis,
+)
+from evometry.gates import H
+from evometry.linalg import _count
+
+ZERO = np.array([1.0, 0.0])
+DEPHASING = named_channel("dephasing:0.5")
+DILATION = stinespring(DEPHASING)
+CLAIM = EvolutionSequence(kraus_from_ancilla_basis(DILATION), (0, 1))
+
+# name -> call with keyword arguments; each call samples, so a seed is read
+ENTRIES = {
+    "measure_which_unitary": lambda shots=4, seed=1: measure_which_unitary(
+        H, pauli_basis(dim=2), ZERO, shots=shots, seed=seed),
+    "measure_which_unitary_qudit":
+        lambda shots=4, seed=1: measure_which_unitary_qudit(
+            H, weyl_basis(2), ZERO, shots=shots, seed=seed),
+    "measure_choi_side": lambda shots=4, seed=1: measure_choi_side(
+        H, pauli_basis(dim=2), shots=shots, seed=seed),
+    "superdense_send": lambda shots=4, seed=1: superdense_send(
+        H, pauli_basis(dim=2), shots=shots, seed=seed),
+    "concentrate": lambda n=3, shots=4, seed=1: concentrate(
+        n, 0.6, shots=shots, seed=seed),
+    "concentration_sectors": lambda n=2: concentration_sectors(n, 0.6),
+    "typical_compress": lambda n=4: typical_compress(DEPHASING, n, 0.1),
+    "pauli_strings": lambda n=2: pauli_strings(n),
+    "verify_sequence": lambda seed=1: verify_sequence(DILATION, None, CLAIM,
+                                                      seed),
+    "probabilistic_retrieve": lambda seed=1: probabilistic_retrieve(
+        0, DEPHASING, ZERO, seed),
+    "retrieval_statistics": lambda trials=4, seed=1: retrieval_statistics(
+        0, DEPHASING, ZERO, trials, seed),
+}
+
+PARAMETERS = {
+    "measure_which_unitary": ("shots", "seed"),
+    "measure_which_unitary_qudit": ("shots", "seed"),
+    "measure_choi_side": ("shots", "seed"),
+    "superdense_send": ("shots", "seed"),
+    "concentrate": ("n", "shots", "seed"),
+    "concentration_sectors": ("n",),
+    "typical_compress": ("n",),
+    "pauli_strings": ("n",),
+    "verify_sequence": ("seed",),
+    "probabilistic_retrieve": ("seed",),
+    "retrieval_statistics": ("trials", "seed"),
+}
+
+BAD = {"bool": True, "fraction": 2.5, "nan": float("nan"), "negative": -1}
+
+
+@pytest.mark.parametrize("name, param, kind", [
+    (name, param, kind) for name, params in PARAMETERS.items()
+    for param in params for kind in BAD
+])
+def test_entry_refuses_a_bad_scalar(name, param, kind):
+    with pytest.raises(ValueError,
+                       match=f"^{param} must be a non-negative integer"):
+        ENTRIES[name](**{param: BAD[kind]})
+
+
+@pytest.mark.parametrize("name, param", [
+    (name, param) for name, params in PARAMETERS.items() for param in params
+])
+def test_entry_accepts_a_numpy_integer(name, param):
+    ENTRIES[name]()
+    ENTRIES[name](**{param: np.int64(2)})
+
+
+def test_gate_returns_a_python_int():
+    assert _count(np.uint8(7), "shots") == 7
+    assert type(_count(np.int64(7), "shots")) is int
+    for bad in (np.True_, 3.0, "3", None):
+        with pytest.raises(ValueError, match="shots must be"):
+            _count(bad, "shots")
