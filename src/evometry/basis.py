@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import field
+import math
 
 import numpy as np
 
@@ -53,18 +53,20 @@ class UnitaryOperator:
 
 @_record
 class ExpansionCoefficients:
-    """Coefficients C_a of an operator over an orthogonal basis."""
+    """Coefficients C_a of an operator over an orthogonal basis on C^d:
+    d^2 of them, so dim is the square root of their count."""
 
-    dim: int
     coeffs: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex).ravel()
-        if c.size != self.dim * self.dim:
-            raise ValueError(
-                f"expected {self.dim ** 2} coefficients, got {c.size}"
-            )
+        if c.size == 0 or math.isqrt(c.size) ** 2 != c.size:
+            raise ValueError(f"need d^2 coefficients, got {c.size}")
         object.__setattr__(self, "coeffs", c)
+
+    @property
+    def dim(self) -> int:
+        return math.isqrt(self.coeffs.size)
 
     def probabilities(self) -> np.ndarray:
         """|C_a|^2 for every basis element."""
@@ -73,59 +75,63 @@ class ExpansionCoefficients:
 
 @_record
 class OperatorBasis:
-    """d^2 trace-orthogonal operators on C^d, reference element first.
+    """d^2 trace-orthogonal operators on C^d and one label per element.
 
-    elements[0] is u0 itself whenever a reference unitary was supplied
-    (checked within 1e-10); u0 is stored as a UnitaryOperator, which
-    owns a read-only copy of its matrix. is_unitary is computed, not
-    passed: whether every element is unitary within 1e-10, which is what
-    makes the which-element measurement a measurement over unitaries.
     elements is one read-only (d^2, d, d) array, copied from the input,
-    so a basis never changes after it is checked. Bases with equal
-    fields are equal and hash alike.
+    so a basis never changes after it is checked; dim is read from its
+    shape. Bases with equal elements and labels are equal and hash
+    alike, however they were built.
+
+    The echo circuit reads a basis of the product form {u0 s_a} with
+    s_0 = 1, so its reference u0 is elements[0] and is not stored apart.
+    u0 is unitary within tolerance whenever the basis is of that form:
+    trace orthogonality gives tr(u0^dag u0 s_b s_a^dag) = d delta_ab, and
+    the products s_b s_a^dag span every matrix, so u0^dag u0 = 1 and the
+    echo undoes u0 with dag(elements[0]).
+
+    is_unitary is computed, not passed, and memoised: whether every
+    element is unitary within 1e-10, which is what makes the
+    which-element measurement a measurement over unitaries.
     """
 
-    dim: int
     elements: np.ndarray
     labels: tuple
-    u0: UnitaryOperator | None = None
-    is_unitary: bool = field(init=False)
 
     def __post_init__(self):
-        d = self.dim
         elements = _frozen(self.elements)
-        if elements.shape != (d * d, d, d):
-            raise ValueError(f"need {d * d} elements of shape ({d}, {d}) "
-                             f"for dim {d}, got shape {elements.shape}")
+        d = elements.shape[-1] if elements.ndim == 3 else 0
+        if d < 1 or elements.shape != (d * d, d, d):
+            raise ValueError("need d^2 elements of shape (d, d), got shape "
+                             f"{elements.shape}")
         if len(self.labels) != d * d:
             raise ValueError("one label per element required")
         _check(np.abs(gram(elements) - d * np.eye(d * d)).max(),
                UNITARY_ATOL, "elements are not trace-orthogonal")
-        u0 = self.u0
-        if u0 is not None:
-            if not isinstance(u0, UnitaryOperator):
-                u0 = UnitaryOperator(u0)
-            if u0.dim != d:
-                raise ValueError(f"u0 has dim {u0.dim}, expected {d}")
-            _check(np.abs(elements[0] - u0.matrix).max(), UNITARY_ATOL,
-                   "elements[0] is not u0")
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "is_unitary", bool(
-            _isometry_deviation(elements) <= UNITARY_ATOL))
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "u0", u0)
 
     def __hash__(self) -> int:
         return _array_hash(self.elements)
+
+    @property
+    def dim(self) -> int:
+        return self.elements.shape[-1]
+
+    @functools.cached_property
+    def is_unitary(self) -> bool:
+        return bool(_isometry_deviation(self.elements) <= UNITARY_ATOL)
 
     @functools.cached_property
     def _product_form(self) -> tuple:
         """(site_dims, pauli) of the echo circuit that reads the basis out:
         n qubit sites if elements[a] == u0 @ pauli_strings(n)[a], else one
-        d-level site if elements[a] == u0 Z^mu X^nu. Memoised but not a
-        field (a basis is frozen); a basis of neither form is refused by
-        the family _default_basis picks, and again on every call."""
+        d-level site if elements[a] == u0 Z^mu X^nu, with u0 = elements[0].
+        Memoised but not a field (a basis is frozen); a basis of neither
+        form, or of one level, is refused, and again on every call."""
         d = self.dim
+        if d < 2:
+            raise ValueError("the echo circuit needs a basis of dimension "
+                             f">= 2, got dimension {d}")
         n = d.bit_length() - 1
         bad = None
         if d == 2 ** n:
@@ -151,11 +157,6 @@ def gram(elements) -> np.ndarray:
     the flattened elements."""
     flat = np.reshape(elements, (len(elements), -1))
     return flat.conj() @ flat.T
-
-
-def _reference(u0, dim: int) -> np.ndarray:
-    """The reference unitary's matrix, or the identity when there is none."""
-    return np.eye(dim, dtype=complex) if u0 is None else as_matrix(u0)
 
 
 def _n_qubits(dim: int) -> int:
@@ -195,8 +196,8 @@ def pauli_basis(u0=None, dim: int = 2) -> OperatorBasis:
     """Basis {u0 s_a} from tensor products of the single-qubit operators.
 
     Ordering is lexicographic in (I, X, Y, Z) per qubit with the identity
-    string first, so elements[0] == u0. Without u0 the reference is the
-    identity.
+    string first, so elements[0] == u0. Without u0 the elements are the
+    Pauli strings themselves.
 
     Parameters
     ----------
@@ -205,19 +206,19 @@ def pauli_basis(u0=None, dim: int = 2) -> OperatorBasis:
     dim : dimension used when u0 is omitted.
     """
     if u0 is not None:
-        if not isinstance(u0, UnitaryOperator):
-            if np.ndim(u0) == 0:
-                raise ValueError("u0 must be a matrix; pass the dimension "
-                                 "by keyword, pauli_basis(dim=...)")
-            u0 = UnitaryOperator(u0)
-        dim = u0.dim
+        if np.ndim(getattr(u0, "matrix", u0)) == 0:
+            raise ValueError("u0 must be a matrix; pass the dimension "
+                             "by keyword, pauli_basis(dim=...)")
+        u0 = _unitary(u0, what="u0")
+        dim = len(u0)
     n = _n_qubits(dim)
-    ref = _reference(u0, dim)
+    strings = pauli_strings(n)
     labels = [
         "".join(gates.PAULI_LABELS[l] for l in letters)
         for letters in itertools.product(range(4), repeat=n)
     ]
-    return OperatorBasis(dim, ref @ pauli_strings(n), tuple(labels), u0=u0)
+    return OperatorBasis(strings if u0 is None else u0 @ strings,
+                         tuple(labels))
 
 
 def clock_shift(dim: int) -> tuple[UnitaryOperator, UnitaryOperator]:
@@ -259,10 +260,10 @@ def _weyl_products(dim: int) -> np.ndarray:
 
 
 def _deviation(basis: OperatorBasis, sigmas) -> int | None:
-    """The first element that differs from u0 sigmas[a] by more than
-    PRODUCT_FORM_ATOL in some entry, or None when none does."""
-    ref = _reference(basis.u0, basis.dim)
-    dev = np.abs(basis.elements - ref @ sigmas).max(axis=(1, 2))
+    """The first element that differs from u0 sigmas[a], u0 = elements[0],
+    by more than PRODUCT_FORM_ATOL in some entry, or None when none does."""
+    elements = basis.elements
+    dev = np.abs(elements - elements[0] @ sigmas).max(axis=(1, 2))
     bad = np.flatnonzero(~(dev <= PRODUCT_FORM_ATOL))
     return int(bad[0]) if bad.size else None
 
@@ -279,10 +280,9 @@ def weyl_basis(dim: int, u0=None) -> OperatorBasis:
                          "goes second, weyl_basis(d, u0)")
     products = _weyl_products(dim)
     if u0 is not None:
-        u0 = UnitaryOperator(_unitary(u0, dim, "u0"))
-    ref = _reference(u0, dim)
+        products = _unitary(u0, dim, "u0") @ products
     labels = [f"Z^{mu}X^{nu}" for mu in range(dim) for nu in range(dim)]
-    return OperatorBasis(dim, ref @ products, tuple(labels), u0=u0)
+    return OperatorBasis(products, tuple(labels))
 
 
 def _default_basis(dim: int) -> tuple[str, OperatorBasis]:
@@ -290,7 +290,7 @@ def _default_basis(dim: int) -> tuple[str, OperatorBasis]:
     element [[1]] for a single level, the Pauli basis when dim is a
     power of two, the Weyl basis otherwise."""
     if dim == 1:
-        return "trivial", OperatorBasis(1, np.ones((1, 1, 1)), ("I",))
+        return "trivial", OperatorBasis(np.ones((1, 1, 1)), ("I",))
     if dim & (dim - 1) == 0:
         return "pauli", pauli_basis(dim=dim)
     return "weyl", weyl_basis(dim)
@@ -309,7 +309,7 @@ def expand(op, basis: OperatorBasis) -> ExpansionCoefficients:
             f"operator shape {m.shape} does not match basis dim {basis.dim}"
         )
     coeffs = basis.elements.reshape(len(basis), -1).conj() @ m.ravel()
-    return ExpansionCoefficients(basis.dim, coeffs / basis.dim)
+    return ExpansionCoefficients(coeffs / basis.dim)
 
 
 def reconstruct(coeffs: ExpansionCoefficients, basis: OperatorBasis) -> np.ndarray:
@@ -331,4 +331,4 @@ def rotate_basis(basis: OperatorBasis, k) -> OperatorBasis:
     k = _unitary(k, basis.dim ** 2, "rotation")
     elements = np.tensordot(k, basis.elements, axes=1)
     labels = tuple(f"R{m}" for m in range(len(k)))
-    return OperatorBasis(basis.dim, elements, labels)
+    return OperatorBasis(elements, labels)

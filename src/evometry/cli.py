@@ -197,8 +197,6 @@ def cmd_retrieve(args):
 
     m = load_map(args.map)
     psi = PureState(load_state(args.state, m.dim))
-    if args.trials > 0 and args.seed is None:
-        raise ValueError("--seed is required when --trials > 0")
     stats = retrieval_statistics(args.op_index, m, psi, args.trials, args.seed)
     p = stats["herald_probability"]
     sigma = (

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .gates import GATES
-from .linalg import random_state
+from .linalg import _count, random_state
 
 if TYPE_CHECKING:  # annotations; the two channel readers import channels
     from .channels import KrausMap
@@ -32,9 +32,13 @@ def matrix_json(m: np.ndarray) -> dict:
 
 def _dim(value, kind: str) -> int:
     """The dim field of an object: a JSON integer >= 1, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    try:
+        dim = _count(value, "dim")
+    except ValueError:
+        dim = 0
+    if dim < 1:
         raise ValueError(f"{kind} dim must be an integer >= 1, got {value!r}")
-    return value
+    return dim
 
 
 def _complex_from_json(obj: dict, kind: str):

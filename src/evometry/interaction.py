@@ -13,7 +13,6 @@ weighted block of C(n, k) terms, so the typical block size grows like
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -54,10 +53,10 @@ class BipartiteUnitary:
 
     def __post_init__(self):
         try:
-            da, db = map(operator.index, self.dims)
+            da, db = (_count(x, "dims") for x in self.dims)
         except (TypeError, ValueError):
             da = db = 0
-        if min(da, db) < 1 or any(isinstance(x, bool) for x in self.dims):
+        if min(da, db) < 1:
             raise ValueError(f"dims must be two positive integers, got "
                              f"{self.dims!r}")
         object.__setattr__(self, "dims", (da, db))
@@ -338,9 +337,8 @@ def concentrate(n, alpha, beta=None, mode: str = "combinatorial",
         ConcentrationRecord(n, k, math.comb(n, k), float(probs[k]))
         for k in range(n + 1)
     )
-    samples = None
-    if shots:
-        samples = _sample(probs, shots, seed)
+    samples = _sample(probs, shots, seed)
     return ConcentrationDistribution(
-        n, alpha, beta, probs, records, mode, deviation, samples
+        n, alpha, beta, probs, records, mode, deviation,
+        samples if shots else None
     )

@@ -232,12 +232,15 @@ def _sample(probs, shots: int, seed) -> np.ndarray:
     """Draw shots outcome indices from the weights probs, normalized.
 
     Sampling is never unseeded: a missing seed is an error whenever
-    anything is drawn, and a seed must be a non-negative integer.
+    anything is drawn, and a seed must be a non-negative integer, which
+    is checked even when shots is 0 and nothing is drawn.
     """
     if seed is None and shots:
         raise ValueError("a seed is required for sampling")
     if seed is not None:
         seed = _count(seed, "seed")
+    if not shots:
+        return np.zeros(0, dtype=int)
     p = np.asarray(probs, dtype=float)
     rng = np.random.default_rng(seed)
     return rng.choice(p.size, size=shots, p=p / p.sum())

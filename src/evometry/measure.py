@@ -41,13 +41,15 @@ takes about 0.2 ms at n = 4, 2 ms at n = 5 and 20 ms at n = 6 (median,
 one BLAS thread, 2-vCPU Xeon VM).
 
 Validation: a circuit requires its basis to be of a product form
-{u0 s_a}, Pauli strings on qubit sites or clock/shift products on one
-d-level site, which the basis finds in its own elements once and
-memoises (it is frozen and owns a read-only copy of its u0); a basis of
-neither form raises, naming the first element that deviates, and is
-checked again on the next call.
-shots and seed go through linalg._count, which refuses a bool, a float
-or a negative with a ValueError naming the argument. The branch records
+{u0 s_a} with s_0 = 1, Pauli strings on qubit sites or clock/shift
+products on one d-level site. The reference u0 is the basis's first
+element, and the basis finds the form in its own elements once and
+memoises it (a basis is frozen); a basis of neither form, or of one
+level, raises, naming the first element that deviates or the dimension,
+and is checked again on the next call. shots and seed go through
+linalg._count, which refuses a bool, a float or a negative with a
+ValueError naming the argument; the seed is checked even when shots is
+0 and nothing is drawn. The branch records
 are checked in bulk: one norm check per call covers every observed row
 (one bad row, NaN included, rejects the call), and each record is then
 filled without running its validator. A PureState built directly, or
@@ -63,7 +65,6 @@ import numpy as np
 from .basis import (
     PRODUCT_FORM_ATOL,
     OperatorBasis,
-    _reference,
     clock_shift,
     clock_shift_powers,
     expand,
@@ -106,18 +107,6 @@ class PureState:
         _check(abs(np.linalg.norm(v) - 1.0), NORM_ATOL, "state norm is not 1")
         object.__setattr__(self, "amplitudes", v)
 
-    @classmethod
-    def _rows(cls, rows) -> list:
-        """One state per row of a 2-D array, each holding a read-only view
-        of its row: the caller hands the array over and keeps no use for
-        it. The norm check runs once over all rows, so one bad row (NaN
-        included) rejects the batch, and __post_init__ is not run."""
-        rows = np.asarray(rows, dtype=complex).view()
-        rows.setflags(write=False)
-        dev = np.abs(np.linalg.norm(rows, axis=1) - 1.0).max(initial=0.0)
-        _check(dev, NORM_ATOL, "state norm is not 1")
-        return _prechecked(cls, rows)
-
     @property
     def dim(self) -> int:
         return self.amplitudes.size
@@ -150,7 +139,7 @@ class TwoTimeObservable:
         return z.matrix if self.family == "z" else x.matrix
 
     def reference(self) -> np.ndarray:
-        return _reference(self.u0, self.dim)
+        return np.eye(self.dim, dtype=complex) if self.u0 is None else self.u0
 
 
 @_record
@@ -165,15 +154,14 @@ class WhichUnitaryResult:
 
 @_record
 class OutcomeDistribution:
-    """Exact outcome probabilities, optionally with sampled counts.
+    """Exact outcome probabilities, optionally with sampled shots.
 
     One finite, non-negative probability per label, summing to 1 within
-    PROBABILITY_ATOL; counts, when given, hold one entry per label and
-    sum to the number of shot_outcomes."""
+    PROBABILITY_ATOL; shot_outcomes, when given, is a 1-D array of label
+    indices, and counts and shots are read from it."""
 
     labels: tuple
     probabilities: np.ndarray
-    counts: np.ndarray | None = None
     shot_outcomes: np.ndarray | None = None
     seed: int | None = None
 
@@ -188,20 +176,25 @@ class OutcomeDistribution:
             raise ValueError("probabilities must be finite and non-negative")
         _check(abs(p.sum() - 1.0), PROBABILITY_ATOL,
                "probabilities do not sum to 1")
-        if self.counts is not None:
-            counts = np.asarray(self.counts)
-            if counts.shape != (n,):
-                raise ValueError(f"need one count per label: {n} labels, "
-                                 f"counts of shape {counts.shape}")
-            shots = 0 if self.shot_outcomes is None else len(self.shot_outcomes)
-            if counts.sum() != shots:
-                raise ValueError(f"counts sum to {counts.sum()}, not to the "
-                                 f"{shots} shot outcomes")
+        if self.shot_outcomes is not None:
+            s = np.asarray(self.shot_outcomes)
+            if (s.ndim != 1 or s.dtype.kind not in "iu"
+                    or s.size and not 0 <= s.min() <= s.max() < n):
+                raise ValueError(f"shot outcomes must be indices of the {n} "
+                                 "labels")
+            object.__setattr__(self, "shot_outcomes", s)
         object.__setattr__(self, "probabilities", p)
 
     @property
+    def counts(self) -> np.ndarray | None:
+        """Shots per label, or None when nothing was drawn."""
+        if self.shot_outcomes is None:
+            return None
+        return np.bincount(self.shot_outcomes, minlength=len(self.labels))
+
+    @property
     def shots(self) -> int:
-        return 0 if self.counts is None else int(self.counts.sum())
+        return 0 if self.shot_outcomes is None else len(self.shot_outcomes)
 
 
 def temporal_eigenvalue(obs: TwoTimeObservable, u) -> complex:
@@ -348,25 +341,28 @@ def _circuit_rows(u, u0, site_dims, psi, pauli=False):
 
 def _finish(labels, probs, collapsed_rows, shots, seed):
     """The distribution and one result per observed outcome, whose
-    collapsed state is its row of collapsed_rows normalised. The observed
-    rows are normalised and norm-checked as one array, and the records
-    are filled without a per-row validator."""
+    collapsed state is a read-only view of its row of collapsed_rows
+    normalised. The observed rows are normalised and norm-checked as one
+    array, so one bad row (NaN included) rejects the call, and the
+    records are filled without a per-row validator. The seed is checked
+    even when nothing is drawn."""
     probs = np.asarray(probs)
-    counts = None
-    shot_outcomes = None
+    shot_outcomes = _sample(probs, shots, seed)
     if shots:
-        shot_outcomes = _sample(probs, shots, seed)
-        counts = np.bincount(shot_outcomes, minlength=probs.size)
-        observed = np.flatnonzero(counts)
+        observed = np.flatnonzero(np.bincount(shot_outcomes,
+                                              minlength=probs.size))
     else:
+        shot_outcomes = None
         observed = np.flatnonzero(probs > 1e-14)
     rows = collapsed_rows[observed]
     rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    rows.setflags(write=False)
+    _check(np.abs(np.linalg.norm(rows, axis=1) - 1.0).max(initial=0.0),
+           NORM_ATOL, "state norm is not 1")
     results = _prechecked(WhichUnitaryResult, observed.tolist(),
-                          PureState._rows(rows), probs[observed].tolist())
-    dist = OutcomeDistribution(
-        labels, probs, counts=counts, shot_outcomes=shot_outcomes, seed=seed
-    )
+                          _prechecked(PureState, rows),
+                          probs[observed].tolist())
+    dist = OutcomeDistribution(labels, probs, shot_outcomes, seed)
     return dist, results
 
 
@@ -404,8 +400,7 @@ def measure_which_unitary(u, basis: OperatorBasis, psi, shots: int = 0,
     shots = _count(shots, "shots")
     site_dims, pauli = basis._product_form
     um, psi = _circuit_inputs(u, basis, psi)
-    rows = _circuit_rows(um, _reference(basis.u0, basis.dim), site_dims,
-                         psi, pauli)
+    rows = _circuit_rows(um, basis.elements[0], site_dims, psi, pauli)
     probs = np.linalg.norm(rows, axis=1) ** 2
     return _finish(basis.labels, probs, rows, shots, seed)
 
@@ -427,8 +422,7 @@ def circuit_end_state(u, basis: OperatorBasis, psi) -> np.ndarray:
     """
     site_dims, _ = basis._product_form
     um, psi = _circuit_inputs(u, basis, psi)
-    return _system_rows(
-        _echo_joint(um, _reference(basis.u0, basis.dim), site_dims, psi))
+    return _system_rows(_echo_joint(um, basis.elements[0], site_dims, psi))
 
 
 def measure_choi_side(op, basis: OperatorBasis, shots: int = 0,

@@ -65,14 +65,12 @@ def superdense_send(u, basis: OperatorBasis, shots: int = 0,
         raise ValueError("the basis must consist of unitaries")
     coeffs = expand(um, basis)
     probs = coeffs.probabilities()
-    counts = None
-    if shots:
-        counts = np.bincount(_sample(probs, shots, seed), minlength=probs.size)
+    drawn = _sample(probs, shots, seed)
     return ChannelTranscript(
         labels=basis.labels,
         coefficients=coeffs.coeffs,
         probabilities=probs,
         eavesdropper_marginal=_marginal(um),
-        counts=counts,
+        counts=np.bincount(drawn, minlength=probs.size) if shots else None,
         seed=seed,
     )

@@ -12,6 +12,7 @@ from evometry import (
     clock_shift_powers,
     expand,
     gram,
+    measure_which_unitary,
     operator_schmidt,
     pauli_basis,
     pauli_string,
@@ -143,8 +144,11 @@ def test_expand_rejects_wrong_shape():
 
 
 def test_expansion_coefficients_validation():
-    with pytest.raises(ValueError):
-        ExpansionCoefficients(2, np.zeros(3, dtype=complex))
+    for count in (0, 3, 15):
+        with pytest.raises(ValueError, match=f"need d\\^2 coefficients, "
+                                             f"got {count}"):
+            ExpansionCoefficients(np.zeros(count, dtype=complex))
+    assert ExpansionCoefficients(np.zeros((3, 3))).dim == 3
 
 
 def test_gram_of_cnot_family():
@@ -177,7 +181,7 @@ def test_nan_element_is_rejected():
     els = [np.eye(2, dtype=complex), X.copy(), Y.copy(), Z.copy()]
     els[2][0, 1] = np.nan
     with pytest.raises(ValueError, match="trace-orthogonal"):
-        OperatorBasis(2, tuple(els), ("I", "X", "Y", "Z"))
+        OperatorBasis(tuple(els), ("I", "X", "Y", "Z"))
 
 
 def test_pauli_strings_table_matches_kron_chains():
@@ -216,10 +220,10 @@ def test_is_unitary_is_computed_from_the_elements():
     b = pauli_basis(dim=2)
     rb = rotate_basis(b, random_unitary(4, 15))
     assert b.is_unitary and not rb.is_unitary
-    assert OperatorBasis(2, rb.elements, rb.labels).is_unitary is False
+    assert OperatorBasis(rb.elements, rb.labels).is_unitary is False
     assert rotate_basis(b, np.eye(4)[::-1]).is_unitary is True
     with pytest.raises(TypeError):
-        OperatorBasis(2, rb.elements, rb.labels, is_unitary=True)
+        OperatorBasis(rb.elements, rb.labels, is_unitary=True)
 
 
 def test_products_match_the_trace_loops():
@@ -236,7 +240,7 @@ def test_products_match_the_trace_loops():
 
 def test_basis_keeps_a_read_only_copy_of_its_elements():
     arr = np.stack([I2, X, Y, Z]).astype(complex)
-    b = OperatorBasis(2, arr, ("I", "X", "Y", "Z"))
+    b = OperatorBasis(arr, ("I", "X", "Y", "Z"))
     arr[:] = 0.0
     assert np.abs(b.elements - np.stack([I2, X, Y, Z])).max() == 0.0
     with pytest.raises(ValueError):
@@ -246,23 +250,43 @@ def test_basis_keeps_a_read_only_copy_of_its_elements():
         assert isinstance(basis.elements, np.ndarray)
         assert basis.elements.shape == (basis.dim ** 2, basis.dim, basis.dim)
         assert not basis.elements.flags.writeable
-    with pytest.raises(ValueError, match=r"need 4 elements of shape \(2, 2\)"):
-        OperatorBasis(2, np.eye(3), ("a", "b", "c"))
+    for shape in ((3, 3), (3, 2, 2), (4, 2, 3), (0, 0, 0), ()):
+        with pytest.raises(ValueError, match=r"need d\^2 elements of shape "
+                                             r"\(d, d\), got shape"):
+            OperatorBasis(np.zeros(shape), ("a", "b", "c"))
+    with pytest.raises(ValueError, match="one label per element"):
+        OperatorBasis(arr, ("I", "X", "Y"))
 
 
-def test_basis_refuses_a_u0_of_the_wrong_dimension():
-    p = pauli_basis(dim=4)
+def test_builders_refuse_a_u0_of_the_wrong_dimension():
     with pytest.raises(ValueError, match="u0 has dim 2, expected 4"):
-        OperatorBasis(4, p.elements, p.labels, u0=np.eye(2))
+        weyl_basis(4, np.eye(2))
+    with pytest.raises(ValueError, match="dimension 3 is not a power of two"):
+        pauli_basis(np.eye(3))
+    for build in (pauli_basis, lambda u0: weyl_basis(2, u0)):
+        with pytest.raises(ValueError, match="u0 is not unitary"):
+            build(np.diag([1.0, 2.0]))
 
 
-def test_basis_refuses_a_u0_that_is_not_its_first_element():
-    p = pauli_basis(dim=4)
-    with pytest.raises(ValueError, match="elements\\[0\\] is not u0"):
-        OperatorBasis(4, p.elements, p.labels, u0=random_unitary(4, 5))
-    b = OperatorBasis(4, p.elements, p.labels, u0=np.eye(4))
-    assert isinstance(b.u0, UnitaryOperator)
-    assert np.abs(b.u0.matrix - np.eye(4)).max() == 0.0
+def test_the_reference_is_the_first_element():
+    """A basis holds no u0 apart from its elements: the echo circuit's
+    reference is elements[0], so the builder's basis and the one built
+    from the same elements are one basis, and a basis whose elements are
+    not elements[0] s_a is refused, naming the first that deviates."""
+    u0 = random_unitary(4, 5)
+    p = pauli_basis(u0)
+    assert np.array_equal(p.elements[0], u0)
+    same = OperatorBasis(p.elements, p.labels)
+    assert same == p and hash(same) == hash(p)
+    assert pauli_basis(dim=2) == pauli_basis(np.eye(2))
+    assert weyl_basis(3) == weyl_basis(3, np.eye(3))
+    # (X, I, Y, Z) starts at X: X I = X, X X = I, but X Y = iZ is not Y
+    swapped = pauli_basis(dim=2).elements[[1, 0, 2, 3]]
+    b = OperatorBasis(swapped, ("X", "I", "Y", "Z"))
+    with pytest.raises(ValueError, match="element 2 deviates"):
+        measure_which_unitary(np.eye(2), b, np.eye(2)[0])
+    with pytest.raises(AttributeError):
+        p.u0
 
 
 def test_basis_owns_a_read_only_copy_of_its_u0():
@@ -270,13 +294,12 @@ def test_basis_owns_a_read_only_copy_of_its_u0():
     kept = u0.copy()
     b = pauli_basis(u0)
     u0[:] = np.eye(4)
-    assert np.abs(b.u0.matrix - kept).max() == 0.0
     assert np.abs(b.elements[0] - kept).max() == 0.0
     m = H.copy()
     op = UnitaryOperator(m)
     m[:] = 0.0
     assert np.abs(op.matrix - H).max() == 0.0
-    for frozen in (b.u0.matrix, op.matrix):
+    for frozen in (b.elements[0], op.matrix):
         with pytest.raises(ValueError):
             frozen[0, 0] = 1.0
 
@@ -289,9 +312,9 @@ def test_records_compare_by_their_arrays():
         (pauli_basis(dim=2), pauli_basis(dim=2), weyl_basis(2)),
         (pauli_basis(u0), pauli_basis(u0.copy()), pauli_basis(dim=2)),
         (UnitaryOperator(H), UnitaryOperator(H.copy()), UnitaryOperator(X)),
-        (ExpansionCoefficients(2, [1, 0, 0, 0]),
-         ExpansionCoefficients(2, [1, 0, 0, 0]),
-         ExpansionCoefficients(2, [0, 1, 0, 0])),
+        (ExpansionCoefficients([1, 0, 0, 0]),
+         ExpansionCoefficients([1, 0, 0, 0]),
+         ExpansionCoefficients([0, 1, 0, 0])),
         (BipartiteUnitary((2, 2), CNOT),
          BipartiteUnitary((2, 2), CNOT.copy()),
          BipartiteUnitary((2, 2), np.eye(4))),

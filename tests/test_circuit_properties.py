@@ -5,10 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evometry import (
+    OperatorBasis,
+    clock_shift_powers,
     expand,
     measure_which_unitary,
     measure_which_unitary_qudit,
     pauli_basis,
+    pauli_strings,
     superdense_send,
     weyl_basis,
 )
@@ -54,17 +57,28 @@ def _check_circuit(u, basis, psi):
     assert np.abs(sent.coefficients - coeffs).max() < ATOL
 
 
+def _check_direct(basis, products, u0, u, psi):
+    """The basis built directly from u0 times the products is the
+    builder's basis: equal, hashed alike and read out bit for bit."""
+    direct = OperatorBasis(u0 @ products, basis.labels)
+    assert direct == basis and hash(direct) == hash(basis)
+    seed = 7
+    assert (measure_which_unitary(u, direct, psi, shots=32, seed=seed)
+            == measure_which_unitary(u, basis, psi, shots=32, seed=seed))
+
+
 @FEW
 @given(n=st.integers(1, 3), with_u0=st.booleans(), bystander=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_pauli_circuit_matches_closed_form(n, with_u0, bystander, seed):
     rng = np.random.default_rng(seed)
     d = 2 ** n
-    basis = (pauli_basis(random_unitary(d, rng)) if with_u0
-             else pauli_basis(dim=d))
+    u0 = random_unitary(d, rng) if with_u0 else np.eye(d)
+    basis = pauli_basis(u0) if with_u0 else pauli_basis(dim=d)
     u = random_unitary(d, rng)
     psi = random_state(2 * d if bystander else d, rng)
     _check_circuit(u, basis, psi)
+    _check_direct(basis, pauli_strings(n), u0, u, psi)
 
 
 @settings(max_examples=16, deadline=None)
@@ -73,7 +87,11 @@ def test_pauli_circuit_matches_closed_form(n, with_u0, bystander, seed):
 def test_weyl_circuit_matches_closed_form(d, with_u0, bystander, seed):
     """d = 2 and 4 are powers of two read out in Weyl order, not Pauli."""
     rng = np.random.default_rng(seed)
-    basis = weyl_basis(d, random_unitary(d, rng) if with_u0 else None)
+    u0 = random_unitary(d, rng) if with_u0 else np.eye(d)
+    basis = weyl_basis(d, u0 if with_u0 else None)
     u = random_unitary(d, rng)
     psi = random_state(2 * d if bystander else d, rng)
     _check_circuit(u, basis, psi)
+    zp, xp = clock_shift_powers(d)
+    products = np.stack([z @ x for z in zp for x in xp])
+    _check_direct(basis, products, u0, u, psi)

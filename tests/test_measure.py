@@ -323,22 +323,26 @@ def test_outcome_distribution_refuses_a_malformed_law(probabilities, message):
         OutcomeDistribution(("a", "b"), probabilities)
 
 
-@pytest.mark.parametrize("counts, shots, message", [
-    ([1, 1, 0], [0, 1], "one count per label"),
-    ([2, 1], [0, 1], "not to the 2 shot outcomes"),
-    ([1, 1], None, "not to the 0 shot outcomes"),
+@pytest.mark.parametrize("shots", [
+    [7, 9], [0, 2], [-1, 0], [0.0, 1.0], [], [True, False], [[0, 1]], 1,
 ])
-def test_outcome_distribution_refuses_mismatched_counts(counts, shots,
-                                                        message):
-    with pytest.raises(ValueError, match=message):
-        OutcomeDistribution(("a", "b"), [0.5, 0.5], counts=np.array(counts),
-                            shot_outcomes=shots)
+def test_outcome_distribution_refuses_shots_that_are_not_labels(shots):
+    """Counts are read from the shot outcomes, so the outcomes are the one
+    input to check: each must index a label."""
+    with pytest.raises(ValueError, match="indices of the 2 labels"):
+        OutcomeDistribution(("a", "b"), [0.5, 0.5], shot_outcomes=shots)
 
 
-def test_outcome_distribution_accepts_consistent_counts():
-    d = OutcomeDistribution(("a", "b"), [0.25, 0.75], counts=np.array([1, 2]),
+def test_outcome_distribution_counts_its_shot_outcomes():
+    d = OutcomeDistribution(("a", "b"), [0.25, 0.75],
                             shot_outcomes=np.array([1, 0, 1]))
-    assert d.shots == 3
+    assert d.shots == 3 and np.array_equal(d.counts, [1, 2])
+    empty = OutcomeDistribution(("a", "b"), [0.25, 0.75],
+                                shot_outcomes=np.zeros(0, dtype=int))
+    assert empty.shots == 0 and np.array_equal(empty.counts, [0, 0])
+    assert OutcomeDistribution(("a", "b"), [0.25, 0.75]).counts is None
+    with pytest.raises(TypeError):
+        OutcomeDistribution(("a", "b"), [0.25, 0.75], counts=[1, 2])
 
 
 def test_two_time_observable_refuses_u0_of_another_dimension():
@@ -389,6 +393,18 @@ def test_a_basis_of_neither_form_is_refused_on_every_call():
                 call(np.eye(3), rotated, psi)
 
 
+def test_a_one_level_basis_is_refused_by_its_dimension():
+    """The default basis of one level is a basis, but no circuit reads it
+    out; the refusal names its dimension on every entry and call."""
+    _, trivial = basis_module._default_basis(1)
+    for _ in range(2):
+        for call in (measure_which_unitary, measure_which_unitary_qudit,
+                     circuit_end_state):
+            with pytest.raises(ValueError, match="dimension >= 2, got "
+                                                 "dimension 1"):
+                call(np.eye(1), trivial, np.ones(1))
+
+
 def test_product_form_table_is_built_once_per_basis():
     rng = np.random.default_rng(31)
     pauli_calls = mock.patch.object(basis_module, "pauli_strings",
@@ -414,7 +430,7 @@ def test_writing_the_callers_u0_changes_no_measurement():
     before, rb = measure_which_unitary(u, b, psi, shots=64, seed=7)
     u0[:] = np.eye(4)
     after, ra = measure_which_unitary(u, b, psi, shots=64, seed=7)
-    assert np.abs(b.u0.matrix - kept).max() == 0.0
+    assert np.abs(b.elements[0] - kept).max() == 0.0
     assert np.array_equal(before.probabilities, after.probabilities)
     assert np.array_equal(before.shot_outcomes, after.shot_outcomes)
     assert [r.outcome for r in rb] == [r.outcome for r in ra]
@@ -493,16 +509,24 @@ def test_branch_records_run_no_per_row_validator():
 
 
 def test_batch_states_fail_closed():
-    rows = np.eye(4, dtype=complex)
-    states = PureState._rows(rows)
-    assert states == [PureState(row) for row in rows]
-    assert all(np.shares_memory(s.amplitudes, rows) for s in states)
+    """_finish normalises the observed rows as one array: each state is a
+    read-only view of its row, and a row that cannot be normalised (NaN,
+    infinite or zero) rejects the call."""
+    rows = 2 * np.eye(4, dtype=complex)
+    _, results = measure_module._finish(tuple("abcd"), np.full(4, 0.25),
+                                        rows, 0, None)
+    states = [r.collapsed for r in results]
+    assert states == [PureState(row) for row in np.eye(4)]
     assert not any(s.amplitudes.flags.writeable for s in states)
-    for bad in (np.nan, 1 + 1e-9):
+    assert all(s.amplitudes.base is states[0].amplitudes.base is not None
+               for s in states)
+    for bad in (np.nan, np.inf, 0.0):
         rows = np.eye(4, dtype=complex)
         rows[2, 2] = bad
-        with pytest.raises(ValueError, match="state norm is not 1"):
-            PureState._rows(rows)
+        with np.errstate(invalid="ignore", divide="ignore"), \
+                pytest.raises(ValueError, match="state norm is not 1"):
+            measure_module._finish(tuple("abcd"), np.full(4, 0.25), rows,
+                                   0, None)
 
 
 def test_a_nan_branch_row_rejects_the_call():

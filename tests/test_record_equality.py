@@ -11,6 +11,8 @@ import pytest
 import evometry
 from evometry import (
     EvolutionSequence,
+    ExpansionCoefficients,
+    OperatorBasis,
     OutcomeDistribution,
     PureState,
     TwoTimeObservable,
@@ -74,6 +76,25 @@ def test_outcome_distribution():
     assert_compares(OutcomeDistribution(("a", "b"), p),
                     OutcomeDistribution(("a", "b"), p.copy()),
                     OutcomeDistribution(("a", "c"), p))
+
+
+def test_circuit_records_hold_only_their_settable_fields():
+    """dim, is_unitary, counts and shots are read from these fields, not
+    stored beside them, so no copy can fall out of line with them."""
+    fields = {cls: tuple(f.name for f in dataclasses.fields(cls))
+              for cls in (OperatorBasis, ExpansionCoefficients,
+                          OutcomeDistribution)}
+    assert fields == {
+        OperatorBasis: ("elements", "labels"),
+        ExpansionCoefficients: ("coeffs",),
+        OutcomeDistribution: ("labels", "probabilities", "shot_outcomes",
+                              "seed"),
+    }
+    b = pauli_basis(dim=4)
+    assert (b.dim, b.is_unitary) == (4, True)
+    assert ExpansionCoefficients(np.eye(4)).dim == 4
+    dist = _measured(5)[0]
+    assert dist.shots == 64 and dist.counts.sum() == 64
 
 
 def test_channel_transcript():

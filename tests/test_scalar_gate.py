@@ -83,6 +83,35 @@ def test_entry_refuses_a_bad_scalar(name, param, kind):
         ENTRIES[name](**{param: BAD[kind]})
 
 
+# the entries whose shots may be 0, so that nothing is drawn
+DRAWING = [name for name, params in PARAMETERS.items() if "shots" in params]
+
+
+@pytest.mark.parametrize("name, kind", [
+    (name, kind) for name in DRAWING for kind in BAD
+])
+def test_seed_is_checked_when_nothing_is_drawn(name, kind):
+    with pytest.raises(ValueError,
+                       match="^seed must be a non-negative integer"):
+        ENTRIES[name](shots=0, seed=BAD[kind])
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+def test_nothing_drawn_records_no_shots(seed):
+    """With shots=0 the records hold None where the draws would be, and
+    the seed as it was given."""
+    for name in DRAWING:
+        out = ENTRIES[name](shots=0, seed=seed)
+        if name == "concentrate":
+            assert out.samples is None
+        elif name == "superdense_send":
+            assert out.counts is None and out.seed == seed
+        else:
+            dist, _ = out
+            assert dist.shot_outcomes is None and dist.counts is None
+            assert dist.shots == 0 and dist.seed == seed
+
+
 @pytest.mark.parametrize("name, param", [
     (name, param) for name, params in PARAMETERS.items() for param in params
 ])
