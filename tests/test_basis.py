@@ -278,6 +278,7 @@ def test_the_reference_is_the_first_element():
     assert np.array_equal(p.elements[0], u0)
     same = OperatorBasis(p.elements, p.labels)
     assert same == p and hash(same) == hash(p)
+    assert pauli_basis(UnitaryOperator(u0)) == p
     assert pauli_basis(dim=2) == pauli_basis(np.eye(2))
     assert weyl_basis(3) == weyl_basis(3, np.eye(3))
     # (X, I, Y, Z) starts at X: X I = X, X X = I, but X Y = iZ is not Y
