@@ -123,24 +123,29 @@ class OperatorBasis:
 
     @functools.cached_property
     def _product_form(self) -> tuple:
-        """(site_dims, pauli) of the echo circuit that reads the basis out:
-        n qubit sites if elements[a] == u0 @ pauli_strings(n)[a], else one
-        d-level site if elements[a] == u0 Z^mu X^nu, with u0 = elements[0].
-        Memoised but not a field (a basis is frozen); a basis of neither
-        form, or of one level, is refused, and again on every call."""
+        """(site_dims, pauli, u0) of the echo circuit that reads the basis
+        out: n qubit sites if elements[a] == u0 @ pauli_strings(n)[a], else
+        one d-level site if elements[a] == u0 Z^mu X^nu, with
+        u0 = elements[0], or None when that is exactly the identity, so
+        the circuit skips its two products with it. Memoised but not a
+        field (a basis is frozen); a basis of neither form, or of one
+        level, is refused, and again on every call."""
         d = self.dim
         if d < 2:
             raise ValueError("the echo circuit needs a basis of dimension "
                              f">= 2, got dimension {d}")
+        u0 = self.elements[0]
+        if np.array_equal(u0, np.eye(d)):
+            u0 = None
         n = d.bit_length() - 1
         bad = None
         if d == 2 ** n:
             bad = _deviation(self, pauli_strings(n))
             if bad is None:
-                return (2,) * n, True
+                return (2,) * n, True, u0
         weyl = _deviation(self, _weyl_products(d))
         if weyl is None:
-            return (d,), False
+            return (d,), False, u0
         raise ValueError("basis is not of the product form {u0 s_a} this "
                          "circuit measures (element "
                          f"{weyl if bad is None else bad} deviates)")
@@ -211,7 +216,7 @@ def pauli_basis(u0=None, dim: int = 2) -> OperatorBasis:
                              "by keyword, pauli_basis(dim=...)")
         u0 = _unitary(u0, what="u0")
         dim = len(u0)
-    n = _n_qubits(dim)
+    n = _n_qubits(_count(dim, "dim"))
     strings = pauli_strings(n)
     labels = [
         "".join(gates.PAULI_LABELS[l] for l in letters)
@@ -278,6 +283,7 @@ def weyl_basis(dim: int, u0=None) -> OperatorBasis:
     if np.ndim(dim) != 0:
         raise ValueError("dim must be an integer; the reference unitary "
                          "goes second, weyl_basis(d, u0)")
+    dim = _count(dim, "dim")
     products = _weyl_products(dim)
     if u0 is not None:
         products = _unitary(u0, dim, "u0") @ products
@@ -308,7 +314,10 @@ def expand(op, basis: OperatorBasis) -> ExpansionCoefficients:
         raise ValueError(
             f"operator shape {m.shape} does not match basis dim {basis.dim}"
         )
-    coeffs = basis.elements.reshape(len(basis), -1).conj() @ m.ravel()
+    # conj(E) @ m without conjugating the d^2 x d^2 stack: the conjugate
+    # of E @ conj(m), equal to the last bit (IEEE negation is exact)
+    flat = basis.elements.reshape(len(basis), -1)
+    coeffs = (flat @ m.ravel().conj()).conj()
     return ExpansionCoefficients(coeffs / basis.dim)
 
 

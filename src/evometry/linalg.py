@@ -64,22 +64,6 @@ def _record(cls):
     return dataclass(frozen=True, eq=False)(cls)
 
 
-def _prechecked(cls, *columns) -> list:
-    """One instance of the frozen dataclass cls per row of the columns,
-    which are given in field order. Each is filled as its __init__ fills
-    it, but __post_init__ is not run: for batch builders that have
-    already checked every value at once."""
-    names = [f.name for f in fields(cls)]
-    new, put = object.__new__, object.__setattr__
-    out = []
-    for values in zip(*columns):
-        obj = new(cls)
-        for name, value in zip(names, values):
-            put(obj, name, value)
-        out.append(obj)
-    return out
-
-
 def _array_hash(a: np.ndarray) -> int:
     """Hash of a read-only array consistent with _arrays_equal: equal
     shapes and entries hash alike (+ 0.0 turns -0.0 into 0.0, which

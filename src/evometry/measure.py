@@ -31,13 +31,16 @@ product. The tables depend only on the site dimensions; they are built
 once per site tuple (the 16 most recent are kept) and are read-only:
 192 KiB at n = 4 qubits, 1.5 MiB at n = 5, 12 MiB at n = 6 (48 bytes
 per amplitude). u0^dag U before the echo and u0 after it are one GEMM
-each on the level axis, and the Fourier readout is one q^2 x q^2 kernel
+each on the level axis; when u0 is exactly the identity (every builder
+basis without u0, which the basis memoises) both are skipped, with the
+same result to the last bit. The Fourier readout is one q^2 x q^2 kernel
 kron(conj(F_q), F_q) per site, applied over the configuration axis,
 whose rows for a Pauli site are already in label order. For n qubits
 and a bystander of dimension b the joint array holds 4^n * 2^n * b
 amplitudes; the gathers and products cost time in proportion to that,
 the readout 4n times that, and the two GEMMs 4^n * 4^n * b. One call
-takes about 0.2 ms at n = 4, 2 ms at n = 5 and 20 ms at n = 6 (median,
+with a Haar u0 takes about 0.15 ms at n = 4, 1.9 ms at n = 5 and 20 ms
+at n = 6, and with the identity 0.12, 1.2 and 16 ms (best of 7 repeats,
 one BLAS thread, 2-vCPU Xeon VM).
 
 Validation: a circuit requires its basis to be of a product form
@@ -49,16 +52,23 @@ level, raises, naming the first element that deviates or the dimension,
 and is checked again on the next call. shots and seed go through
 linalg._count, which refuses a bool, a float or a negative with a
 ValueError naming the argument; the seed is checked even when shots is
-0 and nothing is drawn. The branch records
-are checked in bulk: one norm check per call covers every observed row
-(one bad row, NaN included, rejects the call), and each record is then
-filled without running its validator. A PureState built directly, or
-through dataclasses.replace, still checks its own norm.
+0 and nothing is drawn.
+
+Results: a call returns the OutcomeDistribution and one CircuitBranches
+record of the observed outcomes, their unit rows and their exact
+probabilities, whose one norm check covers every row (one bad row, NaN
+included, rejects the call). Its WhichUnitaryResult views are built when
+read and run no validator; a PureState built directly, or through
+dataclasses.replace, still checks its norm. At n = 4 with 512 shots
+(about 170 branches) a call takes about 0.4 ms, and reading every view
+0.3 ms more (one BLAS thread, 2-vCPU Xeon VM).
 """
 from __future__ import annotations
 
 import functools
 import math
+import operator
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -75,7 +85,6 @@ from .linalg import (
     _count,
     _fourier,
     _frozen,
-    _prechecked,
     _record,
     _records,
     _sample,
@@ -150,6 +159,66 @@ class WhichUnitaryResult:
     outcome: int
     collapsed: PureState
     exact_prob: float
+
+
+@_record
+class CircuitBranches(Sequence):
+    """The observed branches of one measurement as three read-only
+    arrays: outcomes (k label indices), states (k x D unit rows, the
+    collapsed states) and probabilities (k exact probabilities).
+
+    A sequence of WhichUnitaryResult views built when read: item i has
+    outcome outcomes[i], exact_prob probabilities[i] and a state whose
+    amplitudes are the row states[i]; a slice is the record of those
+    branches. The rows are norm-checked here at once, so no view's state
+    runs its validator.
+    """
+
+    outcomes: np.ndarray
+    states: np.ndarray
+    probabilities: np.ndarray
+
+    def __post_init__(self):
+        outcomes, states = np.array(self.outcomes), _frozen(self.states)
+        p = np.array(self.probabilities, dtype=float)
+        k = len(outcomes)
+        if (outcomes.ndim != 1 or outcomes.dtype.kind not in "iu"
+                or states.ndim != 2 or len(states) != k or p.shape != (k,)):
+            raise ValueError("need k outcome indices, k state rows and k "
+                             f"probabilities, got shapes {outcomes.shape}, "
+                             f"{states.shape} and {p.shape}")
+        if not (p.min(initial=0.0) >= 0.0 and p.max(initial=0.0) <= 1.0):
+            raise ValueError("probabilities must lie in [0, 1]")
+        _check(np.abs(np.linalg.norm(states, axis=1) - 1.0).max(initial=0.0),
+               NORM_ATOL, "state norm is not 1")
+        outcomes.setflags(write=False)
+        p.setflags(write=False)
+        for name, a in zip(("outcomes", "states", "probabilities"),
+                           (outcomes, states, p)):
+            object.__setattr__(self, name, a)
+
+    def __len__(self) -> int:
+        return len(self.outcomes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return CircuitBranches(self.outcomes[i], self.states[i],
+                                   self.probabilities[i])
+        i = operator.index(i)
+        return _branch(int(self.outcomes[i]), self.states[i],
+                       float(self.probabilities[i]))
+
+    def __iter__(self):
+        return map(_branch, self.outcomes.tolist(), self.states,
+                   self.probabilities.tolist())
+
+
+def _branch(outcome: int, row: np.ndarray, prob: float):
+    """A branch view over a row that CircuitBranches has norm-checked:
+    its PureState is filled without running the validator again."""
+    state = object.__new__(PureState)
+    object.__setattr__(state, "amplitudes", row)
+    return WhichUnitaryResult(outcome, state, prob)
 
 
 @_record
@@ -304,16 +373,20 @@ def _echo_joint(u, u0, site_dims, psi):
     """(bystander, configuration, level) array after the echo circuit,
     before the ancilla readout: [b, c] is the unnormalized system vector
     paired with bystander level b and ancilla configuration
-    c = (alpha_1, beta_1, ..., alpha_n, beta_n) in mixed-radix order."""
+    c = (alpha_1, beta_1, ..., alpha_n, beta_n) in mixed-radix order.
+    u0=None stands for the identity reference and skips both products
+    with it, with the same result to the last bit."""
     src1, ph1, src2, ph2 = _couplings(tuple(site_dims))
     dim = ph1.shape[1]
     b = psi.size // dim
     t = np.take(psi.reshape(dim, b).T, src1, axis=1)
     t *= ph1
-    t = t.reshape(-1, dim) @ (dag(u0) @ u).T
+    t = t.reshape(-1, dim) @ (u if u0 is None else dag(u0) @ u).T
     t = np.take(t.reshape(b, -1), src2, axis=1)
     t *= ph2
-    return (t.reshape(-1, dim) @ u0.T).reshape(b, -1, dim)
+    if u0 is not None:
+        t = t.reshape(-1, dim) @ u0.T
+    return t.reshape(b, -1, dim)
 
 
 def _system_rows(t):
@@ -340,12 +413,11 @@ def _circuit_rows(u, u0, site_dims, psi, pauli=False):
 
 
 def _finish(labels, probs, collapsed_rows, shots, seed):
-    """The distribution and one result per observed outcome, whose
-    collapsed state is a read-only view of its row of collapsed_rows
-    normalised. The observed rows are normalised and norm-checked as one
-    array, so one bad row (NaN included) rejects the call, and the
-    records are filled without a per-row validator. The seed is checked
-    even when nothing is drawn."""
+    """The distribution and the CircuitBranches of the observed outcomes,
+    whose states are their rows of collapsed_rows normalised as one
+    array; the record's one norm check then covers every row, so one bad
+    row (NaN included) rejects the call. The seed is checked even when
+    nothing is drawn."""
     probs = np.asarray(probs)
     shot_outcomes = _sample(probs, shots, seed)
     if shots:
@@ -355,15 +427,9 @@ def _finish(labels, probs, collapsed_rows, shots, seed):
         shot_outcomes = None
         observed = np.flatnonzero(probs > 1e-14)
     rows = collapsed_rows[observed]
-    rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    rows.setflags(write=False)
-    _check(np.abs(np.linalg.norm(rows, axis=1) - 1.0).max(initial=0.0),
-           NORM_ATOL, "state norm is not 1")
-    results = _prechecked(WhichUnitaryResult, observed.tolist(),
-                          _prechecked(PureState, rows),
-                          probs[observed].tolist())
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     dist = OutcomeDistribution(labels, probs, shot_outcomes, seed)
-    return dist, results
+    return dist, CircuitBranches(observed, rows, probs[observed])
 
 
 def _circuit_inputs(u, basis, psi):
@@ -391,16 +457,18 @@ def measure_which_unitary(u, basis: OperatorBasis, psi, shots: int = 0,
     an extra untouched tensor factor, which rides along and stays
     entangled exactly as it was.
 
-    Returns (OutcomeDistribution, results) where results holds one
-    WhichUnitaryResult per outcome that occurred (all outcomes of
-    nonzero probability when shots == 0): repeated shots that land on
+    Returns (OutcomeDistribution, CircuitBranches): the record holds one
+    branch per outcome that occurred (all outcomes of nonzero
+    probability when shots == 0), as the arrays outcomes, states (unit
+    rows, the collapsed states) and probabilities, and reads as a
+    sequence of WhichUnitaryResult views. Repeated shots that land on
     the same outcome share the same collapsed state, so the per-shot
     record lives in the distribution's shot_outcomes.
     """
     shots = _count(shots, "shots")
-    site_dims, pauli = basis._product_form
+    site_dims, pauli, u0 = basis._product_form
     um, psi = _circuit_inputs(u, basis, psi)
-    rows = _circuit_rows(um, basis.elements[0], site_dims, psi, pauli)
+    rows = _circuit_rows(um, u0, site_dims, psi, pauli)
     probs = np.linalg.norm(rows, axis=1) ** 2
     return _finish(basis.labels, probs, rows, shots, seed)
 
@@ -420,9 +488,9 @@ def circuit_end_state(u, basis: OperatorBasis, psi) -> np.ndarray:
     readout, for either product form, exposed for inspection of the
     ancilla end states.
     """
-    site_dims, _ = basis._product_form
+    site_dims, _, u0 = basis._product_form
     um, psi = _circuit_inputs(u, basis, psi)
-    return _system_rows(_echo_joint(um, basis.elements[0], site_dims, psi))
+    return _system_rows(_echo_joint(um, u0, site_dims, psi))
 
 
 def measure_choi_side(op, basis: OperatorBasis, shots: int = 0,
@@ -434,8 +502,12 @@ def measure_choi_side(op, basis: OperatorBasis, shots: int = 0,
     (B_a (x) 1)|phi+>. This backend handles any trace-orthogonal basis,
     including rotated ones whose elements are no longer unitary, at the
     cost of consuming the entangled pair instead of preserving an
-    arbitrary input state. Collapsed states are the post-measurement
-    pair states.
+    arbitrary input state.
+
+    Returns (OutcomeDistribution, CircuitBranches) as
+    measure_which_unitary does; the branch states are the
+    post-measurement pair states (B_a (x) 1)|phi+>, unit rows of length
+    d^2.
     """
     shots = _count(shots, "shots")
     # the amplitude on (B_a (x) 1)|phi+> is <<B_a|op>>/d = C_a

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evometry import (
     BipartiteUnitary,
@@ -340,7 +342,30 @@ def test_records_compare_by_their_arrays():
 
 def test_memoised_form_check_takes_no_part_in_equality():
     a, b = pauli_basis(dim=4), pauli_basis(dim=4)
-    assert a._product_form == ((2, 2), True)
+    assert a._product_form == ((2, 2), True, None)
     assert a == b and hash(a) == hash(b)
-    assert weyl_basis(4)._product_form == ((4,), False)
-    assert weyl_basis(3)._product_form == ((3,), False)
+    assert weyl_basis(4)._product_form == ((4,), False, None)
+    assert weyl_basis(3)._product_form == ((3,), False, None)
+    v = random_unitary(4, 7)
+    sites, pauli, u0 = pauli_basis(v)._product_form
+    assert (sites, pauli) == ((2, 2), True) and np.array_equal(u0, v)
+
+
+@settings(max_examples=25, deadline=None)
+@given(family=st.sampled_from(["pauli", "weyl"]), size=st.integers(1, 3),
+       with_u0=st.booleans(), unitary=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_expand_equals_the_conjugated_stack_formula_to_the_last_bit(
+        family, size, with_u0, unitary, seed):
+    """expand conjugates the operator, not the d^2 x d^2 stack; by the
+    sign symmetry of IEEE arithmetic its coefficients are those of
+    conj(elements) @ op, bit for bit, for any operator."""
+    rng = np.random.default_rng(seed)
+    d = 2 ** size if family == "pauli" else (3, 5, 6)[size - 1]
+    u0 = random_unitary(d, rng) if with_u0 else None
+    basis = (pauli_basis(u0, dim=d) if family == "pauli"
+             else weyl_basis(d, u0))
+    op = (random_unitary(d, rng) if unitary
+          else rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    old = basis.elements.reshape(d * d, -1).conj() @ op.ravel() / d
+    assert np.array_equal(expand(op, basis).coeffs, old)

@@ -1,4 +1,5 @@
 import dataclasses
+from collections.abc import Sequence
 from unittest import mock
 
 import numpy as np
@@ -493,7 +494,8 @@ def test_branch_normalisation_matches_the_per_row_loop(
 
 def test_branch_records_run_no_per_row_validator():
     """A call counts, not times: at n = 4 with 512 shots only the input
-    state runs PureState.__post_init__, however many outcomes occur."""
+    state runs PureState.__post_init__, however many outcomes occur, and
+    reading every branch view runs it no more."""
     rng = np.random.default_rng(33)
     basis = pauli_basis(dim=16)
     for _ in range(3):
@@ -502,10 +504,11 @@ def test_branch_records_run_no_per_row_validator():
                                side_effect=PureState.__post_init__) as post:
             _, results = measure_which_unitary(u, basis, psi, shots=512,
                                                seed=int(rng.integers(99)))
-        assert len(results) > 50
+            views = list(results)
+        assert len(views) == len(results) > 50
         assert post.call_count == 1
         assert np.array_equal(post.call_args.args[0].amplitudes, psi)
-        assert all(type(r.collapsed) is PureState for r in results)
+        assert all(type(r.collapsed) is PureState for r in views)
 
 
 def test_batch_states_fail_closed():
@@ -548,6 +551,106 @@ def test_replacing_a_branch_record_still_validates():
     moved = dataclasses.replace(
         r, collapsed=PureState(np.roll(r.collapsed.amplitudes, 1)))
     assert moved.outcome == r.outcome and moved != r
+
+
+def test_branches_are_one_sequence_record_of_arrays():
+    """len, negative indices and slices give the views of the record's
+    rows; the qudit entry returns the equal record."""
+    rng = np.random.default_rng(37)
+    basis = weyl_basis(3)
+    u, psi = random_unitary(3, rng), random_state(6, rng)
+    dist, results = measure_which_unitary(u, basis, psi, shots=64, seed=5)
+    other, again = measure_which_unitary_qudit(u, basis, psi, shots=64,
+                                               seed=5)
+    assert isinstance(results, measure_module.CircuitBranches)
+    assert isinstance(results, Sequence) and not isinstance(results, list)
+    assert other == dist and again == results and again is not results
+    k = len(results)
+    assert k == len(results.outcomes) == len(np.flatnonzero(dist.counts))
+    assert results.states.shape == (k, 6)
+    assert np.array_equal(results.outcomes, np.flatnonzero(dist.counts))
+    assert np.array_equal(results.probabilities,
+                          dist.probabilities[results.outcomes])
+    views = list(results)
+    assert [results[i] for i in range(-k, 0)] == views
+    assert results[-1] == views[-1] and results[0] == views[0]
+    for r, a, row, p in zip(views, results.outcomes, results.states,
+                            results.probabilities):
+        assert type(r.outcome) is int and r.outcome == a
+        assert type(r.exact_prob) is float and r.exact_prob == p
+        assert np.array_equal(r.collapsed.amplitudes, row)
+    tail = results[1:]
+    assert type(tail) is measure_module.CircuitBranches
+    assert list(tail) == views[1:] and list(results[::-1]) == views[::-1]
+    assert results[k:] == measure_module.CircuitBranches(
+        results.outcomes[:0], results.states[:0], results.probabilities[:0])
+    for i in (k, -k - 1):
+        with pytest.raises(IndexError):
+            results[i]
+    with pytest.raises(TypeError):
+        results[1.0]
+    assert views[0] in results and results.index(views[-1]) == k - 1
+    _, fewer = measure_which_unitary(u, basis, psi, shots=64, seed=6)
+    assert fewer != results
+
+
+def test_branch_views_share_the_record_rows_read_only():
+    rng = np.random.default_rng(38)
+    for basis, d in ((pauli_basis(random_unitary(4, rng)), 4),
+                     (weyl_basis(5), 5)):
+        _, results = measure_which_unitary(random_unitary(d, rng), basis,
+                                           random_state(d, rng), shots=32,
+                                           seed=4)
+        for name in ("outcomes", "states", "probabilities"):
+            assert not getattr(results, name).flags.writeable
+        for i, r in enumerate(results):
+            for state in (r.collapsed, results[i].collapsed):
+                a = state.amplitudes
+                assert a.base is results.states
+                assert np.shares_memory(a, results.states[i])
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 1.0
+
+
+def test_branch_record_checks_its_arrays():
+    rows = np.eye(3, dtype=complex)
+    good = measure_module.CircuitBranches([0, 2, 5], rows, [0.5, 0.25, 0.25])
+    assert good.states is not rows and good.outcomes.dtype.kind == "i"
+    assert good == measure_module.CircuitBranches(np.array([0, 2, 5]), rows,
+                                                  np.array([0.5, 0.25, 0.25]))
+    bad = [([0, 2], rows, [0.5, 0.25, 0.25], "need k outcome"),
+           ([0.0, 2.0, 5.0], rows, [0.5, 0.25, 0.25], "need k outcome"),
+           ([0, 2, 5], rows[0], [0.5, 0.25, 0.25], "need k outcome"),
+           ([0, 2, 5], rows, [0.5, 0.25], "need k outcome"),
+           ([0, 2, 5], rows, [0.5, np.nan, 0.25], "in \\[0, 1\\]"),
+           ([0, 2, 5], rows, [1.5, 0.25, 0.25], "in \\[0, 1\\]"),
+           ([0, 2, 5], 2 * rows, [0.5, 0.25, 0.25], "state norm is not 1")]
+    for outcomes, states, probs, match in bad:
+        with pytest.raises(ValueError, match=match):
+            measure_module.CircuitBranches(outcomes, states, probs)
+    with pytest.raises(ValueError, match="state norm is not 1"):
+        dataclasses.replace(good, states=np.roll(2 * rows, 1, axis=0))
+
+
+@settings(max_examples=20, deadline=None)
+@given(site_dims=st.sampled_from([(2,), (2, 2), (2, 2, 2), (3,), (5,)]),
+       bystander=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_identity_reference_skips_its_products_to_the_last_bit(
+        site_dims, bystander, seed):
+    """u0=None (a builder basis without u0) gives the rows of the
+    explicit identity reference bit for bit: x * 1 + y * 0 is exact."""
+    rng = np.random.default_rng(seed)
+    d = int(np.prod(site_dims))
+    pauli = len(site_dims) > 1 or d == 2
+    u, psi = random_unitary(d, rng), random_state(2 * d if bystander else d,
+                                                  rng)
+    want = measure_module._circuit_rows(u, np.eye(d, dtype=complex),
+                                        site_dims, psi, pauli)
+    got = measure_module._circuit_rows(u, None, site_dims, psi, pauli)
+    assert np.array_equal(got, want)
+    basis = pauli_basis(dim=d) if pauli else weyl_basis(d)
+    assert basis._product_form == (site_dims, pauli, None)
 
 
 # The per-site engine the circuit ran on before its couplings were composed

@@ -1,7 +1,8 @@
-"""Every public entry that takes a count, a seed or an n checks it through
-the one gate, linalg._count: a bool, a float (NaN included) and a
-negative are refused with a ValueError that names the argument, before
-numpy or math sees them. A numpy integer is accepted."""
+"""Every public entry that takes a count, a seed, an n or a basis
+dimension checks it through the one gate, linalg._count: a bool, a float
+(NaN included) and a negative are refused with a ValueError that names
+the argument, before numpy or math sees them. A numpy integer is
+accepted."""
 import numpy as np
 import pytest
 
@@ -48,6 +49,8 @@ ENTRIES = {
     "concentration_sectors": lambda n=2: concentration_sectors(n, 0.6),
     "typical_compress": lambda n=4: typical_compress(DEPHASING, n, 0.1),
     "pauli_strings": lambda n=2: pauli_strings(n),
+    "pauli_basis": lambda dim=2: pauli_basis(dim=dim),
+    "weyl_basis": lambda dim=3: weyl_basis(dim),
     "verify_sequence": lambda seed=1: verify_sequence(DILATION, None, CLAIM,
                                                       seed),
     "probabilistic_retrieve": lambda seed=1: probabilistic_retrieve(
@@ -65,6 +68,8 @@ PARAMETERS = {
     "concentration_sectors": ("n",),
     "typical_compress": ("n",),
     "pauli_strings": ("n",),
+    "pauli_basis": ("dim",),
+    "weyl_basis": ("dim",),
     "verify_sequence": ("seed",),
     "probabilistic_retrieve": ("seed",),
     "retrieval_statistics": ("trials", "seed"),
