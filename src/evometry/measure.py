@@ -60,8 +60,8 @@ probabilities, whose one norm check covers every row (one bad row, NaN
 included, rejects the call). Its WhichUnitaryResult views are built when
 read and run no validator; a PureState built directly, or through
 dataclasses.replace, still checks its norm. At n = 4 with 512 shots
-(about 170 branches) a call takes about 0.4 ms, and reading every view
-0.3 ms more (one BLAS thread, 2-vCPU Xeon VM).
+(about 170 branches) a call takes about 0.37 ms, and reading every view
+0.24 ms more (one BLAS thread, 2-vCPU Xeon VM).
 """
 from __future__ import annotations
 
