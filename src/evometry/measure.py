@@ -187,7 +187,10 @@ class CircuitBranches(Sequence):
             raise ValueError("need k outcome indices, k state rows and k "
                              f"probabilities, got shapes {outcomes.shape}, "
                              f"{states.shape} and {p.shape}")
-        if not (p.min(initial=0.0) >= 0.0 and p.max(initial=0.0) <= 1.0):
+        # as in OutcomeDistribution, a probability may round up to
+        # PROBABILITY_ATOL past 1; a NaN or an infinity fails either test
+        if not (p.min(initial=0.0) >= 0.0
+                and p.max(initial=0.0) <= 1.0 + PROBABILITY_ATOL):
             raise ValueError("probabilities must lie in [0, 1]")
         _check(np.abs(np.linalg.norm(states, axis=1) - 1.0).max(initial=0.0),
                NORM_ATOL, "state norm is not 1")

@@ -625,12 +625,34 @@ def test_branch_record_checks_its_arrays():
            ([0, 2, 5], rows, [0.5, 0.25], "need k outcome"),
            ([0, 2, 5], rows, [0.5, np.nan, 0.25], "in \\[0, 1\\]"),
            ([0, 2, 5], rows, [1.5, 0.25, 0.25], "in \\[0, 1\\]"),
+           ([0, 2, 5], rows, [np.inf, 0.25, 0.25], "in \\[0, 1\\]"),
+           ([0, 2, 5], rows, [1 + 2e-9, 0.25, 0.25], "in \\[0, 1\\]"),
            ([0, 2, 5], 2 * rows, [0.5, 0.25, 0.25], "state norm is not 1")]
     for outcomes, states, probs, match in bad:
         with pytest.raises(ValueError, match=match):
             measure_module.CircuitBranches(outcomes, states, probs)
     with pytest.raises(ValueError, match="state norm is not 1"):
         dataclasses.replace(good, states=np.roll(2 * rows, 1, axis=0))
+    # a probability rounded past 1 within PROBABILITY_ATOL is kept
+    assert measure_module.CircuitBranches([0], rows[:1], [1 + 1e-12])
+
+
+@pytest.mark.parametrize("basis, element", [
+    (pauli_basis(dim=2), X),
+    (pauli_basis(dim=4), np.kron(X, Z)),
+    (weyl_basis(3), weyl_basis(3).elements[4]),
+])
+def test_branch_probability_rounded_past_one_is_kept(basis, element):
+    """A unitary within UNITARY_ATOL of one basis element: the circuit
+    and the channel-state picture give that one branch, with a
+    probability a little above 1, and do not refuse it."""
+    u = (1 + 3e-11) * element
+    psi = np.eye(len(element))[0]
+    for dist, results in (measure_which_unitary(u, basis, psi),
+                          measure_choi_side(u, basis)):
+        (branch,) = results
+        assert 1.0 < branch.exact_prob <= 1 + measure_module.PROBABILITY_ATOL
+        assert dist.probabilities[branch.outcome] == branch.exact_prob
 
 
 @settings(max_examples=20, deadline=None)
