@@ -327,7 +327,7 @@ def cmd_verify(args):
     if args.seed is None:
         raise ValueError("--seed is required for verify")
     weights = _born_weights(rep)
-    claimed = [int(i) for i in _sample(weights, args.steps, args.seed)]
+    claimed = _sample(weights, args.steps, args.seed).tolist()
     if args.flip is not None:
         if not 0 <= args.flip < args.steps:
             raise ValueError("--flip index out of range")

@@ -3,8 +3,8 @@ one home of its shared conventions: the declaration of the records that
 hold arrays (_record), the records (M (x) 1)|phi+> of a stack, the
 fail-closed residual check, the isometry deviation, the check of every
 unitary input (_unitary, within UNITARY_ATOL), the check of every count,
-seed and n argument (_count), the seeded sampler and the spectral
-tolerances."""
+seed and n argument (_count) and of every index (_index), the seeded
+sampler and the spectral tolerances."""
 from __future__ import annotations
 
 import functools
@@ -212,12 +212,30 @@ def _count(value, name: str) -> int:
     return n
 
 
+def _index(value, count: int, name: str) -> int:
+    """The check of every index into a map's count elements: _count's,
+    and below count. Anything else is a ValueError naming the argument
+    and the count."""
+    try:
+        i = _count(value, name)
+    except ValueError:
+        i = count
+    if i >= count:
+        raise ValueError(f"{name} {value!r} outside the map's {count} "
+                         f"elements: indices must be integers in "
+                         f"0..{count - 1}")
+    return i
+
+
 def _sample(probs, shots: int, seed) -> np.ndarray:
     """Draw shots outcome indices from the weights probs, normalized.
 
-    Sampling is never unseeded: a missing seed is an error whenever
-    anything is drawn, and a seed must be a non-negative integer, which
-    is checked even when shots is 0 and nothing is drawn.
+    The draw is the inverse CDF of default_rng(seed).random(shots), the
+    same draws, bit for bit, as Generator.choice. Sampling is never
+    unseeded: a missing seed is an error whenever anything is drawn, and
+    a seed must be a non-negative integer, which is checked even when
+    shots is 0 and nothing is drawn. Weights drawn from must be 1-D,
+    finite, non-negative and not all zero, else a ValueError.
     """
     if seed is None and shots:
         raise ValueError("a seed is required for sampling")
@@ -226,8 +244,15 @@ def _sample(probs, shots: int, seed) -> np.ndarray:
     if not shots:
         return np.zeros(0, dtype=int)
     p = np.asarray(probs, dtype=float)
-    rng = np.random.default_rng(seed)
-    return rng.choice(p.size, size=shots, p=p / p.sum())
+    # a NaN fails min() >= 0, and no sum is taken over a negative
+    total = p.sum() if p.ndim == 1 and p.size and p.min() >= 0 else 0.0
+    if not 0 < total < np.inf:
+        raise ValueError("weights must be a 1-D array of finite, "
+                         "non-negative numbers, not all zero")
+    cdf = np.cumsum(p / total)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(np.random.default_rng(seed).random(shots),
+                            side="right")
 
 
 # weights at or below this are zero and are trimmed from spectra

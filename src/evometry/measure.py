@@ -60,8 +60,8 @@ probabilities, whose one norm check covers every row (one bad row, NaN
 included, rejects the call). Its WhichUnitaryResult views are built when
 read and run no validator; a PureState built directly, or through
 dataclasses.replace, still checks its norm. At n = 4 with 512 shots
-(about 170 branches) a call takes about 0.37 ms, and reading every view
-0.24 ms more (one BLAS thread, 2-vCPU Xeon VM).
+(about 170 branches) a call takes about 0.48 ms, and reading every view
+0.36 ms more (median of 400 calls, one BLAS thread, 2-vCPU Xeon VM).
 """
 from __future__ import annotations
 
@@ -415,12 +415,12 @@ def _circuit_rows(u, u0, site_dims, psi, pauli=False):
     return _system_rows(t.reshape(shape))
 
 
-def _finish(labels, probs, collapsed_rows, shots, seed):
+def _finish(labels, probs, rows_of, shots, seed):
     """The distribution and the CircuitBranches of the observed outcomes,
-    whose states are their rows of collapsed_rows normalised as one
-    array; the record's one norm check then covers every row, so one bad
-    row (NaN included) rejects the call. The seed is checked even when
-    nothing is drawn."""
+    whose states are rows_of(observed), a fresh array of their collapsed
+    rows, normalised as one array; the record's one norm check then
+    covers every row, so one bad row (NaN included) rejects the call.
+    The seed is checked even when nothing is drawn."""
     probs = np.asarray(probs)
     shot_outcomes = _sample(probs, shots, seed)
     if shots:
@@ -429,7 +429,7 @@ def _finish(labels, probs, collapsed_rows, shots, seed):
     else:
         shot_outcomes = None
         observed = np.flatnonzero(probs > 1e-14)
-    rows = collapsed_rows[observed]
+    rows = rows_of(observed)
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     dist = OutcomeDistribution(labels, probs, shot_outcomes, seed)
     return dist, CircuitBranches(observed, rows, probs[observed])
@@ -473,7 +473,7 @@ def measure_which_unitary(u, basis: OperatorBasis, psi, shots: int = 0,
     um, psi = _circuit_inputs(u, basis, psi)
     rows = _circuit_rows(um, u0, site_dims, psi, pauli)
     probs = np.linalg.norm(rows, axis=1) ** 2
-    return _finish(basis.labels, probs, rows, shots, seed)
+    return _finish(basis.labels, probs, rows.__getitem__, shots, seed)
 
 
 def measure_which_unitary_qudit(u, basis: OperatorBasis, psi,
@@ -515,4 +515,5 @@ def measure_choi_side(op, basis: OperatorBasis, shots: int = 0,
     shots = _count(shots, "shots")
     # the amplitude on (B_a (x) 1)|phi+> is <<B_a|op>>/d = C_a
     probs = expand(op, basis).probabilities()
-    return _finish(basis.labels, probs, _records(basis.elements), shots, seed)
+    return _finish(basis.labels, probs,
+                   lambda a: _records(basis.elements[a]), shots, seed)

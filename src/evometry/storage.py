@@ -12,7 +12,6 @@ the exact action of the stored operator.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -26,8 +25,8 @@ from .channels import (
     canonical_kraus,
     kraus_from_ancilla_basis,
 )
-from .linalg import (TRIM, _check, _count, _fourier, _frozen, _record,
-                     _records, _sample)
+from .linalg import (TRIM, _check, _count, _fourier, _frozen, _index,
+                     _record, _records, _sample)
 
 if TYPE_CHECKING:  # annotations; the retrieval functions import it to build
     from .measure import PureState
@@ -51,15 +50,13 @@ class EvolutionSequence:
 
     def __post_init__(self):
         try:
-            idx = tuple(map(operator.index, self.indices))
+            indices = tuple(self.indices)
         except TypeError:
-            raise ValueError(f"indices must be integers, got "
-                             f"{self.indices!r}") from None
+            raise ValueError(f"indices must be a sequence of integers, "
+                             f"got {self.indices!r}") from None
         k = len(self.map)
-        for i in idx:
-            if not 0 <= i < k:
-                raise ValueError(f"index {i} outside the map's {k} elements")
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices",
+                           tuple(_index(i, k, "index") for i in indices))
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -245,7 +242,7 @@ def verify_sequence(dil: StinespringDilation, ancilla_basis,
            MATCH_ATOL, "representation selected by the ancilla basis does "
            "not match the claimed map")
     weights = _born_weights(rep)
-    sampled = tuple(int(i) for i in _sample(weights, len(claimed), seed))
+    sampled = tuple(_sample(weights, len(claimed), seed).tolist())
     return VerificationRecord(
         accepted=sampled == claimed.indices,
         sampled=sampled,
@@ -264,10 +261,7 @@ def _retrieval_rows(kraus: KrausMap, index: int, psi):
     from .measure import PureState  # so storage loads without measure
 
     psi = PureState(getattr(psi, "amplitudes", psi))
-    if not 0 <= index < len(kraus):
-        raise ValueError(
-            f"operator index {index} outside the map's {len(kraus)} elements"
-        )
+    index = _index(index, len(kraus), "index")
     canon = canonical_kraus(kraus)
     d = kraus.dim
     if psi.dim != d:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from evometry.linalg import (
     _fix_gauge,
     _isometry_deviation,
     _records,
+    _sample,
     deterministic_eigh,
     entanglement_entropy,
     is_unitary,
@@ -211,3 +214,44 @@ def test_deterministic_eigh_matches_the_column_loop(multiplicities, rotated,
     want_w, want_vecs = _column_loop_eigh(h)
     assert np.array_equal(w, want_w)
     assert np.abs(vecs - want_vecs).max() <= 1e-10
+
+
+@st.composite
+def _weights(draw):
+    """1 to 300 weights: random, with zeros, one-hot or skewed."""
+    k = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["random", "zeros", "one-hot", "skewed"]))
+    if kind == "one-hot":
+        p = np.zeros(k)
+        p[rng.integers(k)] = 1.0
+        return p
+    p = rng.random(k) ** (rng.integers(1, 9) if kind == "skewed" else 1)
+    if kind == "zeros":
+        p[rng.random(k) < 0.5] = 0.0
+        p[rng.integers(k)] = rng.random() + 0.5
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=_weights(), shots=st.integers(0, 2000),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_sample_draws_what_generator_choice_draws(p, shots, seed):
+    """The inverse-CDF draw is Generator.choice's, bit for bit."""
+    got = _sample(p, shots, seed)
+    want = np.random.default_rng(seed).choice(p.size, size=shots,
+                                              p=p / p.sum())
+    assert np.array_equal(got, want)
+    assert got.dtype == want.dtype
+
+
+@pytest.mark.parametrize("weights", [
+    [0.5, np.nan], [0.5, -0.1, 0.6], [1.0, np.inf], [np.inf, -np.inf],
+    [0.0, 0.0], [], [[0.5, 0.5]],
+], ids=["nan", "negative", "infinite", "infinite-pair", "all-zero", "empty",
+        "2-d"])
+def test_sample_refuses_bad_weights_without_a_warning(weights):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="weights must be a 1-D array"):
+            _sample(np.array(weights), 5, 1)

@@ -453,11 +453,12 @@ def _finish_by_rows(probs, rows, shots, seed):
 
 
 def _run_with_rows(run):
-    """run() with the rows _finish received, and its results."""
+    """run() with every row that _finish could read, and its results."""
     with mock.patch.object(measure_module, "_finish",
                            wraps=measure_module._finish) as finish:
         _, results = run()
-    _, probs, rows, shots, seed = finish.call_args.args
+    _, probs, rows_of, shots, seed = finish.call_args.args
+    rows = rows_of(np.arange(len(probs)))
     return _finish_by_rows(probs, rows, shots, seed), results
 
 
@@ -517,7 +518,7 @@ def test_batch_states_fail_closed():
     infinite or zero) rejects the call."""
     rows = 2 * np.eye(4, dtype=complex)
     _, results = measure_module._finish(tuple("abcd"), np.full(4, 0.25),
-                                        rows, 0, None)
+                                        rows.__getitem__, 0, None)
     states = [r.collapsed for r in results]
     assert states == [PureState(row) for row in np.eye(4)]
     assert not any(s.amplitudes.flags.writeable for s in states)
@@ -528,8 +529,8 @@ def test_batch_states_fail_closed():
         rows[2, 2] = bad
         with np.errstate(invalid="ignore", divide="ignore"), \
                 pytest.raises(ValueError, match="state norm is not 1"):
-            measure_module._finish(tuple("abcd"), np.full(4, 0.25), rows,
-                                   0, None)
+            measure_module._finish(tuple("abcd"), np.full(4, 0.25),
+                                   rows.__getitem__, 0, None)
 
 
 def test_a_nan_branch_row_rejects_the_call():
@@ -537,8 +538,8 @@ def test_a_nan_branch_row_rejects_the_call():
     rows[1, 1] = np.nan
     with np.errstate(invalid="ignore"), \
             pytest.raises(ValueError, match="state norm is not 1"):
-        measure_module._finish(tuple("abcd"), np.full(4, 0.25), rows, 0,
-                               None)
+        measure_module._finish(tuple("abcd"), np.full(4, 0.25),
+                               rows.__getitem__, 0, None)
 
 
 def test_replacing_a_branch_record_still_validates():

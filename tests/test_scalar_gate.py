@@ -1,8 +1,9 @@
 """Every public entry that takes a count, a seed, an n or a basis
 dimension checks it through the one gate, linalg._count: a bool, a float
 (NaN included) and a negative are refused with a ValueError that names
-the argument, before numpy or math sees them. A numpy integer is
-accepted."""
+the argument, before numpy or math sees them. An index into a map's
+elements goes through linalg._index, built on it, which also refuses
+the count and above. A numpy integer is accepted."""
 import numpy as np
 import pytest
 
@@ -26,7 +27,7 @@ from evometry import (
     weyl_basis,
 )
 from evometry.gates import H
-from evometry.linalg import _count
+from evometry.linalg import _count, _index
 
 ZERO = np.array([1.0, 0.0])
 DEPHASING = named_channel("dephasing:0.5")
@@ -53,10 +54,11 @@ ENTRIES = {
     "weyl_basis": lambda dim=3: weyl_basis(dim),
     "verify_sequence": lambda seed=1: verify_sequence(DILATION, None, CLAIM,
                                                       seed),
-    "probabilistic_retrieve": lambda seed=1: probabilistic_retrieve(
-        0, DEPHASING, ZERO, seed),
-    "retrieval_statistics": lambda trials=4, seed=1: retrieval_statistics(
-        0, DEPHASING, ZERO, trials, seed),
+    "probabilistic_retrieve": lambda index=0, seed=1: probabilistic_retrieve(
+        index, DEPHASING, ZERO, seed),
+    "retrieval_statistics":
+        lambda index=0, trials=4, seed=1: retrieval_statistics(
+            index, DEPHASING, ZERO, trials, seed),
 }
 
 PARAMETERS = {
@@ -131,3 +133,29 @@ def test_gate_returns_a_python_int():
     for bad in (np.True_, 3.0, "3", None):
         with pytest.raises(ValueError, match="shots must be"):
             _count(bad, "shots")
+
+
+# the entries that take an index into the map's two elements
+INDEXED = ("probabilistic_retrieve", "retrieval_statistics")
+
+
+@pytest.mark.parametrize("name, index", [
+    (name, index) for name in INDEXED
+    for index in (True, 2.5, float("nan"), -1, len(DEPHASING))
+])
+def test_entry_refuses_a_bad_index(name, index):
+    with pytest.raises(ValueError,
+                       match="^index .* outside the map's 2 elements"):
+        ENTRIES[name](index=index)
+
+
+@pytest.mark.parametrize("name", INDEXED)
+def test_entry_accepts_a_numpy_integer_index(name):
+    ENTRIES[name](index=np.int64(1))
+
+
+def test_index_gate_returns_a_python_int():
+    assert type(_index(np.uint8(1), 2, "index")) is int
+    for bad in (np.True_, 1.0, "1", None, 2):
+        with pytest.raises(ValueError, match="index .* outside"):
+            _index(bad, 2, "index")
