@@ -276,6 +276,21 @@ def _pair_block(alpha, beta):
     return alpha * np.eye(4, dtype=complex) + beta * np.kron(X, X)
 
 
+def _sector_operator(n, alpha, beta):
+    """The n-copy operator (4^n x 4^n, qubits ordered A1, B1, A2, B2,
+    ...) and, per entry (i, j), the number of copies on whose A qubit
+    basis states i and j agree: the entry's readout sector."""
+    block = _pair_block(alpha, beta)
+    full = block
+    for _ in range(n - 1):
+        full = np.kron(full, block)
+    # each copy's A qubit is the high bit of its two, and i, j agree on
+    # n minus the count of A bits set in i ^ j
+    a_bits = np.arange(4 ** n) & int("10" * n, 2)
+    agree = n - np.array([bin(x).count("1") for x in range(4 ** n)])
+    return full, agree[a_bits[:, None] ^ a_bits[None, :]]
+
+
 def concentration_sectors(n, alpha, beta=None):
     """Exact sector components G_k of the n-copy interaction (n <= 4).
 
@@ -293,16 +308,7 @@ def concentration_sectors(n, alpha, beta=None):
     alpha, beta = _normalize_amplitudes(alpha, beta)
     if not 1 <= n <= MAX_EXACT_N:
         raise ValueError(f"exact sectors need 1 <= n <= {MAX_EXACT_N}")
-    block = _pair_block(alpha, beta)
-    full = block
-    for _ in range(n - 1):
-        full = np.kron(full, block)
-    nq = 2 * n
-    index = np.arange(2 ** nq)
-    agree = np.zeros(full.shape, dtype=int)
-    for copy in range(n):
-        bit = (index >> (nq - 1 - 2 * copy)) & 1
-        agree += bit[:, None] == bit[None, :]
+    full, agree = _sector_operator(n, alpha, beta)
     return [np.where(agree == k, full, 0) for k in range(n + 1)]
 
 
@@ -312,10 +318,13 @@ def concentrate(n, alpha, beta=None, mode: str = "combinatorial",
 
     Combinatorial mode evaluates P(k) = C(n,k) |alpha|^{2k}
     |beta|^{2(n-k)} exactly up to n = 64. Exact-matrix mode (n <= 4)
-    additionally builds the 4^n-dimensional operator, splits it into
-    the readout sectors (concentration_sectors), and records the largest deviation between the
-    sector weights and the combinatorial law. With shots > 0 a seeded
-    stream draws that many sector outcomes.
+    additionally builds the 4^n-dimensional operator and records the
+    largest deviation between its normalised sector weights and the
+    combinatorial law. The weight of sector k is the squared norm of
+    concentration_sectors' G_k, taken as one weighted count of the
+    squared entry magnitudes by each entry's sector, without the masked
+    copies. With shots > 0 a seeded stream draws that many sector
+    outcomes.
     """
     n, shots = _count(n, "n"), _count(shots, "shots")
     alpha, beta = _normalize_amplitudes(alpha, beta)
@@ -329,8 +338,14 @@ def concentrate(n, alpha, beta=None, mode: str = "combinatorial",
     probs = _sector_probabilities(n, alpha, beta)
     deviation = None
     if mode == "exact-matrix":
-        sectors = concentration_sectors(n, alpha, beta)
-        weights = np.array([np.linalg.norm(g) ** 2 for g in sectors])
+        full, agree = _sector_operator(n, alpha, beta)
+        # |entries|^2 counted by (sector, column), then summed pairwise
+        # over the columns: one running sum per sector over all 16^n
+        # entries would drift by up to ~1e-14
+        size = full.shape[0]
+        weights = np.bincount((agree * size + np.arange(size)).ravel(),
+                              np.abs(full.ravel()) ** 2, (n + 1) * size)
+        weights = weights.reshape(n + 1, size).sum(1)
         weights /= weights.sum()
         deviation = float(np.abs(weights - probs).max())
     records = tuple(

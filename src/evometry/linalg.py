@@ -227,6 +227,9 @@ def _index(value, count: int, name: str) -> int:
     return i
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
 def _sample(probs, shots: int, seed) -> np.ndarray:
     """Draw shots outcome indices from the weights probs, normalized.
 
@@ -235,7 +238,8 @@ def _sample(probs, shots: int, seed) -> np.ndarray:
     unseeded: a missing seed is an error whenever anything is drawn, and
     a seed must be a non-negative integer, which is checked even when
     shots is 0 and nothing is drawn. Weights drawn from must be 1-D,
-    finite, non-negative and not all zero, else a ValueError.
+    finite, non-negative and not all zero, with a finite sum, else a
+    ValueError and no numpy warning.
     """
     if seed is None and shots:
         raise ValueError("a seed is required for sampling")
@@ -244,12 +248,19 @@ def _sample(probs, shots: int, seed) -> np.ndarray:
     if not shots:
         return np.zeros(0, dtype=int)
     p = np.asarray(probs, dtype=float)
+    total = 0.0
     # a NaN fails min() >= 0, and no sum is taken over a negative
-    total = p.sum() if p.ndim == 1 and p.size and p.min() >= 0 else 0.0
+    if p.ndim == 1 and p.size and p.min() >= 0:
+        if p.max() <= _FLOAT_MAX / p.size:
+            total = p.sum()
+        else:  # the sum may overflow: inf, refused below, without a warning
+            with np.errstate(over="ignore"):
+                total = p.sum()
     if not 0 < total < np.inf:
         raise ValueError("weights must be a 1-D array of finite, "
                          "non-negative numbers, not all zero")
-    cdf = np.cumsum(p / total)
+    # the method, not np.cumsum: the same sum without the dispatch
+    cdf = (p / total).cumsum()
     cdf /= cdf[-1]
     return cdf.searchsorted(np.random.default_rng(seed).random(shots),
                             side="right")

@@ -165,6 +165,14 @@ def test_concentration_sectors_equal_the_bucket_projections(n, seed):
     want = _bucket_sectors(n, alpha, beta)
     assert len(got) == n + 1
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # the exact sector law is the projections' normalised squared norms,
+    # summed here exactly rounded (np.linalg.norm's own rounding reaches
+    # 2.6e-15 at n = 4)
+    dist = concentrate(n, alpha, beta, mode="exact-matrix")
+    weights = np.array([math.fsum(np.abs(w.ravel()) ** 2) for w in want])
+    weights /= math.fsum(weights)
+    deviation = np.abs(weights - dist.probabilities).max()
+    assert abs(dist.sector_deviation - deviation) <= 1e-15
 
 
 def test_concentration_block_sizes_are_binomial():

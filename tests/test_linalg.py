@@ -247,11 +247,22 @@ def test_sample_draws_what_generator_choice_draws(p, shots, seed):
 
 @pytest.mark.parametrize("weights", [
     [0.5, np.nan], [0.5, -0.1, 0.6], [1.0, np.inf], [np.inf, -np.inf],
-    [0.0, 0.0], [], [[0.5, 0.5]],
+    [0.0, 0.0], [], [[0.5, 0.5]], [1e308, 1e308],
 ], ids=["nan", "negative", "infinite", "infinite-pair", "all-zero", "empty",
-        "2-d"])
+        "2-d", "overflowing-sum"])
 def test_sample_refuses_bad_weights_without_a_warning(weights):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="weights must be a 1-D array"):
             _sample(np.array(weights), 5, 1)
+
+
+def test_sample_draws_from_huge_weights_whose_sum_is_finite():
+    """Weights past the largest float over their count take the guarded
+    sum, and draw what Generator.choice draws, without a warning."""
+    p = np.array([1e308, 0.0, 5e307])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _sample(p, 200, 3)
+    want = np.random.default_rng(3).choice(3, size=200, p=p / p.sum())
+    assert np.array_equal(got, want)

@@ -3,17 +3,20 @@ and the expansion round trip over any trace-orthogonal basis, the map
 entropy under a change of presentation, the dilation read out in any
 ancilla basis, and the herald rate of unitary-frame maps."""
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evometry import (
     KrausMap,
     PureState,
+    canonical_kraus,
     entropy,
     equivalent,
     expand,
     kraus_from_ancilla_basis,
     kraus_rotation,
+    named_channel,
     pauli_basis,
     probabilistic_retrieve,
     reconstruct,
@@ -22,7 +25,8 @@ from evometry import (
     weyl_basis,
     which_unitary_distribution,
 )
-from evometry.linalg import dag, random_state, random_unitary
+from evometry.gates import GATES
+from evometry.linalg import dag, random_state, random_unitary, shannon_entropy
 
 ATOL = 1e-10
 FEW = settings(max_examples=10, deadline=None)
@@ -66,6 +70,44 @@ def test_entropy_is_invariant_under_kraus_rotation(d, k, extra, seed):
     rotated = kraus_rotation(m, u)
     assert equivalent(rotated, m)
     assert abs(entropy(rotated) - entropy(m)) < 1e-9
+
+
+def _assert_entropy_is_the_canonical_weights_entropy(m):
+    fresh = KrausMap(m.operators)
+    got = entropy(fresh)
+    assert "_canonical" not in vars(fresh)
+    assert abs(got - shannon_entropy(canonical_kraus(m).probabilities)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 3),
+       kind=st.sampled_from(["thin", "square", "wide", "deficient"]),
+       extra=st.integers(1, 3), seed=SEEDS)
+def test_entropy_is_the_entropy_of_the_canonical_weights(d, kind, extra,
+                                                         seed):
+    """The spectrum alone gives the canonical weights' entropy, for
+    k < d^2, k = d^2, k > d^2 and a rank below k."""
+    rng = np.random.default_rng(seed)
+    k = {"thin": max(1, d * d - extra), "square": d * d, "wide": d * d,
+         "deficient": min(extra, d * d - 1)}[kind]
+    m = _random_map(d, k, rng)
+    if kind == "wide":
+        m = kraus_rotation(m, random_unitary(k + extra, rng)[:k])
+    if kind == "deficient":
+        # element 0 split into two equal halves: k + 1 elements, rank k
+        ops = m.operators
+        m = KrausMap(np.concatenate([ops[:1], ops]) / np.sqrt(
+            [2.0, 2.0] + [1.0] * (k - 1))[:, None, None])
+    assert len(m) == {"thin": k, "square": k, "wide": k + extra,
+                      "deficient": k + 1}[kind]
+    _assert_entropy_is_the_canonical_weights_entropy(m)
+
+
+@pytest.mark.parametrize("tag", ["depolarizing:1", "depolarizing:0.3",
+                                 "dephasing:0.5"]
+                         + [f"unitary:{g}" for g in GATES])
+def test_entropy_of_a_degenerate_spectrum_is_the_canonical_one(tag):
+    _assert_entropy_is_the_canonical_weights_entropy(named_channel(tag))
 
 
 @FEW
