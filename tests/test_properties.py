@@ -1,7 +1,8 @@
 """The paper's invariants as properties over random inputs: the Born law
 and the expansion round trip over any trace-orthogonal basis, the map
-entropy under a change of presentation, the dilation read out in any
-ancilla basis, and the herald rate of unitary-frame maps."""
+entropy under a change of presentation and against the canonical
+weights, the dilation read out in any ancilla basis, and the herald rate
+of unitary-frame maps."""
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
