@@ -233,13 +233,17 @@ def canonical_kraus(kraus: KrausMap) -> CanonicalKraus:
 def entropy(kraus: KrausMap) -> float:
     """Entropy in bits of the canonical weight spectrum.
 
-    0 for a unitary, up to 2 log2 d for the fully depolarizing map. The
-    weights are the channel state's spectrum alone, by the rule of the
-    canonical form: the squared singular values of the stacked elements
-    when k < d^2, else the eigenvalues of the channel state, trimmed at
-    1e-12. No canonical elements are built, and none are memoised, so
-    the result agrees with the canonical weights' entropy to rounding.
+    0 for a unitary, up to 2 log2 d for the fully depolarizing map. A
+    map whose canonical form is already memoised gives the entropy of
+    its weights. Otherwise the weights are the channel state's spectrum
+    alone, by the rule of the canonical form: the squared singular
+    values of the stacked elements when k < d^2, else the eigenvalues of
+    the channel state, trimmed at 1e-12. No canonical elements are
+    built, and none are memoised, so the result agrees with the
+    canonical weights' entropy to rounding.
     """
+    if "_canonical" in vars(kraus):
+        return shannon_entropy(kraus._canonical.probabilities)
     d = kraus.dim
     if len(kraus) < d * d:
         w = np.linalg.svd(_records(kraus.operators).T, compute_uv=False) ** 2

@@ -227,9 +227,6 @@ def _index(value, count: int, name: str) -> int:
     return i
 
 
-_FLOAT_MAX = float(np.finfo(float).max)
-
-
 def _sample(probs, shots: int, seed) -> np.ndarray:
     """Draw shots outcome indices from the weights probs, normalized.
 
@@ -249,13 +246,11 @@ def _sample(probs, shots: int, seed) -> np.ndarray:
         return np.zeros(0, dtype=int)
     p = np.asarray(probs, dtype=float)
     total = 0.0
-    # a NaN fails min() >= 0, and no sum is taken over a negative
+    # a NaN fails min() >= 0, and no sum is taken over a negative; a sum
+    # that overflows is inf, refused below without numpy's warning
     if p.ndim == 1 and p.size and p.min() >= 0:
-        if p.max() <= _FLOAT_MAX / p.size:
+        with np.errstate(over="ignore"):
             total = p.sum()
-        else:  # the sum may overflow: inf, refused below, without a warning
-            with np.errstate(over="ignore"):
-                total = p.sum()
     if not 0 < total < np.inf:
         raise ValueError("weights must be a 1-D array of finite, "
                          "non-negative numbers, not all zero")

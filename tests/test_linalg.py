@@ -258,8 +258,8 @@ def test_sample_refuses_bad_weights_without_a_warning(weights):
 
 
 def test_sample_draws_from_huge_weights_whose_sum_is_finite():
-    """Weights past the largest float over their count take the guarded
-    sum, and draw what Generator.choice draws, without a warning."""
+    """Weights near the largest float, whose sum is still finite, draw
+    what Generator.choice draws, without a warning."""
     p = np.array([1e308, 0.0, 5e307])
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -77,7 +77,10 @@ def _assert_entropy_is_the_canonical_weights_entropy(m):
     fresh = KrausMap(m.operators)
     got = entropy(fresh)
     assert "_canonical" not in vars(fresh)
-    assert abs(got - shannon_entropy(canonical_kraus(m).probabilities)) < 1e-12
+    want = shannon_entropy(canonical_kraus(m).probabilities)
+    assert abs(got - want) < 1e-12
+    # once the canonical form is memoised, its weights give the entropy
+    assert entropy(m) == want
 
 
 @settings(max_examples=40, deadline=None)
