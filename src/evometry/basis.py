@@ -6,6 +6,16 @@ distinguished element B_0 playing the role of the reference evolution U_0.
 Any operator U on C^d expands as U = sum_a C_a B_a with
 C_a = (1/d) tr(B_a^dag U), and for unitary U the weights |C_a|^2 form a
 probability distribution over the basis elements.
+
+A basis built directly is checked with its full Gram matrix, one
+(d^2 x d^2) x (d^2 x d^2) product. The builders pauli_basis and
+weyl_basis make {u0 s_a} from a family s_a that is orthogonal by
+construction, so only u0 can spoil it: with E = u0^dag u0 - 1,
+G_ab - d delta_ab = tr(E s_b s_a^dag), and the products s_b s_a^dag run
+over the family up to unit phases, so the Gram's residual is
+max_c |tr(s_c^dag E)|, one product of the flattened family with E (and
+nothing without u0). They hand that structure to the record: the
+echo circuit's product form and is_unitary are memoised at build time.
 """
 from __future__ import annotations
 
@@ -26,6 +36,7 @@ from .linalg import (
     _record,
     _unitary,
     as_matrix,
+    dag,
 )
 
 # largest entry by which an element may differ from u0 s_a and still be
@@ -92,6 +103,14 @@ class OperatorBasis:
     is_unitary is computed, not passed, and memoised: whether every
     element is unitary within 1e-10, which is what makes the
     which-element measurement a measurement over unitaries.
+
+    Built directly, a basis is checked with its full Gram matrix.
+    pauli_basis and weyl_basis check only what u0 can spoil, with the
+    same tolerance and message, and fill the record without copying
+    their elements again; they memoise is_unitary (True: each u0 s_a
+    has u0's isometry deviation, which the builder bounded) and the
+    product form, which the circuit would otherwise find again from the
+    elements. Either way, equal elements and labels give equal bases.
     """
 
     elements: np.ndarray
@@ -164,6 +183,43 @@ def gram(elements) -> np.ndarray:
     return flat.conj() @ flat.T
 
 
+def _gram_residual(family, u0) -> float:
+    """max |G - d 1| of the Gram of {u0 s_a}, for a family s_a of
+    orthogonal unitaries, closed under products up to unit phases:
+    max_c |tr(s_c^dag E)| with E = u0^dag u0 - 1 (see the module
+    docstring), one product of the flattened family with E."""
+    d = family.shape[-1]
+    e = dag(u0) @ u0 - np.eye(d)
+    # the conjugates of tr(s_c^dag E), without conjugating the family
+    return float(np.abs(family.reshape(d * d, -1) @ e.conj().ravel()).max())
+
+
+def _product_basis(family, labels, u0, site_dims, pauli) -> OperatorBasis:
+    """The basis {u0 s_a} of a builder's family s_a, which is orthogonal
+    by construction with s_0 = 1, and u0 a checked unitary or None.
+
+    The Gram's residual, from _gram_residual, is checked as OperatorBasis
+    checks the Gram. The record is filled with the array just computed,
+    and its product form and is_unitary are memoised, since the builder
+    established both."""
+    d = family.shape[-1]
+    elements = family
+    if u0 is not None:
+        _check(_gram_residual(family, u0), UNITARY_ATOL,
+               "elements are not trace-orthogonal")
+        elements = u0 @ family
+    elements.setflags(write=False)
+    basis = object.__new__(OperatorBasis)
+    object.__setattr__(basis, "elements", elements)
+    object.__setattr__(basis, "labels", tuple(labels))
+    ref = elements[0]
+    if np.array_equal(ref, np.eye(d)):
+        ref = None
+    vars(basis).update(is_unitary=True,
+                       _product_form=(site_dims, pauli, ref))
+    return basis
+
+
 def _n_qubits(dim: int) -> int:
     n = dim.bit_length() - 1
     if dim <= 0 or 2 ** n != dim:
@@ -222,8 +278,7 @@ def pauli_basis(u0=None, dim: int = 2) -> OperatorBasis:
         "".join(gates.PAULI_LABELS[l] for l in letters)
         for letters in itertools.product(range(4), repeat=n)
     ]
-    return OperatorBasis(strings if u0 is None else u0 @ strings,
-                         tuple(labels))
+    return _product_basis(strings, labels, u0, (2,) * n, True)
 
 
 def clock_shift(dim: int) -> tuple[UnitaryOperator, UnitaryOperator]:
@@ -259,9 +314,13 @@ def clock_shift_powers(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _weyl_products(dim: int) -> np.ndarray:
-    """Z^mu X^nu at index mu * d + nu, as one (d^2, d, d) array."""
+    """Z^mu X^nu at index mu * d + nu, as one (d^2, d, d) array: row i of
+    X^nu scaled by the diagonal entry i of Z^mu (+ 0.0 makes the zeros
+    positive, the bits of the matrix product)."""
     zp, xp = clock_shift_powers(dim)
-    return np.einsum("mij,njk->mnik", zp, xp).reshape(dim * dim, dim, dim)
+    z = np.diagonal(zp, axis1=1, axis2=2)
+    products = z[:, None, :, None] * xp + 0.0
+    return products.reshape(dim * dim, dim, dim)
 
 
 def _deviation(basis: OperatorBasis, sigmas) -> int | None:
@@ -286,9 +345,9 @@ def weyl_basis(dim: int, u0=None) -> OperatorBasis:
     dim = _count(dim, "dim")
     products = _weyl_products(dim)
     if u0 is not None:
-        products = _unitary(u0, dim, "u0") @ products
+        u0 = _unitary(u0, dim, "u0")
     labels = [f"Z^{mu}X^{nu}" for mu in range(dim) for nu in range(dim)]
-    return OperatorBasis(products, tuple(labels))
+    return _product_basis(products, labels, u0, (dim,), False)
 
 
 def _default_basis(dim: int) -> tuple[str, OperatorBasis]:

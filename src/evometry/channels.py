@@ -88,8 +88,9 @@ class KrausMap:
             # A is not thin: the eigh of A A^dag is cheaper than its SVD
             w, u = np.linalg.eigh(_channel_state(self))
             w, u = w[::-1], u[:, ::-1]
-        rows = self.operators.reshape(k * d, d)
-        _check_normalised(w.sum(), rows.T @ rows.conj() / d, d)
+        # the acted-side marginal is the conjugate of the completeness sum
+        # over d, which __post_init__ bounded d times tighter
+        _check(abs(w.sum() - 1.0), CHOI_ATOL, "channel state trace is not 1")
         n = int(np.count_nonzero(w > TRIM))
         if k < d * d and w[n - 1] <= DEGENERACY_TOL:
             # the last kept weight may share a degenerate group with the
@@ -129,16 +130,12 @@ class ChoiState:
                "channel state is not Hermitian")
         _check(-np.linalg.eigvalsh(m).min(), CHOI_ATOL,
                "channel state has a negative eigenvalue")
-        _check_normalised(np.trace(m), partial_trace(m, (d, d), keep=1), d)
+        _check(abs(np.trace(m) - 1.0), CHOI_ATOL,
+               "channel state trace is not 1")
+        # maximally mixed on the acted side: the marginal is 1/d there
+        _check(np.abs(partial_trace(m, (d, d), keep=1) - np.eye(d) / d).max(),
+               CHOI_ATOL, "map is not trace preserving (acted-side marginal)")
         object.__setattr__(self, "matrix", m)
-
-
-def _check_normalised(trace, acted: np.ndarray, d: int) -> None:
-    """The channel state has unit trace and is maximally mixed on the
-    acted side (its marginal there is the identity over d)."""
-    _check(abs(trace - 1.0), CHOI_ATOL, "channel state trace is not 1")
-    _check(np.abs(acted - np.eye(d) / d).max(), CHOI_ATOL,
-           "map is not trace preserving (acted-side marginal)")
 
 
 @_record
@@ -220,12 +217,13 @@ def canonical_kraus(kraus: KrausMap) -> CanonicalKraus:
     identical canonical forms; only the kept vectors are gauge-fixed,
     and when the last kept weight lies within the 1e-10 degeneracy
     tolerance of the null block (k < d^2), the full left factor is taken
-    so that the group is gauged whole. The state's unit trace and
-    acted-side marginal are checked as ChoiState does, from the weights
-    and the elements; it is Hermitian and positive by construction. The
-    result is memoised on the map (whose elements are read-only), so
-    repeat calls return the same CanonicalKraus, whose arrays are
-    read-only.
+    so that the group is gauged whole. The state's unit trace is checked
+    from the weights as ChoiState checks it; its acted-side marginal is
+    the conjugate of the completeness sum over d, which KrausMap checked
+    when the map was built, and it is Hermitian and positive by
+    construction. The result is memoised on the map (whose elements are
+    read-only), so repeat calls return the same CanonicalKraus, whose
+    arrays are read-only.
     """
     return kraus._canonical
 

@@ -23,6 +23,7 @@ from evometry import (
     rotate_basis,
     weyl_basis,
 )
+from evometry import basis as basis_module
 from evometry.gates import CNOT, H, I2, X, Y, Z
 from evometry.linalg import _fourier, dag, random_unitary
 
@@ -369,3 +370,87 @@ def test_expand_equals_the_conjugated_stack_formula_to_the_last_bit(
           else rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     old = basis.elements.reshape(d * d, -1).conj() @ op.ravel() / d
     assert np.array_equal(expand(op, basis).coeffs, old)
+
+
+def _builder_cases():
+    for n in range(1, 5):
+        yield "pauli", 2 ** n
+    for d in range(2, 12):
+        yield "weyl", d
+
+
+@pytest.mark.parametrize("kind,d", list(_builder_cases()))
+def test_builder_bases_equal_their_directly_built_copies(kind, d):
+    """A builder checks orthogonality from u0 alone and memoises the
+    product form and is_unitary; the same elements built directly, with
+    the full Gram check, give an equal basis that finds the same memos."""
+    u0s = (None, random_unitary(d, d), np.eye(d))
+    for u0 in u0s:
+        b = pauli_basis(u0, dim=d) if kind == "pauli" else weyl_basis(d, u0)
+        direct = OperatorBasis(b.elements, b.labels)
+        assert b == direct and hash(b) == hash(direct)
+        assert not b.elements.flags.writeable
+        assert b.is_unitary is direct.is_unitary is True
+        (sites, pauli, ref), (sites2, pauli2, ref2) = (b._product_form,
+                                                       direct._product_form)
+        assert (sites, pauli) == (sites2, pauli2)
+        assert (ref is None) == (ref2 is None) == (u0 is not u0s[1])
+        assert ref is None or np.array_equal(ref, ref2)
+
+
+def _family(d):
+    return pauli_strings(d.bit_length() - 1) if d & (d - 1) == 0 \
+        else basis_module._weyl_products(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([2, 3, 4, 5, 6, 7, 8]), eps=st.floats(0, 2e-10),
+       hermitian=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_the_builders_residual_is_the_grams(d, eps, hermitian, seed):
+    """max_c |tr(s_c^dag E)|, E = u0^dag u0 - 1, is max |G - d 1| of the
+    Gram of {u0 s_a}, for u0 a Haar unitary times 1 + eps or 1 + eps H."""
+    rng = np.random.default_rng(seed)
+    h = np.eye(d)
+    if hermitian:
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = (g + dag(g)) / 2
+    u0 = random_unitary(d, rng) @ (np.eye(d) + eps * h)
+    family = _family(d)
+    full = np.abs(gram(u0 @ family) - d * np.eye(d * d)).max()
+    assert abs(basis_module._gram_residual(family, u0) - full) <= 1e-14
+
+
+@pytest.mark.parametrize("d,eps", [(2, 2e-11), (2, 4e-11), (3, 1e-11),
+                                   (3, 2e-11), (4, 1e-11), (4, 2e-11)])
+def test_a_builder_refuses_what_the_gram_refuses(d, eps):
+    """A u0 that passes the unitarity check but scales the Gram's
+    diagonal past 1e-10 is refused by the builder as by OperatorBasis,
+    with the same message; one within it is accepted by both."""
+    u0 = random_unitary(d, 5) * (1 + eps)
+    labels = tuple(range(d * d))
+    outcomes = []
+    for build in (lambda: OperatorBasis(u0 @ _family(d), labels),
+                  lambda: pauli_basis(u0) if d & (d - 1) == 0
+                  else weyl_basis(d, u0)):
+        try:
+            build()
+            outcomes.append(None)
+        except ValueError as err:
+            assert "trace-orthogonal" in str(err)
+            outcomes.append("refused")
+    assert outcomes[0] == outcomes[1]
+    assert (outcomes[0] is None) == (2 * eps * d < 1e-10)
+
+
+def test_a_direct_basis_of_a_non_orthogonal_family_is_refused():
+    els = pauli_strings(2).copy()
+    els[5] = (els[5] + els[6]) / np.sqrt(2)
+    with pytest.raises(ValueError, match="trace-orthogonal"):
+        OperatorBasis(els, tuple(range(16)))
+
+
+def test_weyl_products_match_the_matrix_products_bit_for_bit():
+    for d in range(2, 17):
+        zp, xp = clock_shift_powers(d)
+        want = np.einsum("mij,njk->mnik", zp, xp).reshape(d * d, d, d)
+        assert basis_module._weyl_products(d).tobytes() == want.tobytes()

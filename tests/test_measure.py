@@ -11,6 +11,7 @@ from evometry import basis as basis_module
 from evometry import measure as measure_module
 from evometry import (
     NotAnEigenoperator,
+    OperatorBasis,
     OutcomeDistribution,
     PureState,
     TwoTimeObservable,
@@ -281,6 +282,23 @@ def test_commutator_norm_is_zero():
         TwoTimeObservable("x", 2, u0=u0)) < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_induced_maps_have_the_basis_as_eigenoperators(d):
+    """The matrix of each observable's map sends every Z^mu X^nu to its
+    temporal_eigenvalue times itself. It used to build U -> g U g, which
+    at d = 3 and 5 is off by 1.73 and 2.24 on some element."""
+    rng = np.random.default_rng(d)
+    u0 = random_unitary(d, rng)
+    for ref in (None, u0):
+        for family in ("z", "x"):
+            obs = TwoTimeObservable(family, d, u0=ref)
+            lmap = measure_module._induced_map(obs)
+            for el in weyl_basis(d, ref).elements:
+                lam = temporal_eigenvalue(obs, el)
+                resid = np.abs(lmap @ el.ravel() - lam * el.ravel()).max()
+                assert resid < 1e-14
+
+
 def test_generators_do_not_commute():
     obs_z = TwoTimeObservable("z", 2)
     obs_x = TwoTimeObservable("x", 2)
@@ -407,19 +425,25 @@ def test_a_one_level_basis_is_refused_by_its_dimension():
 
 
 def test_product_form_table_is_built_once_per_basis():
+    """A builder's basis carries its product form and builds no table;
+    the same elements built directly build one, on the first call."""
     rng = np.random.default_rng(31)
     pauli_calls = mock.patch.object(basis_module, "pauli_strings",
                                     wraps=basis_module.pauli_strings)
     weyl_calls = mock.patch.object(basis_module, "_weyl_products",
                                    wraps=basis_module._weyl_products)
-    p, w = pauli_basis(random_unitary(8, rng)), weyl_basis(3)
-    with pauli_calls as pauli_strings, weyl_calls as weyl_products:
-        for _ in range(3):
-            measure_which_unitary(random_unitary(8, rng), p, np.eye(8)[0])
-            measure_which_unitary_qudit(random_unitary(3, rng), w,
-                                        np.eye(3)[0])
-            circuit_end_state(random_unitary(3, rng), w, np.eye(3)[0])
-    assert pauli_strings.call_count == 1 and weyl_products.call_count == 1
+    built = pauli_basis(random_unitary(8, rng)), weyl_basis(3)
+    direct = tuple(OperatorBasis(b.elements, b.labels) for b in built)
+    for (p, w), tables in ((built, 0), (direct, 1)):
+        with pauli_calls as pauli_strings, weyl_calls as weyl_products:
+            for _ in range(3):
+                measure_which_unitary(random_unitary(8, rng), p,
+                                      np.eye(8)[0])
+                measure_which_unitary_qudit(random_unitary(3, rng), w,
+                                            np.eye(3)[0])
+                circuit_end_state(random_unitary(3, rng), w, np.eye(3)[0])
+        assert pauli_strings.call_count == tables
+        assert weyl_products.call_count == tables
 
 
 def test_writing_the_callers_u0_changes_no_measurement():
@@ -513,10 +537,11 @@ def test_branch_records_run_no_per_row_validator():
 
 
 def test_batch_states_fail_closed():
-    """_finish normalises the observed rows as one array: each state is a
-    read-only view of its row, and a row that cannot be normalised (NaN,
-    infinite or zero) rejects the call."""
-    rows = 2 * np.eye(4, dtype=complex)
+    """_finish takes the observed rows as one array: each state is a
+    read-only view of its row, and a row that is not a unit vector (NaN,
+    infinite, zero or of norm 2; the rows are not normalised here)
+    rejects the call."""
+    rows = np.eye(4, dtype=complex)
     _, results = measure_module._finish(tuple("abcd"), np.full(4, 0.25),
                                         rows.__getitem__, 0, None)
     states = [r.collapsed for r in results]
@@ -524,7 +549,7 @@ def test_batch_states_fail_closed():
     assert not any(s.amplitudes.flags.writeable for s in states)
     assert all(s.amplitudes.base is states[0].amplitudes.base is not None
                for s in states)
-    for bad in (np.nan, np.inf, 0.0):
+    for bad in (np.nan, np.inf, 0.0, 2.0):
         rows = np.eye(4, dtype=complex)
         rows[2, 2] = bad
         with np.errstate(invalid="ignore", divide="ignore"), \
