@@ -153,9 +153,7 @@ class OperatorBasis:
         if d < 2:
             raise ValueError("the echo circuit needs a basis of dimension "
                              f">= 2, got dimension {d}")
-        u0 = self.elements[0]
-        if np.array_equal(u0, np.eye(d)):
-            u0 = None
+        u0 = _reference(self.elements)
         n = d.bit_length() - 1
         bad = None
         if d == 2 ** n:
@@ -202,7 +200,6 @@ def _product_basis(family, labels, u0, site_dims, pauli) -> OperatorBasis:
     checks the Gram. The record is filled with the array just computed,
     and its product form and is_unitary are memoised, since the builder
     established both."""
-    d = family.shape[-1]
     elements = family
     if u0 is not None:
         _check(_gram_residual(family, u0), UNITARY_ATOL,
@@ -212,12 +209,16 @@ def _product_basis(family, labels, u0, site_dims, pauli) -> OperatorBasis:
     basis = object.__new__(OperatorBasis)
     object.__setattr__(basis, "elements", elements)
     object.__setattr__(basis, "labels", tuple(labels))
-    ref = elements[0]
-    if np.array_equal(ref, np.eye(d)):
-        ref = None
     vars(basis).update(is_unitary=True,
-                       _product_form=(site_dims, pauli, ref))
+                       _product_form=(site_dims, pauli, _reference(elements)))
     return basis
+
+
+def _reference(elements):
+    """The circuit's u0: elements[0], or None when that is exactly the
+    identity, so the circuit skips its two products with it."""
+    u0 = elements[0]
+    return None if np.array_equal(u0, np.eye(len(u0))) else u0
 
 
 def _n_qubits(dim: int) -> int:
