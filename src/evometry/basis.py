@@ -8,14 +8,22 @@ C_a = (1/d) tr(B_a^dag U), and for unitary U the weights |C_a|^2 form a
 probability distribution over the basis elements.
 
 A basis built directly is checked with its full Gram matrix, one
-(d^2 x d^2) x (d^2 x d^2) product. The builders pauli_basis and
-weyl_basis make {u0 s_a} from a family s_a that is orthogonal by
-construction, so only u0 can spoil it: with E = u0^dag u0 - 1,
+(d^2 x d^2) x (d^2 x d^2) product, and expands over its stacked elements.
+The builders pauli_basis and weyl_basis make {u0 s_a} from a family s_a
+that is orthogonal by construction, and hold that structure, the site
+dimensions, the family and u0, in place of the d^2 x d x d stack, which
+they build only when a caller reads elements. Their expand is the
+family's transform of u0^dag U, tr(s_a^dag M) for every a from M alone:
+for Pauli strings one product T^(x)h M' (T^(x)(n-h))^T of the
+qubit-interleaved M' with T = conj(PAULIS) as 4 x 4 (the tensorised
+Pauli decomposition), for the clock/shift products one gather of the d
+shifted diagonals of M and one product with the conjugate clock table.
+Only u0 can spoil orthogonality: with E = u0^dag u0 - 1,
 G_ab - d delta_ab = tr(E s_b s_a^dag), and the products s_b s_a^dag run
 over the family up to unit phases, so the Gram's residual is
-max_c |tr(s_c^dag E)|, one product of the flattened family with E (and
-nothing without u0). They hand that structure to the record: the
-echo circuit's product form and is_unitary are memoised at build time.
+max_c |tr(s_c^dag E)|, the same transform of E (and nothing without u0).
+The echo circuit's product form and is_unitary are memoised at build
+time.
 """
 from __future__ import annotations
 
@@ -89,9 +97,9 @@ class OperatorBasis:
     """d^2 trace-orthogonal operators on C^d and one label per element.
 
     elements is one read-only (d^2, d, d) array, copied from the input,
-    so a basis never changes after it is checked; dim is read from its
-    shape. Bases with equal elements and labels are equal and hash
-    alike, however they were built.
+    so a basis never changes after it is checked. Bases with equal
+    elements and labels are equal and hash alike, however they were
+    built.
 
     The echo circuit reads a basis of the product form {u0 s_a} with
     s_0 = 1, so its reference u0 is elements[0] and is not stored apart.
@@ -104,17 +112,27 @@ class OperatorBasis:
     element is unitary within 1e-10, which is what makes the
     which-element measurement a measurement over unitaries.
 
-    Built directly, a basis is checked with its full Gram matrix.
-    pauli_basis and weyl_basis check only what u0 can spoil, with the
-    same tolerance and message, and fill the record without copying
-    their elements again; they memoise is_unitary (True: each u0 s_a
-    has u0's isometry deviation, which the builder bounded) and the
-    product form, which the circuit would otherwise find again from the
-    elements. Either way, equal elements and labels give equal bases.
+    Built directly, a basis is checked with its full Gram matrix and
+    dim is read from the elements' shape. pauli_basis and weyl_basis
+    hold the basis's structure instead of its stack: the site
+    dimensions, the family (Pauli strings or clock/shift products) and
+    the checked u0. They check only what u0 can spoil, with the same
+    tolerance and message, read dim and len from the sites, and memoise
+    is_unitary (True: each u0 s_a has u0's isometry deviation, which the
+    builder bounded) and the product form. Their elements are built on
+    first read, by ==, hash, indexing, repr, rotate_basis, reconstruct,
+    measure_choi_side, bipartite_expand and operator_schmidt; expand,
+    the echo circuit, which_unitary_distribution and superdense_send
+    read the structure and build no stack. Either way, equal elements
+    and labels give equal bases, and a pickle or a deepcopy is built
+    again through the same checks.
     """
 
     elements: np.ndarray
     labels: tuple
+    # (site_dims, pauli, u0) of a builder basis, u0 None when exactly the
+    # identity; None for a basis built directly
+    _structure = None
 
     def __post_init__(self):
         elements = _frozen(self.elements)
@@ -129,11 +147,34 @@ class OperatorBasis:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "labels", tuple(self.labels))
 
+    def __getattr__(self, name):
+        # only a builder basis lacks elements, until its first read
+        if name != "elements" or self._structure is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
+        site_dims, pauli, u0 = self._structure
+        family = (pauli_strings(len(site_dims)) if pauli
+                  else _weyl_products(site_dims[0]))
+        elements = family if u0 is None else u0 @ family
+        elements.setflags(write=False)
+        object.__setattr__(self, "elements", elements)
+        return elements
+
+    def __reduce__(self):
+        if self._structure is None:
+            return OperatorBasis, (self.elements, self.labels)
+        site_dims, pauli, u0 = self._structure
+        if pauli:
+            return pauli_basis, (u0, 2 ** len(site_dims))
+        return weyl_basis, (site_dims[0], u0)
+
     def __hash__(self) -> int:
         return _array_hash(self.elements)
 
     @property
     def dim(self) -> int:
+        if self._structure is not None:
+            return math.prod(self._structure[0])
         return self.elements.shape[-1]
 
     @functools.cached_property
@@ -153,7 +194,7 @@ class OperatorBasis:
         if d < 2:
             raise ValueError("the echo circuit needs a basis of dimension "
                              f">= 2, got dimension {d}")
-        u0 = _reference(self.elements)
+        u0 = _reference(self.elements[0])
         n = d.bit_length() - 1
         bad = None
         if d == 2 ** n:
@@ -168,7 +209,7 @@ class OperatorBasis:
                          f"{weyl if bad is None else bad} deviates)")
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.dim ** 2
 
     def __getitem__(self, a: int) -> np.ndarray:
         return self.elements[a]
@@ -181,50 +222,108 @@ def gram(elements) -> np.ndarray:
     return flat.conj() @ flat.T
 
 
-def _gram_residual(family, u0) -> float:
-    """max |G - d 1| of the Gram of {u0 s_a}, for a family s_a of
-    orthogonal unitaries, closed under products up to unit phases:
-    max_c |tr(s_c^dag E)| with E = u0^dag u0 - 1 (see the module
-    docstring), one product of the flattened family with E."""
-    d = family.shape[-1]
-    e = dag(u0) @ u0 - np.eye(d)
-    # the conjugates of tr(s_c^dag E), without conjugating the family
-    return float(np.abs(family.reshape(d * d, -1) @ e.conj().ravel()).max())
+def _structured_basis(site_dims, pauli, u0, labels) -> OperatorBasis:
+    """The basis {u0 s_a} of a builder's family, held as its structure:
+    s_a are the Pauli strings on len(site_dims) qubits (pauli) or the
+    clock/shift products on one site_dims[0]-level site, orthogonal by
+    construction with s_0 = 1, and u0 a checked unitary or None.
 
-
-def _product_basis(family, labels, u0, site_dims, pauli) -> OperatorBasis:
-    """The basis {u0 s_a} of a builder's family s_a, which is orthogonal
-    by construction with s_0 = 1, and u0 a checked unitary or None.
-
-    The Gram's residual, from _gram_residual, is checked as OperatorBasis
-    checks the Gram. The record is filled with the array just computed,
-    and its product form and is_unitary are memoised, since the builder
-    established both."""
-    elements = family
+    The Gram's residual, from _residual, is checked as OperatorBasis
+    checks the Gram. The record holds no elements; its structure, product
+    form and is_unitary are memoised, since the builder established all
+    three."""
     if u0 is not None:
-        _check(_gram_residual(family, u0), UNITARY_ATOL,
+        _check(_residual(site_dims, pauli, u0), UNITARY_ATOL,
                "elements are not trace-orthogonal")
-        elements = u0 @ family
-    elements.setflags(write=False)
     basis = object.__new__(OperatorBasis)
-    object.__setattr__(basis, "elements", elements)
     object.__setattr__(basis, "labels", tuple(labels))
-    vars(basis).update(is_unitary=True,
-                       _product_form=(site_dims, pauli, _reference(elements)))
+    form = (site_dims, pauli, _reference(u0))
+    vars(basis).update(_structure=form, _product_form=form, is_unitary=True)
     return basis
 
 
-def _reference(elements):
-    """The circuit's u0: elements[0], or None when that is exactly the
-    identity, so the circuit skips its two products with it."""
-    u0 = elements[0]
-    return None if np.array_equal(u0, np.eye(len(u0))) else u0
+def _residual(site_dims, pauli, u0) -> float:
+    """max |G - d 1| of the Gram of {u0 s_a} (see the module docstring):
+    max_c |tr(s_c^dag E)|, E = u0^dag u0 - 1, the family's transform of E."""
+    e = dag(u0) @ u0 - np.eye(len(u0))
+    return float(np.abs(_family_traces(site_dims, pauli, e)).max())
+
+
+def _family_traces(site_dims, pauli, m) -> np.ndarray:
+    """tr(s_a^dag m) for every element s_a of a builder's family, in label
+    order, from the d x d matrix m alone.
+
+    Pauli strings: tr(s_a^dag m) = sum conj(s_a)_ij m_ij factors over the
+    qubits, so m regrouped into one (i_k, j_k) axis per qubit, split after
+    h qubits, is read by one product with T^(x)h on the left and
+    T^(x)(n-h) on the right, T[l, 2 i + j] = conj(PAULIS[l])_ij.
+    Clock/shift products: (Z^mu X^nu)_ij = zeta^(mu i) delta(i, j + nu),
+    so tr = sum_i zeta^(-mu i) m[i, i - nu]: the shifted diagonals of m,
+    gathered once, times the conjugate clock table."""
+    if pauli:
+        n = len(site_dims)
+        h = n // 2
+        interleaved = [k + q for k in range(n) for q in (0, n)]
+        m = m.reshape((2,) * (2 * n)).transpose(interleaved)
+        m = m.reshape(4 ** h, 4 ** (n - h))
+        return (_pauli_transform(h) @ m @ _pauli_transform(n - h).T).ravel()
+    cols, clock = _weyl_transform(site_dims[0])
+    diagonals = m[np.arange(len(m)), cols]
+    return (clock @ diagonals.T).ravel()
+
+
+@functools.lru_cache(maxsize=None)
+def _pauli_transform(n: int) -> np.ndarray:
+    """T^(x)n, T[l, 2 i + j] = conj(PAULIS[l])_ij; [[1]] at n = 0. Its
+    entries are 0, +-1 and +-i, exact. Built once per n and read-only."""
+    out = np.ones((1, 1), dtype=complex)
+    single = np.stack(gates.PAULIS).conj().reshape(4, 4)
+    for _ in range(n):
+        out = np.kron(out, single)
+    return _frozen(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _weyl_transform(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, clock): cols[nu, i] = (i - nu) mod d, the column of row i on
+    shifted diagonal nu, and clock[mu, i] = zeta^(-mu i), the conjugated
+    diagonals of clock_shift_powers. Built once per d and read-only."""
+    i = np.arange(dim)
+    cols = (i[None, :] - i[:, None]) % dim
+    cols.setflags(write=False)
+    zp = clock_shift_powers(dim)[0]
+    return cols, _frozen(np.diagonal(zp, axis1=1, axis2=2).conj())
+
+
+def _family_gram_deviation(basis: OperatorBasis) -> float:
+    """max |G/d - 1| of the Gram G of a builder basis built without u0,
+    from its family's structure alone.
+
+    Pauli strings: G is the Kronecker product of the single-qubit Grams,
+    which are exactly 2 1 (entries 0, +-1 and +-i), so the deviation is
+    0.0. Clock/shift products: tr((Z^mu X^nu)^dag Z^mu' X^nu') =
+    delta(nu, nu') sum_j zeta^((mu' - mu) j), so it is the deviation of
+    the d x d Gram of the clock diagonals."""
+    site_dims, pauli, _ = basis._structure
+    if pauli:
+        return 0.0
+    d = site_dims[0]
+    clock = _weyl_transform(d)[1]
+    return float(np.abs(clock @ clock.conj().T / d - np.eye(d)).max())
+
+
+def _reference(u0):
+    """The circuit's u0: None when it is None or exactly the identity, so
+    the circuit skips its two products with it."""
+    return None if u0 is None or np.array_equal(u0, np.eye(len(u0))) else u0
 
 
 def _n_qubits(dim: int) -> int:
     n = dim.bit_length() - 1
     if dim <= 0 or 2 ** n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
+    if n < 1:
+        raise ValueError(f"need at least one qubit, got {n}")
     return n
 
 
@@ -274,12 +373,11 @@ def pauli_basis(u0=None, dim: int = 2) -> OperatorBasis:
         u0 = _unitary(u0, what="u0")
         dim = len(u0)
     n = _n_qubits(_count(dim, "dim"))
-    strings = pauli_strings(n)
     labels = [
         "".join(gates.PAULI_LABELS[l] for l in letters)
         for letters in itertools.product(range(4), repeat=n)
     ]
-    return _product_basis(strings, labels, u0, (2,) * n, True)
+    return _structured_basis((2,) * n, True, u0, labels)
 
 
 def clock_shift(dim: int) -> tuple[UnitaryOperator, UnitaryOperator]:
@@ -344,11 +442,11 @@ def weyl_basis(dim: int, u0=None) -> OperatorBasis:
         raise ValueError("dim must be an integer; the reference unitary "
                          "goes second, weyl_basis(d, u0)")
     dim = _count(dim, "dim")
-    products = _weyl_products(dim)
+    clock_shift_powers(dim)  # refuses a dimension below 2
     if u0 is not None:
         u0 = _unitary(u0, dim, "u0")
     labels = [f"Z^{mu}X^{nu}" for mu in range(dim) for nu in range(dim)]
-    return _product_basis(products, labels, u0, (dim,), False)
+    return _structured_basis((dim,), False, u0, labels)
 
 
 def _default_basis(dim: int) -> tuple[str, OperatorBasis]:
@@ -368,17 +466,30 @@ def expand(op, basis: OperatorBasis) -> ExpansionCoefficients:
     op may be any d x d matrix; sum_a |C_a|^2 equals the squared
     Frobenius norm of op divided by d, which is 1 exactly when op is
     unitary.
+
+    A builder basis is read through its structure, never its stack: the
+    family's transform of u0^dag op (see _family_traces), which agrees
+    with the stack formula conj(elements) @ op / d within about 2e-16
+    times |op|_F / sqrt(d), which is 1 for a unitary.
+    A basis built directly is read through its elements, bit for bit
+    that formula.
     """
     m = as_matrix(op)
-    if m.shape != (basis.dim, basis.dim):
+    d = basis.dim
+    if m.shape != (d, d):
         raise ValueError(
-            f"operator shape {m.shape} does not match basis dim {basis.dim}"
+            f"operator shape {m.shape} does not match basis dim {d}"
         )
+    if basis._structure is not None:
+        site_dims, pauli, u0 = basis._structure
+        coeffs = _family_traces(site_dims, pauli,
+                                m if u0 is None else dag(u0) @ m)
+        return ExpansionCoefficients(coeffs / d)
     # conj(E) @ m without conjugating the d^2 x d^2 stack: the conjugate
     # of E @ conj(m), equal to the last bit (IEEE negation is exact)
     flat = basis.elements.reshape(len(basis), -1)
     coeffs = (flat @ m.ravel().conj()).conj()
-    return ExpansionCoefficients(coeffs / basis.dim)
+    return ExpansionCoefficients(coeffs / d)
 
 
 def reconstruct(coeffs: ExpansionCoefficients, basis: OperatorBasis) -> np.ndarray:

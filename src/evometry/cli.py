@@ -81,8 +81,7 @@ def cmd_basis(args):
     from . import basis as bases
 
     basis = getattr(bases, _KINDS[args.kind])(dim=args.dim)
-    d = basis.dim
-    dev = float(np.abs(bases.gram(basis.elements) / d - np.eye(d * d)).max())
+    dev = bases._family_gram_deviation(basis)
     report = {
         "exact": {
             "labels": list(basis.labels),

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -358,18 +360,96 @@ def test_memoised_form_check_takes_no_part_in_equality():
        seed=st.integers(0, 2 ** 32 - 1))
 def test_expand_equals_the_conjugated_stack_formula_to_the_last_bit(
         family, size, with_u0, unitary, seed):
-    """expand conjugates the operator, not the d^2 x d^2 stack; by the
-    sign symmetry of IEEE arithmetic its coefficients are those of
-    conj(elements) @ op, bit for bit, for any operator."""
+    """Over a basis built directly, expand conjugates the operator, not
+    the d^2 x d^2 stack; by the sign symmetry of IEEE arithmetic its
+    coefficients are those of conj(elements) @ op, bit for bit, for any
+    operator."""
     rng = np.random.default_rng(seed)
     d = 2 ** size if family == "pauli" else (3, 5, 6)[size - 1]
+    u0 = random_unitary(d, rng) if with_u0 else None
+    built = (pauli_basis(u0, dim=d) if family == "pauli"
+             else weyl_basis(d, u0))
+    basis = OperatorBasis(built.elements, built.labels)
+    op = (random_unitary(d, rng) if unitary
+          else rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    old = basis.elements.reshape(d * d, -1).conj() @ op.ravel() / d
+    assert np.array_equal(expand(op, basis).coeffs, old)
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["pauli", "weyl"]), size=st.integers(1, 5),
+       with_u0=st.booleans(), unitary=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_builder_expand_matches_the_stack_formula(family, size, with_u0,
+                                                  unitary, seed):
+    """A builder basis expands through its family's transform of
+    u0^dag op, never its stack: within 1e-15 of conj(elements) @ op / d,
+    for Pauli n <= 5 and Weyl d <= 11, and without building elements.
+    Both routes round in proportion to op, so for a general op the bound
+    is 1e-15 times its norm over a unitary's, |op|_F / sqrt(d) (about
+    sqrt(2 d) for these Gaussian entries)."""
+    rng = np.random.default_rng(seed)
+    d = 2 ** size if family == "pauli" else (2, 3, 6, 7, 11)[size - 1]
     u0 = random_unitary(d, rng) if with_u0 else None
     basis = (pauli_basis(u0, dim=d) if family == "pauli"
              else weyl_basis(d, u0))
     op = (random_unitary(d, rng) if unitary
           else rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    old = basis.elements.reshape(d * d, -1).conj() @ op.ravel() / d
-    assert np.array_equal(expand(op, basis).coeffs, old)
+    coeffs = expand(op, basis).coeffs
+    assert "elements" not in vars(basis)
+    stack = basis.elements.reshape(d * d, -1).conj() @ op.ravel() / d
+    scale = max(1.0, np.linalg.norm(op) / np.sqrt(d))
+    assert np.abs(coeffs - stack).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("kind,d", [("pauli", 2), ("pauli", 4),
+                                    ("pauli", 8), ("pauli", 16)]
+                         + [("weyl", d) for d in range(2, 17)])
+def test_evometry_basis_reads_the_gram_deviation_from_the_family(kind, d):
+    """The CLI's gram_deviation, read from the family's structure, is the
+    full Gram's within rounding: exactly 0.0 for Pauli strings."""
+    basis = pauli_basis(dim=d) if kind == "pauli" else weyl_basis(d)
+    full = np.abs(gram(basis.elements) / d - np.eye(d * d)).max()
+    structured = basis_module._family_gram_deviation(basis)
+    assert abs(structured - full) <= 1e-15
+    assert kind == "weyl" or structured == full == 0.0
+
+
+def _copies(basis):
+    return (copy.deepcopy(basis), pickle.loads(pickle.dumps(basis)),
+            copy.copy(basis))
+
+
+@pytest.mark.parametrize("kind,d", [("pauli", 2), ("pauli", 4),
+                                    ("pauli", 8), ("weyl", 2), ("weyl", 3),
+                                    ("weyl", 5)])
+def test_copies_and_pickles_are_built_again_through_the_checks(kind, d):
+    """A deepcopy, a copy and a pickle round trip of a builder basis hold
+    the same structure and no stack, read-only, equal to the directly
+    built copy and hashed alike, and expand bit for bit as the original;
+    a basis built directly comes back equal with read-only elements."""
+    rng = np.random.default_rng(d)
+    for u0 in (None, random_unitary(d, rng), np.eye(d)):
+        b = pauli_basis(u0, dim=d) if kind == "pauli" else weyl_basis(d, u0)
+        op = random_unitary(d, rng)
+        for c in _copies(b):
+            assert "elements" not in vars(c)
+            assert c.labels == b.labels and len(c) == d * d
+            sites, pauli, ref = c._product_form
+            assert (sites, pauli) == b._product_form[:2]
+            assert (ref is None) == (b._product_form[2] is None)
+            assert ref is None or (np.array_equal(ref, b._product_form[2])
+                                   and not ref.flags.writeable)
+            assert np.array_equal(expand(op, c).coeffs,
+                                  expand(op, b).coeffs)
+        direct = OperatorBasis(b.elements, b.labels)
+        for c in _copies(b) + _copies(direct):
+            assert c == direct and hash(c) == hash(direct) == hash(b)
+            assert not c.elements.flags.writeable
+        assert "elements" in vars(b)  # == and hash built it, once
+    rotated = rotate_basis(pauli_basis(dim=2), random_unitary(4, 1))
+    for c in _copies(rotated):
+        assert c == rotated and not c.elements.flags.writeable
 
 
 def _builder_cases():
@@ -415,9 +495,10 @@ def test_the_builders_residual_is_the_grams(d, eps, hermitian, seed):
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         h = (g + dag(g)) / 2
     u0 = random_unitary(d, rng) @ (np.eye(d) + eps * h)
-    family = _family(d)
-    full = np.abs(gram(u0 @ family) - d * np.eye(d * d)).max()
-    assert abs(basis_module._gram_residual(family, u0) - full) <= 1e-14
+    full = np.abs(gram(u0 @ _family(d)) - d * np.eye(d * d)).max()
+    form = ((2,) * (d.bit_length() - 1), True) if d & (d - 1) == 0 \
+        else ((d,), False)
+    assert abs(basis_module._residual(*form, u0) - full) <= 1e-14
 
 
 @pytest.mark.parametrize("d,eps", [(2, 2e-11), (2, 4e-11), (3, 1e-11),

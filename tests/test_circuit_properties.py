@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from evometry import (
     OperatorBasis,
+    TwoTimeObservable,
     clock_shift_powers,
     expand,
     measure_which_unitary,
@@ -13,6 +14,7 @@ from evometry import (
     pauli_basis,
     pauli_strings,
     superdense_send,
+    temporal_eigenvalue,
     weyl_basis,
 )
 from evometry.linalg import random_state, random_unitary
@@ -95,3 +97,43 @@ def test_weyl_circuit_matches_closed_form(d, with_u0, bystander, seed):
     zp, xp = clock_shift_powers(d)
     products = np.stack([z @ x for z in zp for x in xp])
     _check_direct(basis, products, u0, u, psi)
+
+
+# (mu, nu) of I, X, Y, Z in the one-qubit Pauli basis, Y up to the
+# phase of Z X = i sigma_y
+_PAULI_PAIRS = ((0, 0), (0, 1), (1, 1), (1, 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["pauli", "weyl"]), size=st.integers(0, 5),
+       with_u0=st.booleans(), bystander=st.booleans(),
+       data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_basis_element_is_read_out_whatever_the_state(
+        family, size, with_u0, bystander, data, seed):
+    """The paper's state independence: run on u = element a of
+    pauli_basis (n <= 3) or weyl_basis (d <= 7), the circuit gives
+    outcome a with probability 1 for a Haar psi, with or without a
+    bystander, and leaves the state (u (x) 1) psi. Element a = u0 Z^mu
+    X^nu is an eigenoperator of both two-time observables, with the
+    eigenvalues (zeta^nu, zeta^-mu); the observables hold one clock/shift
+    site, so that half covers the Weyl bases and the one-qubit Pauli
+    basis."""
+    rng = np.random.default_rng(seed)
+    d = 2 ** (size % 3 + 1) if family == "pauli" else size + 2
+    u0 = random_unitary(d, rng) if with_u0 else None
+    basis = pauli_basis(u0, dim=d) if family == "pauli" else weyl_basis(d, u0)
+    a = data.draw(st.integers(0, d * d - 1), label="element")
+    u = basis[a]
+    psi = random_state(2 * d if bystander else d, rng)
+    dist, results = measure_which_unitary(u, basis, psi)
+    assert abs(dist.probabilities[a] - 1.0) <= 1e-12
+    assert [r.outcome for r in results] == [a]
+    want = (u @ psi.reshape(d, -1)).ravel()
+    assert np.abs(results[0].collapsed.amplitudes - want).max() <= 1e-12
+    if family == "pauli" and d > 2:
+        return
+    mu, nu = _PAULI_PAIRS[a] if family == "pauli" else divmod(a, d)
+    zeta = np.exp(2j * np.pi / d)
+    for g, want in (("z", zeta ** nu), ("x", zeta ** -mu)):
+        lam = temporal_eigenvalue(TwoTimeObservable(g, d, u0=u0), u)
+        assert abs(lam - want) <= 1e-12

@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from collections.abc import Sequence
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,6 +27,7 @@ from evometry import (
     observable_commutator_norm,
     pauli_basis,
     rotate_basis,
+    superdense_send,
     temporal_eigenvalue,
     weyl_basis,
     which_unitary_distribution,
@@ -445,6 +450,65 @@ def test_product_form_table_is_built_once_per_basis():
                 circuit_end_state(random_unitary(3, rng), w, np.eye(3)[0])
         assert pauli_strings.call_count == tables
         assert weyl_products.call_count == tables
+
+
+def _builder_bases():
+    for n in range(1, 5):
+        yield "pauli", 2 ** n
+    for d in range(3, 12):
+        yield "weyl", d
+
+
+@pytest.mark.parametrize("kind,d", list(_builder_bases()))
+def test_the_readouts_build_no_stack(kind, d):
+    """The exact law, both circuit entries (with and without a
+    bystander), the end state and dense coding read a builder basis
+    through its structure: it never builds its d^2 x d x d elements."""
+    rng = np.random.default_rng(d)
+    for u0 in (None, random_unitary(d, rng)):
+        basis = pauli_basis(u0, dim=d) if kind == "pauli" else weyl_basis(d, u0)
+        u = random_unitary(d, rng)
+        which_unitary_distribution(u, basis)
+        for b in (1, 2):
+            psi = random_state(b * d, rng)
+            measure_which_unitary(u, basis, psi, shots=16, seed=1)
+            measure_which_unitary_qudit(u, basis, psi, shots=16, seed=2)
+            circuit_end_state(u, basis, psi)
+        superdense_send(u, basis, shots=16, seed=3)
+        assert (basis.dim, len(basis)) == (d, d * d)
+        assert "elements" not in vars(basis)
+
+
+_N6_RUN = """
+import resource
+import numpy as np
+from evometry import (measure_which_unitary, pauli_basis, superdense_send,
+                      which_unitary_distribution)
+from evometry.linalg import random_state, random_unitary
+rng = np.random.default_rng(6)
+u0, u, psi = random_unitary(64, rng), random_unitary(64, rng), random_state(64, rng)
+basis = pauli_basis(u0)
+dist, _ = measure_which_unitary(u, basis, psi)
+sent = superdense_send(u, basis, shots=64, seed=1)
+law = which_unitary_distribution(u, basis).probabilities
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+      np.abs(law - dist.probabilities).max(),
+      np.abs(law - sent.probabilities).max())
+"""
+
+
+def test_six_qubits_run_end_to_end_in_a_small_footprint():
+    """pauli_basis(u0), the circuit, dense coding and the exact law at
+    n = 6 in a fresh process: peak RSS under 200 MB (the stacks alone
+    would be 268 MB each), and the law agrees with the circuit."""
+    env = dict(os.environ, PYTHONPATH="src", OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _N6_RUN], env=env,
+                         cwd=Path(__file__).resolve().parent.parent,
+                         capture_output=True, text=True, timeout=120,
+                         check=True).stdout
+    rss_mb, circuit, dense = (float(x) for x in out.split())
+    assert rss_mb < 200
+    assert circuit <= 1e-13 and dense <= 1e-13
 
 
 def test_writing_the_callers_u0_changes_no_measurement():
