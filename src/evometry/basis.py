@@ -13,17 +13,14 @@ The builders pauli_basis and weyl_basis make {u0 s_a} from a family s_a
 that is orthogonal by construction, and hold that structure, the site
 dimensions, the family and u0, in place of the d^2 x d x d stack, which
 they build only when a caller reads elements. Their expand is the
-family's transform of u0^dag U, tr(s_a^dag M) for every a from M alone:
-for Pauli strings one product T^(x)h M' (T^(x)(n-h))^T of the
-qubit-interleaved M' with T = conj(PAULIS) as 4 x 4 (the tensorised
-Pauli decomposition), for the clock/shift products one gather of the d
-shifted diagonals of M and one product with the conjugate clock table.
-Only u0 can spoil orthogonality: with E = u0^dag u0 - 1,
-G_ab - d delta_ab = tr(E s_b s_a^dag), and the products s_b s_a^dag run
-over the family up to unit phases, so the Gram's residual is
-max_c |tr(s_c^dag E)|, the same transform of E (and nothing without u0).
-The echo circuit's product form and is_unitary are memoised at build
-time.
+family's transform of u0^dag U (_family_traces): the tensorised Pauli
+decomposition, or one gather of the shifted diagonals and one product
+with the conjugate clock table. Only u0 can spoil orthogonality: with
+E = u0^dag u0 - 1, G_ab - d delta_ab = tr(E s_b s_a^dag), and the
+products s_b s_a^dag run over the family up to unit phases, so the
+Gram's residual is max_c |tr(s_c^dag E)|, the same transform of E (and
+nothing without u0). The echo circuit's product form and is_unitary are
+memoised at build time.
 """
 from __future__ import annotations
 
