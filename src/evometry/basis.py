@@ -481,11 +481,12 @@ def expand(op, basis: OperatorBasis) -> ExpansionCoefficients:
         site_dims, pauli, u0 = basis._structure
         coeffs = _family_traces(site_dims, pauli,
                                 m if u0 is None else dag(u0) @ m)
-        return ExpansionCoefficients(coeffs / d)
-    # conj(E) @ m without conjugating the d^2 x d^2 stack: the conjugate
-    # of E @ conj(m), equal to the last bit (IEEE negation is exact)
-    flat = basis.elements.reshape(len(basis), -1)
-    coeffs = (flat @ m.ravel().conj()).conj()
+    else:
+        # conj(E) @ m without conjugating the d^2 x d^2 stack: the
+        # conjugate of E @ conj(m), equal to the last bit (IEEE negation
+        # is exact)
+        flat = basis.elements.reshape(len(basis), -1)
+        coeffs = (flat @ m.ravel().conj()).conj()
     return ExpansionCoefficients(coeffs / d)
 
 
