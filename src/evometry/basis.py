@@ -34,6 +34,7 @@ from . import gates
 from .linalg import (
     UNITARY_ATOL,
     _array_hash,
+    _arrays_equal,
     _check,
     _count,
     _frozen,
@@ -117,12 +118,14 @@ class OperatorBasis:
     tolerance and message, read dim and len from the sites, and memoise
     is_unitary (True: each u0 s_a has u0's isometry deviation, which the
     builder bounded) and the product form. Their elements are built on
-    first read, by ==, hash, indexing, repr, rotate_basis, reconstruct,
-    measure_choi_side, bipartite_expand and operator_schmidt; expand,
-    the echo circuit, which_unitary_distribution and superdense_send
-    read the structure and build no stack. Either way, equal elements
-    and labels give equal bases, and a pickle or a deepcopy is built
-    again through the same checks.
+    first read, by hash, == against a basis built directly, indexing,
+    repr, rotate_basis, reconstruct, measure_choi_side, bipartite_expand
+    and operator_schmidt; expand, the echo circuit,
+    which_unitary_distribution, superdense_send and == between two
+    builder bases (their sites, family, u0 and labels) read the
+    structure and build no stack. Either way, equal elements and labels
+    give equal bases, and a pickle or a deepcopy is built again through
+    the same checks.
     """
 
     elements: np.ndarray
@@ -164,6 +167,17 @@ class OperatorBasis:
         if pauli:
             return pauli_basis, (u0, 2 ** len(site_dims))
         return weyl_basis, (site_dims[0], u0)
+
+    def __eq__(self, other):
+        # two builder bases compare their structures, not their stacks
+        if (type(other) is OperatorBasis and self._structure is not None
+                and other._structure is not None):
+            *family, u0 = self._structure
+            *family_o, u0_o = other._structure
+            return (family == family_o and self.labels == other.labels
+                    and (u0 is None) == (u0_o is None)
+                    and (u0 is None or np.array_equal(u0, u0_o)))
+        return _arrays_equal(self, other)
 
     def __hash__(self) -> int:
         return _array_hash(self.elements)

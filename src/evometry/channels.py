@@ -173,7 +173,17 @@ class StinespringDilation:
 
     matrix is a read-only (d*a, d*a) unitary on system (x) ancilla, the
     ancilla starting in its first basis state; reading the ancilla in a
-    basis afterwards selects one operator element per outcome.
+    basis afterwards selects one operator element per outcome. Its
+    columns j * a (ancilla |0>) are the isometry V, whose row r * a + i
+    is row r of M_i; the other columns complete V to a unitary.
+
+    It is checked at the maps' tolerance TP_ATOL, since the V block of
+    matrix^dag matrix is the completeness sum that KrausMap bounds by
+    it. Built directly, matrix is checked in full. stinespring holds V
+    instead, checked by one d x d Gram, and builds matrix on its first
+    read, with the full check; kraus_from_ancilla_basis reads V and
+    builds no matrix. A pickle or a deepcopy is built again through the
+    same checks, from V while matrix is unread.
     """
 
     matrix: np.ndarray
@@ -183,7 +193,38 @@ class StinespringDilation:
     def __post_init__(self):
         object.__setattr__(self, "matrix", _unitary(
             self.matrix, self.system_dim * self.ancilla_dim,
-            "dilation matrix"))
+            "dilation matrix", TP_ATOL))
+
+    def __getattr__(self, name):
+        # only a dilation built by stinespring lacks matrix, until read
+        if name != "matrix" or "_isometry" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
+        iso, a = self._isometry, self.ancilla_dim
+        da, d = iso.shape
+        matrix = np.zeros((da, da), dtype=complex)
+        matrix[:, ::a] = iso
+        # complete the remaining columns from the orthogonal complement
+        _, _, vh = np.linalg.svd(iso.conj().T, full_matrices=True)
+        rest = [j * a + i for j in range(d) for i in range(1, a)]
+        matrix[:, rest] = vh[d:].conj().T
+        _check(_isometry_deviation(matrix), TP_ATOL,
+               "dilation matrix is not unitary")
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
+        return matrix
+
+    def __reduce__(self):
+        if "matrix" in vars(self):
+            return StinespringDilation, (self.matrix, self.system_dim,
+                                         self.ancilla_dim)
+        return stinespring, (kraus_from_ancilla_basis(self),)
+
+    @functools.cached_property
+    def _isometry(self) -> np.ndarray:
+        """V, the (d a) x d columns j * a of matrix, as a read-only view;
+        stinespring seeds it."""
+        return self.matrix[:, ::self.ancilla_dim]
 
 
 def _channel_state(kraus: KrausMap) -> np.ndarray:
@@ -276,21 +317,21 @@ def stinespring(kraus: KrausMap) -> StinespringDilation:
     """Dilate to a unitary on system (x) ancilla, ancilla dim = len(kraus).
 
     The isometry columns (ancilla fixed to |0>) stack the operator
-    elements; remaining columns come from an orthonormal completion, so
-    the dilation is exactly unitary whatever the channel.
+    elements; the remaining columns come from an orthonormal completion.
+    The dilation is unitary to within the map's completeness deviation,
+    which KrausMap bounds by TP_ATOL, and is checked at that tolerance.
+    The record holds the isometry, checked by one d x d Gram, and builds
+    the (d a) x (d a) matrix, with its full check, only when matrix is
+    read.
     """
-    d = kraus.dim
-    a = len(kraus)
+    d, a = kraus.dim, len(kraus)
     # row r * a + i of the isometry is row r of M_i
     iso = kraus.operators.transpose(1, 0, 2).reshape(d * a, d)
-    full = np.zeros((d * a, d * a), dtype=complex)
-    full[:, [j * a for j in range(d)]] = iso
-    # complete the remaining columns from the orthogonal complement
-    _, _, vh = np.linalg.svd(iso.conj().T, full_matrices=True)
-    complement = vh[d:].conj().T
-    rest = [j * a + i for j in range(d) for i in range(1, a)]
-    full[:, rest] = complement
-    return StinespringDilation(full, d, a)
+    iso.setflags(write=False)
+    _check(_isometry_deviation(iso), TP_ATOL, "dilation matrix is not unitary")
+    dil = object.__new__(StinespringDilation)
+    vars(dil).update(system_dim=d, ancilla_dim=a, _isometry=iso)
+    return dil
 
 
 def kraus_from_ancilla_basis(dil: StinespringDilation,
@@ -299,20 +340,23 @@ def kraus_from_ancilla_basis(dil: StinespringDilation,
 
     ancilla_basis rows b_i default to the computational basis; any
     orthonormal basis gives an equivalent presentation of the channel,
-    related to the native one by kraus_rotation.
+    related to the native one by kraus_rotation. Only the isometry is
+    read, never the full matrix: by default the elements are its
+    columns themselves, and in a basis b they are one batched product,
+    conj(b) @ V reshaped to (d, a, d).
     """
     d, a = dil.system_dim, dil.ancilla_dim
-    if ancilla_basis is None:
-        ancilla_basis = np.eye(a, dtype=complex)
-    else:
+    # v[r, i] is row r of M_i
+    v = dil._isometry.reshape(d, a, d)
+    if ancilla_basis is not None:
         ancilla_basis = np.asarray(ancilla_basis, dtype=complex)
         if ancilla_basis.shape != (a, a):
             raise ValueError("ancilla basis must have a rows of dimension a")
         _check(_isometry_deviation(dag(ancilla_basis)), TP_ATOL,
                "ancilla basis not orthonormal")
-    v0 = dil.matrix[:, ::a].reshape(d, a, d)
-    ops = np.einsum("ic,rcj->irj", ancilla_basis.conj(), v0)
-    return KrausMap(ops)
+        # row r of N_i = sum_c conj(b_ic) M_c, for every r at once
+        v = ancilla_basis.conj() @ v
+    return KrausMap(v.transpose(1, 0, 2))
 
 
 def _parse_prob(text: str, name: str) -> float:

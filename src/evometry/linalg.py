@@ -56,9 +56,11 @@ def _arrays_equal(a, b):
 
 def _record(cls):
     """Declare a record that holds arrays: a frozen dataclass compared by
-    _arrays_equal, unhashable unless its body defines __hash__ (over
-    read-only arrays, consistent with ==)."""
-    cls.__eq__ = _arrays_equal
+    _arrays_equal unless its body defines __eq__, and unhashable unless
+    its body defines __hash__ (over read-only arrays, consistent with
+    ==)."""
+    if "__eq__" not in vars(cls):
+        cls.__eq__ = _arrays_equal
     if "__hash__" not in vars(cls):
         cls.__hash__ = None
     return dataclass(frozen=True, eq=False)(cls)
@@ -87,18 +89,20 @@ def is_unitary(a: np.ndarray) -> bool:
     return _isometry_deviation(a) <= UNITARY_ATOL
 
 
-def _unitary(u, dim: int | None = None, what: str = "matrix") -> np.ndarray:
+def _unitary(u, dim: int | None = None, what: str = "matrix",
+             tol: float = UNITARY_ATOL) -> np.ndarray:
     """The check of every unitary input: a read-only complex copy of u
     (of u.matrix for a record). ValueError, naming what, unless it is a
     square matrix, of size dim when dim is given, whose isometry
-    deviation is at most UNITARY_ATOL (a NaN is refused)."""
+    deviation is at most tol, UNITARY_ATOL unless given (a NaN is
+    refused)."""
     m = _frozen(getattr(u, "matrix", u))
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape "
                          f"{m.shape}")
     if dim is not None and m.shape[0] != dim:
         raise ValueError(f"{what} has dim {m.shape[0]}, expected {dim}")
-    _check(_isometry_deviation(m), UNITARY_ATOL, f"{what} is not unitary")
+    _check(_isometry_deviation(m), tol, f"{what} is not unitary")
     return m
 
 

@@ -478,6 +478,22 @@ def test_builder_bases_equal_their_directly_built_copies(kind, d):
         assert ref is None or np.array_equal(ref, ref2)
 
 
+def test_builder_bases_compare_their_structures_without_stacks():
+    """Two builder bases compare their sites, family, u0 and labels: at
+    n = 6, where each stack would take 268 MB, no elements are built."""
+    u0 = random_unitary(64, 6)
+    a, b = pauli_basis(u0), pauli_basis(u0.copy())
+    assert a == b and not a != b
+    assert pauli_basis(np.eye(64)) == pauli_basis(dim=64)
+    others = (pauli_basis(dim=64), pauli_basis(random_unitary(64, 7)),
+              pauli_basis(random_unitary(32, 6)),
+              weyl_basis(64, u0))
+    for other in others:
+        assert a != other and not a == other and not other == a
+        assert "elements" not in vars(other)
+    assert "elements" not in vars(a) and "elements" not in vars(b)
+
+
 def _family(d):
     return pauli_strings(d.bit_length() - 1) if d & (d - 1) == 0 \
         else basis_module._weyl_products(d)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from evometry import (
     ChoiState,
+    EvolutionSequence,
     KrausMap,
     StinespringDilation,
     canonical_kraus,
@@ -17,11 +20,18 @@ from evometry import (
     kraus_rotation,
     named_channel,
     stinespring,
+    verify_sequence,
 )
 from evometry.basis import clock_shift_powers, pauli_strings
-from evometry.channels import CanonicalKraus
+from evometry.channels import TP_ATOL, CanonicalKraus
 from evometry.gates import H, I2, X, Y, Z
-from evometry.linalg import dag, deterministic_eigh, random_unitary
+from evometry.linalg import (
+    UNITARY_ATOL,
+    _fourier,
+    dag,
+    deterministic_eigh,
+    random_unitary,
+)
 
 
 def random_channel(d, a, rng):
@@ -364,3 +374,93 @@ def test_entropy_of_a_unitary_is_never_negative(gate):
     must not read as a negative entropy."""
     h = entropy(named_channel(f"unitary:{gate}"))
     assert math.copysign(1.0, h) == 1.0 and h <= 1e-15
+
+
+def near_map():
+    """A d = 4, k = 3 map whose completeness sum deviates by 5e-10 from the
+    identity: within KrausMap's TP_ATOL, beyond UNITARY_ATOL."""
+    iso = random_unitary(12, 23)[:, :4] * (1 + 2.5e-10)
+    return KrausMap(iso.reshape(3, 4, 4))
+
+
+def test_stinespring_accepts_a_map_within_the_completeness_tolerance():
+    m = near_map()
+    dil = stinespring(m)
+    assert np.array_equal(kraus_from_ancilla_basis(dil).operators,
+                          m.operators)
+    dev = np.abs(dag(dil.matrix) @ dil.matrix - np.eye(12)).max()
+    assert UNITARY_ATOL < dev <= TP_ATOL
+    assert StinespringDilation(dil.matrix, 4, 3) == dil
+    with pytest.raises(ValueError, match="dilation matrix is not unitary"):
+        StinespringDilation(np.diag([1.0] * 11 + [1.0 + 2 * TP_ATOL]), 4, 3)
+
+
+def eager_dilation(kraus):
+    """The (d a) x (d a) dilation matrix as stinespring once built it on
+    every call: the isometry in the columns j * a, and the orthonormal
+    completion from the SVD of its adjoint in the rest."""
+    d, a = kraus.dim, len(kraus)
+    iso = kraus.operators.transpose(1, 0, 2).reshape(d * a, d)
+    full = np.zeros((d * a, d * a), dtype=complex)
+    full[:, [j * a for j in range(d)]] = iso
+    _, _, vh = np.linalg.svd(iso.conj().T, full_matrices=True)
+    complement = vh[d:].conj().T
+    full[:, [j * a + i for j in range(d) for i in range(1, a)]] = complement
+    return full
+
+
+@pytest.mark.parametrize("d,a", [(2, 1), (2, 2), (2, 4), (3, 4), (4, 3),
+                                 (5, 2)])
+def test_dilation_matrix_is_built_on_first_read_bit_for_bit(d, a):
+    m = random_channel(d, a, np.random.default_rng(10 * d + a))
+    dil = stinespring(m)
+    assert "matrix" not in vars(dil)
+    assert not dil._isometry.flags.writeable
+    u = dil.matrix
+    assert np.array_equal(u, eager_dilation(m))
+    assert not u.flags.writeable and dil.matrix is u
+    assert np.abs(dag(u) @ u - np.eye(d * a)).max() <= UNITARY_ATOL
+
+
+def ancilla_bases(a, rng):
+    return {"none": None, "identity": np.eye(a), "fourier": _fourier(a),
+            "random": random_unitary(a, rng)}
+
+
+@pytest.mark.parametrize("kind", ["none", "identity", "fourier", "random"])
+def test_readout_and_verification_build_no_dilation_matrix(kind):
+    rng = np.random.default_rng(41)
+    m = random_channel(3, 4, rng)
+    dil = stinespring(m)
+    b = ancilla_bases(4, rng)[kind]
+    rep = kraus_from_ancilla_basis(dil, b)
+    want = np.einsum("ic,rcj->irj", np.eye(4) if b is None else b.conj(),
+                     m.operators.transpose(1, 0, 2))
+    assert np.abs(rep.operators - want).max() <= 1e-15
+    honest = EvolutionSequence(rep, (0, 1, 2, 3, 1))
+    flipped = EvolutionSequence(rep, (0, 1, 2, 3, 2))
+    verify_sequence(dil, b, honest, 5)
+    verify_sequence(dil, b, flipped, 5)
+    assert "matrix" not in vars(dil)
+
+
+def copies(dil):
+    return (copy.deepcopy(dil), pickle.loads(pickle.dumps(dil)),
+            copy.copy(dil))
+
+
+def test_dilation_copies_are_built_again_through_the_checks():
+    """Copies of a dilation whose matrix is unread hold the same read-only
+    isometry and no matrix; once matrix is read, copies carry it and are
+    checked in full, as a directly built one is."""
+    m = random_channel(3, 2, np.random.default_rng(43))
+    dil = stinespring(m)
+    for c in copies(dil):
+        assert "matrix" not in vars(c)
+        assert np.array_equal(c._isometry, dil._isometry)
+        assert not c._isometry.flags.writeable
+    direct = StinespringDilation(dil.matrix, 3, 2)
+    assert dil == direct and not dil != direct
+    assert dil != stinespring(random_channel(3, 2, np.random.default_rng(3)))
+    for c in copies(stinespring(m)) + copies(dil) + copies(direct):
+        assert c == direct and not c.matrix.flags.writeable

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from evometry import KrausMap, weyl_basis
+from evometry import KrausMap, channels, weyl_basis
 from evometry.cli import main
 from evometry.formats import kraus_json
+from evometry.linalg import random_unitary
 
 
 def run(capsys, *argv):
@@ -197,6 +198,37 @@ def test_superdense_command(capsys):
     assert report["empirical"]["counts"][1] == 64
     assert report["exact"]["eavesdropper_marginal_deviation"] < 1e-12
     assert report["checks"]["eavesdropper_ignorant"]
+
+
+def test_verify_accepts_a_map_that_channel_accepts(capsys, tmp_path):
+    """A map whose completeness sum deviates by 5e-10, within KrausMap's
+    1e-9, is dilated and verified as it is analysed."""
+    iso = random_unitary(12, 23)[:, :4] * (1 + 2.5e-10)
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(kraus_json(KrausMap(iso.reshape(3, 4, 4)))))
+    assert run(capsys, "channel", "--map", str(path))[0] == 0
+    code, report, _ = run_json(capsys, "verify", "--map", str(path),
+                               "--steps", "20", "--seed", "3")
+    assert code == 0 and report["exact"]["accepted"] is True
+
+
+def test_verify_command_builds_no_dilation_matrix(capsys, monkeypatch):
+    built = []
+
+    def spy(kraus):
+        built.append(real(kraus))
+        return built[-1]
+
+    real = channels.stinespring
+    monkeypatch.setattr(channels, "stinespring", spy)
+    for basis in ("computational", "fourier"):
+        for flip in ((), ("--flip", "2")):
+            code, report, _ = run_json(
+                capsys, "verify", "--map", "depolarizing:0.3", "--steps",
+                "10", "--seed", "5", "--ancilla-basis", basis, *flip)
+            assert code == 0 and report["exact"]["accepted"] is (not flip)
+    assert len(built) == 4
+    assert all("matrix" not in vars(dil) for dil in built)
 
 
 def test_verify_command_honest_and_corrupted(capsys):

@@ -126,6 +126,23 @@ def test_stinespring_round_trip_in_a_random_ancilla_basis(d, k, seed):
     assert np.abs(rep.operators - kraus_rotation(m, dag(b)).operators).max() < ATOL
 
 
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 8), k=st.integers(1, 16), seed=SEEDS)
+def test_ancilla_readout_is_the_einsum_over_the_isometry(d, k, seed):
+    """The readout in a random ancilla basis b equals the reference
+    contraction of conj(b) with the isometry V[r, c] = row r of M_c
+    within 1e-15; with no basis it is the elements themselves, exactly."""
+    rng = np.random.default_rng(seed)
+    m = _random_map(d, k, rng)
+    dil = stinespring(m)
+    b = random_unitary(k, rng)
+    want = np.einsum("ic,rcj->irj", b.conj(), m.operators.transpose(1, 0, 2))
+    got = kraus_from_ancilla_basis(dil, b).operators
+    assert np.abs(got - want).max() <= 1e-15
+    assert np.array_equal(kraus_from_ancilla_basis(dil).operators,
+                          m.operators)
+
+
 @FEW
 @given(d=st.integers(2, 3), k=st.integers(1, 4), seed=SEEDS)
 def test_unitary_frame_maps_herald_at_one_over_support(d, k, seed):
