@@ -422,25 +422,24 @@ def test_dilation_matrix_is_built_on_first_read_bit_for_bit(d, a):
     assert np.abs(dag(u) @ u - np.eye(d * a)).max() <= UNITARY_ATOL
 
 
-def ancilla_bases(a, rng):
-    return {"none": None, "identity": np.eye(a), "fourier": _fourier(a),
-            "random": random_unitary(a, rng)}
-
-
 @pytest.mark.parametrize("kind", ["none", "identity", "fourier", "random"])
 def test_readout_and_verification_build_no_dilation_matrix(kind):
     rng = np.random.default_rng(41)
     m = random_channel(3, 4, rng)
     dil = stinespring(m)
-    b = ancilla_bases(4, rng)[kind]
+    b = {"none": None, "identity": np.eye(4), "fourier": _fourier(4),
+         "random": random_unitary(4, rng)}[kind]
     rep = kraus_from_ancilla_basis(dil, b)
     want = np.einsum("ic,rcj->irj", np.eye(4) if b is None else b.conj(),
                      m.operators.transpose(1, 0, 2))
     assert np.abs(rep.operators - want).max() <= 1e-15
-    honest = EvolutionSequence(rep, (0, 1, 2, 3, 1))
-    flipped = EvolutionSequence(rep, (0, 1, 2, 3, 2))
-    verify_sequence(dil, b, honest, 5)
-    verify_sequence(dil, b, flipped, 5)
+    drawn = verify_sequence(dil, b, EvolutionSequence(rep, (0,) * 6), 5)
+    flipped = list(drawn.sampled)
+    flipped[2] = (flipped[2] + 1) % 4
+    assert verify_sequence(dil, b, EvolutionSequence(rep, drawn.sampled),
+                           5).accepted
+    assert not verify_sequence(dil, b, EvolutionSequence(rep, tuple(flipped)),
+                               5).accepted
     assert "matrix" not in vars(dil)
 
 
