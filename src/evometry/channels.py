@@ -46,21 +46,37 @@ class KrausMap:
 
     The completeness sum sum_i M_i^dag M_i must equal the identity
     within 1e-9 elementwise. The elements are stored as one read-only
-    (k, d, d) array, copied from the input, so a map never changes after
-    it is built; its canonical form is computed once and memoised (see
-    canonical_kraus). Maps with equal elements are equal and hash alike.
+    C-contiguous (k, d, d) complex array, copied from the input, so a
+    map never changes after it is built: an ndarray stack in one copy, a
+    sequence element by element through as_matrix, so wrappers with a
+    matrix work too. Anything that is not a non-empty stack of square
+    matrices is a ValueError. Its canonical form is computed once and
+    memoised (see canonical_kraus). Maps with equal elements are equal
+    and hash alike.
     """
 
     operators: np.ndarray
 
     def __post_init__(self):
-        ops = [as_matrix(m) for m in self.operators]
-        if not ops:
+        ops = self.operators
+        if not isinstance(ops, np.ndarray) or ops.dtype == object:
+            try:
+                ops = [as_matrix(m) for m in ops]
+            except TypeError:
+                raise ValueError(f"operator elements must be a sequence of "
+                                 f"square matrices, got {ops!r}") from None
+            if len({m.shape for m in ops}) > 1:
+                raise ValueError("operator elements must share one square "
+                                 f"shape, got {[m.shape for m in ops]}")
+        # one C-contiguous complex copy, whatever the input's layout
+        ops = np.array(ops, dtype=complex, order="C")
+        if ops.ndim and not len(ops):
             raise ValueError("a map needs at least one operator element")
-        d = ops[0].shape[0]
-        if any(m.shape != (d, d) for m in ops):
-            raise ValueError("operator elements must share one square shape")
-        ops = _frozen(ops)
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+            raise ValueError("operator elements must share one square "
+                             f"shape, got a stack of shape {ops.shape}")
+        ops.setflags(write=False)
+        d = ops.shape[-1]
         # sum_i M_i^dag M_i is one product of the (k d) x d reshape
         _check(_isometry_deviation(ops.reshape(-1, d)), TP_ATOL,
                "completeness sum is not the identity")
@@ -182,8 +198,12 @@ class StinespringDilation:
     it. Built directly, matrix is checked in full. stinespring holds V
     instead, checked by one d x d Gram, and builds matrix on its first
     read, with the full check; kraus_from_ancilla_basis reads V and
-    builds no matrix. A pickle or a deepcopy is built again through the
-    same checks, from V while matrix is unread.
+    builds no matrix. The record keeps its last readout, one map and the
+    ancilla basis it was read in, in a private memo that is not a field
+    (== and hashing ignore it), and stinespring seeds it with the native
+    readout, its source map. A pickle or a deepcopy is built again
+    through the same checks, from V while matrix is unread, and starts
+    with at most its native readout.
     """
 
     matrix: np.ndarray
@@ -298,11 +318,12 @@ def kraus_rotation(kraus: KrausMap, u: np.ndarray) -> KrausMap:
     have k' >= k elements. The result presents the same channel.
     """
     u = np.asarray(u, dtype=complex)
-    k = len(kraus)
+    k, d = len(kraus), kraus.dim
     if u.ndim != 2 or u.shape[0] != k:
         raise ValueError("row count must match number of operator elements")
     _check(_isometry_deviation(dag(u)), TP_ATOL, "rows are not orthonormal")
-    return KrausMap(np.tensordot(u.T, kraus.operators, axes=1))
+    return KrausMap((u.T @ kraus.operators.reshape(k, d * d))
+                    .reshape(-1, d, d))
 
 
 def equivalent(a: KrausMap, b: KrausMap) -> bool:
@@ -322,7 +343,9 @@ def stinespring(kraus: KrausMap) -> StinespringDilation:
     which KrausMap bounds by TP_ATOL, and is checked at that tolerance.
     The record holds the isometry, checked by one d x d Gram, and builds
     the (d a) x (d a) matrix, with its full check, only when matrix is
-    read.
+    read. Its native readout is kraus itself: the isometry's columns are
+    kraus's elements bit for bit, so kraus_from_ancilla_basis(dil)
+    returns kraus.
     """
     d, a = kraus.dim, len(kraus)
     # row r * a + i of the isometry is row r of M_i
@@ -330,7 +353,8 @@ def stinespring(kraus: KrausMap) -> StinespringDilation:
     iso.setflags(write=False)
     _check(_isometry_deviation(iso), TP_ATOL, "dilation matrix is not unitary")
     dil = object.__new__(StinespringDilation)
-    vars(dil).update(system_dim=d, ancilla_dim=a, _isometry=iso)
+    vars(dil).update(system_dim=d, ancilla_dim=a, _isometry=iso,
+                     _last_readout=(None, kraus))
     return dil
 
 
@@ -344,19 +368,33 @@ def kraus_from_ancilla_basis(dil: StinespringDilation,
     read, never the full matrix: by default the elements are its
     columns themselves, and in a basis b they are one batched product,
     conj(b) @ V reshaped to (d, a, d).
+
+    The dilation keeps its last readout: a repeat call in a basis with
+    the same entries (compared by content, so a basis array changed in
+    place is read again) returns the same KrausMap, which is exact since
+    the readout depends on V and those entries alone.
     """
     d, a = dil.system_dim, dil.ancilla_dim
-    # v[r, i] is row r of M_i
-    v = dil._isometry.reshape(d, a, d)
+    key = None
     if ancilla_basis is not None:
         ancilla_basis = np.asarray(ancilla_basis, dtype=complex)
         if ancilla_basis.shape != (a, a):
-            raise ValueError("ancilla basis must have a rows of dimension a")
+            raise ValueError(f"ancilla basis must be {a} x {a}, got shape "
+                             f"{ancilla_basis.shape}")
+        key = ancilla_basis.tobytes()
+    last = vars(dil).get("_last_readout")
+    if last is not None and last[0] == key:
+        return last[1]
+    # v[r, i] is row r of M_i
+    v = dil._isometry.reshape(d, a, d)
+    if ancilla_basis is not None:
         _check(_isometry_deviation(dag(ancilla_basis)), TP_ATOL,
                "ancilla basis not orthonormal")
         # row r of N_i = sum_c conj(b_ic) M_c, for every r at once
         v = ancilla_basis.conj() @ v
-    return KrausMap(v.transpose(1, 0, 2))
+    kraus = KrausMap(v.transpose(1, 0, 2))
+    vars(dil)["_last_readout"] = (key, kraus)
+    return kraus
 
 
 def _parse_prob(text: str, name: str) -> float:

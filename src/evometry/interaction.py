@@ -160,9 +160,12 @@ def operator_schmidt(u, basis_a: OperatorBasis | None = None,
     w, left = w[keep], left[:, keep]
     values = np.sqrt(w)
     right = dag(coeff) @ left / values
-    ops_a = np.tensordot(left.T, ba.elements, axes=1)
-    ops_b = np.tensordot(right.conj().T, bb.elements, axes=1)
-    return OperatorSchmidt(values, ops_a, ops_b)
+    da, db = bu.dims
+    # mix the flattened elements: the product tensordot would form
+    ops_a = left.T @ ba.elements.reshape(da * da, -1)
+    ops_b = right.conj().T @ bb.elements.reshape(db * db, -1)
+    return OperatorSchmidt(values, ops_a.reshape(-1, da, da),
+                           ops_b.reshape(-1, db, db))
 
 
 def interaction_entanglement(u, basis_a=None, basis_b=None, dims=None) -> float:

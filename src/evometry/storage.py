@@ -43,7 +43,8 @@ _FACTORIALS = np.array([math.factorial(i) for i in range(MAX_EXACT_N + 1)],
 @dataclass(frozen=True)
 class EvolutionSequence:
     """Which operator element acted at each of n steps: integer indices
-    (numpy integers included) into the map's elements."""
+    (numpy integers included) into the map's elements. Plain ints are
+    checked in one pass by their range; anything else index by index."""
 
     map: KrausMap
     indices: tuple
@@ -55,8 +56,12 @@ class EvolutionSequence:
             raise ValueError(f"indices must be a sequence of integers, "
                              f"got {self.indices!r}") from None
         k = len(self.map)
-        object.__setattr__(self, "indices",
-                           tuple(_index(i, k, "index") for i in indices))
+        # type(i) is int excludes bools and numpy integers, which _index
+        # refuses or converts
+        if not (indices and all(type(i) is int for i in indices)
+                and min(indices) >= 0 and max(indices) < k):
+            indices = tuple(_index(i, k, "index") for i in indices)
+        object.__setattr__(self, "indices", indices)
 
     def __len__(self) -> int:
         return len(self.indices)
