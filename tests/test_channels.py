@@ -463,3 +463,120 @@ def test_dilation_copies_are_built_again_through_the_checks():
     assert dil != stinespring(random_channel(3, 2, np.random.default_rng(3)))
     for c in copies(stinespring(m)) + copies(dil) + copies(direct):
         assert c == direct and not c.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("operators", [[1.0], np.array([1.0]), 1.0, None,
+                                       np.array(1.0), [[[1.0, 0.0]]]])
+def test_kraus_map_refuses_malformed_input_with_value_error(operators):
+    """A scalar, a flat list or a non-square element used to escape as an
+    IndexError or a TypeError."""
+    with pytest.raises(ValueError, match="square"):
+        KrausMap(operators)
+
+
+@pytest.mark.parametrize("operators", [(), [], np.zeros((0, 2, 2))])
+def test_kraus_map_refuses_an_empty_stack(operators):
+    with pytest.raises(ValueError, match="at least one operator element"):
+        KrausMap(operators)
+
+
+def _error(operators):
+    with pytest.raises(ValueError) as err:
+        KrausMap(operators)
+    return str(err.value)
+
+
+def test_kraus_map_builds_alike_from_a_stack_and_from_elements():
+    """An ndarray, a tuple of arrays and a tuple of wrappers give equal maps
+    with one C-contiguous read-only stack, copied from the input, and refuse
+    the same inputs with the same messages."""
+    from evometry import UnitaryOperator
+
+    rng = np.random.default_rng(71)
+    us = [random_unitary(3, rng) for _ in range(4)]
+    stack = np.stack(us) / 2
+    unitary = (KrausMap(stack[:1] * 2), KrausMap((us[0],)),
+               KrausMap((UnitaryOperator(us[0]),)))
+    for maps in ((KrausMap(stack), KrausMap(tuple(stack)),
+                  KrausMap(list(stack))), unitary):
+        for m in maps:
+            assert m == maps[0] and hash(m) == hash(maps[0])
+            assert m.operators.flags.c_contiguous
+            assert not m.operators.flags.writeable
+    # a transposed stack is copied into row-major order
+    turned = KrausMap(stack.transpose(0, 2, 1))
+    assert turned.operators.flags.c_contiguous
+    assert np.array_equal(turned.operators, stack.transpose(0, 2, 1))
+    built = KrausMap(stack)
+    stack[0] = 0
+    assert np.array_equal(built.operators[0], us[0] / 2)
+    nan, incomplete = np.stack(us) / 2, np.stack(us) / 3
+    nan[1, 0, 0] = np.nan
+    for bad in (np.ones((2, 2, 3)), nan, incomplete):
+        assert _error(bad) == _error(tuple(bad)) == _error(list(bad))
+    ragged = [np.eye(2), np.eye(3)]
+    assert (_error(ragged) == _error(tuple(ragged))
+            == _error(np.array(ragged, dtype=object)))
+    assert "share one square shape" in _error(ragged)
+
+
+def test_ancilla_basis_shape_error_names_the_shapes():
+    dil = stinespring(named_channel("depolarizing:0.3"))
+    with pytest.raises(ValueError, match=r"4 x 4, got shape \(3, 3\)"):
+        kraus_from_ancilla_basis(dil, np.eye(3))
+
+
+def _readout_reference(m, b):
+    return np.einsum("ic,rcj->irj", b.conj(), m.operators.transpose(1, 0, 2))
+
+
+def test_a_dilation_keeps_its_last_readout():
+    """The native readout is the source map; a repeat in a basis of equal
+    entries returns the same map; another basis, or the same array changed
+    in place, is read again and agrees with the reference contraction."""
+    rng = np.random.default_rng(73)
+    m = random_channel(3, 4, rng)
+    dil = stinespring(m)
+    assert kraus_from_ancilla_basis(dil) is m
+    b = np.array(_fourier(4))
+    rep = kraus_from_ancilla_basis(dil, b)
+    assert kraus_from_ancilla_basis(dil, b.copy()) is rep
+    assert kraus_from_ancilla_basis(dil, b.tolist()) is rep
+    assert np.abs(rep.operators - _readout_reference(m, b)).max() <= 1e-15
+    b[:] = random_unitary(4, rng)
+    again = kraus_from_ancilla_basis(dil, b)
+    assert again is not rep
+    assert np.abs(again.operators - _readout_reference(m, b)).max() <= 1e-15
+    native = kraus_from_ancilla_basis(dil)
+    assert native == m and native is not m
+    assert kraus_from_ancilla_basis(dil) is native
+    # == and hashing ignore the memo; copies are read alike
+    assert dil == stinespring(m)
+    kraus_from_ancilla_basis(dil, b)
+    for c in copies(dil):
+        assert c == dil
+        assert kraus_from_ancilla_basis(c) == m
+        assert kraus_from_ancilla_basis(c, b) == again
+    direct = StinespringDilation(dil.matrix, 3, 4)
+    assert kraus_from_ancilla_basis(direct, b) == again
+    for c in copies(direct):
+        assert kraus_from_ancilla_basis(c, b) == again
+
+
+def test_a_refused_ancilla_basis_is_not_remembered():
+    dil = stinespring(named_channel("dephasing:0.5"))
+    bad = np.array([[1.0, 1.0], [0.0, 1.0]])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="orthonormal"):
+            kraus_from_ancilla_basis(dil, bad)
+
+
+@pytest.mark.parametrize("d,k,kp", [(2, 2, 3), (3, 4, 4), (4, 3, 16),
+                                    (8, 5, 7)])
+def test_kraus_rotation_is_the_tensordot_bit_for_bit(d, k, kp):
+    rng = np.random.default_rng(d * k * kp)
+    m = random_channel(d, k, rng)
+    u = random_unitary(kp, rng)[:k]
+    got = kraus_rotation(m, u).operators
+    assert np.array_equal(got, np.tensordot(u.T, m.operators, axes=1))
+    assert got.flags.c_contiguous

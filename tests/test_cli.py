@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from evometry import KrausMap, channels, weyl_basis
+from evometry import (KrausMap, channels, kraus_from_ancilla_basis, storage,
+                      weyl_basis)
 from evometry.cli import main
 from evometry.formats import kraus_json
 from evometry.linalg import random_unitary
@@ -213,21 +214,40 @@ def test_verify_accepts_a_map_that_channel_accepts(capsys, tmp_path):
 
 
 def test_verify_command_builds_no_dilation_matrix(capsys, monkeypatch):
-    built = []
+    """verify dilates once, builds no dilation matrix, and reads the
+    dilation once per ancilla basis: verify_sequence reuses the readout
+    the command drew its claim from."""
+    built, maps, claims = [], [], []
 
     def spy(kraus):
         built.append(real(kraus))
         return built[-1]
 
-    real = channels.stinespring
+    def count(self):
+        maps.append(self)
+        real_post_init(self)
+
+    def verify_spy(dil, basis, claimed, seed):
+        claims.append((dil, basis, claimed.map))
+        return real_verify(dil, basis, claimed, seed)
+
+    real, real_post_init = channels.stinespring, channels.KrausMap.__post_init__
+    real_verify = storage.verify_sequence
     monkeypatch.setattr(channels, "stinespring", spy)
+    monkeypatch.setattr(channels.KrausMap, "__post_init__", count)
+    monkeypatch.setattr(storage, "verify_sequence", verify_spy)
     for basis in ("computational", "fourier"):
         for flip in ((), ("--flip", "2")):
+            del maps[:]
             code, report, _ = run_json(
                 capsys, "verify", "--map", "depolarizing:0.3", "--steps",
                 "10", "--seed", "5", "--ancilla-basis", basis, *flip)
             assert code == 0 and report["exact"]["accepted"] is (not flip)
-    assert len(built) == 4
+            # the loaded map, and one readout in the Fourier basis
+            assert len(maps) == (1 if basis == "computational" else 2)
+            dil, ab, claimed = claims[-1]
+            assert kraus_from_ancilla_basis(dil, ab) is claimed is maps[-1]
+    assert len(built) == 4 and [c[0] for c in claims] == built
     assert all("matrix" not in vars(dil) for dil in built)
 
 

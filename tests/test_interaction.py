@@ -329,3 +329,25 @@ def test_expand_matches_the_trace_definition():
         for a in ba.elements
     ])
     assert np.abs(coeff - want).max() < 1e-14
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 4), (2, 8), (8, 8)])
+def test_schmidt_operators_are_the_tensordot_bit_for_bit(dims):
+    """The local operators are the products tensordot would form with the
+    same singular vectors, entry for entry."""
+    from evometry.basis import _default_basis
+    from evometry.linalg import dag, deterministic_eigh
+
+    da, db = dims
+    u = random_unitary(da * db, da * db + 1)
+    s = operator_schmidt(u, dims=dims)
+    ba, bb = (_default_basis(d)[1] for d in dims)
+    coeff = bipartite_expand(u, ba, bb, dims=dims)
+    w, left = deterministic_eigh(coeff @ dag(coeff))
+    keep = w > 1e-12
+    right = dag(coeff) @ left[:, keep] / np.sqrt(w[keep])
+    assert np.array_equal(s.values, np.sqrt(w[keep]))
+    assert np.array_equal(s.ops_a,
+                          np.tensordot(left[:, keep].T, ba.elements, axes=1))
+    assert np.array_equal(s.ops_b,
+                          np.tensordot(right.conj().T, bb.elements, axes=1))

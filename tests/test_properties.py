@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evometry import (
+    EvolutionSequence,
     KrausMap,
     PureState,
     canonical_kraus,
@@ -27,7 +28,14 @@ from evometry import (
     which_unitary_distribution,
 )
 from evometry.gates import GATES
-from evometry.linalg import dag, random_state, random_unitary, shannon_entropy
+from evometry.linalg import (
+    _index,
+    _isometry_deviation,
+    dag,
+    random_state,
+    random_unitary,
+    shannon_entropy,
+)
 
 ATOL = 1e-10
 FEW = settings(max_examples=10, deadline=None)
@@ -157,3 +165,75 @@ def test_unitary_frame_maps_herald_at_one_over_support(d, k, seed):
     psi = PureState(random_state(d, rng))
     out = probabilistic_retrieve(int(rng.integers(k)), m, psi, seed)
     assert abs(out.herald_probability - 1.0 / k) < ATOL
+
+
+INDEX_ITEMS = st.one_of(
+    st.integers(-2, 5), st.booleans(),
+    st.integers(-2, 5).map(np.int64), st.integers(0, 4).map(np.uint8),
+    st.floats(-1, 5), st.just(float("nan")), st.just(None),
+    st.just(10 ** 30))
+
+
+def _sequence_outcome(m, indices):
+    try:
+        return EvolutionSequence(m, indices).indices
+    except ValueError as err:
+        return str(err)
+
+
+def _loop_outcome(m, indices):
+    try:
+        return tuple(_index(i, len(m), "index") for i in indices)
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 4), indices=st.lists(INDEX_ITEMS, max_size=12))
+def test_sequence_check_is_the_index_loop(k, indices):
+    """The one-pass check of plain ints gives the indices, the conversions
+    and the errors of checking each index with _index, on tuples of plain,
+    bool, numpy and float indices, in range or not."""
+    m = KrausMap(np.eye(2)[None].repeat(k, 0) / np.sqrt(k))
+    got = _sequence_outcome(m, tuple(indices))
+    want = _loop_outcome(m, indices)
+    assert got == want
+    if isinstance(got, tuple):
+        assert [type(i) for i in got] == [int] * len(got)
+
+
+def _eye_deviation(a):
+    """The deviation as it was computed with np.eye: the reference."""
+    a = np.asarray(a)
+    return float(np.abs(a.conj().swapaxes(-1, -2) @ a
+                        - np.eye(a.shape[-1])).max())
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.sampled_from([(1, 1), (2, 2), (5, 3), (3, 5), (4, 3, 3),
+                              (2, 6, 4), (3, 2, 1, 1)]),
+       kind=st.sampled_from(["complex", "real", "transposed", "nan"]),
+       seed=SEEDS)
+def test_isometry_deviation_is_the_eye_subtraction_bit_for_bit(shape, kind,
+                                                               seed):
+    """Taking 1 off the Gram's diagonal in place gives, bit for bit, the
+    deviation that subtracting np.eye gave, on matrices and stacks of any
+    layout, and NaN for a NaN entry."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if kind == "real":
+        a = a.real
+    elif kind == "transposed":
+        a = np.asfortranarray(a).swapaxes(-1, -2)
+    elif kind == "nan":
+        a[(0,) * a.ndim] = np.nan
+    same = [a]
+    if shape[-1] == shape[-2] and kind != "nan":
+        same.append(np.linalg.qr(a)[0])
+    for x in same:
+        got, want = _isometry_deviation(x), _eye_deviation(x)
+        assert got == want or (kind == "nan" and np.isnan(got)
+                               and np.isnan(want))
+    for exact in (np.eye(3, dtype=int), np.eye(2, dtype=bool),
+                  [[0, 1], [1, 0]]):
+        assert _isometry_deviation(exact) == _eye_deviation(exact) == 0.0
