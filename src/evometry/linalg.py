@@ -114,8 +114,10 @@ def _isometry_deviation(a) -> float:
     a = np.asarray(a)
     g = a.conj().swapaxes(-1, -2) @ a
     if g.dtype.kind not in "fc":
+        # a bool or integer Gram subtracts in floats, as np.eye's did
         g = g.astype(float)
     n = g.shape[-1]
+    # g is fresh and C-contiguous, so the flat reshape is a view of it
     g.reshape(g.shape[:-2] + (n * n,))[..., ::n + 1] -= 1
     return float(np.abs(g).max())
 
