@@ -68,7 +68,8 @@ class KrausMap:
             if len({m.shape for m in ops}) > 1:
                 raise ValueError("operator elements must share one square "
                                  f"shape, got {[m.shape for m in ops]}")
-        # one C-contiguous complex copy, whatever the input's layout
+        # row-major whatever the input's layout: a transposed copy would
+        # move later products (the element weights) in the last bit
         ops = np.array(ops, dtype=complex, order="C")
         if ops.ndim and not len(ops):
             raise ValueError("a map needs at least one operator element")
