@@ -11,8 +11,8 @@ A basis built directly is checked with its full Gram matrix, one
 (d^2 x d^2) x (d^2 x d^2) product, and expands over its stacked elements.
 The builders pauli_basis and weyl_basis make {u0 s_a} from a family s_a
 that is orthogonal by construction, and hold that structure, the site
-dimensions, the family and u0, in place of the d^2 x d x d stack, which
-they build only when a caller reads elements. Their expand is the
+dimensions, the family and u0, in place of the d^2 x d x d stack (see
+linalg._record for the lifecycle of such a record). Their expand is the
 family's transform of u0^dag U (_family_traces): the tensorised Pauli
 decomposition, or one gather of the shifted diagonals and one product
 with the conjugate clock table. Only u0 can spoil orthogonality: with
@@ -34,10 +34,10 @@ from . import gates
 from .linalg import (
     UNITARY_ATOL,
     _array_hash,
-    _arrays_equal,
     _check,
     _count,
     _frozen,
+    _held,
     _isometry_deviation,
     _record,
     _unitary,
@@ -121,11 +121,8 @@ class OperatorBasis:
     first read, by hash, == against a basis built directly, indexing,
     repr, rotate_basis, reconstruct, measure_choi_side, bipartite_expand
     and operator_schmidt; expand, the echo circuit,
-    which_unitary_distribution, superdense_send and == between two
-    builder bases (their sites, family, u0 and labels) read the
-    structure and build no stack. Either way, equal elements and labels
-    give equal bases, and a pickle or a deepcopy is built again through
-    the same checks.
+    which_unitary_distribution and superdense_send read the structure
+    and build no stack.
     """
 
     elements: np.ndarray
@@ -147,37 +144,13 @@ class OperatorBasis:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "labels", tuple(self.labels))
 
-    def __getattr__(self, name):
-        # only a builder basis lacks elements, until its first read
-        if name != "elements" or self._structure is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no "
-                                 f"attribute {name!r}")
+    def _build(self) -> np.ndarray:
         site_dims, pauli, u0 = self._structure
         family = (pauli_strings(len(site_dims)) if pauli
                   else _weyl_products(site_dims[0]))
         elements = family if u0 is None else u0 @ family
         elements.setflags(write=False)
-        object.__setattr__(self, "elements", elements)
         return elements
-
-    def __reduce__(self):
-        if self._structure is None:
-            return OperatorBasis, (self.elements, self.labels)
-        site_dims, pauli, u0 = self._structure
-        if pauli:
-            return pauli_basis, (u0, 2 ** len(site_dims))
-        return weyl_basis, (site_dims[0], u0)
-
-    def __eq__(self, other):
-        # two builder bases compare their structures, not their stacks
-        if (type(other) is OperatorBasis and self._structure is not None
-                and other._structure is not None):
-            *family, u0 = self._structure
-            *family_o, u0_o = other._structure
-            return (family == family_o and self.labels == other.labels
-                    and (u0 is None) == (u0_o is None)
-                    and (u0 is None or np.array_equal(u0, u0_o)))
-        return _arrays_equal(self, other)
 
     def __hash__(self) -> int:
         return _array_hash(self.elements)
@@ -242,15 +215,17 @@ def _structured_basis(site_dims, pauli, u0, labels) -> OperatorBasis:
     The Gram's residual, from _residual, is checked as OperatorBasis
     checks the Gram. The record holds no elements; its structure, product
     form and is_unitary are memoised, since the builder established all
-    three."""
+    three. Its source is the builder call with u0 as _reference gives it,
+    so a u0 of exactly the identity makes the same basis as none."""
     if u0 is not None:
         _check(_residual(site_dims, pauli, u0), UNITARY_ATOL,
                "elements are not trace-orthogonal")
-    basis = object.__new__(OperatorBasis)
-    object.__setattr__(basis, "labels", tuple(labels))
-    form = (site_dims, pauli, _reference(u0))
-    vars(basis).update(_structure=form, _product_form=form, is_unitary=True)
-    return basis
+    ref = _reference(u0)
+    source = ((pauli_basis, (ref, math.prod(site_dims))) if pauli
+              else (weyl_basis, (site_dims[0], ref)))
+    form = (site_dims, pauli, ref)
+    return _held(OperatorBasis, source, labels=tuple(labels),
+                 _structure=form, _product_form=form, is_unitary=True)
 
 
 def _residual(site_dims, pauli, u0) -> float:

@@ -26,6 +26,7 @@ from .linalg import (
     _check,
     _fix_gauge,
     _frozen,
+    _held,
     _isometry_deviation,
     _record,
     _records,
@@ -117,7 +118,6 @@ class KrausMap:
             w[:s.size] = s * s
         w, v = _fix_gauge(w, u, floor=TRIM)
         ops = (v * np.sqrt(d * w)).T.reshape(w.size, d, d)
-        w.setflags(write=False)
         return CanonicalKraus(w, ops)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -171,6 +171,8 @@ class CanonicalKraus:
     operators: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "probabilities",
+                           _frozen(self.probabilities, float))
         object.__setattr__(self, "operators", _frozen(self.operators))
 
     @property
@@ -196,15 +198,12 @@ class StinespringDilation:
 
     It is checked at the maps' tolerance TP_ATOL, since the V block of
     matrix^dag matrix is the completeness sum that KrausMap bounds by
-    it. Built directly, matrix is checked in full. stinespring holds V
-    instead, checked by one d x d Gram, and builds matrix on its first
-    read, with the full check; kraus_from_ancilla_basis reads V and
-    builds no matrix. The record keeps its last readout, one map and the
-    ancilla basis it was read in, in a private memo that is not a field
-    (== and hashing ignore it), and stinespring seeds it with the native
-    readout, its source map. A pickle or a deepcopy is built again
-    through the same checks, from V while matrix is unread, and starts
-    with at most its native readout.
+    it. Built directly, matrix is checked in full. stinespring holds its
+    map and V instead, and builds matrix on its first read, with the
+    full check; kraus_from_ancilla_basis reads V and builds no matrix.
+    The record keeps its last readout, one map and the ancilla basis it
+    was read in, in a private memo that is not a field, which
+    stinespring seeds with its map, the native readout.
     """
 
     matrix: np.ndarray
@@ -216,11 +215,7 @@ class StinespringDilation:
             self.matrix, self.system_dim * self.ancilla_dim,
             "dilation matrix", TP_ATOL))
 
-    def __getattr__(self, name):
-        # only a dilation built by stinespring lacks matrix, until read
-        if name != "matrix" or "_isometry" not in vars(self):
-            raise AttributeError(f"{type(self).__name__!r} object has no "
-                                 f"attribute {name!r}")
+    def _build(self) -> np.ndarray:
         iso, a = self._isometry, self.ancilla_dim
         da, d = iso.shape
         matrix = np.zeros((da, da), dtype=complex)
@@ -232,14 +227,7 @@ class StinespringDilation:
         _check(_isometry_deviation(matrix), TP_ATOL,
                "dilation matrix is not unitary")
         matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
         return matrix
-
-    def __reduce__(self):
-        if "matrix" in vars(self):
-            return StinespringDilation, (self.matrix, self.system_dim,
-                                         self.ancilla_dim)
-        return stinespring, (kraus_from_ancilla_basis(self),)
 
     @functools.cached_property
     def _isometry(self) -> np.ndarray:
@@ -341,22 +329,22 @@ def stinespring(kraus: KrausMap) -> StinespringDilation:
     The isometry columns (ancilla fixed to |0>) stack the operator
     elements; the remaining columns come from an orthonormal completion.
     The dilation is unitary to within the map's completeness deviation,
-    which KrausMap bounds by TP_ATOL, and is checked at that tolerance.
-    The record holds the isometry, checked by one d x d Gram, and builds
-    the (d a) x (d a) matrix, with its full check, only when matrix is
-    read. Its native readout is kraus itself: the isometry's columns are
-    kraus's elements bit for bit, so kraus_from_ancilla_basis(dil)
-    returns kraus.
+    which KrausMap bounded by TP_ATOL: the isometry's rows are the rows
+    of kraus's elements, so its Gram is their completeness sum. The
+    record holds the isometry, and builds the (d a) x (d a) matrix, with
+    its full check, only when matrix is read. Its native readout is
+    kraus itself: the isometry's columns are kraus's elements bit for
+    bit, so kraus_from_ancilla_basis(dil) returns kraus. Anything else
+    with operators, a CanonicalKraus say, is first checked as a KrausMap.
     """
+    if not isinstance(kraus, KrausMap):
+        kraus = KrausMap(kraus.operators)
     d, a = kraus.dim, len(kraus)
     # row r * a + i of the isometry is row r of M_i
     iso = kraus.operators.transpose(1, 0, 2).reshape(d * a, d)
     iso.setflags(write=False)
-    _check(_isometry_deviation(iso), TP_ATOL, "dilation matrix is not unitary")
-    dil = object.__new__(StinespringDilation)
-    vars(dil).update(system_dim=d, ancilla_dim=a, _isometry=iso,
-                     _last_readout=(None, kraus))
-    return dil
+    return _held(StinespringDilation, (stinespring, (kraus,)), system_dim=d,
+                 ancilla_dim=a, _isometry=iso, _last_readout=(None, kraus))
 
 
 def kraus_from_ancilla_basis(dil: StinespringDilation,

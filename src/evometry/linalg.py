@@ -1,10 +1,10 @@
 """Small dense linear-algebra helpers shared across the package, and the
-one home of its shared conventions: the declaration of the records that
-hold arrays (_record), the records (M (x) 1)|phi+> of a stack, the
-fail-closed residual check, the isometry deviation, the check of every
-unitary input (_unitary, within UNITARY_ATOL), the check of every count,
-seed and n argument (_count) and of every index (_index), the seeded
-sampler and the spectral tolerances."""
+one home of its shared conventions: the declaration and lifecycle of the
+records that hold arrays (_record), the records (M (x) 1)|phi+> of a
+stack, the fail-closed residual check, the isometry deviation, the check
+of every unitary input (_unitary, within UNITARY_ATOL), the check of
+every count, seed and n argument (_count) and of every index (_index),
+the seeded sampler and the spectral tolerances."""
 from __future__ import annotations
 
 import functools
@@ -34,36 +34,71 @@ def as_matrix(op) -> np.ndarray:
     return np.asarray(getattr(op, "matrix", op), dtype=complex)
 
 
-def _frozen(a) -> np.ndarray:
-    """A read-only complex copy of a, for records that own their arrays."""
-    a = np.array(a, dtype=complex)
+def _frozen(a, dtype=complex) -> np.ndarray:
+    """A read-only copy of a, complex unless dtype is given, for records
+    that own their arrays."""
+    a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
 
+def _equal(x, y) -> bool:
+    """The one == of record fields and builder arguments: equal shapes
+    and equal entries (a nested record by its own ==)."""
+    return np.shape(x) == np.shape(y) and bool(np.array_equal(x, y))
+
+
 def _arrays_equal(a, b):
-    """== for the frozen array records: the same type, and every compared
-    field of equal shape and equal entries."""
+    """== for the array records: the same type, and then the same builder
+    call when both were made by one, else every compared field _equal."""
     if type(a) is not type(b):
         return NotImplemented
-    for f in fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if f.compare and not (np.shape(x) == np.shape(y)
-                              and np.array_equal(x, y)):
-            return False
-    return True
+    sa, sb = vars(a).get("_source"), vars(b).get("_source")
+    if sa is not None and sb is not None:
+        return sa[0] is sb[0] and len(sa[1]) == len(sb[1]) and all(
+            map(_equal, sa[1], sb[1]))
+    return all(_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in fields(a) if f.compare)
+
+
+def _rebuild(self):
+    """__reduce__ of the array records: see _record."""
+    return vars(self).get("_source") or (
+        type(self), tuple(getattr(self, f.name) for f in fields(self)))
 
 
 def _record(cls):
-    """Declare a record that holds arrays: a frozen dataclass compared by
-    _arrays_equal unless its body defines __eq__, and unhashable unless
-    its body defines __hash__ (over read-only arrays, consistent with
-    ==)."""
-    if "__eq__" not in vars(cls):
-        cls.__eq__ = _arrays_equal
+    """Declare a record that holds arrays, with one lifecycle. It is a
+    frozen dataclass compared by _arrays_equal, unhashable unless its
+    body defines __hash__ (over read-only arrays, consistent with ==).
+    A builder may make it by _held: it keeps its source, the call
+    (builder, args) that makes it again, and in place of its first field
+    the state from which the class's _build method builds that field on
+    first read (a functools.cached_property). Two records made by
+    builders compare their sources, any other pair their fields. A copy,
+    a deepcopy or a pickle is rebuilt through the checks, by the source
+    or else by the constructor from the fields, so it starts with no
+    memo and holds the arrays its constructor makes."""
+    cls.__eq__ = _arrays_equal
     if "__hash__" not in vars(cls):
         cls.__hash__ = None
-    return dataclass(frozen=True, eq=False)(cls)
+    cls.__reduce__ = _rebuild
+    cls = dataclass(frozen=True, eq=False)(cls)
+    if "_build" in vars(cls):
+        name = fields(cls)[0].name
+        built = functools.cached_property(cls._build)
+        built.__set_name__(cls, name)
+        setattr(cls, name, built)
+    return cls
+
+
+def _held(cls, source, **state):
+    """A record of cls made by a builder: source is the call
+    (builder, args) that makes it again, state the attributes it holds
+    in place of its first field (see _record)."""
+    record = object.__new__(cls)
+    vars(record).update(state, _source=source)
+    return record
 
 
 def _array_hash(a: np.ndarray) -> int:

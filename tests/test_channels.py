@@ -367,6 +367,18 @@ def test_canonical_forms_compare_by_entries():
         hash(a)
 
 
+def test_a_canonical_form_built_directly_holds_read_only_copies():
+    weights = [0.5, 0.5]
+    ops = np.stack([I2, Z]) * np.sqrt(2 * 0.5)
+    c = CanonicalKraus(weights, ops)
+    weights[0], ops[0, 0, 0] = 0.0, 0.0
+    assert c.probabilities.dtype == float and c.probabilities[0] == 0.5
+    assert c.operators[0, 0, 0] == 1
+    for a in (c.probabilities, c.operators):
+        with pytest.raises(ValueError):
+            a[0] = 1
+
+
 @pytest.mark.parametrize("gate", ["I", "X", "Y", "Z", "H", "CNOT", "SWAP"])
 def test_entropy_of_a_unitary_is_never_negative(gate):
     """A unitary's one weight is 1 up to rounding on either side (H's is
@@ -393,6 +405,18 @@ def test_stinespring_accepts_a_map_within_the_completeness_tolerance():
     assert StinespringDilation(dil.matrix, 4, 3) == dil
     with pytest.raises(ValueError, match="dilation matrix is not unitary"):
         StinespringDilation(np.diag([1.0] * 11 + [1.0 + 2 * TP_ATOL]), 4, 3)
+
+
+def test_stinespring_checks_what_is_not_a_kraus_map_as_one():
+    """The isometry's Gram is the completeness sum KrausMap bounded, so
+    stinespring checks no Gram of its own; elements from anything else
+    are checked as a KrausMap first."""
+    canon = canonical_kraus(named_channel("depolarizing:0.3"))
+    native = kraus_from_ancilla_basis(stinespring(canon))
+    assert type(native) is KrausMap
+    assert np.array_equal(native.operators, canon.operators)
+    with pytest.raises(ValueError, match="completeness sum"):
+        stinespring(CanonicalKraus([1.0], [2 * I2]))
 
 
 def eager_dilation(kraus):
@@ -449,9 +473,9 @@ def copies(dil):
 
 
 def test_dilation_copies_are_built_again_through_the_checks():
-    """Copies of a dilation whose matrix is unread hold the same read-only
-    isometry and no matrix; once matrix is read, copies carry it and are
-    checked in full, as a directly built one is."""
+    """Copies of a dilation from stinespring hold the same read-only
+    isometry and no matrix, whether or not matrix was read; a directly
+    built one is checked in full."""
     m = random_channel(3, 2, np.random.default_rng(43))
     dil = stinespring(m)
     for c in copies(dil):

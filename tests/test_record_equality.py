@@ -2,25 +2,37 @@
 hold arrays: field by field, entry by entry, returning a bool (the
 dataclass-generated == raised on the truth value of an array). Records
 with writable arrays are unhashable; TwoTimeObservable, whose u0 is a
-read-only copy, hashes."""
+read-only copy, hashes. Copies and pickles of every array record are
+built again through its checks."""
+import ast
+import copy
 import dataclasses
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import evometry
 from evometry import (
+    BipartiteUnitary,
     EvolutionSequence,
     ExpansionCoefficients,
+    KrausMap,
     OperatorBasis,
     OutcomeDistribution,
     PureState,
+    StinespringDilation,
     TwoTimeObservable,
+    UnitaryOperator,
+    canonical_kraus,
     choi,
     concentrate,
+    expand,
     kraus_from_ancilla_basis,
     measure_which_unitary,
     named_channel,
+    operator_schmidt,
     pauli_basis,
     probabilistic_retrieve,
     stinespring,
@@ -28,7 +40,9 @@ from evometry import (
     superdense_send,
     verify_sequence,
 )
-from evometry.linalg import _arrays_equal, random_state, random_unitary
+from evometry.gates import CNOT
+from evometry.linalg import (_arrays_equal, _rebuild, random_state,
+                             random_unitary)
 
 
 def assert_compares(a, b, other, hashable=False):
@@ -166,15 +180,94 @@ def test_every_public_record_follows_the_record_convention():
     for name, cls in records.items():
         assert cls.__dataclass_params__.frozen, name
     array_records = set(records) - PLAIN_RECORDS
-    assert len(array_records) == 18
-    # OperatorBasis defines its own ==: two builder bases compare their
-    # structures, and any other pair falls back to _arrays_equal
-    # (test_basis.py checks both routes)
-    assert "__eq__" in vars(records["OperatorBasis"])
-    for name in array_records - {"OperatorBasis"}:
+    assert len(array_records) == 18 and array_records == set(RECORDS)
+    for name in array_records:
         assert records[name].__eq__ is _arrays_equal, name
+        assert records[name].__reduce__ is _rebuild, name
     for name in PLAIN_RECORDS:
         assert records[name].__dataclass_params__.eq, name
     hashable = {name for name, cls in records.items()
                 if cls.__hash__ is not None}
     assert hashable == HASHABLE_RECORDS
+    # lazy fields and copies go through linalg._record alone
+    package = Path(evometry.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                names = {n.name for n in node.body
+                         if isinstance(n, ast.FunctionDef)}
+                assert not names & {"__getattr__", "__reduce__"}, (
+                    path.name, node.name)
+
+
+def _records():
+    """One of each array record, built as the tests above build them."""
+    m = named_channel("dephasing:0.5")
+    dil = stinespring(m)
+    claim = EvolutionSequence(kraus_from_ancilla_basis(dil), (0, 1, 1, 0))
+    psi = PureState(random_state(2, 8))
+    dist, branches = _measured(5)
+    u = random_unitary(4, 7)
+    return (
+        m, canonical_kraus(m), choi(m), dil, psi, branches[0], dist,
+        UnitaryOperator(u), pauli_basis(dim=4), expand(u, pauli_basis(dim=4)),
+        TwoTimeObservable("z", 2, random_unitary(2, 2)),
+        superdense_send(u, pauli_basis(dim=4), shots=32, seed=1),
+        store(m, (0, 1, 1)),
+        probabilistic_retrieve(0, named_channel("unitary:H"), psi, 5),
+        verify_sequence(dil, None, claim, 9),
+        concentrate(3, 0.6, shots=8, seed=1),
+        BipartiteUnitary((2, 2), CNOT), operator_schmidt(CNOT),
+    )
+
+
+RECORDS = {type(r).__name__: r for r in _records()}
+
+
+def _arrays(value, path="record"):
+    """(path, array) for every array a value holds, in nested records and
+    tuples too."""
+    if isinstance(value, np.ndarray):
+        yield path, value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name), f"{path}.{f.name}")
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from _arrays(item, f"{path}[{i}]")
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_copies_and_pickles_are_rebuilt_through_the_constructor(name):
+    """A copy, a deepcopy and a pickle round trip have the record's type,
+    compare equal, and hold read-only arrays wherever the record does; a
+    copied map starts without its canonical form and refuses writes."""
+    record = RECORDS[name]
+    if isinstance(record, KrausMap):
+        canonical_kraus(record)
+    fresh = dict(_arrays(record))
+    for c in (copy.copy(record), copy.deepcopy(record),
+              pickle.loads(pickle.dumps(record))):
+        assert type(c) is type(record) and c == record
+        arrays = dict(_arrays(c))
+        assert arrays.keys() == fresh.keys()
+        for path, a in fresh.items():
+            assert a.flags.writeable or not arrays[path].flags.writeable, path
+        if isinstance(c, KrausMap):
+            assert "_canonical" not in vars(c)
+            with pytest.raises(ValueError):
+                c.operators[0, 0, 0] = 5
+
+
+def test_dilations_from_stinespring_compare_their_maps_unbuilt():
+    """Two dilations from stinespring compare their source maps, so at
+    (d, k) = (16, 16) neither (d k)^2 matrix is built; against a dilation
+    built directly, == reads matrix."""
+    iso = random_unitary(256, 16)[:, :16]
+    a = stinespring(KrausMap(iso.reshape(16, 16, 16)))
+    b = stinespring(KrausMap(iso.reshape(16, 16, 16).copy()))
+    other = stinespring(KrausMap(iso[::-1].reshape(16, 16, 16)))
+    assert a == b and not a != b and a != other
+    assert not {"matrix"} & (vars(a).keys() | vars(b).keys()
+                             | vars(other).keys())
+    assert a == StinespringDilation(b.matrix, 16, 16)
