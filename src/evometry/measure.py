@@ -23,25 +23,39 @@ is the same circuit up to a known controlled phase between the ancillas
 that the +/- readout basis absorbs.
 
 Simulation: the joint state is one (bystander, configuration, level)
-array, never a global matrix. Every coupling is a phase times a cyclic
-shift, so all sites' couplings at one time step compose into one index
-table and one phase table over (configuration, level): t1 is one gather
-of psi and one product, t2 one gather of the joint array and one
-product. The tables depend only on the site dimensions; they are built
-once per site tuple (the 16 most recent are kept) and are read-only:
-192 KiB at n = 4 qubits, 1.5 MiB at n = 5, 12 MiB at n = 6 (48 bytes
-per amplitude). u0^dag U before the echo and u0 after it are one GEMM
-each on the level axis; when u0 is exactly the identity (every builder
-basis without u0, which the basis memoises) both are skipped, with the
-same result to the last bit. The Fourier readout is one q^2 x q^2 kernel
-kron(conj(F_q), F_q) per site, applied over the configuration axis,
-whose rows for a Pauli site are already in label order. For n qubits
-and a bystander of dimension b the joint array holds 4^n * 2^n * b
-amplitudes; the gathers and products cost time in proportion to that,
-the readout 4n times that, and the two GEMMs 4^n * 4^n * b. One call
-with a Haar u0 takes about 0.15 ms at n = 4, 1.9 ms at n = 5 and 20 ms
-at n = 6, and with the identity 0.12, 1.2 and 16 ms (best of 7 repeats,
-one BLAS thread, 2-vCPU Xeon VM).
+array, never a global matrix, with the ancilla configurations laid out
+as two blocks, the alpha levels of every site and the beta levels, each
+a mixed-radix index over the sites. Every coupling is a phase times a
+cyclic shift, so all sites' couplings compose into two integer index
+tables and no phase table. t1, X^alpha Z^beta psi = zeta^(beta (l -
+alpha)) psi[l - alpha], is one gather from the extended source omega_Q^e
+psi / D (Q the lcm of the site dims, D their product). Since F[nu, beta]
+zeta^(-beta l) = F[(nu - l) mod q, beta], t2's Z^-beta is a roll of the
+beta block's Fourier readout by the level: t2 and the readout are that
+readout, one gather [(alpha, nu), l] <- [(nu - l, alpha), l + alpha]
+that also carries X^-alpha, and the alpha block's conj(F) readout. A
+block is read in runs of consecutive sites whose kron'd kernel has at
+most READ_ROWS = 16 rows, a run of qubits as a real kron of Hadamards
+over the float view. The tables depend only on the site dimensions; they
+are built once per site tuple (the 16 most recent are kept) from D x D
+ones and are read-only int32: 8 bytes per amplitude, against 48 with
+complex phase tables (32 KiB at n = 4 qubits, 2 MiB at n = 6, 128 MiB at
+n = 8). u0^dag U before t2 is one GEMM on the level axis. u0 is unitary,
+so the law is the rows' squared norms before the final u0, taken in one
+contraction over the float view, and u0 then acts on the observed rows
+alone. When u0 is exactly the identity (every builder basis without u0,
+which the basis memoises) its products are skipped, with the same result
+to the last bit. The labels, Pauli labels included, are reached by
+permuting the D^2 weights and the observed indices, never the rows. Two
+buffers carry the joint array through every stage. For n qubits and a
+bystander of dimension b the joint array holds 8^n b amplitudes; the
+gathers cost time in proportion to that, the readouts up to 16 times
+that per block, and the GEMM 16^n b. The law takes about 60 us at n = 4,
+0.9 ms at n = 5 and 9.4 ms at n = 6, and with a Haar u0 and a two-level
+bystander 0.1, 1.9 and 16 ms (medians of five fresh processes, each the
+p25 of its repeats, one BLAS thread, 2-vCPU Xeon VM). At n = 8 a first
+call, tables included, takes about 1.75 s and the process peaks at
+about 820 MB.
 
 Validation: a circuit requires its basis to be of a product form
 {u0 s_a} with s_0 = 1, Pauli strings on qubit sites or clock/shift
@@ -58,13 +72,13 @@ checked even when shots is 0 and nothing is drawn.
 Results: a call returns the OutcomeDistribution and one CircuitBranches
 record of the observed outcomes, their unit rows and their exact
 probabilities, whose one norm check covers every row (one bad row, NaN
-included, rejects the call). The norm of each circuit row is taken once:
-its square is the outcome's probability, and the observed rows are
-divided by it. Its WhichUnitaryResult views are built when read and run
-no validator; a PureState built directly, or through
+included, rejects the call). The weight of each circuit row is taken
+once: it is the outcome's probability, and the observed rows are
+divided by its square root. Its WhichUnitaryResult views are built when
+read and run no validator; a PureState built directly, or through
 dataclasses.replace, still checks its norm. At n = 4 with 512 shots
-(about 170 branches) a call takes about 0.48 ms, and reading every view
-0.36 ms more (median of 400 calls, one BLAS thread, 2-vCPU Xeon VM).
+(about 170 branches) a call takes about 0.47 ms, and reading every view
+0.34 ms more (median of 400 calls, one BLAS thread, 2-vCPU Xeon VM).
 """
 from __future__ import annotations
 
@@ -79,7 +93,6 @@ from .basis import (
     PRODUCT_FORM_ATOL,
     OperatorBasis,
     clock_shift,
-    clock_shift_powers,
     expand,
 )
 from .linalg import (
@@ -339,89 +352,144 @@ def which_unitary_distribution(u, basis: OperatorBasis) -> OutcomeDistribution:
 
 @functools.lru_cache(maxsize=16)
 def _couplings(site_dims: tuple) -> tuple:
-    """The echo couplings of every site composed into read-only
-    (configuration, level) tables (src1, ph1, src2, ph2): Z^beta then
-    X^alpha at t1 map psi to psi[src1] * ph1, with the 1/sqrt(d^2) of the
-    uniform ancilla start in ph1, and X^-alpha then Z^-beta at t2 map the
-    flattened joint array t to t[src2] * ph2. Each is summed or
-    multiplied up from one (alpha, beta, level) piece per site."""
-    n, dim = len(site_dims), math.prod(site_dims)
-    src1, src2, ph1, ph2 = 0, 0, 1 / dim, 1
-    stride = dim
-    for j, q in enumerate(site_dims):
-        stride //= q
-        shape = [1] * (3 * n)
-        shape[2 * j] = shape[2 * j + 1] = shape[2 * n + j] = q
-        # w[m, k] = zeta^(m k) is Z^m; X^m takes level k from k - m
-        w = np.diagonal(clock_shift_powers(q)[0], axis1=1, axis2=2)
-        alpha, beta, level = np.indices((q, q, q))
-        down = (level - alpha) % q
-        src1 = src1 + (down * stride).reshape(shape)
-        src2 = src2 + ((level + alpha) % q * stride).reshape(shape)
-        ph1 = ph1 * w[beta, down].reshape(shape)
-        ph2 = ph2 * w.conj()[beta, level].reshape(shape)
-    tables = [a.reshape(dim * dim, dim) for a in (src1, ph1, src2, ph2)]
-    tables[2] = tables[2] + np.arange(0, dim ** 3, dim)[:, None]
+    """The echo couplings of every site composed into two read-only
+    index tables over (configuration, level): (phases, src1, src2).
+
+    t1: X^alpha Z^beta psi = zeta^(beta (l - alpha)) psi[l - alpha] on
+    each site, so [(beta, alpha), l] of the coupled state is
+    ext[src1[(beta, alpha), l]] of the extended source ext[e, m] =
+    phases[e] psi[m], phases[e] = omega_Q^e / D (Q the lcm of the site
+    dims, D their product; the 1/D is the uniform ancilla start).
+    t2, X^-alpha then Z^-beta, and the beta block's Fourier readout:
+    F[nu, beta] zeta^(-beta l) = F[nu - l, beta], so the pair is that
+    readout followed by the gather [(alpha, nu), l] <- [(nu - l, alpha),
+    l + alpha], flattened as src2 over the joint array. Each block is a
+    mixed-radix index over the sites. Both tables are composed from
+    D x D ones, per-site sums over all pairs of block indices: src1 is
+    a gather of the phase exponent by l - alpha, and src2 a broadcast
+    sum. int32 (4 bytes an entry) while D^3 fits."""
+    dim, period = math.prod(site_dims), math.lcm(*site_dims)
+    qs = np.array(site_dims)
+    strides = dim // np.cumprod(qs)
+    digits = np.arange(dim)[:, None] // strides % qs
+    # [y, l] of l - y, [x, l] of l + x, and [beta, m] of the phase
+    # exponent sum_j beta_j m_j Q / q_j, each digit by digit mod q_j
+    down = (digits[None] - digits[:, None]) % qs @ strides
+    up = (digits[:, None] + digits[None]) % qs @ strides
+    phase = digits[:, None] * digits[None] % qs @ (period // qs) % period
+    dtype = np.int32 if dim ** 3 <= 2 ** 31 else np.intp
+    src1 = np.take((phase * dim + np.arange(dim)).astype(dtype), down,
+                   axis=1)
+    src2 = ((np.arange(dim)[:, None] * dim + up).astype(dtype)[:, None]
+            + (down.T * dim * dim).astype(dtype))
+    phases = np.exp(2j * np.pi / period) ** np.arange(period) / dim
+    tables = (phases, src1.reshape(dim * dim, dim),
+              src2.reshape(dim * dim, dim))
     for a in tables:
         a.setflags(write=False)
-    return tuple(tables)
+    return tables
 
 
 # readout pair index 2 mu + nu carrying each of I, X, Y, Z on one qubit;
 # Y sits at (mu, nu) = (1, 1) because Z X = i sigma_y
 _PAULI_PAIRS = np.array([0, 1, 3, 2])
+# a block's sites are read in runs of consecutive sites whose Fourier
+# kernel, the kron of theirs, has at most this many rows (a site of more
+# levels is a run of its own)
+READ_ROWS = 16
 
 
-@functools.lru_cache(maxsize=None)
-def _readout(q: int, pauli: bool) -> np.ndarray:
-    """One site's Fourier readout kron(conj(F_q), F_q) on its ancilla
-    pair (alpha, beta): row q mu + nu projects onto outcome (mu, nu), or
-    for a Pauli site row l onto label l of I, X, Y, Z. Read-only."""
-    kernel = np.kron(_fourier(q).conj(), _fourier(q))
-    return _frozen(kernel[_PAULI_PAIRS] if pauli else kernel)
+@functools.lru_cache(maxsize=16)
+def _readout(site_dims: tuple, pauli: bool) -> tuple:
+    """The Fourier readout of one site tuple: (runs, order). Each run
+    (pre, r, f, fc) covers r consecutive levels of a block, with pre
+    levels of the block before them, and reads them with f, the kron of
+    the run's F_q, or fc = conj(f); a run of qubits reads with the real
+    kron of Hadamards. order[a] is the (mu block, nu block) index of
+    label a: per site the pair (mu, nu) at q mu + nu, or for a Pauli site
+    label l of I, X, Y, Z, in mixed-radix order. Read-only."""
+    n, runs, first = len(site_dims), [], 0
+    for j in range(1, n + 1):
+        if j < n and math.prod(site_dims[first:j + 1]) <= READ_ROWS:
+            continue
+        f = functools.reduce(np.kron, map(_fourier, site_dims[first:j]))
+        f = np.real_if_close(f)
+        runs.append((math.prod(site_dims[:first]), len(f),
+                     _frozen(f, None), _frozen(f.conj(), None)))
+        first = j
+    dim = stride = math.prod(site_dims)
+    order = np.zeros(1, dtype=np.intp)
+    for q in site_dims:
+        stride //= q
+        pairs = _PAULI_PAIRS if pauli else np.arange(q * q)
+        order = np.add.outer(order, pairs // q * stride * dim
+                             + pairs % q * stride).ravel()
+    order.setflags(write=False)
+    return tuple(runs), order
 
 
-def _echo_joint(u, u0, site_dims, psi):
-    """(bystander, configuration, level) array after the echo circuit,
-    before the ancilla readout: [b, c] is the unnormalized system vector
-    paired with bystander level b and ancilla configuration
-    c = (alpha_1, beta_1, ..., alpha_n, beta_n) in mixed-radix order.
-    u0=None stands for the identity reference and skips both products
-    with it, with the same result to the last bit."""
-    src1, ph1, src2, ph2 = _couplings(tuple(site_dims))
-    dim = ph1.shape[1]
+def _read(t, spare, runs, outer, conj):
+    """t read by every run on the block that has outer amplitudes
+    before it, with conj(f) if conj else f: each run writes into the
+    other buffer, and (result, spare) are returned. A real kernel reads
+    the float view, at half the cost of a complex one."""
+    for pre, r, f, fc in runs:
+        f = fc if conj else f
+        if f.dtype == float:
+            a, out = t.view(float), spare.view(float)
+        else:
+            a, out = t, spare
+        np.matmul(f, a.reshape(outer * pre, r, -1),
+                  out=out.reshape(outer * pre, r, -1))
+        t, spare = spare, t
+    return t, spare
+
+
+def _echo_joint(u, u0, site_dims, psi, runs):
+    """(bystander, outcome, level) array of the echo circuit read out by
+    the runs of _readout, before its final u0 product: [b, c] is the
+    unnormalized system vector paired with bystander level b and outcome
+    c = (mu block, nu block) in mixed-radix order. u0=None stands for the
+    identity reference and skips the product with u0^dag, with the same
+    result to the last bit."""
+    phases, src1, src2 = _couplings(site_dims)
+    dim = src1.shape[1]
     b = psi.size // dim
-    t = np.take(psi.reshape(dim, b).T, src1, axis=1)
-    t *= ph1
-    t = t.reshape(-1, dim) @ (u if u0 is None else dag(u0) @ u).T
-    t = np.take(t.reshape(b, -1), src2, axis=1)
-    t *= ph2
-    if u0 is not None:
-        t = t.reshape(-1, dim) @ u0.T
+    ext = phases[:, None] * psi.reshape(dim, b).T[:, None]
+    # two buffers carry the joint array: each stage writes into the other
+    spare = np.take(ext.reshape(b, -1), src1, axis=1)
+    t = np.empty_like(spare)
+    np.matmul(spare.reshape(-1, dim), (u if u0 is None else dag(u0) @ u).T,
+              out=t.reshape(-1, dim))
+    t, spare = _read(t, spare, runs, b, False)
+    np.take(t.reshape(b, -1), src2, axis=1, out=spare, mode="clip")
+    t, _ = _read(spare, t, runs, b, True)
     return t.reshape(b, -1, dim)
 
 
-def _system_rows(t):
-    """(configuration or outcome, level x bystander) rows of an array
-    laid out as _echo_joint's."""
-    return np.moveaxis(t, 0, -1).reshape(t.shape[1], -1)
-
-
 def _circuit_rows(u, u0, site_dims, psi, pauli=False):
-    """Run the echo circuit; return per-outcome unnormalized system rows.
+    """Run the echo circuit: (weights, rows_of).
 
-    Outcomes are indexed by per-site pairs (mu_j, nu_j), or for a Pauli
-    basis by per-site labels, in the same mixed-radix order as ancilla
-    configurations. Row norms squared are the outcome probabilities;
-    normalized rows are the collapsed states.
+    weights[a] is the squared norm of label a's system row, the outcome
+    probability, taken before the final u0 product (u0 is unitary);
+    rows_of(labels) gives the unnormalized rows of those labels, u0
+    applied to them alone. Labels are per-site pairs (mu_j, nu_j), or
+    for a Pauli basis per-site labels, in mixed-radix order; the engine
+    reaches them by permuting weights and indices, never the rows.
     """
-    t = _echo_joint(u, u0, site_dims, psi)
-    shape = t.shape
-    batch = shape[0]
-    for q in site_dims:
-        t = _readout(q, pauli) @ t.reshape(batch, q * q, -1)
-        batch *= q * q
-    return _system_rows(t.reshape(shape))
+    runs, order = _readout(site_dims, pauli)
+    t = _echo_joint(u, u0, site_dims, psi, runs)
+    b, _, dim = t.shape
+    floats = t.view(float)
+    weights = np.einsum("bcx,bcx->c", floats, floats)
+
+    def rows_of(labels):
+        rows = t[:, order[labels]]
+        if u0 is not None:
+            rows = rows @ u0.T
+        return rows.transpose(1, 2, 0).reshape(len(labels), dim * b)
+
+    return weights[order], rows_of
 
 
 def _finish(labels, probs, rows_of, shots, seed):
@@ -478,11 +546,10 @@ def measure_which_unitary(u, basis: OperatorBasis, psi, shots: int = 0,
     shots = _count(shots, "shots")
     site_dims, pauli, u0 = basis._product_form
     um, psi = _circuit_inputs(u, basis, psi)
-    rows = _circuit_rows(um, u0, site_dims, psi, pauli)
-    # one norm per row: squared, the law; divided out, the states
-    norms = np.linalg.norm(rows, axis=1)
-    return _finish(basis.labels, norms ** 2,
-                   lambda a: rows[a] / norms[a, None], shots, seed)
+    weights, rows_of = _circuit_rows(um, u0, site_dims, psi, pauli)
+    return _finish(basis.labels, weights,
+                   lambda a: rows_of(a) / np.sqrt(weights[a, None]), shots,
+                   seed)
 
 
 def measure_which_unitary_qudit(u, basis: OperatorBasis, psi,
@@ -500,9 +567,21 @@ def circuit_end_state(u, basis: OperatorBasis, psi) -> np.ndarray:
     readout, for either product form, exposed for inspection of the
     ancilla end states.
     """
-    site_dims, _, u0 = basis._product_form
+    site_dims, pauli, u0 = basis._product_form
     um, psi = _circuit_inputs(u, basis, psi)
-    return _system_rows(_echo_joint(um, u0, site_dims, psi))
+    runs, _ = _readout(site_dims, pauli)
+    t = _echo_joint(um, u0, site_dims, psi, runs)
+    if u0 is not None:
+        t = t @ u0.T
+    # undo the readout (F and conj(F) are each other's inverse), then
+    # interleave the blocks as (alpha_1, beta_1, ..., alpha_n, beta_n)
+    b, _, dim = t.shape
+    t, spare = _read(t, np.empty_like(t), runs, b, False)
+    t, _ = _read(t, spare, runs, b * dim, True)
+    n = len(site_dims)
+    t = t.reshape((b,) + site_dims * 2 + (dim,))
+    axes = [1 + k + s for k in range(n) for s in (0, n)]
+    return t.transpose(axes + [2 * n + 1, 0]).reshape(dim * dim, -1)
 
 
 def measure_choi_side(op, basis: OperatorBasis, shots: int = 0,

@@ -1,9 +1,11 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
 from collections.abc import Sequence
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -479,14 +481,16 @@ def test_the_readouts_build_no_stack(kind, d):
         assert "elements" not in vars(basis)
 
 
-_N6_RUN = """
-import resource
+_FOOTPRINT_RUN = """
+import resource, sys
 import numpy as np
 from evometry import (measure_which_unitary, pauli_basis, superdense_send,
                       which_unitary_distribution)
 from evometry.linalg import random_state, random_unitary
-rng = np.random.default_rng(6)
-u0, u, psi = random_unitary(64, rng), random_unitary(64, rng), random_state(64, rng)
+n = int(sys.argv[1])
+rng = np.random.default_rng(n)
+u0, u, psi = (random_unitary(2 ** n, rng), random_unitary(2 ** n, rng),
+              random_state(2 ** n, rng))
 basis = pauli_basis(u0)
 dist, _ = measure_which_unitary(u, basis, psi)
 sent = superdense_send(u, basis, shots=64, seed=1)
@@ -497,17 +501,32 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
 """
 
 
-def test_six_qubits_run_end_to_end_in_a_small_footprint():
-    """pauli_basis(u0), the circuit, dense coding and the exact law at
-    n = 6 in a fresh process: peak RSS under 200 MB (the stacks alone
-    would be 268 MB each), and the law agrees with the circuit."""
+def _footprint(n):
+    """Peak RSS in MB of pauli_basis(u0), the circuit, dense coding and
+    the exact law at n qubits in a fresh process, and how far the
+    circuit's and dense coding's laws lie from the exact one."""
     env = dict(os.environ, PYTHONPATH="src", OPENBLAS_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, "-c", _N6_RUN], env=env,
-                         cwd=Path(__file__).resolve().parent.parent,
+    out = subprocess.run([sys.executable, "-c", _FOOTPRINT_RUN, str(n)],
+                         env=env, cwd=Path(__file__).resolve().parent.parent,
                          capture_output=True, text=True, timeout=120,
                          check=True).stdout
-    rss_mb, circuit, dense = (float(x) for x in out.split())
+    return (float(x) for x in out.split())
+
+
+def test_six_qubits_run_end_to_end_in_a_small_footprint():
+    """At n = 6: peak RSS under 200 MB (the stacks alone would be 268 MB
+    each), and the law agrees with the circuit."""
+    rss_mb, circuit, dense = _footprint(6)
     assert rss_mb < 200
+    assert circuit <= 1e-13 and dense <= 1e-13
+
+
+def test_seven_qubits_run_end_to_end_in_a_smaller_footprint_than_the_tables():
+    """At n = 7: peak RSS under 216 MB, what the circuit alone peaked at
+    while its coupling tables took 48 bytes per amplitude, and the law
+    agrees with the circuit."""
+    rss_mb, circuit, dense = _footprint(7)
+    assert rss_mb < 216
     assert circuit <= 1e-13 and dense <= 1e-13
 
 
@@ -758,10 +777,13 @@ def test_identity_reference_skips_its_products_to_the_last_bit(
     pauli = len(site_dims) > 1 or d == 2
     u, psi = random_unitary(d, rng), random_state(2 * d if bystander else d,
                                                   rng)
-    want = measure_module._circuit_rows(u, np.eye(d, dtype=complex),
-                                        site_dims, psi, pauli)
-    got = measure_module._circuit_rows(u, None, site_dims, psi, pauli)
+    everything = np.arange(d * d)
+    want, want_rows = measure_module._circuit_rows(
+        u, np.eye(d, dtype=complex), site_dims, psi, pauli)
+    got, got_rows = measure_module._circuit_rows(u, None, site_dims, psi,
+                                                 pauli)
     assert np.array_equal(got, want)
+    assert np.array_equal(got_rows(everything), want_rows(everything))
     basis = pauli_basis(dim=d) if pauli else weyl_basis(d)
     assert basis._product_form == (site_dims, pauli, None)
 
@@ -828,33 +850,69 @@ def _circuit_rows_by_sites(u, u0, site_dims, psi, pauli):
     return t.reshape(joint.shape)
 
 
-@settings(max_examples=30, deadline=None)
-@given(site_dims=st.sampled_from([(2,), (2, 2), (2, 2, 2), (3,), (5,), (7,)]),
-       with_u0=st.booleans(), bystander=st.booleans(),
+def _site_tuples(most=12):
+    """Every tuple of site dims >= 2 whose product is at most most."""
+    tuples, grow = [], [()]
+    while grow:
+        grow = [t + (q,) for t in grow for q in range(2, most + 1)
+                if math.prod(t + (q,)) <= most]
+        tuples += grow
+    return tuples
+
+
+@settings(max_examples=60, deadline=None)
+@given(site_dims=st.sampled_from(_site_tuples()), pauli=st.booleans(),
+       with_u0=st.booleans(), bystander=st.integers(1, 3),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_composed_engine_matches_the_per_site_engine(site_dims, with_u0,
-                                                     bystander, seed):
+def test_composed_engine_matches_the_per_site_engine(site_dims, pauli,
+                                                     with_u0, bystander,
+                                                     seed):
+    """Over every site tuple of product <= 12, mixed dimensions included,
+    with and without u0 and with a bystander of 1 to 3 levels: the law
+    and the rows match the per-site engine's, and so does the end state
+    (read through a stand-in basis carrying the product form, since no
+    builder makes mixed sites yet)."""
     rng = np.random.default_rng(seed)
-    d = int(np.prod(site_dims))
-    pauli = len(site_dims) > 1 or d == 2
+    d = math.prod(site_dims)
+    pauli = pauli and set(site_dims) == {2}
     u = random_unitary(d, rng)
     u0 = random_unitary(d, rng) if with_u0 else np.eye(d, dtype=complex)
-    psi = random_state(2 * d if bystander else d, rng)
+    psi = random_state(bystander * d, rng)
     want = _circuit_rows_by_sites(u, u0, site_dims, psi, pauli)
-    got = measure_module._circuit_rows(u, u0, site_dims, psi, pauli)
+    weights, rows_of = measure_module._circuit_rows(
+        u, u0 if with_u0 else None, site_dims, psi, pauli)
+    got = rows_of(np.arange(d * d))
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13
-    if pauli:
-        basis = pauli_basis(u0) if with_u0 else pauli_basis(dim=d)
-    else:
-        basis = weyl_basis(d, u0 if with_u0 else None)
+    assert np.abs(weights - np.linalg.norm(want, axis=1) ** 2).max() <= 1e-13
+    basis = SimpleNamespace(dim=d, _product_form=(
+        site_dims, pauli, u0 if with_u0 else None))
     end = circuit_end_state(u, basis, psi)
     assert end.shape == (d * d, psi.size)
     assert np.abs(end - _echo_joint_by_sites(u, u0, site_dims, psi)
                   ).max() <= 1e-13
 
 
+@pytest.mark.parametrize("site_dims", [(2,) * 5, (3, 3, 2), (2, 9), (17,)])
+def test_blocks_read_in_several_runs_match_the_per_site_engine(site_dims):
+    """Past READ_ROWS levels a block is read in several runs, or a large
+    site alone; the rows still match the per-site engine's."""
+    rng = np.random.default_rng(len(site_dims))
+    d = math.prod(site_dims)
+    runs, _ = measure_module._readout(site_dims, False)
+    assert [r for _, r, _, _ in runs] == {
+        5: [16, 2], 3: [9, 2], 2: [2, 9], 1: [17]}[len(site_dims)]
+    u, u0 = random_unitary(d, rng), random_unitary(d, rng)
+    psi = random_state(2 * d, rng)
+    _, rows_of = measure_module._circuit_rows(u, u0, site_dims, psi)
+    want = _circuit_rows_by_sites(u, u0, site_dims, psi, False)
+    assert np.abs(rows_of(np.arange(d * d)) - want).max() <= 1e-13
+
+
 def test_engine_tables_are_built_once_and_refuse_writes():
+    """One build of the index tables and one of the readout kernels per
+    site tuple, however many calls read them; every table and kernel is
+    read-only."""
     rng = np.random.default_rng(36)
     measure_module._couplings.cache_clear()
     measure_module._readout.cache_clear()
@@ -867,11 +925,13 @@ def test_engine_tables_are_built_once_and_refuse_writes():
     readout = measure_module._readout.cache_info()
     assert (couplings.misses, couplings.currsize) == (2, 2)
     assert (readout.misses, readout.currsize) == (2, 2)
-    tables = (*measure_module._couplings((2, 2, 2)),
-              *measure_module._couplings((5,)),
-              measure_module._readout(2, True),
-              measure_module._readout(5, False))
+    tables = [*measure_module._couplings((2, 2, 2)),
+              *measure_module._couplings((5,))]
+    for runs, order in (measure_module._readout((2, 2, 2), True),
+                        measure_module._readout((5,), False)):
+        tables += [order] + [k for run in runs for k in run[2:]]
+    assert len(tables) == 6 + 2 + 2 * 2
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            table[0, 0] = 0
+            table[(0,) * table.ndim] = 0
