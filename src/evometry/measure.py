@@ -50,12 +50,12 @@ permuting the D^2 weights and the observed indices, never the rows. Two
 buffers carry the joint array through every stage. For n qubits and a
 bystander of dimension b the joint array holds 8^n b amplitudes; the
 gathers cost time in proportion to that, the readouts up to 16 times
-that per block, and the GEMM 16^n b. The law takes about 60 us at n = 4,
-0.9 ms at n = 5 and 9.4 ms at n = 6, and with a Haar u0 and a two-level
-bystander 0.1, 1.9 and 16 ms (medians of five fresh processes, each the
-p25 of its repeats, one BLAS thread, 2-vCPU Xeon VM). At n = 8 a first
-call, tables included, takes about 1.75 s and the process peaks at
-about 820 MB.
+that per block, and the GEMM 16^n b. The law takes about 90 us at n = 4,
+1.2 ms at n = 5 and 10 ms at n = 6, and with a Haar u0 and a two-level
+bystander 0.15, 2.7 and 19 ms (medians over five fresh processes of
+each one's median, one BLAS thread, 2-vCPU Xeon VM). At n = 8 a first
+call, tables included, takes about 2 s and the process peaks at about
+820 MB.
 
 Validation: a circuit requires its basis to be of a product form
 {u0 s_a} with s_0 = 1, Pauli strings on qubit sites or clock/shift
@@ -72,13 +72,15 @@ checked even when shots is 0 and nothing is drawn.
 Results: a call returns the OutcomeDistribution and one CircuitBranches
 record of the observed outcomes, their unit rows and their exact
 probabilities, whose one norm check covers every row (one bad row, NaN
-included, rejects the call). The weight of each circuit row is taken
-once: it is the outcome's probability, and the observed rows are
-divided by its square root. Its WhichUnitaryResult views are built when
+included, rejects the call). The weight of each circuit row, taken
+before u0, is the outcome's probability; each observed row is divided
+by its own norm after u0, so a u0 that passes its 1e-10 unitarity check
+still gives unit rows. Its WhichUnitaryResult views are built when
 read and run no validator; a PureState built directly, or through
 dataclasses.replace, still checks its norm. At n = 4 with 512 shots
-(about 170 branches) a call takes about 0.47 ms, and reading every view
-0.34 ms more (median of 400 calls, one BLAS thread, 2-vCPU Xeon VM).
+(about 170 branches) a call takes about 0.24 ms (median over five fresh
+processes of each one's median), and reading every view about 0.34 ms
+more (median of 400 calls), one BLAS thread, 2-vCPU Xeon VM.
 """
 from __future__ import annotations
 
@@ -484,7 +486,7 @@ def _circuit_rows(u, u0, site_dims, psi, pauli=False):
     weights = np.einsum("bcx,bcx->c", floats, floats)
 
     def rows_of(labels):
-        rows = t[:, order[labels]]
+        rows = np.take(t, order[labels], axis=1)
         if u0 is not None:
             rows = rows @ u0.T
         return rows.transpose(1, 2, 0).reshape(len(labels), dim * b)
@@ -508,6 +510,15 @@ def _finish(labels, probs, rows_of, shots, seed):
         observed = np.flatnonzero(probs > 1e-14)
     dist = OutcomeDistribution(labels, probs, shot_outcomes, seed)
     return dist, CircuitBranches(observed, rows_of(observed), probs[observed])
+
+
+def _unit(rows):
+    """rows, a fresh complex array whose rows are contiguous, with each
+    row divided by its own norm; the division is on the float view, a
+    real one, several times cheaper than a complex one."""
+    v = rows.view(float)
+    v /= np.sqrt(np.einsum("ij,ij->i", v, v))[:, None]
+    return rows
 
 
 def _circuit_inputs(u, basis, psi):
@@ -547,8 +558,7 @@ def measure_which_unitary(u, basis: OperatorBasis, psi, shots: int = 0,
     site_dims, pauli, u0 = basis._product_form
     um, psi = _circuit_inputs(u, basis, psi)
     weights, rows_of = _circuit_rows(um, u0, site_dims, psi, pauli)
-    return _finish(basis.labels, weights,
-                   lambda a: rows_of(a) / np.sqrt(weights[a, None]), shots,
+    return _finish(basis.labels, weights, lambda a: _unit(rows_of(a)), shots,
                    seed)
 
 
@@ -603,10 +613,5 @@ def measure_choi_side(op, basis: OperatorBasis, shots: int = 0,
     shots = _count(shots, "shots")
     # the amplitude on (B_a (x) 1)|phi+> is <<B_a|op>>/d = C_a
     probs = expand(op, basis).probabilities()
-
-    def unit_records(a):
-        rows = _records(basis.elements[a])
-        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        return rows
-
-    return _finish(basis.labels, probs, unit_records, shots, seed)
+    return _finish(basis.labels, probs,
+                   lambda a: _unit(_records(basis.elements[a])), shots, seed)

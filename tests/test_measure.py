@@ -765,6 +765,26 @@ def test_branch_probability_rounded_past_one_is_kept(basis, element):
         assert dist.probabilities[branch.outcome] == branch.exact_prob
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("bystander", [1, 2])
+def test_a_reference_unitary_within_its_check_gives_unit_states(d, bystander):
+    """A builder accepts a u0 whose norm is off by 1e-11, inside the
+    unitarity check but past the 1e-12 state norm check; each collapsed
+    state is still a unit row (its own norm after u0), and the law is
+    the one of the same u0 unscaled within the unitarity tolerance."""
+    rng = np.random.default_rng(d)
+    v, u = random_unitary(d, rng), random_unitary(d, rng)
+    psi = random_state(bystander * d, rng)
+
+    def build(u0):
+        return pauli_basis(u0) if d & (d - 1) == 0 else weyl_basis(d, u0)
+
+    dist, branches = measure_which_unitary(u, build(v * (1 + 1e-11)), psi)
+    want, _ = measure_which_unitary(u, build(v), psi)
+    assert np.abs(dist.probabilities - want.probabilities).max() <= 1e-10
+    assert np.abs(np.linalg.norm(branches.states, axis=1) - 1).max() <= 1e-15
+
+
 @settings(max_examples=20, deadline=None)
 @given(site_dims=st.sampled_from([(2,), (2, 2), (2, 2, 2), (3,), (5,)]),
        bystander=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
