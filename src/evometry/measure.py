@@ -22,40 +22,42 @@ d = 2 the inversion only reorders the two self-inverse couplings, which
 is the same circuit up to a known controlled phase between the ancillas
 that the +/- readout basis absorbs.
 
-Simulation: the joint state is one (bystander, configuration, level)
-array, never a global matrix, with the ancilla configurations laid out
-as two blocks, the alpha levels of every site and the beta levels, each
-a mixed-radix index over the sites. Every coupling is a phase times a
-cyclic shift, so all sites' couplings compose into two integer index
-tables and no phase table. t1, X^alpha Z^beta psi = zeta^(beta (l -
-alpha)) psi[l - alpha], is one gather from the extended source omega_Q^e
-psi / D (Q the lcm of the site dims, D their product). Since F[nu, beta]
-zeta^(-beta l) = F[(nu - l) mod q, beta], t2's Z^-beta is a roll of the
-beta block's Fourier readout by the level: t2 and the readout are that
-readout, one gather [(alpha, nu), l] <- [(nu - l, alpha), l + alpha]
-that also carries X^-alpha, and the alpha block's conj(F) readout. A
-block is read in runs of consecutive sites whose kron'd kernel has at
-most READ_ROWS = 16 rows, a run of qubits as a real kron of Hadamards
-over the float view. The tables depend only on the site dimensions; they
-are built once per site tuple (the 16 most recent are kept) from D x D
-ones and are read-only int32: 8 bytes per amplitude, against 48 with
-complex phase tables (32 KiB at n = 4 qubits, 2 MiB at n = 6, 128 MiB at
-n = 8). u0^dag U before t2 is one GEMM on the level axis. u0 is unitary,
-so the law is the rows' squared norms before the final u0, taken in one
-contraction over the float view, and u0 then acts on the observed rows
-alone. When u0 is exactly the identity (every builder basis without u0,
-which the basis memoises) its products are skipped, with the same result
-to the last bit. The labels, Pauli labels included, are reached by
-permuting the D^2 weights and the observed indices, never the rows. Two
-buffers carry the joint array through every stage. For n qubits and a
-bystander of dimension b the joint array holds 8^n b amplitudes; the
-gathers cost time in proportion to that, the readouts up to 16 times
-that per block, and the GEMM 16^n b. The law takes about 90 us at n = 4,
-1.2 ms at n = 5 and 10 ms at n = 6, and with a Haar u0 and a two-level
-bystander 0.15, 2.7 and 19 ms (medians over five fresh processes of
-each one's median, one BLAS thread, 2-vCPU Xeon VM). At n = 8 a first
-call, tables included, takes about 2 s and the process peaks at about
-820 MB.
+Simulation: the joint state is one (bystander, outcome, level) array,
+never a global matrix, and the circuit's first half has a closed form.
+Each ancilla block, the alpha levels of every site and the beta levels,
+is a mixed-radix index over the sites, and every level difference below
+is taken digit by digit mod the site dims. Let V = u0^dag U and D the
+product of the site dims. t1 gives X^alpha Z^beta psi = zeta^(beta (l -
+alpha)) psi[l - alpha] / D, V acts on the level axis, and the beta
+block's Fourier readout F[nu, beta] = zeta^(nu beta) / sqrt(D) sums beta
+away, keeping one source level: [nu, alpha, l] = psi[-nu] V[l, alpha -
+nu] / sqrt(D). Since F[nu, beta] zeta^(-beta l) = F[nu - l, beta], t2
+is the gather [(alpha, nu), l] <- [(nu - l, alpha), l + alpha] of that
+array, which leaves psi[l - nu] S[nu, l + alpha] / sqrt(D) with S[nu, k]
+= V[k, k - nu]. Its V factor depends on neither psi nor the bystander.
+So a call takes S from V and spreads it over the alpha axis by two
+gathers, reads the alpha block with conj(F), the circuit's last readout,
+and multiplies by psi shifted by nu, one factor per bystander level.
+The outcomes lie as (nu block, mu block); the labels, Pauli labels
+included, are reached by permuting the D^2 weights and the observed
+indices, never the rows. The three index tables are D x D (512 KiB at
+n = 8 qubits), depend only on the site dims, and are built once per site
+tuple (the 16 most recent are kept), read-only. A block is read in runs
+of consecutive sites whose kron'd kernel has at most READ_ROWS = 16
+rows, a run of qubits as a real kron of Hadamards over the float view.
+u0 is unitary, so the law is the rows' squared norms before the final
+u0, taken in one contraction over the float view, and u0 then acts on
+the observed rows alone. When u0 is exactly the identity (every builder
+basis without u0, which the basis memoises) its products are skipped,
+with the same result to the last bit. For n qubits and a bystander of
+dimension b the joint array holds 8^n b amplitudes; the gather of S and
+the psi product cost time in proportion to 8^n and 8^n b, the readout
+up to 16 times 8^n, and u0^dag U 8^n. The law takes about 50 us at
+n = 4, 0.87 ms at n = 5 and 5.4 ms at n = 6, and with a Haar u0 and a
+two-level bystander 0.088, 0.91 and 6.0 ms (medians over five fresh
+processes of each one's median, one BLAS thread, 2-vCPU Xeon VM). At
+n = 8 a 64-shot first call, tables included, takes about 0.6 s and the
+process peaks at about 565 MB.
 
 Validation: a circuit requires its basis to be of a product form
 {u0 s_a} with s_0 = 1, Pauli strings on qubit sites or clock/shift
@@ -78,7 +80,7 @@ by its own norm after u0, so a u0 that passes its 1e-10 unitarity check
 still gives unit rows. Its WhichUnitaryResult views are built when
 read and run no validator; a PureState built directly, or through
 dataclasses.replace, still checks its norm. At n = 4 with 512 shots
-(about 170 branches) a call takes about 0.24 ms (median over five fresh
+(about 170 branches) a call takes about 0.27 ms (median over five fresh
 processes of each one's median), and reading every view about 0.34 ms
 more (median of 400 calls), one BLAS thread, 2-vCPU Xeon VM.
 """
@@ -354,42 +356,34 @@ def which_unitary_distribution(u, basis: OperatorBasis) -> OutcomeDistribution:
 
 @functools.lru_cache(maxsize=16)
 def _couplings(site_dims: tuple) -> tuple:
-    """The echo couplings of every site composed into two read-only
-    index tables over (configuration, level): (phases, src1, src2).
+    """The echo couplings of every site composed into three read-only
+    D x D index tables (D the product of the site dims): (down, up,
+    diag), down[y, l] the level l - y, up[x, l] the level l + x, each
+    digit by digit mod q_j in mixed-radix order, and diag[nu, k] the
+    flat index of V[k, k - nu] in a D x D matrix V.
 
-    t1: X^alpha Z^beta psi = zeta^(beta (l - alpha)) psi[l - alpha] on
-    each site, so [(beta, alpha), l] of the coupled state is
-    ext[src1[(beta, alpha), l]] of the extended source ext[e, m] =
-    phases[e] psi[m], phases[e] = omega_Q^e / D (Q the lcm of the site
-    dims, D their product; the 1/D is the uniform ancilla start).
-    t2, X^-alpha then Z^-beta, and the beta block's Fourier readout:
-    F[nu, beta] zeta^(-beta l) = F[nu - l, beta], so the pair is that
-    readout followed by the gather [(alpha, nu), l] <- [(nu - l, alpha),
-    l + alpha], flattened as src2 over the joint array. Each block is a
-    mixed-radix index over the sites. Both tables are composed from
-    D x D ones, per-site sums over all pairs of block indices: src1 is
-    a gather of the phase exponent by l - alpha, and src2 a broadcast
-    sum. int32 (4 bytes an entry) while D^3 fits."""
-    dim, period = math.prod(site_dims), math.lcm(*site_dims)
+    The circuit's first half closes: t1, X^alpha Z^beta psi =
+    zeta^(beta (l - alpha)) psi[l - alpha] / D, then V = u0^dag U on the
+    level axis, then the beta block's Fourier readout F[nu, beta] =
+    zeta^(nu beta) / sqrt(D), whose sum over beta keeps the one source
+    level l - alpha = -nu, leave [nu, alpha, l] = psi[-nu] V[l, alpha -
+    nu] / sqrt(D). t2, X^-alpha then Z^-beta, is a gather of that,
+    [(alpha, nu), l] <- [(nu - l, alpha), l + alpha], since F[nu, beta]
+    zeta^(-beta l) = F[nu - l, beta]; so before the alpha block's
+    readout the joint array is psi[l - nu] S[nu, l + alpha] / sqrt(D),
+    where S[nu, k] = V[k, k - nu] is V taken at diag and the alpha axis
+    is S taken at up. Its V factor depends on neither psi nor the
+    bystander, and its psi factor is psi taken at down."""
+    dim = math.prod(site_dims)
     qs = np.array(site_dims)
     strides = dim // np.cumprod(qs)
     digits = np.arange(dim)[:, None] // strides % qs
-    # [y, l] of l - y, [x, l] of l + x, and [beta, m] of the phase
-    # exponent sum_j beta_j m_j Q / q_j, each digit by digit mod q_j
     down = (digits[None] - digits[:, None]) % qs @ strides
     up = (digits[:, None] + digits[None]) % qs @ strides
-    phase = digits[:, None] * digits[None] % qs @ (period // qs) % period
-    dtype = np.int32 if dim ** 3 <= 2 ** 31 else np.intp
-    src1 = np.take((phase * dim + np.arange(dim)).astype(dtype), down,
-                   axis=1)
-    src2 = ((np.arange(dim)[:, None] * dim + up).astype(dtype)[:, None]
-            + (down.T * dim * dim).astype(dtype))
-    phases = np.exp(2j * np.pi / period) ** np.arange(period) / dim
-    tables = (phases, src1.reshape(dim * dim, dim),
-              src2.reshape(dim * dim, dim))
-    for a in tables:
+    diag = np.arange(dim) * dim + down
+    for a in (down, up, diag):
         a.setflags(write=False)
-    return tables
+    return down, up, diag
 
 
 # readout pair index 2 mu + nu carrying each of I, X, Y, Z on one qubit;
@@ -407,9 +401,10 @@ def _readout(site_dims: tuple, pauli: bool) -> tuple:
     (pre, r, f, fc) covers r consecutive levels of a block, with pre
     levels of the block before them, and reads them with f, the kron of
     the run's F_q, or fc = conj(f); a run of qubits reads with the real
-    kron of Hadamards. order[a] is the (mu block, nu block) index of
-    label a: per site the pair (mu, nu) at q mu + nu, or for a Pauli site
-    label l of I, X, Y, Z, in mixed-radix order. Read-only."""
+    kron of Hadamards. order[a] is the (nu block, mu block) index of
+    label a, whose per-site pair (mu, nu) sits at q mu + nu, or for a
+    Pauli site at label l of I, X, Y, Z, in mixed-radix order.
+    Read-only."""
     n, runs, first = len(site_dims), [], 0
     for j in range(1, n + 1):
         if j < n and math.prod(site_dims[first:j + 1]) <= READ_ROWS:
@@ -424,49 +419,43 @@ def _readout(site_dims: tuple, pauli: bool) -> tuple:
     for q in site_dims:
         stride //= q
         pairs = _PAULI_PAIRS if pauli else np.arange(q * q)
-        order = np.add.outer(order, pairs // q * stride * dim
-                             + pairs % q * stride).ravel()
+        order = np.add.outer(order, pairs // q * stride
+                             + pairs % q * stride * dim).ravel()
     order.setflags(write=False)
     return tuple(runs), order
 
 
-def _read(t, spare, runs, outer, conj):
+def _read(t, runs, outer, conj):
     """t read by every run on the block that has outer amplitudes
-    before it, with conj(f) if conj else f: each run writes into the
-    other buffer, and (result, spare) are returned. A real kernel reads
-    the float view, at half the cost of a complex one."""
+    before it, with conj(f) if conj else f, each run into a fresh array;
+    a caller that holds no name for t lets it go after the first run. A
+    real kernel reads the float view, at half the cost of a complex
+    one."""
+    shape = t.shape
     for pre, r, f, fc in runs:
         f = fc if conj else f
         if f.dtype == float:
-            a, out = t.view(float), spare.view(float)
+            t = (f @ t.view(float).reshape(outer * pre, r, -1)).view(complex)
         else:
-            a, out = t, spare
-        np.matmul(f, a.reshape(outer * pre, r, -1),
-                  out=out.reshape(outer * pre, r, -1))
-        t, spare = spare, t
-    return t, spare
+            t = f @ t.reshape(outer * pre, r, -1)
+    return t.reshape(shape)
 
 
 def _echo_joint(u, u0, site_dims, psi, runs):
     """(bystander, outcome, level) array of the echo circuit read out by
     the runs of _readout, before its final u0 product: [b, c] is the
     unnormalized system vector paired with bystander level b and outcome
-    c = (mu block, nu block) in mixed-radix order. u0=None stands for the
-    identity reference and skips the product with u0^dag, with the same
-    result to the last bit."""
-    phases, src1, src2 = _couplings(site_dims)
-    dim = src1.shape[1]
-    b = psi.size // dim
-    ext = phases[:, None] * psi.reshape(dim, b).T[:, None]
-    # two buffers carry the joint array: each stage writes into the other
-    spare = np.take(ext.reshape(b, -1), src1, axis=1)
-    t = np.empty_like(spare)
-    np.matmul(spare.reshape(-1, dim), (u if u0 is None else dag(u0) @ u).T,
-              out=t.reshape(-1, dim))
-    t, spare = _read(t, spare, runs, b, False)
-    np.take(t.reshape(b, -1), src2, axis=1, out=spare, mode="clip")
-    t, _ = _read(spare, t, runs, b, True)
-    return t.reshape(b, -1, dim)
+    c = (nu block, mu block) in mixed-radix order. With V = u0^dag U it
+    is psi_b[l - nu] times the alpha block's conj(F) readout of
+    S[nu, l + alpha], over sqrt(D) (see _couplings). u0=None stands for
+    the identity reference and skips the product with u0^dag, with the
+    same result to the last bit."""
+    down, up, diag = _couplings(site_dims)
+    dim = len(down)
+    v = u if u0 is None else dag(u0) @ u
+    t = _read(np.take(np.take(v, diag), up, axis=1), runs, dim, True)
+    shifted = np.take(psi.reshape(dim, -1).T, down, axis=1) / math.sqrt(dim)
+    return (t * shifted[:, :, None]).reshape(len(shifted), -1, dim)
 
 
 def _circuit_rows(u, u0, site_dims, psi, pauli=False):
@@ -477,7 +466,8 @@ def _circuit_rows(u, u0, site_dims, psi, pauli=False):
     rows_of(labels) gives the unnormalized rows of those labels, u0
     applied to them alone. Labels are per-site pairs (mu_j, nu_j), or
     for a Pauli basis per-site labels, in mixed-radix order; the engine
-    reaches them by permuting weights and indices, never the rows.
+    holds its outcomes as (nu block, mu block) and reaches the labels by
+    permuting weights and indices, never the rows.
     """
     runs, order = _readout(site_dims, pauli)
     t = _echo_joint(u, u0, site_dims, psi, runs)
@@ -583,14 +573,14 @@ def circuit_end_state(u, basis: OperatorBasis, psi) -> np.ndarray:
     t = _echo_joint(um, u0, site_dims, psi, runs)
     if u0 is not None:
         t = t @ u0.T
-    # undo the readout (F and conj(F) are each other's inverse), then
-    # interleave the blocks as (alpha_1, beta_1, ..., alpha_n, beta_n)
+    # undo the readout (F and conj(F) are each other's inverse), the mu
+    # block back to alpha and the nu block to beta, then interleave the
+    # blocks as (alpha_1, beta_1, ..., alpha_n, beta_n)
     b, _, dim = t.shape
-    t, spare = _read(t, np.empty_like(t), runs, b, False)
-    t, _ = _read(t, spare, runs, b * dim, True)
+    t = _read(_read(t, runs, b * dim, False), runs, b, True)
     n = len(site_dims)
     t = t.reshape((b,) + site_dims * 2 + (dim,))
-    axes = [1 + k + s for k in range(n) for s in (0, n)]
+    axes = [1 + k + s for k in range(n) for s in (n, 0)]
     return t.transpose(axes + [2 * n + 1, 0]).reshape(dim * dim, -1)
 
 
