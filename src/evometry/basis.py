@@ -9,18 +9,27 @@ probability distribution over the basis elements.
 
 A basis built directly is checked with its full Gram matrix, one
 (d^2 x d^2) x (d^2 x d^2) product, and expands over its stacked elements.
-The builders pauli_basis and weyl_basis make {u0 s_a} from a family s_a
-that is orthogonal by construction, and hold that structure, the site
-dimensions, the family and u0, in place of the d^2 x d x d stack (see
-linalg._record for the lifecycle of such a record). Their expand is the
-family's transform of u0^dag U (_family_traces): the tensorised Pauli
-decomposition, or one gather of the shifted diagonals and one product
-with the conjugate clock table. Only u0 can spoil orthogonality: with
-E = u0^dag u0 - 1, G_ab - d delta_ab = tr(E s_b s_a^dag), and the
-products s_b s_a^dag run over the family up to unit phases, so the
-Gram's residual is max_c |tr(s_c^dag E)|, the same transform of E (and
-nothing without u0). The echo circuit's product form and is_unitary are
-memoised at build time.
+The builders pauli_basis and weyl_basis make {u0 s_a} from a product
+family, s_a the tensor product over sites of dims q_j of Z^mu_j X^nu_j
+(Pauli strings are the qubit case, with Y = -i Z X), orthogonal by
+construction, and hold that structure, the site dimensions, the family
+and u0, in place of the d^2 x d x d stack (see linalg._record for the
+lifecycle of such a record).
+
+Every reader of that structure goes through one transform of the
+product group, _family_traces. (Z^mu X^nu)_ik = zeta^(mu i) delta(i,
+k + nu) digit by digit, so tr(s_a^dag m) = sum_i zeta^(-mu i) m[i, i -
+nu]: m gathered at the diag table of _couplings, read over i by the
+conjugate kernels of _readout (linalg._kernel kron'd over runs of
+sites), gives every trace at once, and _trace_order puts them in label
+order. expand is that transform of u0^dag U over d. Only u0 can spoil
+orthogonality: with E = u0^dag u0 - 1, G_ab - d delta_ab = tr(E s_b
+s_a^dag), and the products s_b s_a^dag run over the family up to unit
+phases, so the Gram's residual is max_c |tr(s_c^dag E)|, the same
+transform of E, for any tuple of sites (and nothing without u0). The
+echo circuit (measure) reads the same tables and kernels, which live
+here beside the family whose labels they lay out. Its product form and
+is_unitary are memoised at build time.
 """
 from __future__ import annotations
 
@@ -39,6 +48,7 @@ from .linalg import (
     _frozen,
     _held,
     _isometry_deviation,
+    _kernel,
     _record,
     _unitary,
     as_matrix,
@@ -48,6 +58,13 @@ from .linalg import (
 # largest entry by which an element may differ from u0 s_a and still be
 # the product the echo circuit measures
 PRODUCT_FORM_ATOL = 1e-9
+# readout pair index 2 mu + nu carrying each of I, X, Y, Z on one qubit;
+# Y sits at (mu, nu) = (1, 1) because Z X = i sigma_y
+_PAULI_PAIRS = np.array([0, 1, 3, 2])
+# a block's sites are read in runs of consecutive sites whose kernel, the
+# kron of theirs, has at most this many rows (a site of more levels is a
+# run of its own)
+READ_ROWS = 16
 
 
 @_record
@@ -236,49 +253,112 @@ def _residual(site_dims, pauli, u0) -> float:
 
 
 def _family_traces(site_dims, pauli, m) -> np.ndarray:
-    """tr(s_a^dag m) for every element s_a of a builder's family, in label
-    order, from the d x d matrix m alone.
+    """tr(s_a^dag m) for every element s_a of the product family on the
+    sites, in label order, from the complex d x d matrix m alone.
 
-    Pauli strings: tr(s_a^dag m) = sum conj(s_a)_ij m_ij factors over the
-    qubits, so m regrouped into one (i_k, j_k) axis per qubit, split after
-    h qubits, is read by one product with T^(x)h on the left and
-    T^(x)(n-h) on the right, T[l, 2 i + j] = conj(PAULIS[l])_ij.
-    Clock/shift products: (Z^mu X^nu)_ij = zeta^(mu i) delta(i, j + nu),
-    so tr = sum_i zeta^(-mu i) m[i, i - nu]: the shifted diagonals of m,
-    gathered once, times the conjugate clock table."""
-    if pauli:
-        n = len(site_dims)
-        h = n // 2
-        interleaved = [k + q for k in range(n) for q in (0, n)]
-        m = m.reshape((2,) * (2 * n)).transpose(interleaved)
-        m = m.reshape(4 ** h, 4 ** (n - h))
-        return (_pauli_transform(h) @ m @ _pauli_transform(n - h).T).ravel()
-    cols, clock = _weyl_transform(site_dims[0])
-    diagonals = m[np.arange(len(m)), cols]
-    return (clock @ diagonals.T).ravel()
+    tr(s_a^dag m) = sum_i zeta^(-mu i) m[i, i - nu] (see the module
+    docstring): m taken at _trace_order's rows holds the shifted
+    diagonals m[i, i - nu] as columns, the conjugate kernel runs of
+    _readout read them over i into [mu block, nu block] traces, and
+    _trace_order's index and phase put those in label order. The
+    kernels are unnormalised, so on qubit sites (kernels of +-1, phases
+    powers of i) a trace is rounded only in its sums."""
+    runs, _ = _readout(site_dims, pauli)
+    rows, index, phase = _trace_order(site_dims, pauli)
+    traces = _read(m.ravel()[rows], runs, 1, True).ravel()[index]
+    return traces if phase is None else traces * phase
 
 
-@functools.lru_cache(maxsize=None)
-def _pauli_transform(n: int) -> np.ndarray:
-    """T^(x)n, T[l, 2 i + j] = conj(PAULIS[l])_ij; [[1]] at n = 0. Its
-    entries are 0, +-1 and +-i, exact. Built once per n and read-only."""
-    out = np.ones((1, 1), dtype=complex)
-    single = np.stack(gates.PAULIS).conj().reshape(4, 4)
-    for _ in range(n):
-        out = np.kron(out, single)
-    return _frozen(out)
+# ---------------------------------------------------------------------------
+# product-family tables, shared by _family_traces and the echo circuit
 
 
-@functools.lru_cache(maxsize=None)
-def _weyl_transform(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(cols, clock): cols[nu, i] = (i - nu) mod d, the column of row i on
-    shifted diagonal nu, and clock[mu, i] = zeta^(-mu i), the conjugated
-    diagonals of clock_shift_powers. Built once per d and read-only."""
-    i = np.arange(dim)
-    cols = (i[None, :] - i[:, None]) % dim
-    cols.setflags(write=False)
-    zp = clock_shift_powers(dim)[0]
-    return cols, _frozen(np.diagonal(zp, axis1=1, axis2=2).conj())
+@functools.lru_cache(maxsize=16)
+def _couplings(site_dims: tuple) -> tuple:
+    """Three read-only D x D index tables of a site tuple (D the product
+    of the site dims): (down, up, diag), down[y, l] the level l - y,
+    up[x, l] the level l + x, each digit by digit mod q_j in mixed-radix
+    order, and diag[nu, k] the flat index of V[k, k - nu] in a D x D
+    matrix V, the entry that Z^mu X^nu reads. They depend only on the
+    site dims and are built once per site tuple (the 16 most recent are
+    kept); the echo circuit composes every site's coupling from them
+    (see measure)."""
+    dim = math.prod(site_dims)
+    qs = np.array(site_dims)
+    strides = dim // np.cumprod(qs)
+    digits = np.arange(dim)[:, None] // strides % qs
+    down = (digits[None] - digits[:, None]) % qs @ strides
+    up = (digits[:, None] + digits[None]) % qs @ strides
+    diag = np.arange(dim) * dim + down
+    for a in (down, up, diag):
+        a.setflags(write=False)
+    return down, up, diag
+
+
+@functools.lru_cache(maxsize=16)
+def _readout(site_dims: tuple, pauli: bool) -> tuple:
+    """The kernels of one site tuple: (runs, order). Each run (pre, r, f,
+    fc) covers r consecutive levels of a block, with pre levels of the
+    block before them, and reads them with f, the kron of the run's
+    unnormalised kernels linalg._kernel(q), or fc = conj(f); a run of
+    qubits reads with the real kron of [[1, 1], [1, -1]]. order[a] is the
+    (nu block, mu block) index of label a, whose per-site pair (mu, nu)
+    sits at q mu + nu, or for a Pauli site at label l of I, X, Y, Z, in
+    mixed-radix order. Read-only."""
+    n, runs, first = len(site_dims), [], 0
+    for j in range(1, n + 1):
+        if j < n and math.prod(site_dims[first:j + 1]) <= READ_ROWS:
+            continue
+        f = functools.reduce(np.kron, map(_kernel, site_dims[first:j]))
+        f = np.real_if_close(f)
+        runs.append((math.prod(site_dims[:first]), len(f),
+                     _frozen(f, None), _frozen(f.conj(), None)))
+        first = j
+    dim = stride = math.prod(site_dims)
+    order = np.zeros(1, dtype=np.intp)
+    for q in site_dims:
+        stride //= q
+        pairs = _PAULI_PAIRS if pauli else np.arange(q * q)
+        order = np.add.outer(order, pairs // q * stride
+                             + pairs % q * stride * dim).ravel()
+    order.setflags(write=False)
+    return tuple(runs), order
+
+
+@functools.lru_cache(maxsize=16)
+def _trace_order(site_dims: tuple, pauli: bool) -> tuple:
+    """(rows, index, phase) of _family_traces: rows = diag.T of
+    _couplings, contiguous, so that m.ravel()[rows] holds the shifted
+    diagonals m[i, i - nu] as columns; index[a] the flat place of label a
+    among the [mu block, nu block] traces, the transpose of _readout's
+    order; and phase[a] = i^(number of Y in a) for Pauli strings, since
+    tr(Y^dag m) = i tr((Z X)^dag m), or None for clock/shift products.
+    Read-only."""
+    dim = math.prod(site_dims)
+    rows = _frozen(_couplings(site_dims)[2].T.copy(), None)
+    order = _readout(site_dims, pauli)[1]
+    index = _frozen(order % dim * dim + order // dim, None)
+    if not pauli:
+        return rows, index, None
+    single = np.array([1, 1, 1j, 1])
+    phase = functools.reduce(np.kron, [single] * len(site_dims))
+    return rows, index, _frozen(phase)
+
+
+def _read(t, runs, outer, conj):
+    """t read by every run on the block that has outer amplitudes
+    before it, with conj(f) if conj else f, each run into a fresh array;
+    a caller that holds no name for t lets it go after the first run. A
+    real kernel reads the float view, at half the cost of a complex
+    one."""
+    shape = t.shape
+    for pre, r, f, fc in runs:
+        f = fc if conj else f
+        if f.dtype == float:
+            t = (f @ t.view(float).reshape(outer * pre, r, -1)).view(complex)
+        else:
+            t = f @ t.reshape(outer * pre, r, -1)
+    return t.reshape(shape)
 
 
 def _family_gram_deviation(basis: OperatorBasis) -> float:
@@ -289,13 +369,13 @@ def _family_gram_deviation(basis: OperatorBasis) -> float:
     which are exactly 2 1 (entries 0, +-1 and +-i), so the deviation is
     0.0. Clock/shift products: tr((Z^mu X^nu)^dag Z^mu' X^nu') =
     delta(nu, nu') sum_j zeta^((mu' - mu) j), so it is the deviation of
-    the d x d Gram of the clock diagonals."""
+    K K^dag / d for the kernel K = linalg._kernel(d)."""
     site_dims, pauli, _ = basis._structure
     if pauli:
         return 0.0
     d = site_dims[0]
-    clock = _weyl_transform(d)[1]
-    return float(np.abs(clock @ clock.conj().T / d - np.eye(d)).max())
+    k = _kernel(d)
+    return float(np.abs(k @ dag(k) / d - np.eye(d)).max())
 
 
 def _reference(u0):
@@ -382,7 +462,7 @@ def clock_shift(dim: int) -> tuple[UnitaryOperator, UnitaryOperator]:
 def clock_shift_powers(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """All powers Z^m and X^m, m = 0 .. d-1, as two (d, d, d) arrays.
 
-    Z^m = diag(zeta^(m j)) with the exponent reduced mod d, and
+    Z^m = diag(zeta^(m j)), row m of linalg._kernel(d), and
     X^m|j> = |j + m mod d>. Built once per dimension and returned
     read-only: every caller shares them.
     """
@@ -390,9 +470,8 @@ def clock_shift_powers(dim: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("clock/shift pair needs dimension >= 2")
     m = np.arange(dim)[:, None]
     j = np.arange(dim)[None, :]
-    zeta = np.exp(2j * np.pi / dim)
     zp = np.zeros((dim, dim, dim), dtype=complex)
-    zp[:, np.arange(dim), np.arange(dim)] = zeta ** ((m * j) % dim)
+    zp[:, np.arange(dim), np.arange(dim)] = _kernel(dim)
     xp = np.zeros((dim, dim, dim), dtype=complex)
     xp[m, (j + m) % dim, j] = 1.0
     return _frozen(zp), _frozen(xp)
@@ -454,9 +533,12 @@ def expand(op, basis: OperatorBasis) -> ExpansionCoefficients:
     unitary.
 
     A builder basis is read through its structure, never its stack: the
-    family's transform of u0^dag op (see _family_traces), which agrees
-    with the stack formula conj(elements) @ op / d within about 2e-16
-    times |op|_F / sqrt(d), which is 1 for a unitary.
+    product family's one transform of u0^dag op over d (see
+    _family_traces), a gather of op's shifted diagonals and one product
+    per run of sites with the conjugate unnormalised kernels, the tables
+    the echo circuit reads. It agrees with the stack formula
+    conj(elements) @ op / d within about 2e-16 times |op|_F / sqrt(d),
+    which is 1 for a unitary.
     A basis built directly is read through its elements, bit for bit
     that formula.
     """

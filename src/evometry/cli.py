@@ -98,10 +98,12 @@ def cmd_measure(args):
     from . import basis as bases
     from . import measure
     from .formats import load_state, load_unitary
+    from .linalg import _unitary
 
     u = load_unitary(args.unitary)
     d = u.shape[0]
-    u0 = load_unitary(args.u0) if args.u0 else None
+    # checked against d here: pauli_basis would take its dim from u0
+    u0 = _unitary(load_unitary(args.u0), d, "u0") if args.u0 else None
     basis = getattr(bases, _KINDS[args.basis])(dim=d, u0=u0)
     psi = measure.PureState(load_state(args.state, d))
     exact = measure.which_unitary_distribution(u, basis)

@@ -192,16 +192,29 @@ def _records(stack) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _fourier(n: int) -> np.ndarray:
-    """The n x n Fourier matrix zeta^(j k) / sqrt(n), zeta = exp(2 pi i / n),
-    which is the diagonals of basis.clock_shift_powers(n) over sqrt(n),
-    computed the same way. Built once per n and read-only; n = 1 gives
-    [[1]], a one-level register.
-    """
-    if n == 1:
-        return _frozen(np.ones((1, 1)))
+def _kernel(n: int) -> np.ndarray:
+    """The unnormalised n x n Fourier kernel zeta^(j k), zeta =
+    exp(2 pi i / n), the exponent reduced mod n: the package's one copy
+    of that formula. Its rows are the diagonals of the clock powers
+    (basis.clock_shift_powers), its conjugate reads the clock/shift
+    traces and the echo circuit's readout, and over sqrt(n) it is
+    _fourier. Unnormalised, K K^dag = n 1, so a product with it carries
+    no 1/sqrt(n) rounding: at n = 2 it is [[1, 1], [1, -1]] up to the
+    1.2e-16 imaginary part of zeta = exp(i pi), which the circuit's
+    readout drops (basis._readout). Built once per n and read-only;
+    n = 1 gives [[1]]."""
     jk = np.arange(n)[:, None] * np.arange(n)[None, :] % n
-    return _frozen(np.exp(2j * np.pi / n) ** jk / np.sqrt(n))
+    return _frozen(np.exp(2j * np.pi / n) ** jk)
+
+
+@functools.lru_cache(maxsize=None)
+def _fourier(n: int) -> np.ndarray:
+    """The unitary n x n Fourier matrix, _kernel(n) / sqrt(n): the
+    ancilla readout basis of channels and the branch transform of
+    storage. Built once per n and read-only; n = 1 gives [[1]], a
+    one-level register.
+    """
+    return _frozen(_kernel(n) / np.sqrt(n))
 
 
 def max_entangled(dim: int) -> np.ndarray:

@@ -38,26 +38,32 @@ array, which leaves psi[l - nu] S[nu, l + alpha] / sqrt(D) with S[nu, k]
 So a call takes S from V and spreads it over the alpha axis by two
 gathers, reads the alpha block with conj(F), the circuit's last readout,
 and multiplies by psi shifted by nu, one factor per bystander level.
-The outcomes lie as (nu block, mu block); the labels, Pauli labels
-included, are reached by permuting the D^2 weights and the observed
-indices, never the rows. The three index tables are D x D (512 KiB at
-n = 8 qubits), depend only on the site dims, and are built once per site
-tuple (the 16 most recent are kept), read-only. A block is read in runs
-of consecutive sites whose kron'd kernel has at most READ_ROWS = 16
-rows, a run of qubits as a real kron of Hadamards over the float view.
-u0 is unitary, so the law is the rows' squared norms before the final
-u0, taken in one contraction over the float view, and u0 then acts on
-the observed rows alone. When u0 is exactly the identity (every builder
-basis without u0, which the basis memoises) its products are skipped,
-with the same result to the last bit. For n qubits and a bystander of
-dimension b the joint array holds 8^n b amplitudes; the gather of S and
-the psi product cost time in proportion to 8^n and 8^n b, the readout
-up to 16 times 8^n, and u0^dag U 8^n. The law takes about 50 us at
-n = 4, 0.87 ms at n = 5 and 5.4 ms at n = 6, and with a Haar u0 and a
-two-level bystander 0.088, 0.91 and 6.0 ms (medians over five fresh
-processes of each one's median, one BLAS thread, 2-vCPU Xeon VM). At
-n = 8 a 64-shot first call, tables included, takes about 0.6 s and the
-process peaks at about 565 MB.
+The readout holds the unnormalised kernel K = zeta^(nu beta)
+(linalg._kernel), not F = K / sqrt(D), and the two 1/sqrt(D) of the
+readouts are one division of the shifted state by D, so a run of qubits
+reads with a real kron of [[1, 1], [1, -1]] over the float view and
+rounds only in its sums. The outcomes lie as (nu block, mu block); the
+labels, Pauli labels included, are reached by permuting the D^2 weights
+and the observed indices, never the rows. The index tables (D x D, 512
+KiB at n = 8 qubits), the kernel runs and the label order are the
+product family's, basis._couplings and basis._readout, the same tables
+that expand's transform reads (basis._family_traces): each depends only
+on the site dims, is built once per site tuple (the 16 most recent are
+kept) whichever reader asks first, and is read-only. A block is read in
+runs of consecutive sites whose kron'd kernel has at most READ_ROWS = 16
+rows. u0 is unitary, so the law is the rows' squared norms before the
+final u0, taken in one contraction over the float view, and u0 then acts
+on the observed rows alone. When u0 is exactly the identity (every
+builder basis without u0, which the basis memoises) its products are
+skipped, with the same result to the last bit. For n qubits and a
+bystander of dimension b the joint array holds 8^n b amplitudes; the
+gather of S and the psi product cost time in proportion to 8^n and 8^n
+b, the readout up to 16 times 8^n, and u0^dag U 8^n. The law takes about
+50 us at n = 4, 0.87 ms at n = 5 and 5.4 ms at n = 6, and with a Haar u0
+and a two-level bystander 0.088, 0.91 and 6.0 ms (medians over five
+fresh processes of each one's median, one BLAS thread, 2-vCPU Xeon VM).
+At n = 8 a 64-shot first call, tables included, takes about 0.6 s and
+the process peaks at about 565 MB.
 
 Validation: a circuit requires its basis to be of a product form
 {u0 s_a} with s_0 = 1, Pauli strings on qubit sites or clock/shift
@@ -86,8 +92,6 @@ more (median of 400 calls), one BLAS thread, 2-vCPU Xeon VM.
 """
 from __future__ import annotations
 
-import functools
-import math
 import operator
 from collections.abc import Sequence
 
@@ -96,6 +100,9 @@ import numpy as np
 from .basis import (
     PRODUCT_FORM_ATOL,
     OperatorBasis,
+    _couplings,
+    _read,
+    _readout,
     clock_shift,
     expand,
 )
@@ -103,7 +110,6 @@ from .linalg import (
     _array_hash,
     _check,
     _count,
-    _fourier,
     _frozen,
     _record,
     _records,
@@ -354,107 +360,23 @@ def which_unitary_distribution(u, basis: OperatorBasis) -> OutcomeDistribution:
 # circuit engine
 
 
-@functools.lru_cache(maxsize=16)
-def _couplings(site_dims: tuple) -> tuple:
-    """The echo couplings of every site composed into three read-only
-    D x D index tables (D the product of the site dims): (down, up,
-    diag), down[y, l] the level l - y, up[x, l] the level l + x, each
-    digit by digit mod q_j in mixed-radix order, and diag[nu, k] the
-    flat index of V[k, k - nu] in a D x D matrix V.
-
-    The circuit's first half closes: t1, X^alpha Z^beta psi =
-    zeta^(beta (l - alpha)) psi[l - alpha] / D, then V = u0^dag U on the
-    level axis, then the beta block's Fourier readout F[nu, beta] =
-    zeta^(nu beta) / sqrt(D), whose sum over beta keeps the one source
-    level l - alpha = -nu, leave [nu, alpha, l] = psi[-nu] V[l, alpha -
-    nu] / sqrt(D). t2, X^-alpha then Z^-beta, is a gather of that,
-    [(alpha, nu), l] <- [(nu - l, alpha), l + alpha], since F[nu, beta]
-    zeta^(-beta l) = F[nu - l, beta]; so before the alpha block's
-    readout the joint array is psi[l - nu] S[nu, l + alpha] / sqrt(D),
-    where S[nu, k] = V[k, k - nu] is V taken at diag and the alpha axis
-    is S taken at up. Its V factor depends on neither psi nor the
-    bystander, and its psi factor is psi taken at down."""
-    dim = math.prod(site_dims)
-    qs = np.array(site_dims)
-    strides = dim // np.cumprod(qs)
-    digits = np.arange(dim)[:, None] // strides % qs
-    down = (digits[None] - digits[:, None]) % qs @ strides
-    up = (digits[:, None] + digits[None]) % qs @ strides
-    diag = np.arange(dim) * dim + down
-    for a in (down, up, diag):
-        a.setflags(write=False)
-    return down, up, diag
-
-
-# readout pair index 2 mu + nu carrying each of I, X, Y, Z on one qubit;
-# Y sits at (mu, nu) = (1, 1) because Z X = i sigma_y
-_PAULI_PAIRS = np.array([0, 1, 3, 2])
-# a block's sites are read in runs of consecutive sites whose Fourier
-# kernel, the kron of theirs, has at most this many rows (a site of more
-# levels is a run of its own)
-READ_ROWS = 16
-
-
-@functools.lru_cache(maxsize=16)
-def _readout(site_dims: tuple, pauli: bool) -> tuple:
-    """The Fourier readout of one site tuple: (runs, order). Each run
-    (pre, r, f, fc) covers r consecutive levels of a block, with pre
-    levels of the block before them, and reads them with f, the kron of
-    the run's F_q, or fc = conj(f); a run of qubits reads with the real
-    kron of Hadamards. order[a] is the (nu block, mu block) index of
-    label a, whose per-site pair (mu, nu) sits at q mu + nu, or for a
-    Pauli site at label l of I, X, Y, Z, in mixed-radix order.
-    Read-only."""
-    n, runs, first = len(site_dims), [], 0
-    for j in range(1, n + 1):
-        if j < n and math.prod(site_dims[first:j + 1]) <= READ_ROWS:
-            continue
-        f = functools.reduce(np.kron, map(_fourier, site_dims[first:j]))
-        f = np.real_if_close(f)
-        runs.append((math.prod(site_dims[:first]), len(f),
-                     _frozen(f, None), _frozen(f.conj(), None)))
-        first = j
-    dim = stride = math.prod(site_dims)
-    order = np.zeros(1, dtype=np.intp)
-    for q in site_dims:
-        stride //= q
-        pairs = _PAULI_PAIRS if pauli else np.arange(q * q)
-        order = np.add.outer(order, pairs // q * stride
-                             + pairs % q * stride * dim).ravel()
-    order.setflags(write=False)
-    return tuple(runs), order
-
-
-def _read(t, runs, outer, conj):
-    """t read by every run on the block that has outer amplitudes
-    before it, with conj(f) if conj else f, each run into a fresh array;
-    a caller that holds no name for t lets it go after the first run. A
-    real kernel reads the float view, at half the cost of a complex
-    one."""
-    shape = t.shape
-    for pre, r, f, fc in runs:
-        f = fc if conj else f
-        if f.dtype == float:
-            t = (f @ t.view(float).reshape(outer * pre, r, -1)).view(complex)
-        else:
-            t = f @ t.reshape(outer * pre, r, -1)
-    return t.reshape(shape)
-
-
 def _echo_joint(u, u0, site_dims, psi, runs):
     """(bystander, outcome, level) array of the echo circuit read out by
     the runs of _readout, before its final u0 product: [b, c] is the
     unnormalized system vector paired with bystander level b and outcome
-    c = (nu block, mu block) in mixed-radix order. With V = u0^dag U it
-    is psi_b[l - nu] times the alpha block's conj(F) readout of
-    S[nu, l + alpha], over sqrt(D) (see _couplings). u0=None stands for
-    the identity reference and skips the product with u0^dag, with the
-    same result to the last bit."""
+    c = (nu block, mu block) in mixed-radix order. With V = u0^dag U and
+    S[nu, k] = V[k, k - nu], V taken at diag, it is psi_b[l - nu], psi
+    taken at down, times the alpha block's conj(K) readout of S[nu, l +
+    alpha], S taken at up, over D: the runs hold the unnormalised
+    kernels, so the 1/sqrt(D) of each of the two Fourier readouts is one
+    division of the shifted state (see the module docstring). u0=None
+    stands for the identity reference and skips the product with u0^dag,
+    with the same result to the last bit."""
     down, up, diag = _couplings(site_dims)
     dim = len(down)
     v = u if u0 is None else dag(u0) @ u
     t = _read(np.take(np.take(v, diag), up, axis=1), runs, dim, True)
-    shifted = np.take(psi.reshape(dim, -1).T, down, axis=1) / math.sqrt(dim)
+    shifted = np.take(psi.reshape(dim, -1).T, down, axis=1) / dim
     return (t * shifted[:, :, None]).reshape(len(shifted), -1, dim)
 
 
@@ -573,11 +495,12 @@ def circuit_end_state(u, basis: OperatorBasis, psi) -> np.ndarray:
     t = _echo_joint(um, u0, site_dims, psi, runs)
     if u0 is not None:
         t = t @ u0.T
-    # undo the readout (F and conj(F) are each other's inverse), the mu
-    # block back to alpha and the nu block to beta, then interleave the
-    # blocks as (alpha_1, beta_1, ..., alpha_n, beta_n)
+    # undo the readout, the mu block back to alpha with K and the nu
+    # block to beta with conj(K) (K conj(K) = D 1 on a block, so the two
+    # unnormalised undos are divided by D), then interleave the blocks as
+    # (alpha_1, beta_1, ..., alpha_n, beta_n)
     b, _, dim = t.shape
-    t = _read(_read(t, runs, b * dim, False), runs, b, True)
+    t = _read(_read(t, runs, b * dim, False), runs, b, True) / dim
     n = len(site_dims)
     t = t.reshape((b,) + site_dims * 2 + (dim,))
     axes = [1 + k + s for k in range(n) for s in (n, 0)]

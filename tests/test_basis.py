@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import pickle
 
 import numpy as np
@@ -515,6 +516,53 @@ def test_the_builders_residual_is_the_grams(d, eps, hermitian, seed):
     form = ((2,) * (d.bit_length() - 1), True) if d & (d - 1) == 0 \
         else ((d,), False)
     assert abs(basis_module._residual(*form, u0) - full) <= 1e-14
+
+
+def _site_tuples(most=12):
+    """Every tuple of site dims >= 2 whose product is at most most."""
+    return [t for n in (1, 2, 3)
+            for t in itertools.product(range(2, most + 1), repeat=n)
+            if math.prod(t) <= most]
+
+
+def _product_family(site_dims):
+    """Z^mu X^nu on each site, at q mu + nu, kron'd over the sites in
+    mixed-radix order, first site most significant: the label order of
+    the circuit's product form."""
+    family = np.ones((1, 1, 1))
+    for q in site_dims:
+        a, s = len(family), q * family.shape[1]
+        family = np.einsum("aij,bkl->abikjl", family,
+                           basis_module._weyl_products(q)
+                           ).reshape(a * q * q, s, s)
+    return family
+
+
+@settings(max_examples=60, deadline=None)
+@given(site_dims=st.sampled_from(_site_tuples()), pauli=st.booleans(),
+       eps=st.floats(0, 2e-10), seed=st.integers(0, 2 ** 32 - 1))
+def test_the_transform_and_residual_hold_on_mixed_sites(site_dims, pauli,
+                                                        eps, seed):
+    """Over every site tuple of product <= 12, mixed dimensions included:
+    _family_traces is tr(s_a^dag m) over the product family, in label
+    order, within 1e-14 |m|_F (Pauli strings when every site is a qubit
+    and pauli is drawn), and _residual is max |G - d 1| of the Gram of
+    {u0 s_a} for u0 a Haar unitary times 1 + eps, within 3e-15 d, the
+    rounding of sums over roots of unity that grows with d (at d = 11
+    the two differ by up to 1.6e-14)."""
+    rng = np.random.default_rng(seed)
+    pauli = pauli and set(site_dims) == {2}
+    family = (pauli_strings(len(site_dims)) if pauli
+              else _product_family(site_dims))
+    d = family.shape[-1]
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    want = np.einsum("aij,ij->a", family.conj(), m)
+    got = basis_module._family_traces(site_dims, pauli, m)
+    assert np.abs(got - want).max() <= 1e-14 * np.linalg.norm(m)
+    u0 = random_unitary(d, rng) * (1 + eps)
+    full = np.abs(gram(u0 @ family) - d * np.eye(d * d)).max()
+    residual = basis_module._residual(site_dims, pauli, u0)
+    assert abs(residual - full) <= 3e-15 * d
 
 
 @pytest.mark.parametrize("d,eps", [(2, 2e-11), (2, 4e-11), (3, 1e-11),

@@ -54,6 +54,17 @@ def test_measure_with_reference_unitary(capsys):
     assert abs(probs[0] - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("basis", ["pauli", "weyl"])
+def test_measure_u0_of_another_dimension_is_one_usage_error(capsys, basis):
+    """A u0 whose dimension is not the unitary's is refused as u0 under
+    either basis, not as the unitary against a basis sized by u0."""
+    code, out, err = run(capsys, "measure", "--unitary", "H", "--u0",
+                         "CNOT", "--basis", basis)
+    assert code == 2
+    assert "error: u0 has dim 4, expected 2" in err
+    assert out == ""
+
+
 def test_measure_qudit_weyl(capsys):
     code, report, _ = run_json(
         capsys, "measure", "--unitary", "H", "--basis", "weyl")

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evometry import basis as basis_module
+from evometry import gates
 from evometry import measure as measure_module
 from evometry import (
     NotAnEigenoperator,
@@ -961,30 +962,59 @@ def test_blocks_read_in_several_runs_match_the_per_site_engine(site_dims):
 
 
 def test_engine_tables_are_built_once_and_refuse_writes():
-    """One build of the index tables and one of the readout kernels per
-    site tuple, however many calls read them; every coupling table is
+    """One build of the index tables, of the readout kernels and of the
+    label order per site tuple, however many calls read them, the
+    circuit's and the family transform's alike (expand, the exact law,
+    dense coding and a builder's residual); every coupling table is
     D x D, so none grows with the joint array, and every table and
     kernel is read-only."""
     rng = np.random.default_rng(36)
-    measure_module._couplings.cache_clear()
-    measure_module._readout.cache_clear()
+    caches = (measure_module._couplings, measure_module._readout,
+              basis_module._trace_order)
+    for cache in caches:
+        cache.cache_clear()
     p, w = pauli_basis(dim=8), weyl_basis(5)
     for _ in range(3):
         measure_which_unitary(random_unitary(8, rng), p, np.eye(8)[0])
         measure_which_unitary_qudit(random_unitary(5, rng), w, np.eye(5)[0])
         circuit_end_state(random_unitary(5, rng), w, np.eye(5)[0])
-    couplings = measure_module._couplings.cache_info()
-    readout = measure_module._readout.cache_info()
-    assert (couplings.misses, couplings.currsize) == (2, 2)
-    assert (readout.misses, readout.currsize) == (2, 2)
+        for basis in (p, w):
+            u = random_unitary(basis.dim, rng)
+            expand(u, basis)
+            which_unitary_distribution(u, basis)
+            superdense_send(u, basis)
+        pauli_basis(random_unitary(8, rng), dim=8)
+    for cache in caches:
+        info = cache.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
     tables = [*measure_module._couplings((2, 2, 2)),
               *measure_module._couplings((5,))]
     assert [t.shape for t in tables] == [(8, 8)] * 3 + [(5, 5)] * 3
     for runs, order in (measure_module._readout((2, 2, 2), True),
                         measure_module._readout((5,), False)):
         tables += [order] + [k for run in runs for k in run[2:]]
-    assert len(tables) == 6 + 2 + 2 * 2
+    tables += [*basis_module._trace_order((2, 2, 2), True),
+               *basis_module._trace_order((5,), False)[:2]]
+    assert basis_module._trace_order((5,), False)[2] is None
+    assert len(tables) == 6 + 2 + 2 * 2 + 5
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[(0,) * table.ndim] = 0
+
+
+@pytest.mark.parametrize("name", sorted(gates.GATES))
+def test_the_circuit_law_is_the_exact_law_bit_for_bit_on_named_gates(name):
+    """On every named gate, from a basis state, over its Pauli basis and
+    the qubit Weyl basis: the circuit's law and the exact law |C_a|^2
+    are equal to the last bit, since both read the same unnormalised
+    +-1 kernels and each of the gates' coefficients is real or
+    imaginary."""
+    u = gates.GATES[name]
+    d = len(u)
+    bases = [pauli_basis(dim=d)] + [weyl_basis(2)] * (d == 2)
+    for basis in bases:
+        for psi in np.eye(d):
+            law = measure_which_unitary(u, basis, psi)[0].probabilities
+            exact = which_unitary_distribution(u, basis).probabilities
+            assert np.array_equal(law, exact)
