@@ -45,6 +45,7 @@ from .linalg import (
     _array_hash,
     _check,
     _count,
+    _filled,
     _frozen,
     _held,
     _isometry_deviation,
@@ -88,12 +89,13 @@ class UnitaryOperator:
 @_record
 class ExpansionCoefficients:
     """Coefficients C_a of an operator over an orthogonal basis on C^d:
-    d^2 of them, so dim is the square root of their count."""
+    d^2 of them, so dim is the square root of their count, held as one
+    read-only array."""
 
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex).ravel()
+        c = _frozen(np.ravel(self.coeffs))
         if c.size == 0 or math.isqrt(c.size) ** 2 != c.size:
             raise ValueError(f"need d^2 coefficients, got {c.size}")
         object.__setattr__(self, "coeffs", c)
@@ -558,7 +560,7 @@ def expand(op, basis: OperatorBasis) -> ExpansionCoefficients:
         # is exact)
         flat = basis.elements.reshape(len(basis), -1)
         coeffs = (flat @ m.ravel().conj()).conj()
-    return ExpansionCoefficients(coeffs / d)
+    return _filled(ExpansionCoefficients, coeffs=coeffs / d)
 
 
 def reconstruct(coeffs: ExpansionCoefficients, basis: OperatorBasis) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Small dense linear-algebra helpers shared across the package, and the
 one home of its shared conventions: the declaration and lifecycle of the
-records that hold arrays (_record), the records (M (x) 1)|phi+> of a
-stack, the fail-closed residual check, the isometry deviation, the check
-of every unitary input (_unitary, within UNITARY_ATOL), the check of
-every count, seed and n argument (_count) and of every index (_index),
-the seeded sampler and the spectral tolerances."""
+records that hold arrays (_record, _held, _filled), the records
+(M (x) 1)|phi+> of a stack, the fail-closed residual check, the isometry
+deviation, the check of every unitary input (_unitary, within
+UNITARY_ATOL), the check of every count, seed and n argument (_count,
+and _seed for seeds) and of every index (_index), the seeded draw
+(_draw) and sampler (_sample), and the spectral tolerances."""
 from __future__ import annotations
 
 import functools
@@ -74,11 +75,12 @@ def _record(cls):
     A builder may make it by _held: it keeps its source, the call
     (builder, args) that makes it again, and in place of its first field
     the state from which the class's _build method builds that field on
-    first read (a functools.cached_property). Two records made by
-    builders compare their sources, any other pair their fields. A copy,
-    a deepcopy or a pickle is rebuilt through the checks, by the source
-    or else by the constructor from the fields, so it starts with no
-    memo and holds the arrays its constructor makes."""
+    first read (a functools.cached_property). A call that has checked
+    every field itself may make it by _filled, which runs no validator.
+    Two records made by builders compare their sources, any other pair
+    their fields. A copy, a deepcopy or a pickle is rebuilt through the
+    checks, by the source or else by the constructor from the fields, so
+    it starts with no memo and holds the arrays its constructor makes."""
     cls.__eq__ = _arrays_equal
     if "__hash__" not in vars(cls):
         cls.__hash__ = None
@@ -92,13 +94,25 @@ def _record(cls):
     return cls
 
 
+def _filled(cls, **values):
+    """A record of cls holding values that its caller has already
+    checked, made without running its validator; a field not given keeps
+    its default. Its arrays are the caller's fresh ones, frozen in place,
+    not copied. A copy or a pickle of it is rebuilt through the checks
+    all the same (see _record)."""
+    for a in values.values():
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    record = object.__new__(cls)
+    vars(record).update(values)
+    return record
+
+
 def _held(cls, source, **state):
     """A record of cls made by a builder: source is the call
     (builder, args) that makes it again, state the attributes it holds
     in place of its first field (see _record)."""
-    record = object.__new__(cls)
-    vars(record).update(state, _source=source)
-    return record
+    return _filled(cls, _source=source, **state)
 
 
 def _array_hash(a: np.ndarray) -> int:
@@ -194,17 +208,21 @@ def _records(stack) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _kernel(n: int) -> np.ndarray:
     """The unnormalised n x n Fourier kernel zeta^(j k), zeta =
-    exp(2 pi i / n), the exponent reduced mod n: the package's one copy
-    of that formula. Its rows are the diagonals of the clock powers
-    (basis.clock_shift_powers), its conjugate reads the clock/shift
-    traces and the echo circuit's readout, and over sqrt(n) it is
-    _fourier. Unnormalised, K K^dag = n 1, so a product with it carries
-    no 1/sqrt(n) rounding: at n = 2 it is [[1, 1], [1, -1]] up to the
-    1.2e-16 imaginary part of zeta = exp(i pi), which the circuit's
-    readout drops (basis._readout). Built once per n and read-only;
-    n = 1 gives [[1]]."""
-    jk = np.arange(n)[:, None] * np.arange(n)[None, :] % n
-    return _frozen(np.exp(2j * np.pi / n) ** jk)
+    exp(2 pi i / n), read from the powers zeta^m at m = jk mod n: the
+    package's one copy of that formula. The quarter turns, 4 m / n whole,
+    are exactly 1, i, -1 and -i, so at n = 2 it is exactly [[1, 1],
+    [1, -1]] and basis.clock_shift(2) gives exactly the Pauli z. Its
+    rows are the diagonals of the clock powers (basis.clock_shift_powers),
+    its conjugate reads the clock/shift traces and the echo circuit's
+    readout, and over sqrt(n) it is _fourier. Unnormalised, K K^dag =
+    n 1, so a product with it carries no 1/sqrt(n) rounding. Built once
+    per n and read-only; n = 1 gives [[1]]."""
+    m = np.arange(n)
+    powers = np.exp(2j * np.pi / n) ** m
+    turns = 4 * m % n == 0
+    # +0.0 real parts: the literal -1j would carry a -0.0
+    powers[turns] = np.array([1, 1j, -1, complex(0, -1)])[4 * m[turns] // n]
+    return _frozen(powers[m[:, None] * m % n])
 
 
 @functools.lru_cache(maxsize=None)
@@ -286,21 +304,39 @@ def _index(value, count: int, name: str) -> int:
     return i
 
 
-def _sample(probs, shots: int, seed) -> np.ndarray:
-    """Draw shots outcome indices from the weights probs, normalized.
+def _seed(seed, shots: int):
+    """The check of every seed: seed as an int, or None when it is None
+    and nothing is drawn. Sampling is never unseeded: a missing seed is
+    an error whenever shots > 0, and a seed must be a non-negative
+    integer (_count), which is checked even when shots is 0."""
+    if seed is None:
+        if shots:
+            raise ValueError("a seed is required for sampling")
+        return None
+    return _count(seed, "seed")
 
-    The draw is the inverse CDF of default_rng(seed).random(shots), the
-    same draws, bit for bit, as Generator.choice. Sampling is never
-    unseeded: a missing seed is an error whenever anything is drawn, and
-    a seed must be a non-negative integer, which is checked even when
-    shots is 0 and nothing is drawn. Weights drawn from must be 1-D,
-    finite, non-negative and not all zero, with a finite sum, else a
-    ValueError and no numpy warning.
+
+def _draw(p, total: float, shots: int, seed: int) -> np.ndarray:
+    """shots outcome indices drawn from the checked weights p, whose sum
+    is total (1-D, finite, non-negative, 0 < total < inf), with the
+    checked seed: the inverse CDF of default_rng(seed).random(shots), the
+    same draws, bit for bit, as Generator.choice. Every index lies in
+    0..len(p) - 1, since the CDF ends at exactly 1."""
+    # the method, not np.cumsum: the same sum without the dispatch
+    cdf = (p / total).cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(np.random.default_rng(seed).random(shots),
+                            side="right")
+
+
+def _sample(probs, shots: int, seed) -> np.ndarray:
+    """Draw shots outcome indices from the weights probs, normalized: the
+    seed checked by _seed, then, when anything is drawn, the weights
+    checked and _draw. Weights drawn from must be 1-D, finite,
+    non-negative and not all zero, with a finite sum, else a ValueError
+    and no numpy warning; they are not read when shots is 0.
     """
-    if seed is None and shots:
-        raise ValueError("a seed is required for sampling")
-    if seed is not None:
-        seed = _count(seed, "seed")
+    seed = _seed(seed, shots)
     if not shots:
         return np.zeros(0, dtype=int)
     p = np.asarray(probs, dtype=float)
@@ -313,11 +349,7 @@ def _sample(probs, shots: int, seed) -> np.ndarray:
     if not 0 < total < np.inf:
         raise ValueError("weights must be a 1-D array of finite, "
                          "non-negative numbers, not all zero")
-    # the method, not np.cumsum: the same sum without the dispatch
-    cdf = (p / total).cumsum()
-    cdf /= cdf[-1]
-    return cdf.searchsorted(np.random.default_rng(seed).random(shots),
-                            side="right")
+    return _draw(p, total, shots, seed)
 
 
 # weights at or below this are zero and are trimmed from spectra

@@ -73,22 +73,33 @@ the build, which memoises it; any other basis finds the form in its own
 elements on the first call and memoises it (a basis is frozen). A basis
 of neither form, or of one level, raises, naming the first element that
 deviates or the dimension, and is checked again on the next call.
-shots and seed go through linalg._count, which refuses a bool, a float
-or a negative with a ValueError naming the argument; the seed is
-checked even when shots is 0 and nothing is drawn.
+shots goes through linalg._count, which refuses a bool, a float or a
+negative with a ValueError naming the argument, and the seed through
+linalg._seed, which also refuses a missing seed when shots > 0 and
+checks a given one even when shots is 0 and nothing is drawn.
 
-Results: a call returns the OutcomeDistribution and one CircuitBranches
-record of the observed outcomes, their unit rows and their exact
-probabilities, whose one norm check covers every row (one bad row, NaN
-included, rejects the call). The weight of each circuit row, taken
-before u0, is the outcome's probability; each observed row is divided
-by its own norm after u0, so a u0 that passes its 1e-10 unitarity check
-still gives unit rows. Its WhichUnitaryResult views are built when
-read and run no validator; a PureState built directly, or through
+Results: a call checks each quantity once, in _finish: the seed, the law
+(_law, the check of OutcomeDistribution: one finite, non-negative
+probability per label, summing to 1 within PROBABILITY_ATOL, so each is
+at most 1 + PROBABILITY_ATOL) and the observed rows, whose squared norms
+(one contraction over the float view) must be finite normal floats, so
+one NaN, infinite or zero row rejects the call. Each observed row is
+divided by its own norm after u0, so a u0 that passes its 1e-10
+unitarity check still gives unit rows. The draws (linalg._draw) are
+label indices by construction. The call then fills the
+OutcomeDistribution and one CircuitBranches record of the observed
+outcomes, their unit rows and their exact probabilities from these
+fresh arrays, frozen in place, by linalg._filled, without running their
+validators again; a record built directly, a copy or a pickle runs them.
+The weight of each circuit row, taken before u0, is the outcome's
+probability. The record's WhichUnitaryResult views are built when read
+and run no validator; a PureState built directly, or through
 dataclasses.replace, still checks its norm. At n = 4 with 512 shots
-(about 170 branches) a call takes about 0.27 ms (median over five fresh
-processes of each one's median), and reading every view about 0.34 ms
-more (median of 400 calls), one BLAS thread, 2-vCPU Xeon VM.
+(about 170 branches) a call takes about 18% less time than when its
+records checked the law and the rows again, 0.37 against 0.45 ms (the
+median of 300 single calls on fresh inputs, both versions rotated in one
+process by tools/layers.py, BENCH_31.json; one BLAS thread, 2-vCPU Xeon
+VM), and 16-21% less at every n = 1..4 and d = 3..11.
 """
 from __future__ import annotations
 
@@ -110,10 +121,12 @@ from .linalg import (
     _array_hash,
     _check,
     _count,
+    _draw,
+    _filled,
     _frozen,
     _record,
     _records,
-    _sample,
+    _seed,
     _unitary,
     dag,
 )
@@ -196,8 +209,9 @@ class CircuitBranches(Sequence):
     A sequence of WhichUnitaryResult views built when read: item i has
     outcome outcomes[i], exact_prob probabilities[i] and a state whose
     amplitudes are the row states[i]; a slice is the record of those
-    branches. The rows are norm-checked here at once, so no view's state
-    runs its validator.
+    branches. The rows are norm-checked at once, here or by the call
+    that fills the record (measure._finish), so no view's state runs its
+    validator.
     """
 
     outcomes: np.ndarray
@@ -245,9 +259,8 @@ class CircuitBranches(Sequence):
 def _branch(outcome: int, row: np.ndarray, prob: float):
     """A branch view over a row that CircuitBranches has norm-checked:
     its PureState is filled without running the validator again."""
-    state = object.__new__(PureState)
-    object.__setattr__(state, "amplitudes", row)
-    return WhichUnitaryResult(outcome, state, prob)
+    return WhichUnitaryResult(outcome, _filled(PureState, amplitudes=row),
+                              prob)
 
 
 @_record
@@ -255,8 +268,9 @@ class OutcomeDistribution:
     """Exact outcome probabilities, optionally with sampled shots.
 
     One finite, non-negative probability per label, summing to 1 within
-    PROBABILITY_ATOL; shot_outcomes, when given, is a 1-D array of label
-    indices, and counts and shots are read from it."""
+    PROBABILITY_ATOL (_law); shot_outcomes, when given, is a 1-D array of
+    label indices, and counts and shots are read from it. Both are held
+    as read-only arrays, copies of the inputs when built directly."""
 
     labels: tuple
     probabilities: np.ndarray
@@ -264,18 +278,11 @@ class OutcomeDistribution:
     seed: int | None = None
 
     def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
         n = len(self.labels)
-        if p.shape != (n,):
-            raise ValueError(f"need one probability per label: {n} labels, "
-                             f"probabilities of shape {p.shape}")
-        # a NaN makes the minimum NaN, and an infinity the sum
-        if not p.min(initial=0.0) >= 0.0:
-            raise ValueError("probabilities must be finite and non-negative")
-        _check(abs(p.sum() - 1.0), PROBABILITY_ATOL,
-               "probabilities do not sum to 1")
+        p = _frozen(self.probabilities, float)
+        _law(p, n)
         if self.shot_outcomes is not None:
-            s = np.asarray(self.shot_outcomes)
+            s = _frozen(self.shot_outcomes, None)
             if (s.ndim != 1 or s.dtype.kind not in "iu"
                     or s.size and not 0 <= s.min() <= s.max() < n):
                 raise ValueError(f"shot outcomes must be indices of the {n} "
@@ -293,6 +300,22 @@ class OutcomeDistribution:
     @property
     def shots(self) -> int:
         return 0 if self.shot_outcomes is None else len(self.shot_outcomes)
+
+
+def _law(p: np.ndarray, n: int) -> float:
+    """The check of every outcome law, p a float array: n finite,
+    non-negative probabilities summing to 1 within PROBABILITY_ATOL, else
+    a ValueError. Returns the sum, which a draw from p divides by."""
+    if p.shape != (n,):
+        raise ValueError(f"need one probability per label: {n} labels, "
+                         f"probabilities of shape {p.shape}")
+    # a NaN makes the minimum NaN, and an infinity the sum
+    if not p.min(initial=0.0) >= 0.0:
+        raise ValueError("probabilities must be finite and non-negative")
+    total = p.sum()
+    _check(abs(total - 1.0), PROBABILITY_ATOL,
+           "probabilities do not sum to 1")
+    return total
 
 
 def temporal_eigenvalue(obs: TwoTimeObservable, u) -> complex:
@@ -352,8 +375,9 @@ def observable_commutator_norm(
 
 def which_unitary_distribution(u, basis: OperatorBasis) -> OutcomeDistribution:
     """Exact outcome law |C_a|^2 for measuring which basis element acted."""
-    coeffs = expand(u, basis)
-    return OutcomeDistribution(basis.labels, coeffs.probabilities())
+    p = expand(u, basis).probabilities()
+    _law(p, len(basis.labels))
+    return _filled(OutcomeDistribution, labels=basis.labels, probabilities=p)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +399,7 @@ def _echo_joint(u, u0, site_dims, psi, runs):
     down, up, diag = _couplings(site_dims)
     dim = len(down)
     v = u if u0 is None else dag(u0) @ u
-    t = _read(np.take(np.take(v, diag), up, axis=1), runs, dim, True)
+    t = _read(np.take(v.ravel()[diag], up, axis=1), runs, dim, True)
     shifted = np.take(psi.reshape(dim, -1).T, down, axis=1) / dim
     return (t * shifted[:, :, None]).reshape(len(shifted), -1, dim)
 
@@ -408,29 +432,51 @@ def _circuit_rows(u, u0, site_dims, psi, pauli=False):
 
 def _finish(labels, probs, rows_of, shots, seed):
     """The distribution and the CircuitBranches of the observed outcomes,
-    whose states are rows_of(observed), the unit rows of their collapsed
-    states; the record's one norm check covers every row, so one bad
-    row (NaN included) rejects the call. The seed is checked even when
-    nothing is drawn."""
-    probs = np.asarray(probs)
-    shot_outcomes = _sample(probs, shots, seed)
+    whose states are the rows rows_of(observed) made unit by _unit, which
+    refuses the call on one bad row (NaN included). Each quantity is
+    checked once, here: the seed (even when nothing is drawn), the law
+    probs (_law, which also bounds each probability by 1 +
+    PROBABILITY_ATOL) and the rows; the draws are label indices by
+    construction. The records are filled from these fresh arrays, not
+    checked again."""
+    checked = _seed(seed, shots)
+    p = np.asarray(probs, dtype=float)
+    total = _law(p, len(labels))
     if shots:
+        shot_outcomes = _draw(p, total, shots, checked)
         observed = np.flatnonzero(np.bincount(shot_outcomes,
-                                              minlength=probs.size))
+                                              minlength=p.size))
     else:
         shot_outcomes = None
-        observed = np.flatnonzero(probs > 1e-14)
-    dist = OutcomeDistribution(labels, probs, shot_outcomes, seed)
-    return dist, CircuitBranches(observed, rows_of(observed), probs[observed])
+        observed = np.flatnonzero(p > 1e-14)
+    states = _unit(rows_of(observed))
+    dist = _filled(OutcomeDistribution, labels=labels, probabilities=p,
+                   shot_outcomes=shot_outcomes, seed=seed)
+    return dist, _filled(CircuitBranches, outcomes=observed, states=states,
+                         probabilities=p[observed])
+
+
+# a squared row norm at or above this is a normal float, so the row's
+# norm is exact to rounding and dividing by it gives a unit row
+_NORMAL = np.finfo(float).tiny
 
 
 def _unit(rows):
-    """rows, a fresh complex array whose rows are contiguous, with each
-    row divided by its own norm; the division is on the float view, a
-    real one, several times cheaper than a complex one."""
+    """A fresh array of the complex rows, each divided by its own norm,
+    the rows' one norm check: ValueError unless every squared norm is a
+    finite normal float, so a NaN, infinite or zero row, or one too
+    small to normalise, is refused. One contraction and the division
+    run on the float views, real ones, several times cheaper than
+    complex ones; the rows' last axis must be contiguous."""
     v = rows.view(float)
-    v /= np.sqrt(np.einsum("ij,ij->i", v, v))[:, None]
-    return rows
+    squares = np.einsum("ij,ij->i", v, v)
+    if not (squares.min(initial=1.0) >= _NORMAL
+            and squares.max(initial=1.0) < np.inf):
+        raise ValueError("state norm is not 1: a row is NaN, infinite, "
+                         "zero or too small to normalise")
+    unit = np.empty_like(rows)
+    np.divide(v, np.sqrt(squares)[:, None], out=unit.view(float))
+    return unit
 
 
 def _circuit_inputs(u, basis, psi):
@@ -470,8 +516,7 @@ def measure_which_unitary(u, basis: OperatorBasis, psi, shots: int = 0,
     site_dims, pauli, u0 = basis._product_form
     um, psi = _circuit_inputs(u, basis, psi)
     weights, rows_of = _circuit_rows(um, u0, site_dims, psi, pauli)
-    return _finish(basis.labels, weights, lambda a: _unit(rows_of(a)), shots,
-                   seed)
+    return _finish(basis.labels, weights, rows_of, shots, seed)
 
 
 def measure_which_unitary_qudit(u, basis: OperatorBasis, psi,
@@ -527,4 +572,4 @@ def measure_choi_side(op, basis: OperatorBasis, shots: int = 0,
     # the amplitude on (B_a (x) 1)|phi+> is <<B_a|op>>/d = C_a
     probs = expand(op, basis).probabilities()
     return _finish(basis.labels, probs,
-                   lambda a: _unit(_records(basis.elements[a])), shots, seed)
+                   lambda a: _records(basis.elements[a]), shots, seed)

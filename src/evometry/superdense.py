@@ -9,6 +9,13 @@ the outcome is deterministic and the scheme reduces to the classical
 protocol: log2(d^2) symbols per transmitted qudit, one shared
 pair consumed. Anyone holding only the transmitted half sees the
 maximally mixed state whatever u was.
+
+A round checks its unitary, its basis and its seed once. The law of a
+checked unitary is finite and non-negative and sums to 1 within
+rounding, so the round draws from it (linalg._draw) without a check of
+its own and fills its ChannelTranscript from the fresh arrays, frozen in
+place (linalg._filled). A transcript built directly holds read-only
+copies of its arrays.
 """
 from __future__ import annotations
 
@@ -16,12 +23,14 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import OperatorBasis, expand
-from .linalg import _count, _record, _records, _sample, _unitary
+from .linalg import (_count, _draw, _filled, _frozen, _record, _records,
+                     _seed, _unitary)
 
 
 @_record
 class ChannelTranscript:
-    """What each party holds after one dense-coding round."""
+    """What each party holds after one dense-coding round, its arrays
+    read-only copies of the inputs."""
 
     labels: tuple
     coefficients: np.ndarray
@@ -29,6 +38,13 @@ class ChannelTranscript:
     eavesdropper_marginal: np.ndarray
     counts: np.ndarray | None = None
     seed: int | None = None
+
+    def __post_init__(self):
+        for name in ("coefficients", "probabilities",
+                     "eavesdropper_marginal", "counts"):
+            a = getattr(self, name)
+            if a is not None:
+                object.__setattr__(self, name, _frozen(a, None))
 
 
 def eavesdropper_marginal(u) -> np.ndarray:
@@ -57,20 +73,22 @@ def superdense_send(u, basis: OperatorBasis, shots: int = 0,
     certainty; the amplitudes are computed by expand. The family is
     orthonormal because the basis is trace orthogonal, and maximally
     entangled because its elements are unitary, which OperatorBasis
-    records in is_unitary.
+    records in is_unitary. shots goes through linalg._count and the
+    seed through linalg._seed, checked even when shots is 0.
     """
     shots = _count(shots, "shots")
     um = _unitary(u, basis.dim, "unitary")
     if not basis.is_unitary:
         raise ValueError("the basis must consist of unitaries")
+    checked = _seed(seed, shots)
     coeffs = expand(um, basis)
     probs = coeffs.probabilities()
-    drawn = _sample(probs, shots, seed)
-    return ChannelTranscript(
-        labels=basis.labels,
-        coefficients=coeffs.coeffs,
-        probabilities=probs,
-        eavesdropper_marginal=_marginal(um),
-        counts=np.bincount(drawn, minlength=probs.size) if shots else None,
-        seed=seed,
-    )
+    counts = None
+    if shots:
+        # the law of a checked unitary: finite, non-negative, sum 1
+        drawn = _draw(probs, probs.sum(), shots, checked)
+        counts = np.bincount(drawn, minlength=probs.size)
+    return _filled(ChannelTranscript, labels=basis.labels,
+                   coefficients=coeffs.coeffs, probabilities=probs,
+                   eavesdropper_marginal=_marginal(um), counts=counts,
+                   seed=seed)

@@ -1,0 +1,27 @@
+"""tools/layers.py, the two-tree call timer, at its smallest size: the
+checkout timed against itself at n = 1 gives one figure per layer and
+side, over every rotation."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_layers_script_times_both_trees_at_one_qubit():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "layers.py"), str(ROOT),
+         str(ROOT), "--qubits", "1", "--qudits", "--rotations", "3"],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    block = json.loads(out.stdout)
+    assert set(block) == {"protocol", "measure_which_unitary_us",
+                          "superdense_send_us",
+                          "which_unitary_distribution_us"}
+    for layer in set(block) - {"protocol"}:
+        (row,) = block[layer].values()
+        assert list(block[layer]) == ["n1"]
+        assert row["parent"] > 0 and row["change"] > 0
+        assert row["change_faster_in"].endswith(" of 3")

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evometry.basis import clock_shift, weyl_basis
 from evometry.linalg import (
     _check,
     _fix_gauge,
     _isometry_deviation,
+    _kernel,
     _records,
     _sample,
     deterministic_eigh,
@@ -256,3 +258,28 @@ def test_sample_refuses_bad_weights_without_a_warning(weights):
         with pytest.raises(ValueError, match="weights must be a 1-D array"):
             _sample(np.array(weights), 5, 1)
 
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_kernel_is_exact_at_the_quarter_turns(n):
+    """zeta^(jk) is read at jk mod n: 1, i, -1 and -i exactly where 4 jk / n
+    is whole, with +0.0 real and imaginary parts, and every other entry
+    within 1e-14 of exp(2 pi i jk / n) (the powers are products); K K^dag
+    = n 1."""
+    jk = np.arange(n)[:, None] * np.arange(n) % n
+    k = _kernel(n)
+    turns = 4 * jk % n == 0
+    exact = np.array([1, 1j, -1, complex(0, -1)])[4 * jk[turns] // n]
+    assert np.array_equal(k[turns], exact)
+    assert not np.signbit(k.real[k.real == 0]).any()
+    assert not np.signbit(k.imag[k.imag == 0]).any()
+    assert np.abs(k - np.exp(2j * np.pi * jk / n)).max() <= 1e-14
+    assert np.abs(k @ k.conj().T - n * np.eye(n)).max() <= 1e-13
+
+
+def test_clock_shift_at_two_levels_is_exactly_the_pauli_pair():
+    z, x = clock_shift(2)
+    assert np.array_equal(z.matrix, np.diag([1, -1]))
+    assert np.array_equal(x.matrix, [[0, 1], [1, 0]])
+    # so the d = 2 Weyl elements carry no imaginary rounding
+    assert np.array_equal(weyl_basis(2).elements.imag[:3], np.zeros((3, 2, 2)))

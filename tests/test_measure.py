@@ -347,8 +347,15 @@ def test_outcome_distribution_shots_property():
     ([0.5, 0.4], "do not sum to 1"),
 ])
 def test_outcome_distribution_refuses_a_malformed_law(probabilities, message):
+    """The constructor and the circuits' _finish, which fills the record
+    with and without draws, refuse a law by one check."""
     with pytest.raises(ValueError, match=message):
         OutcomeDistribution(("a", "b"), probabilities)
+    for shots in (0, 8):
+        with pytest.raises(ValueError, match=message):
+            measure_module._finish(("a", "b"), np.array(probabilities),
+                                   np.eye(2, dtype=complex).__getitem__,
+                                   shots, 1)
 
 
 @pytest.mark.parametrize("shots", [
@@ -653,11 +660,12 @@ def test_branch_records_run_no_per_row_validator():
 
 
 def test_batch_states_fail_closed():
-    """_finish takes the observed rows as one array: each state is a
-    read-only view of its row, and a row that is not a unit vector (NaN,
-    infinite, zero or of norm 2; the rows are not normalised here)
+    """_finish takes the observed rows as one array and makes them unit:
+    each state is a read-only view of its row, a row of norm 2 becomes
+    its unit row, and a row that has none (NaN, infinite or zero)
     rejects the call."""
     rows = np.eye(4, dtype=complex)
+    rows[1, 1] = 2.0
     _, results = measure_module._finish(tuple("abcd"), np.full(4, 0.25),
                                         rows.__getitem__, 0, None)
     states = [r.collapsed for r in results]
@@ -665,7 +673,7 @@ def test_batch_states_fail_closed():
     assert not any(s.amplitudes.flags.writeable for s in states)
     assert all(s.amplitudes.base is states[0].amplitudes.base is not None
                for s in states)
-    for bad in (np.nan, np.inf, 0.0, 2.0):
+    for bad in (np.nan, np.inf, 0.0):
         rows = np.eye(4, dtype=complex)
         rows[2, 2] = bad
         with np.errstate(invalid="ignore", divide="ignore"), \

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evometry
 from evometry import (
@@ -39,9 +41,11 @@ from evometry import (
     store,
     superdense_send,
     verify_sequence,
+    weyl_basis,
+    which_unitary_distribution,
 )
 from evometry.gates import CNOT
-from evometry.linalg import (_arrays_equal, _rebuild, random_state,
+from evometry.linalg import (_arrays_equal, _rebuild, _sample, random_state,
                              random_unitary)
 
 
@@ -237,15 +241,25 @@ def _arrays(value, path="record"):
             yield from _arrays(item, f"{path}[{i}]")
 
 
+# the records that still hold writable arrays after their checks
+WRITABLE_RECORDS = {"ChoiState", "ConcentrationDistribution",
+                    "OperatorSchmidt", "VerificationRecord"}
+
+
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_copies_and_pickles_are_rebuilt_through_the_constructor(name):
     """A copy, a deepcopy and a pickle round trip have the record's type,
     compare equal, and hold read-only arrays wherever the record does; a
-    copied map starts without its canonical form and refuses writes."""
+    copied map starts without its canonical form and refuses writes.
+    Outside WRITABLE_RECORDS every array is read-only, in the record as
+    its call made it (filled or constructed) and in each copy, which its
+    constructor rebuilt."""
     record = RECORDS[name]
     if isinstance(record, KrausMap):
         canonical_kraus(record)
     fresh = dict(_arrays(record))
+    if name not in WRITABLE_RECORDS:
+        assert not [p for p, a in fresh.items() if a.flags.writeable]
     for c in (copy.copy(record), copy.deepcopy(record),
               pickle.loads(pickle.dumps(record))):
         assert type(c) is type(record) and c == record
@@ -257,6 +271,68 @@ def test_copies_and_pickles_are_rebuilt_through_the_constructor(name):
             assert "_canonical" not in vars(c)
             with pytest.raises(ValueError):
                 c.operators[0, 0, 0] = 5
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from([("pauli", 1), ("pauli", 2), ("pauli", 3),
+                               ("weyl", 3), ("weyl", 5)]),
+       with_u0=st.booleans(), bystander=st.booleans(),
+       shots=st.sampled_from([0, 1, 512]), seed=st.integers(0, 2 ** 32 - 1))
+def test_filled_records_equal_their_constructed_rebuilds(
+        family, with_u0, bystander, shots, seed):
+    """The records that the which-unitary and dense-coding calls fill
+    without their validators are the records their constructors build
+    from the same fields, and survive a pickle; the draws are
+    Generator.choice's and _sample's, bit for bit."""
+    rng = np.random.default_rng(seed)
+    kind, size = family
+    d = 2 ** size if kind == "pauli" else size
+    u0 = random_unitary(d, rng) if with_u0 else None
+    basis = pauli_basis(u0, dim=d) if kind == "pauli" else weyl_basis(d, u0)
+    u = random_unitary(d, rng)
+    psi = random_state(2 * d if bystander else d, rng)
+    draw = int(rng.integers(2 ** 31))
+    dist, branches = measure_which_unitary(u, basis, psi, shots=shots,
+                                           seed=draw)
+    sent = superdense_send(u, basis, shots=shots, seed=draw + 1)
+    records = [dist, branches, sent, which_unitary_distribution(u, basis),
+               expand(u, basis)]
+    for branch in branches:
+        records += [branch, branch.collapsed]
+    for r in records:
+        rebuilt = type(r)(*(getattr(r, f.name)
+                            for f in dataclasses.fields(r)))
+        assert rebuilt == r and pickle.loads(pickle.dumps(r)) == r
+    for p, got, s in ((dist.probabilities, dist.shot_outcomes, draw),
+                      (sent.probabilities, sent.counts, draw + 1)):
+        if not shots:
+            assert got is None
+            continue
+        want = np.random.default_rng(s).choice(p.size, size=shots,
+                                               p=p / p.sum())
+        assert np.array_equal(want, _sample(p, shots, s))
+        if got is sent.counts:
+            want = np.bincount(want, minlength=p.size)
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+
+
+def test_constructors_freeze_copies_not_their_inputs():
+    """A record built directly holds read-only copies: the caller's arrays
+    stay writable."""
+    p, c = np.array([0.25, 0.75]), np.array([0.5, 0.5, 0.5, 0.5j])
+    dist = OutcomeDistribution(("a", "b"), p, np.array([1, 0]))
+    coeffs = ExpansionCoefficients(c)
+    sent = superdense_send(random_unitary(2, 9), pauli_basis(dim=2), 4, 1)
+    fields = [getattr(sent, f.name) for f in dataclasses.fields(sent)]
+    inputs = [a.copy() if isinstance(a, np.ndarray) else a for a in fields]
+    again = type(sent)(*inputs)
+    assert again == sent
+    for a in (p, c, *inputs):
+        assert not isinstance(a, np.ndarray) or a.flags.writeable
+    for a in (dist.probabilities, dist.shot_outcomes, coeffs.coeffs,
+              again.coefficients, again.probabilities,
+              again.eavesdropper_marginal, again.counts):
+        assert not a.flags.writeable
 
 
 def test_dilations_from_stinespring_compare_their_maps_unbuilt():
