@@ -277,24 +277,22 @@ def _family_traces(site_dims, pauli, m) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _couplings(site_dims: tuple) -> tuple:
-    """Three read-only D x D index tables of a site tuple (D the product
-    of the site dims): (down, up, diag), down[y, l] the level l - y,
-    up[x, l] the level l + x, each digit by digit mod q_j in mixed-radix
-    order, and diag[nu, k] the flat index of V[k, k - nu] in a D x D
-    matrix V, the entry that Z^mu X^nu reads. They depend only on the
-    site dims and are built once per site tuple (the 16 most recent are
-    kept); the echo circuit composes every site's coupling from them
-    (see measure)."""
+    """Two read-only D x D index tables of a site tuple (D the product of
+    the site dims): (down, diag), down[y, l] the level l - y, digit by
+    digit mod q_j in mixed-radix order, and diag[nu, k] the flat index of
+    V[k, k - nu] in a D x D matrix V, the entry that Z^mu X^nu reads.
+    They depend only on the site dims and are built once per site tuple
+    (the 16 most recent are kept); the echo circuit shifts its state by
+    down (see measure)."""
     dim = math.prod(site_dims)
     qs = np.array(site_dims)
     strides = dim // np.cumprod(qs)
     digits = np.arange(dim)[:, None] // strides % qs
     down = (digits[None] - digits[:, None]) % qs @ strides
-    up = (digits[:, None] + digits[None]) % qs @ strides
     diag = np.arange(dim) * dim + down
-    for a in (down, up, diag):
+    for a in (down, diag):
         a.setflags(write=False)
-    return down, up, diag
+    return down, diag
 
 
 @functools.lru_cache(maxsize=16)
@@ -337,7 +335,7 @@ def _trace_order(site_dims: tuple, pauli: bool) -> tuple:
     tr(Y^dag m) = i tr((Z X)^dag m), or None for clock/shift products.
     Read-only."""
     dim = math.prod(site_dims)
-    rows = _frozen(_couplings(site_dims)[2].T.copy(), None)
+    rows = _frozen(_couplings(site_dims)[1].T.copy(), None)
     order = _readout(site_dims, pauli)[1]
     index = _frozen(order % dim * dim + order // dim, None)
     if not pauli:

@@ -47,10 +47,10 @@ class KrausMap:
 
     The completeness sum sum_i M_i^dag M_i must equal the identity
     within 1e-9 elementwise. The elements are stored as one read-only
-    C-contiguous (k, d, d) complex array, copied from the input, so a
-    map never changes after it is built: an ndarray stack in one copy, a
-    sequence element by element through as_matrix, so wrappers with a
-    matrix work too. Anything that is not a non-empty stack of square
+    C-contiguous (k, d, d) complex array, a view of a frozen copy of the
+    input (which refuses setflags(write=True)), so a map never changes
+    after it is built: an ndarray stack in one copy, a sequence element
+    by element through as_matrix, so wrappers with a matrix work too. Anything that is not a non-empty stack of square
     matrices is a ValueError. Its canonical form is computed once and
     memoised (see canonical_kraus). Maps with equal elements are equal
     and hash alike.
@@ -82,7 +82,7 @@ class KrausMap:
         # sum_i M_i^dag M_i is one product of the (k d) x d reshape
         _check(_isometry_deviation(ops.reshape(-1, d)), TP_ATOL,
                "completeness sum is not the identity")
-        object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "operators", ops.view())
 
     def __hash__(self) -> int:
         return _array_hash(self.operators)

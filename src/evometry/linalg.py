@@ -37,10 +37,11 @@ def as_matrix(op) -> np.ndarray:
 
 def _frozen(a, dtype=complex) -> np.ndarray:
     """A read-only copy of a, complex unless dtype is given, for records
-    that own their arrays."""
+    that own their arrays: a view of the frozen copy, which refuses
+    setflags(write=True)."""
     a = np.array(a, dtype=dtype)
     a.setflags(write=False)
-    return a
+    return a.view()
 
 
 def _equal(x, y) -> bool:

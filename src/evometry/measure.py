@@ -22,48 +22,49 @@ d = 2 the inversion only reorders the two self-inverse couplings, which
 is the same circuit up to a known controlled phase between the ancillas
 that the +/- readout basis absorbs.
 
-Simulation: the joint state is one (bystander, outcome, level) array,
-never a global matrix, and the circuit's first half has a closed form.
-Each ancilla block, the alpha levels of every site and the beta levels,
-is a mixed-radix index over the sites, and every level difference below
-is taken digit by digit mod the site dims. Let V = u0^dag U and D the
-product of the site dims. t1 gives X^alpha Z^beta psi = zeta^(beta (l -
-alpha)) psi[l - alpha] / D, V acts on the level axis, and the beta
-block's Fourier readout F[nu, beta] = zeta^(nu beta) / sqrt(D) sums beta
-away, keeping one source level: [nu, alpha, l] = psi[-nu] V[l, alpha -
-nu] / sqrt(D). Since F[nu, beta] zeta^(-beta l) = F[nu - l, beta], t2
-is the gather [(alpha, nu), l] <- [(nu - l, alpha), l + alpha] of that
-array, which leaves psi[l - nu] S[nu, l + alpha] / sqrt(D) with S[nu, k]
-= V[k, k - nu]. Its V factor depends on neither psi nor the bystander.
-So a call takes S from V and spreads it over the alpha axis by two
-gathers, reads the alpha block with conj(F), the circuit's last readout,
-and multiplies by psi shifted by nu, one factor per bystander level.
-The readout holds the unnormalised kernel K = zeta^(nu beta)
-(linalg._kernel), not F = K / sqrt(D), and the two 1/sqrt(D) of the
-readouts are one division of the shifted state by D, so a run of qubits
-reads with a real kron of [[1, 1], [1, -1]] over the float view and
-rounds only in its sums. The outcomes lie as (nu block, mu block); the
-labels, Pauli labels included, are reached by permuting the D^2 weights
-and the observed indices, never the rows. The index tables (D x D, 512
-KiB at n = 8 qubits), the kernel runs and the label order are the
-product family's, basis._couplings and basis._readout, the same tables
-that expand's transform reads (basis._family_traces): each depends only
-on the site dims, is built once per site tuple (the 16 most recent are
-kept) whichever reader asks first, and is read-only. A block is read in
-runs of consecutive sites whose kron'd kernel has at most READ_ROWS = 16
-rows. u0 is unitary, so the law is the rows' squared norms before the
-final u0, taken in one contraction over the float view, and u0 then acts
-on the observed rows alone. When u0 is exactly the identity (every
-builder basis without u0, which the basis memoises) its products are
-skipped, with the same result to the last bit. For n qubits and a
-bystander of dimension b the joint array holds 8^n b amplitudes; the
-gather of S and the psi product cost time in proportion to 8^n and 8^n
-b, the readout up to 16 times 8^n, and u0^dag U 8^n. The law takes about
-50 us at n = 4, 0.87 ms at n = 5 and 5.4 ms at n = 6, and with a Haar u0
-and a two-level bystander 0.088, 0.91 and 6.0 ms (medians over five
-fresh processes of each one's median, one BLAS thread, 2-vCPU Xeon VM).
-At n = 8 a 64-shot first call, tables included, takes about 0.6 s and
-the process peaks at about 565 MB.
+Simulation: the circuit has a closed form, and the engine computes it
+instead of the joint state. Each ancilla block, the alpha levels of
+every site and the beta levels, is a mixed-radix index over the sites,
+and every level difference below is taken digit by digit mod the site
+dims. Let V = u0^dag U and D the product of the site dims. t1 gives
+X^alpha Z^beta psi = zeta^(beta (l - alpha)) psi[l - alpha] / D, V acts
+on the level axis, and the beta block's Fourier readout F[nu, beta] =
+zeta^(nu beta) / sqrt(D) sums beta away. By the shift identity
+F[nu, beta] zeta^(-beta l) = F[nu - l, beta], t2 moves each level by its
+ancillas, leaving psi[l - nu] V[l + alpha, l + alpha - nu] / sqrt(D),
+and the alpha block's readout, conj(F) over alpha, turns V's factor
+into sum_k zeta^(-mu (k - l)) V[k, k - nu] = zeta^(mu l) tr((Z^mu
+X^nu)^dag V) = zeta^(mu l) D C_a, k = l + alpha. So outcome
+a = (mu, nu) leaves the system row C_a zeta^(mu l) psi[l - nu] = C_a s_a
+psi before the final u0, with probability |C_a|^2 whatever psi was,
+and the bystander rides along. The law is the product family's one
+transform of V over D (basis._family_traces, the transform expand
+reads), so it is the exact law of which_unitary_distribution to the
+last bit; a Pauli label's coefficient is taken against Z X in place of
+Y = -i Z X, the conjugate of the transform's phase. The rows are built
+for the observed labels alone: the kernel rows zeta^(mu l) of the
+readout runs (linalg._kernel kron'd over runs of consecutive sites of at
+most READ_ROWS = 16 levels; a run of qubits is a real +-1 kron) at the
+label's mu digits, times C_a, times psi taken at the down table at nu,
+one factor per bystander level, and u0 then acts on those rows alone.
+The tables (D x D, basis._couplings), the kernel runs and the label
+order (basis._readout, outcomes held as (nu block, mu block)) depend
+only on the site dims, are built once per site tuple (the 16 most recent
+are kept) whichever reader asks first, and are read-only. When u0 is
+exactly the identity (every builder basis without u0, which the basis
+memoises) its products are skipped, with the same result to the last
+bit. The law holds a few D x D arrays (4^n amplitudes at n qubits) and
+costs u0^dag U, 8^n, and the transform, D^2 times the run sizes; k
+observed rows hold k D b amplitudes for a bystander of dimension b, and
+every outcome of nonzero weight is observed at shots = 0 (up to 8^n b).
+The law takes about 11 us at n = 4, 23 us at n = 5 and 61 us at n = 6,
+and with a Haar u0 and a two-level bystander 16, 36 and 166 us
+(medians over five fresh processes of each one's median, one BLAS
+thread, 2-vCPU Xeon VM), where the joint array of 8^n b amplitudes took
+0.04, 0.50 and 4.7 ms. A 64-shot first call, tables included, takes
+about 0.02 s at n = 8 and peaks at about 55 MB in a fresh process (0.36
+s and 566 MB with the joint array), 0.07 s and 111 MB at n = 9, and 0.36
+s and 321 MB at n = 10, about 0.2 s of it the unitarity check of U.
 
 Validation: a circuit requires its basis to be of a product form
 {u0 s_a} with s_0 = 1, Pauli strings on qubit sites or clock/shift
@@ -91,8 +92,8 @@ OutcomeDistribution and one CircuitBranches record of the observed
 outcomes, their unit rows and their exact probabilities from these
 fresh arrays, frozen in place, by linalg._filled, without running their
 validators again; a record built directly, a copy or a pickle runs them.
-The weight of each circuit row, taken before u0, is the outcome's
-probability. The record's WhichUnitaryResult views are built when read
+The squared norm of each circuit row before u0 is the outcome's
+probability |C_a|^2. The record's WhichUnitaryResult views are built when read
 and run no validator; a PureState built directly, or through
 dataclasses.replace, still checks its norm. At n = 4 with 512 shots
 (about 170 branches) a call takes about 18% less time than when its
@@ -103,6 +104,7 @@ VM), and 16-21% less at every n = 1..4 and d = 3..11.
 """
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Sequence
 
@@ -112,8 +114,10 @@ from .basis import (
     PRODUCT_FORM_ATOL,
     OperatorBasis,
     _couplings,
+    _family_traces,
     _read,
     _readout,
+    _trace_order,
     clock_shift,
     expand,
 )
@@ -384,50 +388,46 @@ def which_unitary_distribution(u, basis: OperatorBasis) -> OutcomeDistribution:
 # circuit engine
 
 
-def _echo_joint(u, u0, site_dims, psi, runs):
-    """(bystander, outcome, level) array of the echo circuit read out by
-    the runs of _readout, before its final u0 product: [b, c] is the
-    unnormalized system vector paired with bystander level b and outcome
-    c = (nu block, mu block) in mixed-radix order. With V = u0^dag U and
-    S[nu, k] = V[k, k - nu], V taken at diag, it is psi_b[l - nu], psi
-    taken at down, times the alpha block's conj(K) readout of S[nu, l +
-    alpha], S taken at up, over D: the runs hold the unnormalised
-    kernels, so the 1/sqrt(D) of each of the two Fourier readouts is one
-    division of the shifted state (see the module docstring). u0=None
-    stands for the identity reference and skips the product with u0^dag,
-    with the same result to the last bit."""
-    down, up, diag = _couplings(site_dims)
-    dim = len(down)
-    v = u if u0 is None else dag(u0) @ u
-    t = _read(np.take(v.ravel()[diag], up, axis=1), runs, dim, True)
-    shifted = np.take(psi.reshape(dim, -1).T, down, axis=1) / dim
-    return (t * shifted[:, :, None]).reshape(len(shifted), -1, dim)
-
-
 def _circuit_rows(u, u0, site_dims, psi, pauli=False):
-    """Run the echo circuit: (weights, rows_of).
+    """Run the echo circuit in its closed form: (law, rows_of).
 
-    weights[a] is the squared norm of label a's system row, the outcome
-    probability, taken before the final u0 product (u0 is unitary);
-    rows_of(labels) gives the unnormalized rows of those labels, u0
-    applied to them alone. Labels are per-site pairs (mu_j, nu_j), or
-    for a Pauli basis per-site labels, in mixed-radix order; the engine
-    holds its outcomes as (nu block, mu block) and reaches the labels by
-    permuting weights and indices, never the rows.
+    law[a] = |C_a|^2 in label order, C_a = tr(s_a^dag V) / D the product
+    family's transform of V = u0^dag U (basis._family_traces), bit for
+    bit the law of expand. rows_of(labels) gives the unnormalized system
+    rows C_a u0 s_a psi of those labels alone (see the module docstring):
+    (s_a psi)[l] = zeta^(mu l) psi[l - nu], the readout runs' kernel rows
+    at the mu digits times psi taken at the down table at nu, a Pauli
+    label's C_a taken against Z X in place of Y (the conjugate of
+    _trace_order's phase), and u0 applied to the rows alone. Labels are
+    per-site pairs (mu_j, nu_j), or for a Pauli basis per-site labels, in
+    mixed-radix order; _readout's order gives each one's (nu block, mu
+    block) index.
     """
+    dim = math.prod(site_dims)
     runs, order = _readout(site_dims, pauli)
-    t = _echo_joint(u, u0, site_dims, psi, runs)
-    b, _, dim = t.shape
-    floats = t.view(float)
-    weights = np.einsum("bcx,bcx->c", floats, floats)
+    down = _couplings(site_dims)[0]
+    c = _family_traces(site_dims, pauli, u if u0 is None else dag(u0) @ u)
+    c = c / dim
+    # C_a against Z^mu X^nu, the product the circuit reads: a Pauli Y is
+    # -i Z X, so the transform's phase comes off
+    amp = c * _trace_order(site_dims, pauli)[2].conj() if pauli else c
+
+    # a label's nu block and the digits of its mu block, one per run
+    radix = (dim,) + tuple(r for _, r, _, _ in runs)
 
     def rows_of(labels):
-        rows = np.take(t, order[labels], axis=1)
+        nu, *mu = np.unravel_index(order.take(labels), radix)
+        kernel = amp.take(labels)[:, None]
+        for (_, _, f, _), digit in zip(runs, mu):
+            kernel = (kernel[:, :, None] * f.take(digit, 0)[:, None]).reshape(
+                len(labels), -1)
+        rows = np.take(psi.reshape(dim, -1).T, down.take(nu, 0), axis=1)
+        rows *= kernel
         if u0 is not None:
             rows = rows @ u0.T
-        return rows.transpose(1, 2, 0).reshape(len(labels), dim * b)
+        return rows.transpose(1, 2, 0).reshape(len(labels), -1)
 
-    return weights[order], rows_of
+    return np.abs(c) ** 2, rows_of
 
 
 def _finish(labels, probs, rows_of, shots, seed):
@@ -536,20 +536,19 @@ def circuit_end_state(u, basis: OperatorBasis, psi) -> np.ndarray:
     """
     site_dims, pauli, u0 = basis._product_form
     um, psi = _circuit_inputs(u, basis, psi)
-    runs, _ = _readout(site_dims, pauli)
-    t = _echo_joint(um, u0, site_dims, psi, runs)
-    if u0 is not None:
-        t = t @ u0.T
-    # undo the readout, the mu block back to alpha with K and the nu
-    # block to beta with conj(K) (K conj(K) = D 1 on a block, so the two
-    # unnormalised undos are divided by D), then interleave the blocks as
+    runs, order = _readout(site_dims, pauli)
+    _, rows_of = _circuit_rows(um, u0, site_dims, psi, pauli)
+    # every row in the readout's (nu block, mu block) order; undo the
+    # readout, the mu block back to alpha with K and the nu block to beta
+    # with conj(K) (K conj(K) = D 1 on a block, so the two unnormalised
+    # undos are divided by D), then interleave the blocks as
     # (alpha_1, beta_1, ..., alpha_n, beta_n)
-    b, _, dim = t.shape
-    t = _read(_read(t, runs, b * dim, False), runs, b, True) / dim
-    n = len(site_dims)
-    t = t.reshape((b,) + site_dims * 2 + (dim,))
-    axes = [1 + k + s for k in range(n) for s in (n, 0)]
-    return t.transpose(axes + [2 * n + 1, 0]).reshape(dim * dim, -1)
+    dim, n = len(um), len(site_dims)
+    t = rows_of(np.argsort(order))
+    t = _read(_read(t, runs, dim, False), runs, 1, True) / dim
+    t = t.reshape(site_dims * 2 + (-1,))
+    axes = [k + s for k in range(n) for s in (n, 0)]
+    return t.transpose(axes + [2 * n]).reshape(dim * dim, -1)
 
 
 def measure_choi_side(op, basis: OperatorBasis, shots: int = 0,

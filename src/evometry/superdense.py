@@ -19,12 +19,12 @@ copies of its arrays.
 """
 from __future__ import annotations
 
+import math
 
 import numpy as np
 
 from .basis import OperatorBasis, expand
-from .linalg import (_count, _draw, _filled, _frozen, _record, _records,
-                     _seed, _unitary)
+from .linalg import _count, _draw, _filled, _frozen, _record, _seed, _unitary
 
 
 @_record
@@ -58,8 +58,7 @@ def _marginal(um: np.ndarray) -> np.ndarray:
 
     The sent record reshaped to d x d is m = u / sqrt(d), and tracing
     the half that was never sent out of |sent><sent| leaves m m^dag."""
-    d = um.shape[0]
-    m = _records(um[None])[0].reshape(d, d)
+    m = um / math.sqrt(um.shape[0])
     return m @ m.conj().T
 
 

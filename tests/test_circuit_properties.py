@@ -16,6 +16,7 @@ from evometry import (
     superdense_send,
     temporal_eigenvalue,
     weyl_basis,
+    which_unitary_distribution,
 )
 from evometry.linalg import random_state, random_unitary
 
@@ -97,6 +98,35 @@ def test_weyl_circuit_matches_closed_form(d, with_u0, bystander, seed):
     zp, xp = clock_shift_powers(d)
     products = np.stack([z @ x for z in zp for x in xp])
     _check_direct(basis, products, u0, u, psi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from([("pauli", 2), ("pauli", 4), ("pauli", 8),
+                               ("pauli", 16), ("weyl", 3), ("weyl", 5),
+                               ("weyl", 7)]),
+       with_u0=st.booleans(), bystander=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_branch_states_are_the_stack_elements_on_the_state(
+        family, with_u0, bystander, seed):
+    """At shots = 0 every branch state is the normalised (B_a (x) 1) psi,
+    B_a read from the basis's own stack, up to a global phase within
+    1e-13, with a bystander of one or two levels carried; and the law is
+    which_unitary_distribution's bit for bit. The stack path shares no
+    code with the product family's transform that the circuit reads."""
+    kind, d = family
+    rng = np.random.default_rng(seed)
+    u0 = random_unitary(d, rng) if with_u0 else None
+    basis = pauli_basis(u0, dim=d) if kind == "pauli" else weyl_basis(d, u0)
+    u, psi = random_unitary(d, rng), random_state(bystander * d, rng)
+    dist, branches = measure_which_unitary(u, basis, psi)
+    assert np.array_equal(dist.probabilities,
+                          which_unitary_distribution(u, basis).probabilities)
+    assert len(branches) == np.count_nonzero(dist.probabilities > 1e-14)
+    for a, state in zip(branches.outcomes, branches.states):
+        want = (basis.elements[a] @ psi.reshape(d, -1)).ravel()
+        want /= np.linalg.norm(want)
+        phase = np.vdot(want, state)
+        assert np.abs(state - phase / abs(phase) * want).max() <= 1e-13
 
 
 # (mu, nu) of I, X, Y, Z in the one-qubit Pauli basis, Y up to the

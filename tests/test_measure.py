@@ -538,20 +538,34 @@ def test_seven_qubits_run_end_to_end_in_a_smaller_footprint_than_the_tables():
     assert circuit <= 1e-13 and dense <= 1e-13
 
 
-_EIGHT_QUBITS_RUN = """
+_QUBITS_RUN = """
 import resource
+import sys
 import numpy as np
 from evometry import (measure_which_unitary, pauli_basis,
                       which_unitary_distribution)
 from evometry.linalg import random_state, random_unitary
-rng = np.random.default_rng(8)
-u, psi = random_unitary(256, rng), random_state(256, rng)
-basis = pauli_basis(dim=256)
-dist, _ = measure_which_unitary(u, basis, psi, shots=64, seed=8)
+n = int(sys.argv[1])
+rng = np.random.default_rng(n)
+u, psi = random_unitary(2 ** n, rng), random_state(2 ** n, rng)
+basis = pauli_basis(dim=2 ** n)
+dist, _ = measure_which_unitary(u, basis, psi, shots=64, seed=n)
 law = which_unitary_distribution(u, basis).probabilities
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
       np.abs(law - dist.probabilities).max())
 """
+
+
+def _qubits_run(n):
+    """Peak RSS in MB of a 64-shot circuit call at n qubits and the exact
+    law in a fresh process, and how far the circuit's law lies from the
+    exact one."""
+    env = dict(os.environ, PYTHONPATH="src", OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _QUBITS_RUN, str(n)],
+                         env=env, cwd=Path(__file__).resolve().parent.parent,
+                         capture_output=True, text=True, timeout=120,
+                         check=True).stdout
+    return (float(x) for x in out.split())
 
 
 def test_eight_qubits_run_the_circuit_under_the_footprint_target():
@@ -559,13 +573,17 @@ def test_eight_qubits_run_the_circuit_under_the_footprint_target():
     900 MB, and its law agrees with the exact one. With shots the call
     keeps only the observed rows (at shots = 0 every one of the 65536
     outcomes would be observed, 268 MB of rows)."""
-    env = dict(os.environ, PYTHONPATH="src", OPENBLAS_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, "-c", _EIGHT_QUBITS_RUN],
-                         env=env, cwd=Path(__file__).resolve().parent.parent,
-                         capture_output=True, text=True, timeout=120,
-                         check=True).stdout
-    rss_mb, circuit = (float(x) for x in out.split())
+    rss_mb, circuit = _qubits_run(8)
     assert rss_mb < 900
+    assert circuit <= 1e-13
+
+
+def test_ten_qubits_run_the_circuit_in_a_fresh_process():
+    """At n = 10 a 64-shot circuit call in a fresh process peaks under
+    400 MB, and its law agrees with the exact one: the circuit holds the
+    64 observed rows and the D x D transform of u0^dag U, no D^3 array."""
+    rss_mb, circuit = _qubits_run(10)
+    assert rss_mb < 400
     assert circuit <= 1e-13
 
 
@@ -997,14 +1015,14 @@ def test_engine_tables_are_built_once_and_refuse_writes():
         assert (info.misses, info.currsize) == (2, 2)
     tables = [*measure_module._couplings((2, 2, 2)),
               *measure_module._couplings((5,))]
-    assert [t.shape for t in tables] == [(8, 8)] * 3 + [(5, 5)] * 3
+    assert [t.shape for t in tables] == [(8, 8)] * 2 + [(5, 5)] * 2
     for runs, order in (measure_module._readout((2, 2, 2), True),
                         measure_module._readout((5,), False)):
         tables += [order] + [k for run in runs for k in run[2:]]
     tables += [*basis_module._trace_order((2, 2, 2), True),
                *basis_module._trace_order((5,), False)[:2]]
     assert basis_module._trace_order((5,), False)[2] is None
-    assert len(tables) == 6 + 2 + 2 * 2 + 5
+    assert len(tables) == 4 + 2 + 2 * 2 + 5
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

@@ -335,6 +335,18 @@ def test_constructors_freeze_copies_not_their_inputs():
         assert not a.flags.writeable
 
 
+def test_constructed_arrays_cannot_be_reopened():
+    """A constructor's read-only array is a view of its frozen copy, so
+    setflags(write=True) raises: a map's stack cannot be re-opened behind
+    its memoised canonical form, nor a state's amplitudes."""
+    m = named_channel("dephasing:0.5")
+    canonical_kraus(m)
+    state = PureState(np.array([0.6, 0.8j]))
+    for a in (m.operators, state.amplitudes):
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            a.setflags(write=True)
+
+
 def test_dilations_from_stinespring_compare_their_maps_unbuilt():
     """Two dilations from stinespring compare their source maps, so at
     (d, k) = (16, 16) neither (d k)^2 matrix is built; against a dilation
