@@ -163,7 +163,7 @@ class OperatorBasis:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "labels", tuple(self.labels))
 
-    def _build(self) -> np.ndarray:
+    def _build_elements(self) -> np.ndarray:
         site_dims, pauli, u0 = self._structure
         family = (pauli_strings(len(site_dims)) if pauli
                   else _weyl_products(site_dims[0]))
@@ -439,10 +439,7 @@ def pauli_basis(u0=None, dim: int = 2) -> OperatorBasis:
         u0 = _unitary(u0, what="u0")
         dim = len(u0)
     n = _n_qubits(_count(dim, "dim"))
-    labels = [
-        "".join(gates.PAULI_LABELS[l] for l in letters)
-        for letters in itertools.product(range(4), repeat=n)
-    ]
+    labels = map("".join, itertools.product(gates.PAULI_LABELS, repeat=n))
     return _structured_basis((2,) * n, True, u0, labels)
 
 

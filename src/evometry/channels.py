@@ -215,7 +215,7 @@ class StinespringDilation:
             self.matrix, self.system_dim * self.ancilla_dim,
             "dilation matrix", TP_ATOL))
 
-    def _build(self) -> np.ndarray:
+    def _build_matrix(self) -> np.ndarray:
         iso, a = self._isometry, self.ancilla_dim
         da, d = iso.shape
         matrix = np.zeros((da, da), dtype=complex)

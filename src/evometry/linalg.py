@@ -4,8 +4,10 @@ records that hold arrays (_record, _held, _filled), the records
 (M (x) 1)|phi+> of a stack, the fail-closed residual check, the isometry
 deviation, the check of every unitary input (_unitary, within
 UNITARY_ATOL), the check of every count, seed and n argument (_count,
-and _seed for seeds) and of every index (_index), the seeded draw
-(_draw) and sampler (_sample), and the spectral tolerances."""
+and _seed for seeds) and of every index (_index), the check of every
+weight vector drawn from (_weights), the seeded draw (_draw), its tally
+(_tally: the counts alone, for the callers that read no per-shot order)
+and sampler (_sample), and the spectral tolerances."""
 from __future__ import annotations
 
 import functools
@@ -73,10 +75,12 @@ def _record(cls):
     """Declare a record that holds arrays, with one lifecycle. It is a
     frozen dataclass compared by _arrays_equal, unhashable unless its
     body defines __hash__ (over read-only arrays, consistent with ==).
-    A builder may make it by _held: it keeps its source, the call
+    A field that a record may hold in a cheaper form is built on its
+    first read by the class's _build_<field> method (a
+    functools.cached_property) when the record does not hold it. A
+    builder may make a record by _held: it keeps its source, the call
     (builder, args) that makes it again, and in place of its first field
-    the state from which the class's _build method builds that field on
-    first read (a functools.cached_property). A call that has checked
+    the state from which that field is built. A call that has checked
     every field itself may make it by _filled, which runs no validator.
     Two records made by builders compare their sources, any other pair
     their fields. A copy, a deepcopy or a pickle is rebuilt through the
@@ -87,11 +91,12 @@ def _record(cls):
         cls.__hash__ = None
     cls.__reduce__ = _rebuild
     cls = dataclass(frozen=True, eq=False)(cls)
-    if "_build" in vars(cls):
-        name = fields(cls)[0].name
-        built = functools.cached_property(cls._build)
-        built.__set_name__(cls, name)
-        setattr(cls, name, built)
+    for f in fields(cls):
+        build = vars(cls).get(f"_build_{f.name}")
+        if build is not None:
+            built = functools.cached_property(build)
+            built.__set_name__(cls, f.name)
+            setattr(cls, f.name, built)
     return cls
 
 
@@ -317,29 +322,47 @@ def _seed(seed, shots: int):
     return _count(seed, "seed")
 
 
+def _cdf(p, total: float) -> np.ndarray:
+    """The CDF of the checked weights p, whose sum is total, ending at
+    exactly 1."""
+    # the method, not np.cumsum: the same sum without the dispatch
+    cdf = (p / total).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def _draw(p, total: float, shots: int, seed: int) -> np.ndarray:
     """shots outcome indices drawn from the checked weights p, whose sum
     is total (1-D, finite, non-negative, 0 < total < inf), with the
     checked seed: the inverse CDF of default_rng(seed).random(shots), the
     same draws, bit for bit, as Generator.choice. Every index lies in
     0..len(p) - 1, since the CDF ends at exactly 1."""
-    # the method, not np.cumsum: the same sum without the dispatch
-    cdf = (p / total).cumsum()
-    cdf /= cdf[-1]
-    return cdf.searchsorted(np.random.default_rng(seed).random(shots),
-                            side="right")
+    return _cdf(p, total).searchsorted(
+        np.random.default_rng(seed).random(shots), side="right")
 
 
-def _sample(probs, shots: int, seed) -> np.ndarray:
-    """Draw shots outcome indices from the weights probs, normalized: the
-    seed checked by _seed, then, when anything is drawn, the weights
-    checked and _draw. Weights drawn from must be 1-D, finite,
-    non-negative and not all zero, with a finite sum, else a ValueError
-    and no numpy warning; they are not read when shots is 0.
-    """
-    seed = _seed(seed, shots)
-    if not shots:
-        return np.zeros(0, dtype=int)
+def _tally(p, total: float, shots: int, seed: int) -> np.ndarray:
+    """The count of each index among _draw(p, total, shots, seed), bit
+    for bit np.bincount of those draws with minlength len(p), without
+    drawing them one by one: the keys are sorted once and each of the
+    len(p) CDF entries is searched among them. A key lands on index k
+    when cdf[k - 1] <= key < cdf[k], so the keys below cdf[k] are those
+    on indices 0..k, and the count of k is the difference of two such
+    numbers. One sort and len(p) searches replace shots searches of
+    the CDF."""
+    keys = np.random.default_rng(seed).random(shots)
+    keys.sort()
+    below = keys.searchsorted(_cdf(p, total))
+    # an explicit copy: cheaper than numpy's own for an overlapping operand
+    below[1:] -= below[:-1].copy()
+    return below
+
+
+def _weights(probs):
+    """The check of every weight vector drawn from: (p, total), probs as
+    floats and their sum, when they are 1-D, finite, non-negative and not
+    all zero with a finite sum, else a ValueError and no numpy
+    warning."""
     p = np.asarray(probs, dtype=float)
     total = 0.0
     # a NaN fails min() >= 0, and no sum is taken over a negative; a sum
@@ -350,7 +373,19 @@ def _sample(probs, shots: int, seed) -> np.ndarray:
     if not 0 < total < np.inf:
         raise ValueError("weights must be a 1-D array of finite, "
                          "non-negative numbers, not all zero")
-    return _draw(p, total, shots, seed)
+    return p, total
+
+
+def _sample(probs, shots: int, seed) -> np.ndarray:
+    """Draw shots outcome indices from the weights probs, normalized: the
+    seed checked by _seed, then, when anything is drawn, the weights
+    checked by _weights and _draw. The weights are not read when shots
+    is 0.
+    """
+    seed = _seed(seed, shots)
+    if not shots:
+        return np.zeros(0, dtype=int)
+    return _draw(*_weights(probs), shots, seed)
 
 
 # weights at or below this are zero and are trimmed from spectra

@@ -86,12 +86,22 @@ at most 1 + PROBABILITY_ATOL) and the observed rows, whose squared norms
 (one contraction over the float view) must be finite normal floats, so
 one NaN, infinite or zero row rejects the call. Each observed row is
 divided by its own norm after u0, so a u0 that passes its 1e-10
-unitarity check still gives unit rows. The draws (linalg._draw) are
-label indices by construction. The call then fills the
-OutcomeDistribution and one CircuitBranches record of the observed
-outcomes, their unit rows and their exact probabilities from these
-fresh arrays, frozen in place, by linalg._filled, without running their
-validators again; a record built directly, a copy or a pickle runs them.
+unitarity check still gives unit rows. The draws are counted, not drawn
+one by one: linalg._tally sorts the seed's keys once and searches each
+label's CDF entry among them, and its counts, one per label by
+construction, name the observed outcomes. The call then fills the
+OutcomeDistribution, holding that tally, and one CircuitBranches record
+of the observed outcomes, their unit rows and their exact probabilities
+from these fresh arrays, frozen in place, by linalg._filled, without
+running their validators again; a record built directly, a copy or a
+pickle runs them. The distribution's shot_outcomes are drawn on their
+first read (linalg._draw, the same draws the tally counted, bit for
+bit), so a call that reads only the counts never makes the per-shot
+array. Counting in place of one search of the CDF per shot takes about
+11% off a 512-shot call at n = 3 and 4 and 8-11% at d = 5..11, 3% at
+n = 1 (medians of 300 single calls on fresh inputs, rotated with the
+drawing version in one process by tools/layers.py, BENCH_33.json; one
+BLAS thread, 2-vCPU Xeon VM).
 The squared norm of each circuit row before u0 is the outcome's
 probability |C_a|^2. The record's WhichUnitaryResult views are built when read
 and run no validator; a PureState built directly, or through
@@ -131,6 +141,7 @@ from .linalg import (
     _record,
     _records,
     _seed,
+    _tally,
     _unitary,
     dag,
 )
@@ -274,7 +285,13 @@ class OutcomeDistribution:
     One finite, non-negative probability per label, summing to 1 within
     PROBABILITY_ATOL (_law); shot_outcomes, when given, is a 1-D array of
     label indices, and counts and shots are read from it. Both are held
-    as read-only arrays, copies of the inputs when built directly."""
+    as read-only arrays, copies of the inputs when built directly.
+
+    A measurement (_finish) fills the record with its tally (linalg._tally)
+    in place of shot_outcomes, and counts and shots read the tally; the
+    per-shot outcomes are drawn from the law, the shots and the seed on
+    their first read (linalg._draw), the draws the tally counted, bit for
+    bit, and kept read-only."""
 
     labels: tuple
     probabilities: np.ndarray
@@ -294,16 +311,26 @@ class OutcomeDistribution:
             object.__setattr__(self, "shot_outcomes", s)
         object.__setattr__(self, "probabilities", p)
 
+    def _build_shot_outcomes(self) -> np.ndarray | None:
+        counts = vars(self).get("_counts")
+        if counts is None:
+            return None
+        p = self.probabilities
+        return _frozen(_draw(p, p.sum(), int(counts.sum()), self.seed), None)
+
     @property
     def counts(self) -> np.ndarray | None:
         """Shots per label, or None when nothing was drawn."""
-        if self.shot_outcomes is None:
-            return None
-        return np.bincount(self.shot_outcomes, minlength=len(self.labels))
+        counts = vars(self).get("_counts")
+        if counts is None and self.shot_outcomes is not None:
+            counts = np.bincount(self.shot_outcomes,
+                                 minlength=len(self.labels))
+        return counts
 
     @property
     def shots(self) -> int:
-        return 0 if self.shot_outcomes is None else len(self.shot_outcomes)
+        counts = self.counts
+        return 0 if counts is None else int(counts.sum())
 
 
 def _law(p: np.ndarray, n: int) -> float:
@@ -436,22 +463,24 @@ def _finish(labels, probs, rows_of, shots, seed):
     refuses the call on one bad row (NaN included). Each quantity is
     checked once, here: the seed (even when nothing is drawn), the law
     probs (_law, which also bounds each probability by 1 +
-    PROBABILITY_ATOL) and the rows; the draws are label indices by
-    construction. The records are filled from these fresh arrays, not
-    checked again."""
+    PROBABILITY_ATOL) and the rows; the observed outcomes are read from
+    the tally of the draws (linalg._tally), one count per label by
+    construction, and the distribution holds that tally, not the draws.
+    The records are filled from these fresh arrays, not checked
+    again."""
     checked = _seed(seed, shots)
     p = np.asarray(probs, dtype=float)
     total = _law(p, len(labels))
     if shots:
-        shot_outcomes = _draw(p, total, shots, checked)
-        observed = np.flatnonzero(np.bincount(shot_outcomes,
-                                              minlength=p.size))
+        # the tally, not the draws: shot_outcomes draws them when read
+        counts = _tally(p, total, shots, checked)
+        observed = np.flatnonzero(counts)
     else:
-        shot_outcomes = None
+        counts = None
         observed = np.flatnonzero(p > 1e-14)
     states = _unit(rows_of(observed))
     dist = _filled(OutcomeDistribution, labels=labels, probabilities=p,
-                   shot_outcomes=shot_outcomes, seed=seed)
+                   seed=seed, _counts=counts)
     return dist, _filled(CircuitBranches, outcomes=observed, states=states,
                          probabilities=p[observed])
 
@@ -510,7 +539,9 @@ def measure_which_unitary(u, basis: OperatorBasis, psi, shots: int = 0,
     rows, the collapsed states) and probabilities, and reads as a
     sequence of WhichUnitaryResult views. Repeated shots that land on
     the same outcome share the same collapsed state, so the per-shot
-    record lives in the distribution's shot_outcomes.
+    record lives in the distribution's shot_outcomes, drawn from the law
+    and the seed when first read; its counts are the tally of the call
+    (linalg._tally).
     """
     shots = _count(shots, "shots")
     site_dims, pauli, u0 = basis._product_form

@@ -26,7 +26,7 @@ from .channels import (
     kraus_from_ancilla_basis,
 )
 from .linalg import (TRIM, _check, _count, _fourier, _frozen, _index,
-                     _record, _records, _sample)
+                     _record, _records, _sample, _seed, _tally, _weights)
 
 if TYPE_CHECKING:  # annotations; the retrieval functions import it to build
     from .measure import PureState
@@ -331,7 +331,11 @@ def retrieval_statistics(index: int, kraus: KrausMap, psi,
     trials = _count(trials, "trials")
     rows, psi = _retrieval_rows(kraus, index, psi)
     branches, weights = _fourier_branches(rows)
-    successes = int(np.count_nonzero(_sample(weights, trials, seed) == 0))
+    seed = _seed(seed, trials)
+    successes = 0
+    if trials:
+        # the herald's count alone: the tally of the draws, not the draws
+        successes = int(_tally(*_weights(weights), trials, seed)[0])
     target = branches[0] / np.linalg.norm(branches[0])
     expected = kraus.operators[index] @ psi.amplitudes
     expected /= np.linalg.norm(expected)

@@ -12,10 +12,12 @@ maximally mixed state whatever u was.
 
 A round checks its unitary, its basis and its seed once. The law of a
 checked unitary is finite and non-negative and sums to 1 within
-rounding, so the round draws from it (linalg._draw) without a check of
-its own and fills its ChannelTranscript from the fresh arrays, frozen in
-place (linalg._filled). A transcript built directly holds read-only
-copies of its arrays.
+rounding, so the round counts its draws from it without a check of its
+own, by their tally (linalg._tally: the seed's keys sorted once and each
+label's CDF entry searched among them, the bincount of linalg._draw's
+draws bit for bit), and fills its ChannelTranscript from the fresh
+arrays, frozen in place (linalg._filled). A transcript built directly
+holds read-only copies of its arrays.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ import math
 import numpy as np
 
 from .basis import OperatorBasis, expand
-from .linalg import _count, _draw, _filled, _frozen, _record, _seed, _unitary
+from .linalg import _count, _filled, _frozen, _record, _seed, _tally, _unitary
 
 
 @_record
@@ -85,8 +87,7 @@ def superdense_send(u, basis: OperatorBasis, shots: int = 0,
     counts = None
     if shots:
         # the law of a checked unitary: finite, non-negative, sum 1
-        drawn = _draw(probs, probs.sum(), shots, checked)
-        counts = np.bincount(drawn, minlength=probs.size)
+        counts = _tally(probs, probs.sum(), shots, checked)
     return _filled(ChannelTranscript, labels=basis.labels,
                    coefficients=coeffs.coeffs, probabilities=probs,
                    eavesdropper_marginal=_marginal(um), counts=counts,

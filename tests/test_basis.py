@@ -27,7 +27,7 @@ from evometry import (
     weyl_basis,
 )
 from evometry import basis as basis_module
-from evometry.gates import CNOT, H, I2, X, Y, Z
+from evometry.gates import CNOT, H, I2, PAULI_LABELS, X, Y, Z
 from evometry.linalg import _fourier, dag, random_unitary
 
 
@@ -36,6 +36,15 @@ def test_pauli_basis_single_qubit_elements():
     assert b.labels == ("I", "X", "Y", "Z")
     for el, ref in zip(b.elements, (I2, X, Y, Z)):
         assert np.abs(el - ref).max() < 1e-14
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pauli_labels_are_the_letter_strings_in_order(n):
+    """One string per element, a letter of IXYZ per qubit, in
+    lexicographic order of the letters' indices."""
+    want = ["".join(PAULI_LABELS[l] for l in letters)
+            for letters in itertools.product(range(4), repeat=n)]
+    assert pauli_basis(dim=2 ** n).labels == tuple(want)
 
 
 def test_pauli_basis_gram_is_orthogonal():

@@ -1,6 +1,6 @@
 """tools/layers.py, the two-tree call timer, at its smallest size: the
 checkout timed against itself at n = 1 gives one figure per layer and
-side, over every rotation."""
+side, over every rotation, and the retrieval layer its one map size."""
 import json
 import os
 import subprocess
@@ -17,11 +17,12 @@ def test_layers_script_times_both_trees_at_one_qubit():
          str(ROOT), "--qubits", "1", "--qudits", "--rotations", "3"],
         capture_output=True, text=True, env=env, timeout=120, check=True)
     block = json.loads(out.stdout)
-    assert set(block) == {"protocol", "measure_which_unitary_us",
-                          "superdense_send_us",
-                          "which_unitary_distribution_us"}
-    for layer in set(block) - {"protocol"}:
+    sizes = {"measure_which_unitary_us": ["n1"], "superdense_send_us": ["n1"],
+             "which_unitary_distribution_us": ["n1"],
+             "retrieval_statistics_us": ["d4k5"]}
+    assert set(block) == {"protocol", *sizes}
+    for layer, keys in sizes.items():
         (row,) = block[layer].values()
-        assert list(block[layer]) == ["n1"]
+        assert list(block[layer]) == keys
         assert row["parent"] > 0 and row["change"] > 0
         assert row["change_faster_in"].endswith(" of 3")

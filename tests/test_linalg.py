@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from evometry.basis import clock_shift, weyl_basis
 from evometry.linalg import (
     _check,
+    _draw,
     _fix_gauge,
     _isometry_deviation,
     _kernel,
     _records,
     _sample,
+    _tally,
     deterministic_eigh,
     entanglement_entropy,
     is_unitary,
@@ -220,10 +222,13 @@ def test_deterministic_eigh_matches_the_column_loop(multiplicities, rotated,
 
 @st.composite
 def _weights(draw):
-    """1 to 300 weights: random, with zeros, one-hot or skewed."""
+    """1 to 300 weights: random, with zeros, one-hot, equal or skewed."""
     k = draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    kind = draw(st.sampled_from(["random", "zeros", "one-hot", "skewed"]))
+    kind = draw(st.sampled_from(["random", "zeros", "one-hot", "equal",
+                                 "skewed"]))
+    if kind == "equal":
+        return np.full(k, 1.0 / k)
     if kind == "one-hot":
         p = np.zeros(k)
         p[rng.integers(k)] = 1.0
@@ -243,6 +248,18 @@ def test_sample_draws_what_generator_choice_draws(p, shots, seed):
     got = _sample(p, shots, seed)
     want = np.random.default_rng(seed).choice(p.size, size=shots,
                                               p=p / p.sum())
+    assert np.array_equal(got, want)
+    assert got.dtype == want.dtype
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_weights(), shots=st.integers(0, 2048),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_tally_counts_the_draws(p, shots, seed):
+    """The sorted-key tally is the bincount of the inverse-CDF draws, bit
+    for bit: the same counts and the same dtype."""
+    got = _tally(p, p.sum(), shots, seed)
+    want = np.bincount(_draw(p, p.sum(), shots, seed), minlength=p.size)
     assert np.array_equal(got, want)
     assert got.dtype == want.dtype
 

@@ -32,6 +32,7 @@ from evometry import (
     concentrate,
     expand,
     kraus_from_ancilla_basis,
+    measure_choi_side,
     measure_which_unitary,
     named_channel,
     operator_schmidt,
@@ -45,8 +46,8 @@ from evometry import (
     which_unitary_distribution,
 )
 from evometry.gates import CNOT
-from evometry.linalg import (_arrays_equal, _rebuild, _sample, random_state,
-                             random_unitary)
+from evometry.linalg import (_arrays_equal, _draw, _rebuild, _sample,
+                             random_state, random_unitary)
 
 
 def assert_compares(a, b, other, hashable=False):
@@ -314,6 +315,70 @@ def test_filled_records_equal_their_constructed_rebuilds(
         if got is sent.counts:
             want = np.bincount(want, minlength=p.size)
         assert np.array_equal(got, want) and got.dtype == want.dtype
+
+
+def _filled_distribution(source, shots, seed):
+    """The OutcomeDistribution a measurement fills: the echo circuit over
+    a Pauli or a Weyl basis, or the channel-state picture."""
+    d = 3 if source == "circuit-weyl" else 4
+    basis = weyl_basis(d) if source == "circuit-weyl" else pauli_basis(dim=d)
+    u = random_unitary(d, 21)
+    if source == "choi-side":
+        return measure_choi_side(u, basis, shots=shots, seed=seed)[0]
+    return measure_which_unitary(u, basis, random_state(2 * d, 22),
+                                 shots=shots, seed=seed)[0]
+
+
+SOURCES = ("circuit-pauli", "circuit-weyl", "choi-side")
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("read_first", [False, True],
+                         ids=["counts-first", "shots-first"])
+def test_filled_distributions_draw_their_shots_when_read(source, read_first):
+    """A measurement holds its tally, not its 512 per-shot outcomes:
+    counts and shots read the tally, and shot_outcomes is drawn on its
+    first read, _draw's indices of the law and the seed bit for bit,
+    read-only and kept. Whichever is read first, ==, copies, pickles and
+    repr match the record the constructor builds from the same draws."""
+    shots, seed = 512, 31
+
+    def filled():
+        dist = _filled_distribution(source, shots, seed)
+        if read_first:
+            dist.shot_outcomes
+        return dist
+
+    dist = filled()
+    p = dist.probabilities
+    want = _draw(p, p.sum(), shots, seed)
+    assert dist.shots == shots
+    assert np.array_equal(dist.counts, np.bincount(want, minlength=p.size))
+    held = [k for k, v in vars(dist).items() if np.shape(v) == (shots,)]
+    assert held == (["shot_outcomes"] if read_first else [])
+    got = dist.shot_outcomes
+    assert got is dist.shot_outcomes
+    assert np.array_equal(got, want) and got.dtype == want.dtype
+    assert not got.flags.writeable
+    with pytest.raises(ValueError):
+        got.setflags(write=True)
+    assert np.array_equal(dist.counts, np.bincount(got, minlength=p.size))
+    rebuilt = OutcomeDistribution(dist.labels, p, want, seed)
+    assert filled() == rebuilt and rebuilt == filled()
+    for copied in (copy.copy, copy.deepcopy,
+                   lambda r: pickle.loads(pickle.dumps(r))):
+        assert copied(filled()) == rebuilt
+    assert repr(filled()) == repr(rebuilt)
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("seed", [None, 7])
+def test_filled_distributions_without_shots_hold_none(source, seed):
+    dist = _filled_distribution(source, 0, seed)
+    assert dist.shot_outcomes is None and dist.counts is None
+    assert dist.shots == 0 and dist.seed == seed
+    assert dist == OutcomeDistribution(dist.labels, dist.probabilities,
+                                       None, seed)
 
 
 def test_constructors_freeze_copies_not_their_inputs():

@@ -10,12 +10,17 @@ one interpreter, one numpy and one BLAS. The layers are the calls of the
 benchmark's echo-circuit job: measure_which_unitary with 512 shots,
 superdense_send with 512 shots and which_unitary_distribution, over
 pauli_basis(dim=2^n) and weyl_basis(d) without u0, on a Haar unitary and
-state. A rotation draws fresh inputs and a fresh seed (a warm loop over
-repeated inputs reads faster than any real call: with repeated keys
-searchsorted takes 4-9 us, with fresh ones 9-39 us) and calls every layer
-at every size once per tree, the tree that goes first alternating from
-rotation to rotation, with the same fixed work, which never calls the
-program, before each call. A call is timed alone with perf_counter_ns.
+state; and, on the channel side, retrieval_statistics with 2000 trials of
+element 0 of a fresh random map of d = 4 and k = 5 elements on a Haar
+state (size key "d4k5"). A rotation draws fresh inputs and a fresh seed
+(a warm loop over repeated inputs reads faster than any real call: over
+512 repeated keys a search of a 4-256 entry CDF per key takes 4-9 us and
+with fresh keys 9-39 us, while sorting them takes 3.2 us against 3.6,
+and the tally's searches of the CDF entries in the sorted keys 0.5-3.7
+us against 0.9-8.1) and calls every layer at every size once per tree,
+the tree that goes first alternating from rotation to rotation, with the
+same fixed work, which never calls the program, before each call. A call
+is timed alone with perf_counter_ns.
 
 Prints one JSON object: for each layer and size the median call time of
 each tree in microseconds, the change's relative difference of the
@@ -25,6 +30,7 @@ Set OPENBLAS_NUM_THREADS=1 to match the benchmark's one BLAS thread.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import json
 import statistics
@@ -35,9 +41,14 @@ from pathlib import Path
 import numpy as np
 
 SHOTS = 512
+TRIALS = 2000
+# the random map of the retrieval layer: dimension, element count
+MAP_DIM, MAP_ELEMENTS = 4, 5
+MAP_KEY = f"d{MAP_DIM}k{MAP_ELEMENTS}"
 SIDES = ("parent", "change")
 LAYERS = ("measure_which_unitary", "superdense_send",
           "which_unitary_distribution")
+RETRIEVAL = "retrieval_statistics"
 
 
 def load(tree: str, name: str):
@@ -92,6 +103,28 @@ def calls(ev, basis, u, psi, seed):
     }
 
 
+def retrieval(evs, rng) -> list:
+    """The retrieval layer of each tree on one fresh input, as zero-argument
+    calls: a random map (the first MAP_DIM columns of a Haar unitary on
+    C^(MAP_DIM MAP_ELEMENTS), cut into MAP_ELEMENTS blocks of rows), a
+    Haar state and a seed, each tree's map built by its own KrausMap."""
+    dim = MAP_DIM * MAP_ELEMENTS
+    iso = haar(dim, rng)[0][:, :MAP_DIM]
+    ops = tuple(iso.reshape(MAP_ELEMENTS, MAP_DIM, MAP_DIM))
+    psi = haar(MAP_DIM, rng)[1]
+    seed = int(rng.integers(2 ** 31))
+    return [functools.partial(ev.retrieval_statistics, 0, ev.KrausMap(ops),
+                              psi, TRIALS, seed) for ev in evs]
+
+
+def timed(call) -> float:
+    """One call after the fixed work, in microseconds."""
+    between()
+    t0 = time.perf_counter_ns()
+    call()
+    return (time.perf_counter_ns() - t0) / 1e3
+
+
 def measure(trees, sizes, rotations: int, seed: int) -> dict:
     """{layer: {size: {side: [call times in us, one per rotation]}}}."""
     evs = [load(tree, f"evometry_{side}") for tree, side in zip(trees, SIDES)]
@@ -100,24 +133,25 @@ def measure(trees, sizes, rotations: int, seed: int) -> dict:
              for key, (kind, dim) in sizes.items()}
     times = {layer: {key: {side: [] for side in SIDES} for key in sizes}
              for layer in LAYERS}
+    times[RETRIEVAL] = {MAP_KEY: {side: [] for side in SIDES}}
     rng = np.random.default_rng(seed)
     for r in range(-1, rotations):
         order = (0, 1) if r % 2 == 0 else (1, 0)
+        runs = []
         for key, (_, dim) in sizes.items():
             u, psi = haar(dim, rng)
             shot_seed = int(rng.integers(2 ** 31))
             per_tree = [calls(ev, basis, u, psi, shot_seed)
                         for ev, basis in zip(evs, bases[key])]
-            for layer in LAYERS:
-                for i in order:
-                    call = per_tree[i][layer]
-                    between()
-                    t0 = time.perf_counter_ns()
-                    call()
-                    elapsed = time.perf_counter_ns() - t0
-                    # rotation -1 warms both trees and is not kept
-                    if r >= 0:
-                        times[layer][key][SIDES[i]].append(elapsed / 1e3)
+            runs += [(layer, key, [c[layer] for c in per_tree])
+                     for layer in LAYERS]
+        runs.append((RETRIEVAL, MAP_KEY, retrieval(evs, rng)))
+        for layer, key, per_tree in runs:
+            for i in order:
+                elapsed = timed(per_tree[i])
+                # rotation -1 warms both trees and is not kept
+                if r >= 0:
+                    times[layer][key][SIDES[i]].append(elapsed)
     return times
 
 
@@ -132,7 +166,9 @@ def summary(times, rotations: int) -> dict:
         "call; figures are medians of single calls in microseconds. "
         f"Layers: measure_which_unitary ({SHOTS} shots), superdense_send "
         f"({SHOTS} shots), which_unitary_distribution, over "
-        "pauli_basis(dim=2^n) ('n') and weyl_basis(d) ('d') without u0.")}
+        "pauli_basis(dim=2^n) ('n') and weyl_basis(d) ('d') without u0; "
+        f"retrieval_statistics ({TRIALS} trials) of element 0 of a fresh "
+        f"random map of d = {MAP_DIM} and k = {MAP_ELEMENTS} ('{MAP_KEY}').")}
     for layer, by_size in times.items():
         rows = {}
         for key, sides in by_size.items():
