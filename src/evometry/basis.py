@@ -19,14 +19,15 @@ lifecycle of such a record).
 Every reader of that structure goes through one transform of the
 product group, _family_traces. (Z^mu X^nu)_ik = zeta^(mu i) delta(i,
 k + nu) digit by digit, so tr(s_a^dag m) = sum_i zeta^(-mu i) m[i, i -
-nu]: m gathered at the diag table of _couplings, read over i by the
-conjugate kernels of _readout (linalg._kernel kron'd over runs of
-sites), gives every trace at once, and _trace_order puts them in label
-order. expand is that transform of u0^dag U over d. Only u0 can spoil
-orthogonality: with E = u0^dag u0 - 1, G_ab - d delta_ab = tr(E s_b
-s_a^dag), and the products s_b s_a^dag run over the family up to unit
-phases, so the Gram's residual is max_c |tr(s_c^dag E)|, the same
-transform of E, for any tuple of sites (and nothing without u0). The
+nu]: m gathered at the rows table of _trace_order (read from the down
+table of _couplings), read over i by the conjugate kernels of _readout
+(linalg._kernel kron'd over runs of sites), gives every trace at once,
+and _trace_order puts them in label order. expand is that transform of
+u0^dag U over d. Only u0 can spoil orthogonality: with E = u0^dag u0 -
+1, G_ab - d delta_ab = tr(E s_b s_a^dag), and the products s_b s_a^dag
+run over the family up to unit phases, so the Gram's residual is max_c
+|tr(s_c^dag E)|, the same transform of E, for any tuple of sites (and
+nothing without u0). The
 echo circuit (measure) reads the same tables and kernels, which live
 here beside the family whose labels they lay out. Its product form and
 is_unitary are memoised at build time.
@@ -51,6 +52,7 @@ from .linalg import (
     _isometry_deviation,
     _kernel,
     _record,
+    _seal,
     _unitary,
     as_matrix,
     dag,
@@ -167,9 +169,7 @@ class OperatorBasis:
         site_dims, pauli, u0 = self._structure
         family = (pauli_strings(len(site_dims)) if pauli
                   else _weyl_products(site_dims[0]))
-        elements = family if u0 is None else u0 @ family
-        elements.setflags(write=False)
-        return elements
+        return family if u0 is None else u0 @ family
 
     def __hash__(self) -> int:
         return _array_hash(self.elements)
@@ -276,23 +276,18 @@ def _family_traces(site_dims, pauli, m) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _couplings(site_dims: tuple) -> tuple:
-    """Two read-only D x D index tables of a site tuple (D the product of
-    the site dims): (down, diag), down[y, l] the level l - y, digit by
-    digit mod q_j in mixed-radix order, and diag[nu, k] the flat index of
-    V[k, k - nu] in a D x D matrix V, the entry that Z^mu X^nu reads.
-    They depend only on the site dims and are built once per site tuple
-    (the 16 most recent are kept); the echo circuit shifts its state by
-    down (see measure)."""
+def _couplings(site_dims: tuple) -> np.ndarray:
+    """The read-only D x D index table down of a site tuple (D the
+    product of the site dims): down[y, l] the level l - y, digit by digit
+    mod q_j in mixed-radix order. It depends only on the site dims and is
+    built once per site tuple (the 16 most recent are kept); the echo
+    circuit shifts its state by it (see measure), and _trace_order reads
+    the shifted diagonals of a matrix at its transpose."""
     dim = math.prod(site_dims)
     qs = np.array(site_dims)
     strides = dim // np.cumprod(qs)
     digits = np.arange(dim)[:, None] // strides % qs
-    down = (digits[None] - digits[:, None]) % qs @ strides
-    diag = np.arange(dim) * dim + down
-    for a in (down, diag):
-        a.setflags(write=False)
-    return down, diag
+    return _seal((digits[None] - digits[:, None]) % qs @ strides)
 
 
 @functools.lru_cache(maxsize=16)
@@ -311,6 +306,8 @@ def _readout(site_dims: tuple, pauli: bool) -> tuple:
             continue
         f = functools.reduce(np.kron, map(_kernel, site_dims[first:j]))
         f = np.real_if_close(f)
+        # copies, not _seal: a real kron is a strided view of the complex
+        # one, and _read's products want contiguous kernels
         runs.append((math.prod(site_dims[:first]), len(f),
                      _frozen(f, None), _frozen(f.conj(), None)))
         first = j
@@ -321,28 +318,28 @@ def _readout(site_dims: tuple, pauli: bool) -> tuple:
         pairs = _PAULI_PAIRS if pauli else np.arange(q * q)
         order = np.add.outer(order, pairs // q * stride
                              + pairs % q * stride * dim).ravel()
-    order.setflags(write=False)
-    return tuple(runs), order
+    return tuple(runs), _seal(order)
 
 
 @functools.lru_cache(maxsize=16)
 def _trace_order(site_dims: tuple, pauli: bool) -> tuple:
-    """(rows, index, phase) of _family_traces: rows = diag.T of
-    _couplings, contiguous, so that m.ravel()[rows] holds the shifted
-    diagonals m[i, i - nu] as columns; index[a] the flat place of label a
+    """(rows, index, phase) of _family_traces: rows[k, nu] = k D +
+    down[nu, k], the flat index of m[k, k - nu] in a D x D matrix m (down
+    of _couplings), so that m.ravel()[rows] holds the shifted diagonals
+    m[i, i - nu] as columns, contiguous; index[a] the flat place of label a
     among the [mu block, nu block] traces, the transpose of _readout's
     order; and phase[a] = i^(number of Y in a) for Pauli strings, since
     tr(Y^dag m) = i tr((Z X)^dag m), or None for clock/shift products.
     Read-only."""
     dim = math.prod(site_dims)
-    rows = _frozen(_couplings(site_dims)[1].T.copy(), None)
+    rows = _seal((np.arange(dim) * dim + _couplings(site_dims)).T.copy())
     order = _readout(site_dims, pauli)[1]
-    index = _frozen(order % dim * dim + order // dim, None)
+    index = _seal(order % dim * dim + order // dim)
     if not pauli:
         return rows, index, None
     single = np.array([1, 1, 1j, 1])
     phase = functools.reduce(np.kron, [single] * len(site_dims))
-    return rows, index, _frozen(phase)
+    return rows, index, _seal(phase)
 
 
 def _read(t, runs, outer, conj):
@@ -365,17 +362,16 @@ def _family_gram_deviation(basis: OperatorBasis) -> float:
     """max |G/d - 1| of the Gram G of a builder basis built without u0,
     from its family's structure alone.
 
-    Pauli strings: G is the Kronecker product of the single-qubit Grams,
-    which are exactly 2 1 (entries 0, +-1 and +-i), so the deviation is
-    0.0. Clock/shift products: tr((Z^mu X^nu)^dag Z^mu' X^nu') =
-    delta(nu, nu') sum_j zeta^((mu' - mu) j), so it is the deviation of
-    K K^dag / d for the kernel K = linalg._kernel(d)."""
-    site_dims, pauli, _ = basis._structure
-    if pauli:
-        return 0.0
-    d = site_dims[0]
-    k = _kernel(d)
-    return float(np.abs(k @ dag(k) / d - np.eye(d)).max())
+    On a q-level site, tr((Z^mu X^nu)^dag Z^mu' X^nu') = delta(nu, nu')
+    sum_j zeta^((mu' - mu) j), so the site's deviation is that of
+    K K^dag / q for its kernel K = linalg._kernel(q), exactly 0.0 at
+    q = 2 (a Pauli Y is a unit phase times Z X, which leaves |G|
+    alone). G is the Kronecker product of the site Grams, so with every
+    site but one exact, as on the builders' sites, its deviation is the
+    largest of the sites'."""
+    return max(float(np.abs(_kernel(q) @ dag(_kernel(q)) / q
+                            - np.eye(q)).max())
+               for q in set(basis._structure[0]))
 
 
 def _reference(u0):
@@ -471,7 +467,7 @@ def clock_shift_powers(dim: int) -> tuple[np.ndarray, np.ndarray]:
     zp[:, np.arange(dim), np.arange(dim)] = _kernel(dim)
     xp = np.zeros((dim, dim, dim), dtype=complex)
     xp[m, (j + m) % dim, j] = 1.0
-    return _frozen(zp), _frozen(xp)
+    return _seal(zp), _seal(xp)
 
 
 def _weyl_products(dim: int) -> np.ndarray:

@@ -30,6 +30,7 @@ from .linalg import (
     _isometry_deviation,
     _record,
     _records,
+    _seal,
     _unitary,
     as_matrix,
     dag,
@@ -46,14 +47,14 @@ class KrausMap:
     """Operator elements of a trace-preserving CP map.
 
     The completeness sum sum_i M_i^dag M_i must equal the identity
-    within 1e-9 elementwise. The elements are stored as one read-only
-    C-contiguous (k, d, d) complex array, a view of a frozen copy of the
-    input (which refuses setflags(write=True)), so a map never changes
-    after it is built: an ndarray stack in one copy, a sequence element
-    by element through as_matrix, so wrappers with a matrix work too. Anything that is not a non-empty stack of square
-    matrices is a ValueError. Its canonical form is computed once and
-    memoised (see canonical_kraus). Maps with equal elements are equal
-    and hash alike.
+    within 1e-9 elementwise. The elements are stored as one sealed
+    C-contiguous (k, d, d) complex copy of the input (linalg._seal), so
+    a map never changes after it is built: an ndarray stack is copied
+    once, a sequence element by element through as_matrix, so wrappers
+    with a matrix work too. Anything that is not a non-empty stack of
+    square matrices is a ValueError. Its canonical form is computed once
+    and memoised (see canonical_kraus). Maps with equal elements are
+    equal and hash alike.
     """
 
     operators: np.ndarray
@@ -77,12 +78,11 @@ class KrausMap:
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
             raise ValueError("operator elements must share one square "
                              f"shape, got a stack of shape {ops.shape}")
-        ops.setflags(write=False)
         d = ops.shape[-1]
         # sum_i M_i^dag M_i is one product of the (k d) x d reshape
         _check(_isometry_deviation(ops.reshape(-1, d)), TP_ATOL,
                "completeness sum is not the identity")
-        object.__setattr__(self, "operators", ops.view())
+        object.__setattr__(self, "operators", _seal(ops))
 
     def __hash__(self) -> int:
         return _array_hash(self.operators)
@@ -139,7 +139,7 @@ class ChoiState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = _frozen(self.matrix)
         d = self.dim
         if m.shape != (d * d, d * d):
             raise ValueError("channel state must be d^2 x d^2")
@@ -226,7 +226,6 @@ class StinespringDilation:
         matrix[:, rest] = vh[d:].conj().T
         _check(_isometry_deviation(matrix), TP_ATOL,
                "dilation matrix is not unitary")
-        matrix.setflags(write=False)
         return matrix
 
     @functools.cached_property
@@ -342,7 +341,6 @@ def stinespring(kraus: KrausMap) -> StinespringDilation:
     d, a = kraus.dim, len(kraus)
     # row r * a + i of the isometry is row r of M_i
     iso = kraus.operators.transpose(1, 0, 2).reshape(d * a, d)
-    iso.setflags(write=False)
     return _held(StinespringDilation, (stinespring, (kraus,)), system_dim=d,
                  ancilla_dim=a, _isometry=iso, _last_readout=(None, kraus))
 

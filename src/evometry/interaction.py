@@ -77,7 +77,7 @@ class OperatorSchmidt:
     ops_b: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _frozen(self.values, float)
         _check(abs(v @ v - 1.0), SCHMIDT_ATOL,
                "squared Schmidt values must sum to 1")
         object.__setattr__(self, "values", v)

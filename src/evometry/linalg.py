@@ -1,6 +1,9 @@
 """Small dense linear-algebra helpers shared across the package, and the
 one home of its shared conventions: the declaration and lifecycle of the
-records that hold arrays (_record, _held, _filled), the records
+records that hold arrays (_record, _held, _filled), the one freeze
+(_seal: every read-only array of the package, a record's or a cached
+table's, is sealed there, a read-only view of a read-only array, so
+setflags(write=True) is refused), the records
 (M (x) 1)|phi+> of a stack, the fail-closed residual check, the isometry
 deviation, the check of every unitary input (_unitary, within
 UNITARY_ATOL), the check of every count, seed and n argument (_count,
@@ -37,13 +40,21 @@ def as_matrix(op) -> np.ndarray:
     return np.asarray(getattr(op, "matrix", op), dtype=complex)
 
 
-def _frozen(a, dtype=complex) -> np.ndarray:
-    """A read-only copy of a, complex unless dtype is given, for records
-    that own their arrays: a view of the frozen copy, which refuses
-    setflags(write=True)."""
-    a = np.array(a, dtype=dtype)
+def _seal(a: np.ndarray) -> np.ndarray:
+    """The package's one freeze: a, a fresh array that nothing else
+    writes, made read-only in place, with the array that owns its memory
+    when a is a view, and returned as a view of it. An array is sealed
+    when it is a view of a read-only array, as is every row or slice of
+    a sealed one: numpy refuses setflags(write=True) on it."""
+    if a.base is not None:
+        a.base.setflags(write=False)
     a.setflags(write=False)
     return a.view()
+
+
+def _frozen(a, dtype=complex) -> np.ndarray:
+    """A sealed copy of a (see _seal), complex unless dtype is given."""
+    return _seal(np.array(a, dtype=dtype))
 
 
 def _equal(x, y) -> bool:
@@ -75,17 +86,42 @@ def _record(cls):
     """Declare a record that holds arrays, with one lifecycle. It is a
     frozen dataclass compared by _arrays_equal, unhashable unless its
     body defines __hash__ (over read-only arrays, consistent with ==).
-    A field that a record may hold in a cheaper form is built on its
-    first read by the class's _build_<field> method (a
-    functools.cached_property) when the record does not hold it. A
-    builder may make a record by _held: it keeps its source, the call
-    (builder, args) that makes it again, and in place of its first field
-    the state from which that field is built. A call that has checked
-    every field itself may make it by _filled, which runs no validator.
-    Two records made by builders compare their sources, any other pair
-    their fields. A copy, a deepcopy or a pickle is rebuilt through the
-    checks, by the source or else by the constructor from the fields, so
-    it starts with no memo and holds the arrays its constructor makes."""
+    Every array it holds is sealed (_seal), however it was made: after
+    its validator, if it has one, each array field not sealed already
+    is replaced by a sealed copy, so a validator that converts an input
+    seals its own copy (_frozen) and one that only reads it leaves the
+    copy to the record; the values of _filled and _held and each built
+    field are sealed in place. A field that a record may hold in a
+    cheaper form is built on its first read by the class's
+    _build_<field> method (a functools.cached_property) when the record
+    does not hold it. A builder may make a record by _held: it keeps its
+    source, the call (builder, args) that makes it again, and in place
+    of its first field the state from which that field is built. A call
+    that has checked every field itself may make it by _filled, which
+    runs no validator. Two records made by builders compare their
+    sources, any other pair their fields. A copy, a deepcopy, a pickle
+    or a dataclasses.replace is rebuilt through the checks, by the
+    source or else by the constructor from the fields, so it starts with
+    no memo and holds the arrays its constructor makes."""
+    # the array fields, read from the annotations before dataclass() so
+    # that its __init__ calls the sealing __post_init__ of every class
+    # that holds arrays, whether or not it has a validator
+    arrays = [name for name, kind in vars(cls).get("__annotations__", {})
+              .items() if "ndarray" in str(kind)]
+    if arrays:
+        check = vars(cls).get("__post_init__", lambda self: None)
+
+        def __post_init__(self):
+            check(self)
+            for name in arrays:
+                a = getattr(self, name)
+                base = getattr(a, "base", None)
+                # a view of a read-only array (a validator's _frozen
+                # copy, a field of another record) is sealed already
+                if a is not None and not (isinstance(base, np.ndarray)
+                                          and not base.flags.writeable):
+                    object.__setattr__(self, name, _seal(np.array(a)))
+        cls.__post_init__ = __post_init__
     cls.__eq__ = _arrays_equal
     if "__hash__" not in vars(cls):
         cls.__hash__ = None
@@ -94,21 +130,31 @@ def _record(cls):
     for f in fields(cls):
         build = vars(cls).get(f"_build_{f.name}")
         if build is not None:
-            built = functools.cached_property(build)
+            built = functools.cached_property(_sealed_build(build))
             built.__set_name__(cls, f.name)
             setattr(cls, f.name, built)
     return cls
 
 
+def _sealed_build(build):
+    """A _build_<field> method whose array, when it builds one, is
+    sealed."""
+    def sealed(self):
+        a = build(self)
+        return a if a is None else _seal(a)
+    return sealed
+
+
 def _filled(cls, **values):
     """A record of cls holding values that its caller has already
     checked, made without running its validator; a field not given keeps
-    its default. Its arrays are the caller's fresh ones, frozen in place,
-    not copied. A copy or a pickle of it is rebuilt through the checks
-    all the same (see _record)."""
-    for a in values.values():
-        if isinstance(a, np.ndarray):
-            a.setflags(write=False)
+    its default. Its arrays are the caller's fresh ones, sealed in place
+    (_seal), not copied; a read-only view, which a caller passes only as
+    a row of a sealed array, is kept as it is. A copy or a pickle of it
+    is rebuilt through the checks all the same (see _record)."""
+    for name, a in values.items():
+        if isinstance(a, np.ndarray) and (a.base is None or a.flags.writeable):
+            values[name] = _seal(a)
     record = object.__new__(cls)
     vars(record).update(values)
     return record
@@ -117,7 +163,7 @@ def _filled(cls, **values):
 def _held(cls, source, **state):
     """A record of cls made by a builder: source is the call
     (builder, args) that makes it again, state the attributes it holds
-    in place of its first field (see _record)."""
+    in place of its first field, its arrays sealed (see _record)."""
     return _filled(cls, _source=source, **state)
 
 
@@ -228,7 +274,7 @@ def _kernel(n: int) -> np.ndarray:
     turns = 4 * m % n == 0
     # +0.0 real parts: the literal -1j would carry a -0.0
     powers[turns] = np.array([1, 1j, -1, complex(0, -1)])[4 * m[turns] // n]
-    return _frozen(powers[m[:, None] * m % n])
+    return _seal(powers[m[:, None] * m % n])
 
 
 @functools.lru_cache(maxsize=None)
@@ -238,7 +284,7 @@ def _fourier(n: int) -> np.ndarray:
     storage. Built once per n and read-only; n = 1 gives [[1]], a
     one-level register.
     """
-    return _frozen(_kernel(n) / np.sqrt(n))
+    return _seal(_kernel(n) / np.sqrt(n))
 
 
 def max_entangled(dim: int) -> np.ndarray:

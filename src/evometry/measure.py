@@ -60,11 +60,10 @@ every outcome of nonzero weight is observed at shots = 0 (up to 8^n b).
 The law takes about 11 us at n = 4, 23 us at n = 5 and 61 us at n = 6,
 and with a Haar u0 and a two-level bystander 16, 36 and 166 us
 (medians over five fresh processes of each one's median, one BLAS
-thread, 2-vCPU Xeon VM), where the joint array of 8^n b amplitudes took
-0.04, 0.50 and 4.7 ms. A 64-shot first call, tables included, takes
-about 0.02 s at n = 8 and peaks at about 55 MB in a fresh process (0.36
-s and 566 MB with the joint array), 0.07 s and 111 MB at n = 9, and 0.36
-s and 321 MB at n = 10, about 0.2 s of it the unitarity check of U.
+thread, 2-vCPU Xeon VM). A 64-shot first call, tables included, takes
+about 0.02 s at n = 8 and peaks at about 55 MB in a fresh process, 0.07
+s and 111 MB at n = 9, and 0.36 s and 321 MB at n = 10, about 0.2 s of
+it the unitarity check of U.
 
 Validation: a circuit requires its basis to be of a product form
 {u0 s_a} with s_0 = 1, Pauli strings on qubit sites or clock/shift
@@ -92,25 +91,19 @@ label's CDF entry among them, and its counts, one per label by
 construction, name the observed outcomes. The call then fills the
 OutcomeDistribution, holding that tally, and one CircuitBranches record
 of the observed outcomes, their unit rows and their exact probabilities
-from these fresh arrays, frozen in place, by linalg._filled, without
+from these fresh arrays, sealed in place, by linalg._filled, without
 running their validators again; a record built directly, a copy or a
 pickle runs them. The distribution's shot_outcomes are drawn on their
 first read (linalg._draw, the same draws the tally counted, bit for
 bit), so a call that reads only the counts never makes the per-shot
-array. Counting in place of one search of the CDF per shot takes about
-11% off a 512-shot call at n = 3 and 4 and 8-11% at d = 5..11, 3% at
-n = 1 (medians of 300 single calls on fresh inputs, rotated with the
-drawing version in one process by tools/layers.py, BENCH_33.json; one
-BLAS thread, 2-vCPU Xeon VM).
+array.
 The squared norm of each circuit row before u0 is the outcome's
 probability |C_a|^2. The record's WhichUnitaryResult views are built when read
 and run no validator; a PureState built directly, or through
 dataclasses.replace, still checks its norm. At n = 4 with 512 shots
-(about 170 branches) a call takes about 18% less time than when its
-records checked the law and the rows again, 0.37 against 0.45 ms (the
-median of 300 single calls on fresh inputs, both versions rotated in one
-process by tools/layers.py, BENCH_31.json; one BLAS thread, 2-vCPU Xeon
-VM), and 16-21% less at every n = 1..4 and d = 3..11.
+(about 170 branches) a call takes 0.19-0.32 ms (the medians of 300
+single calls on fresh inputs in two runs of tools/layers.py; one BLAS
+thread, 2-vCPU Xeon VM whose speed drifts by up to 1.8x).
 """
 from __future__ import annotations
 
@@ -234,8 +227,8 @@ class CircuitBranches(Sequence):
     probabilities: np.ndarray
 
     def __post_init__(self):
-        outcomes, states = np.array(self.outcomes), _frozen(self.states)
-        p = np.array(self.probabilities, dtype=float)
+        outcomes, states = np.asarray(self.outcomes), _frozen(self.states)
+        p = _frozen(self.probabilities, float)
         k = len(outcomes)
         if (outcomes.ndim != 1 or outcomes.dtype.kind not in "iu"
                 or states.ndim != 2 or len(states) != k or p.shape != (k,)):
@@ -249,11 +242,8 @@ class CircuitBranches(Sequence):
             raise ValueError("probabilities must lie in [0, 1]")
         _check(np.abs(np.linalg.norm(states, axis=1) - 1.0).max(initial=0.0),
                NORM_ATOL, "state norm is not 1")
-        outcomes.setflags(write=False)
-        p.setflags(write=False)
-        for name, a in zip(("outcomes", "states", "probabilities"),
-                           (outcomes, states, p)):
-            object.__setattr__(self, name, a)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "probabilities", p)
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -303,12 +293,11 @@ class OutcomeDistribution:
         p = _frozen(self.probabilities, float)
         _law(p, n)
         if self.shot_outcomes is not None:
-            s = _frozen(self.shot_outcomes, None)
+            s = np.asarray(self.shot_outcomes)
             if (s.ndim != 1 or s.dtype.kind not in "iu"
                     or s.size and not 0 <= s.min() <= s.max() < n):
                 raise ValueError(f"shot outcomes must be indices of the {n} "
                                  "labels")
-            object.__setattr__(self, "shot_outcomes", s)
         object.__setattr__(self, "probabilities", p)
 
     def _build_shot_outcomes(self) -> np.ndarray | None:
@@ -316,7 +305,7 @@ class OutcomeDistribution:
         if counts is None:
             return None
         p = self.probabilities
-        return _frozen(_draw(p, p.sum(), int(counts.sum()), self.seed), None)
+        return _draw(p, p.sum(), int(counts.sum()), self.seed)
 
     @property
     def counts(self) -> np.ndarray | None:
@@ -432,7 +421,7 @@ def _circuit_rows(u, u0, site_dims, psi, pauli=False):
     """
     dim = math.prod(site_dims)
     runs, order = _readout(site_dims, pauli)
-    down = _couplings(site_dims)[0]
+    down = _couplings(site_dims)
     c = _family_traces(site_dims, pauli, u if u0 is None else dag(u0) @ u)
     c = c / dim
     # C_a against Z^mu X^nu, the product the circuit reads: a Pauli Y is

@@ -26,7 +26,8 @@ from .channels import (
     kraus_from_ancilla_basis,
 )
 from .linalg import (TRIM, _check, _count, _fourier, _frozen, _index,
-                     _record, _records, _sample, _seed, _tally, _weights)
+                     _record, _records, _sample, _seal, _seed, _tally,
+                     _weights)
 
 if TYPE_CHECKING:  # annotations; the retrieval functions import it to build
     from .measure import PureState
@@ -223,9 +224,7 @@ def _composition_table(n: int, k: int):
     sizes = np.full(rows, _FACTORIALS[n])
     for j in range(k):
         sizes //= _FACTORIALS[counts[:, j]]
-    counts.setflags(write=False)
-    sizes.setflags(write=False)
-    return counts, sizes
+    return _seal(counts), _seal(sizes)
 
 
 def verify_sequence(dil: StinespringDilation, ancilla_basis,

@@ -16,8 +16,8 @@ rounding, so the round counts its draws from it without a check of its
 own, by their tally (linalg._tally: the seed's keys sorted once and each
 label's CDF entry searched among them, the bincount of linalg._draw's
 draws bit for bit), and fills its ChannelTranscript from the fresh
-arrays, frozen in place (linalg._filled). A transcript built directly
-holds read-only copies of its arrays.
+arrays, sealed in place (linalg._filled). A transcript built directly
+holds sealed copies of its arrays.
 """
 from __future__ import annotations
 
@@ -26,13 +26,13 @@ import math
 import numpy as np
 
 from .basis import OperatorBasis, expand
-from .linalg import _count, _filled, _frozen, _record, _seed, _tally, _unitary
+from .linalg import _count, _filled, _record, _seed, _tally, _unitary
 
 
 @_record
 class ChannelTranscript:
     """What each party holds after one dense-coding round, its arrays
-    read-only copies of the inputs."""
+    sealed copies of the inputs (see linalg._record)."""
 
     labels: tuple
     coefficients: np.ndarray
@@ -40,13 +40,6 @@ class ChannelTranscript:
     eavesdropper_marginal: np.ndarray
     counts: np.ndarray | None = None
     seed: int | None = None
-
-    def __post_init__(self):
-        for name in ("coefficients", "probabilities",
-                     "eavesdropper_marginal", "counts"):
-            a = getattr(self, name)
-            if a is not None:
-                object.__setattr__(self, name, _frozen(a, None))
 
 
 def eavesdropper_marginal(u) -> np.ndarray:

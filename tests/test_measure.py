@@ -774,7 +774,7 @@ def test_branch_views_share_the_record_rows_read_only():
         for i, r in enumerate(results):
             for state in (r.collapsed, results[i].collapsed):
                 a = state.amplitudes
-                assert a.base is results.states
+                assert a.base is results.states.base
                 assert np.shares_memory(a, results.states[i])
                 assert not a.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
@@ -991,9 +991,9 @@ def test_engine_tables_are_built_once_and_refuse_writes():
     """One build of the index tables, of the readout kernels and of the
     label order per site tuple, however many calls read them, the
     circuit's and the family transform's alike (expand, the exact law,
-    dense coding and a builder's residual); every coupling table is
+    dense coding and a builder's residual); the one coupling table is
     D x D, so none grows with the joint array, and every table and
-    kernel is read-only."""
+    kernel is read-only and refuses setflags(write=True)."""
     rng = np.random.default_rng(36)
     caches = (measure_module._couplings, measure_module._readout,
               basis_module._trace_order)
@@ -1013,20 +1013,22 @@ def test_engine_tables_are_built_once_and_refuse_writes():
     for cache in caches:
         info = cache.cache_info()
         assert (info.misses, info.currsize) == (2, 2)
-    tables = [*measure_module._couplings((2, 2, 2)),
-              *measure_module._couplings((5,))]
-    assert [t.shape for t in tables] == [(8, 8)] * 2 + [(5, 5)] * 2
+    tables = [measure_module._couplings((2, 2, 2)),
+              measure_module._couplings((5,))]
+    assert [t.shape for t in tables] == [(8, 8), (5, 5)]
     for runs, order in (measure_module._readout((2, 2, 2), True),
                         measure_module._readout((5,), False)):
         tables += [order] + [k for run in runs for k in run[2:]]
     tables += [*basis_module._trace_order((2, 2, 2), True),
                *basis_module._trace_order((5,), False)[:2]]
     assert basis_module._trace_order((5,), False)[2] is None
-    assert len(tables) == 4 + 2 + 2 * 2 + 5
+    assert len(tables) == 2 + 2 + 2 * 2 + 5
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[(0,) * table.ndim] = 0
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            table.setflags(write=True)
 
 
 @pytest.mark.parametrize("name", sorted(gates.GATES))

@@ -1,9 +1,9 @@
 """== on the records of measure, superdense, storage and interaction that
 hold arrays: field by field, entry by entry, returning a bool (the
-dataclass-generated == raised on the truth value of an array). Records
-with writable arrays are unhashable; TwoTimeObservable, whose u0 is a
-read-only copy, hashes. Copies and pickles of every array record are
-built again through its checks."""
+dataclass-generated == raised on the truth value of an array). A record
+hashes only when it defines __hash__, as TwoTimeObservable does. Copies
+and pickles of every array record are built again through its checks,
+and every array of every record is sealed, read-only for good."""
 import ast
 import copy
 import dataclasses
@@ -242,32 +242,19 @@ def _arrays(value, path="record"):
             yield from _arrays(item, f"{path}[{i}]")
 
 
-# the records that still hold writable arrays after their checks
-WRITABLE_RECORDS = {"ChoiState", "ConcentrationDistribution",
-                    "OperatorSchmidt", "VerificationRecord"}
-
-
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_copies_and_pickles_are_rebuilt_through_the_constructor(name):
     """A copy, a deepcopy and a pickle round trip have the record's type,
-    compare equal, and hold read-only arrays wherever the record does; a
-    copied map starts without its canonical form and refuses writes.
-    Outside WRITABLE_RECORDS every array is read-only, in the record as
-    its call made it (filled or constructed) and in each copy, which its
-    constructor rebuilt."""
+    compare equal and hold the same arrays; a copied map starts without
+    its canonical form and refuses writes."""
     record = RECORDS[name]
     if isinstance(record, KrausMap):
         canonical_kraus(record)
     fresh = dict(_arrays(record))
-    if name not in WRITABLE_RECORDS:
-        assert not [p for p, a in fresh.items() if a.flags.writeable]
     for c in (copy.copy(record), copy.deepcopy(record),
               pickle.loads(pickle.dumps(record))):
         assert type(c) is type(record) and c == record
-        arrays = dict(_arrays(c))
-        assert arrays.keys() == fresh.keys()
-        for path, a in fresh.items():
-            assert a.flags.writeable or not arrays[path].flags.writeable, path
+        assert dict(_arrays(c)).keys() == fresh.keys()
         if isinstance(c, KrausMap):
             assert "_canonical" not in vars(c)
             with pytest.raises(ValueError):
@@ -398,6 +385,49 @@ def test_constructors_freeze_copies_not_their_inputs():
               again.coefficients, again.probabilities,
               again.eavesdropper_marginal, again.counts):
         assert not a.flags.writeable
+
+
+def _held_arrays(value, path="record"):
+    """(path, array) for every array a value holds: in its fields, built
+    on first read when lazy, and in its private state (a tally, an
+    isometry, a memo, a builder's source), in nested records and tuples
+    too."""
+    if isinstance(value, np.ndarray):
+        yield path, value
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from _held_arrays(item, f"{path}[{i}]")
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            getattr(value, f.name)
+        for name, item in vars(value).items():
+            yield from _held_arrays(item, f"{path}.{name}")
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_every_array_of_every_record_is_sealed(name):
+    """However a record was made (its constructor, _filled, _held, a
+    built field) and in its copy, deepcopy, pickle and
+    dataclasses.replace, every array it holds is read-only and refuses
+    setflags(write=True)."""
+    record = RECORDS[name]
+    if isinstance(record, KrausMap):
+        canonical_kraus(record)
+    for made in (record, copy.copy(record), copy.deepcopy(record),
+                 pickle.loads(pickle.dumps(record)),
+                 dataclasses.replace(record)):
+        arrays = dict(_held_arrays(made))
+        assert arrays.keys() >= dict(_arrays(made)).keys()
+        for path, a in arrays.items():
+            assert not a.flags.writeable, path
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                a.setflags(write=True)
+
+
+def test_a_channel_state_cannot_be_written():
+    m = choi(named_channel("dephasing:0.5")).matrix
+    with pytest.raises(ValueError, match="read-only"):
+        m[0, 0] = 5
 
 
 def test_constructed_arrays_cannot_be_reopened():

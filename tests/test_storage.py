@@ -254,6 +254,8 @@ def test_composition_table_invariants(n, k):
     for table in (counts, sizes):
         with pytest.raises(ValueError):
             table[0] = 0
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            table.setflags(write=True)
 
 
 def test_typical_compress_refuses_a_table_over_budget():
