@@ -535,6 +535,12 @@ def expand(op, basis: OperatorBasis) -> ExpansionCoefficients:
     A basis built directly is read through its elements, bit for bit
     that formula.
     """
+    return _filled(ExpansionCoefficients, coeffs=_coefficients(op, basis))
+
+
+def _coefficients(op, basis: OperatorBasis) -> np.ndarray:
+    """The coefficients of expand as a fresh array, for the callers that
+    read them and keep no record of them."""
     m = as_matrix(op)
     d = basis.dim
     if m.shape != (d, d):
@@ -551,7 +557,7 @@ def expand(op, basis: OperatorBasis) -> ExpansionCoefficients:
         # is exact)
         flat = basis.elements.reshape(len(basis), -1)
         coeffs = (flat @ m.ravel().conj()).conj()
-    return _filled(ExpansionCoefficients, coeffs=coeffs / d)
+    return coeffs / d
 
 
 def reconstruct(coeffs: ExpansionCoefficients, basis: OperatorBasis) -> np.ndarray:

@@ -5,8 +5,11 @@ records that hold arrays (_record, _held, _filled), the one freeze
 table's, is sealed there, a read-only view of a read-only array, so
 setflags(write=True) is refused), the records
 (M (x) 1)|phi+> of a stack, the fail-closed residual check, the isometry
-deviation, the check of every unitary input (_unitary, within
-UNITARY_ATOL), the check of every count, seed and n argument (_count,
+deviation, the check of every unitary input (_checked_unitary, within
+UNITARY_ATOL, in place: a call that only reads its unitary checks the
+caller's array and keeps no copy of it, while the records and builders
+that keep one take _unitary, the same check on a sealed copy), the
+check of every count, seed and n argument (_count,
 and _seed for seeds) and of every index (_index), the check of every
 weight vector drawn from (_weights), the seeded draw (_draw), its tally
 (_tally: the counts alone, for the callers that read no per-shot order)
@@ -87,11 +90,14 @@ def _record(cls):
     frozen dataclass compared by _arrays_equal, unhashable unless its
     body defines __hash__ (over read-only arrays, consistent with ==).
     Every array it holds is sealed (_seal), however it was made: after
-    its validator, if it has one, each array field not sealed already
-    is replaced by a sealed copy, so a validator that converts an input
-    seals its own copy (_frozen) and one that only reads it leaves the
-    copy to the record; the values of _filled and _held and each built
-    field are sealed in place. A field that a record may hold in a
+    its validator, if it has one, each array field is replaced by a
+    sealed copy unless the validator replaced it by its own sealed copy
+    (_frozen, _unitary), so a validator that converts an input seals its
+    own copy and one that only reads it leaves the copy to the record.
+    An input is copied even when it is a view of a read-only array, whose
+    owner its caller may open again, so no caller can write to a record
+    built directly. The values of _filled and _held and each built field
+    are sealed in place. A field that a record may hold in a
     cheaper form is built on its first read by the class's
     _build_<field> method (a functools.cached_property) when the record
     does not hold it. A builder may make a record by _held: it keeps its
@@ -112,15 +118,15 @@ def _record(cls):
         check = vars(cls).get("__post_init__", lambda self: None)
 
         def __post_init__(self):
+            given = [getattr(self, name) for name in arrays]
             check(self)
-            for name in arrays:
-                a = getattr(self, name)
-                base = getattr(a, "base", None)
-                # a view of a read-only array (a validator's _frozen
-                # copy, a field of another record) is sealed already
-                if a is not None and not (isinstance(base, np.ndarray)
-                                          and not base.flags.writeable):
-                    object.__setattr__(self, name, _seal(np.array(a)))
+            for name, a in zip(arrays, given):
+                b = getattr(self, name)
+                # kept only as the validator's own sealed copy: an input,
+                # even a view of a read-only array, may have an owner that
+                # its caller can open again
+                if b is not None and (b is a or b.flags.writeable):
+                    object.__setattr__(self, name, _seal(np.array(b)))
         cls.__post_init__ = __post_init__
     cls.__eq__ = _arrays_equal
     if "__hash__" not in vars(cls):
@@ -149,12 +155,16 @@ def _filled(cls, **values):
     """A record of cls holding values that its caller has already
     checked, made without running its validator; a field not given keeps
     its default. Its arrays are the caller's fresh ones, sealed in place
-    (_seal), not copied; a read-only view, which a caller passes only as
-    a row of a sealed array, is kept as it is. A copy or a pickle of it
-    is rebuilt through the checks all the same (see _record)."""
+    as _seal seals them, inline, not copied; a read-only view, which a
+    caller passes only as a row of a sealed array, is kept as it is. A
+    copy or a pickle of it is rebuilt through the checks all the same
+    (see _record)."""
     for name, a in values.items():
         if isinstance(a, np.ndarray) and (a.base is None or a.flags.writeable):
-            values[name] = _seal(a)
+            if a.base is not None:
+                a.base.setflags(write=False)
+            a.setflags(write=False)
+            values[name] = a.view()
     record = object.__new__(cls)
     vars(record).update(values)
     return record
@@ -190,14 +200,15 @@ def is_unitary(a: np.ndarray) -> bool:
     return _isometry_deviation(a) <= UNITARY_ATOL
 
 
-def _unitary(u, dim: int | None = None, what: str = "matrix",
-             tol: float = UNITARY_ATOL) -> np.ndarray:
-    """The check of every unitary input: a read-only complex copy of u
-    (of u.matrix for a record). ValueError, naming what, unless it is a
-    square matrix, of size dim when dim is given, whose isometry
-    deviation is at most tol, UNITARY_ATOL unless given (a NaN is
-    refused)."""
-    m = _frozen(getattr(u, "matrix", u))
+def _checked_unitary(u, dim: int | None = None, what: str = "matrix",
+                     tol: float = UNITARY_ATOL) -> np.ndarray:
+    """The check of every unitary input, in place: u (u.matrix for a
+    record) as a complex array, the caller's own when it is one, not
+    copied. ValueError, naming what, unless it is a square matrix, of
+    size dim when dim is given, whose isometry deviation is at most tol,
+    UNITARY_ATOL unless given (a NaN is refused). A call that keeps no
+    part of u reads it so; one that keeps u takes _unitary's copy."""
+    m = as_matrix(u)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape "
                          f"{m.shape}")
@@ -205,6 +216,14 @@ def _unitary(u, dim: int | None = None, what: str = "matrix",
         raise ValueError(f"{what} has dim {m.shape[0]}, expected {dim}")
     _check(_isometry_deviation(m), tol, f"{what} is not unitary")
     return m
+
+
+def _unitary(u, dim: int | None = None, what: str = "matrix",
+             tol: float = UNITARY_ATOL) -> np.ndarray:
+    """The unitary that a record or a builder keeps: a sealed complex
+    copy of u (of u.matrix for a record), taken before it is checked by
+    _checked_unitary, so no later write to u reaches it."""
+    return _checked_unitary(_frozen(getattr(u, "matrix", u)), dim, what, tol)
 
 
 def _isometry_deviation(a) -> float:

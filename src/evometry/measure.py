@@ -76,7 +76,11 @@ deviates or the dimension, and is checked again on the next call.
 shots goes through linalg._count, which refuses a bool, a float or a
 negative with a ValueError naming the argument, and the seed through
 linalg._seed, which also refuses a missing seed when shots > 0 and
-checks a given one even when shots is 0 and nothing is drawn.
+checks a given one even when shots is 0 and nothing is drawn. U and the
+state are checked in place, since the call keeps neither: U by
+linalg._checked_unitary and the state by _state, the norm check that
+PureState runs, which takes a PureState's amplitudes as they are. No
+copy of either is made and no PureState is built for the input.
 
 Results: a call checks each quantity once, in _finish: the seed, the law
 (_law, the check of OutcomeDistribution: one finite, non-negative
@@ -84,8 +88,8 @@ probability per label, summing to 1 within PROBABILITY_ATOL, so each is
 at most 1 + PROBABILITY_ATOL) and the observed rows, whose squared norms
 (one contraction over the float view) must be finite normal floats, so
 one NaN, infinite or zero row rejects the call. Each observed row is
-divided by its own norm after u0, so a u0 that passes its 1e-10
-unitarity check still gives unit rows. The draws are counted, not drawn
+divided by its own norm after u0, in place, so a u0 that passes its
+1e-10 unitarity check still gives unit rows. The draws are counted, not drawn
 one by one: linalg._tally sorts the seed's keys once and searches each
 label's CDF entry among them, and its counts, one per label by
 construction, name the observed outcomes. The call then fills the
@@ -101,8 +105,10 @@ The squared norm of each circuit row before u0 is the outcome's
 probability |C_a|^2. The record's WhichUnitaryResult views are built when read
 and run no validator; a PureState built directly, or through
 dataclasses.replace, still checks its norm. At n = 4 with 512 shots
-(about 170 branches) a call takes 0.19-0.32 ms (the medians of 300
-single calls on fresh inputs in two runs of tools/layers.py; one BLAS
+(about 170 branches) a call takes about 0.16 ms, 0.18 ms over a basis
+with a Haar u0, 0.17 ms with a one-qubit bystander and 0.22 ms with
+both, and at n = 3 about 0.12 ms (the medians of 600 single calls on
+fresh inputs in one run of tools/layers.py --u0 --bystander; one BLAS
 thread, 2-vCPU Xeon VM whose speed drifts by up to 1.8x).
 """
 from __future__ import annotations
@@ -116,17 +122,18 @@ import numpy as np
 from .basis import (
     PRODUCT_FORM_ATOL,
     OperatorBasis,
+    _coefficients,
     _couplings,
     _family_traces,
     _read,
     _readout,
     _trace_order,
     clock_shift,
-    expand,
 )
 from .linalg import (
     _array_hash,
     _check,
+    _checked_unitary,
     _count,
     _draw,
     _filled,
@@ -159,13 +166,24 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        v = _frozen(np.ravel(self.amplitudes))
-        _check(abs(np.linalg.norm(v) - 1.0), NORM_ATOL, "state norm is not 1")
-        object.__setattr__(self, "amplitudes", v)
+        object.__setattr__(self, "amplitudes", _frozen(_state(self.amplitudes)))
 
     @property
     def dim(self) -> int:
         return self.amplitudes.size
+
+
+def _state(psi) -> np.ndarray:
+    """The norm check of every state, in place: a PureState's amplitudes
+    as they are (checked when it was built), any other psi raveled as a
+    complex vector, the caller's own array when it is one, not copied.
+    ValueError unless its norm is 1 within NORM_ATOL (a NaN is refused).
+    A call that keeps no part of psi reads it so."""
+    if isinstance(psi, PureState):
+        return psi.amplitudes
+    v = np.asarray(psi, dtype=complex).ravel()
+    _check(abs(np.linalg.norm(v) - 1.0), NORM_ATOL, "state norm is not 1")
+    return v
 
 
 @_record
@@ -395,7 +413,7 @@ def observable_commutator_norm(
 
 def which_unitary_distribution(u, basis: OperatorBasis) -> OutcomeDistribution:
     """Exact outcome law |C_a|^2 for measuring which basis element acted."""
-    p = expand(u, basis).probabilities()
+    p = np.abs(_coefficients(u, basis)) ** 2
     _law(p, len(basis.labels))
     return _filled(OutcomeDistribution, labels=basis.labels, probabilities=p)
 
@@ -437,11 +455,18 @@ def _circuit_rows(u, u0, site_dims, psi, pauli=False):
         for (_, _, f, _), digit in zip(runs, mu):
             kernel = (kernel[:, :, None] * f.take(digit, 0)[:, None]).reshape(
                 len(labels), -1)
-        rows = np.take(psi.reshape(dim, -1).T, down.take(nu, 0), axis=1)
+        if u0 is None:
+            # (row, level, bystander level), the output's order: one
+            # gather and no copy
+            rows = psi.reshape(dim, -1).take(down.take(nu, 0), 0)
+            rows *= kernel[:, :, None]
+            return rows.reshape(len(labels), -1)
+        # (bystander level, row, level): u0 acts on the last axis, one
+        # product over every row, and the rows move to the output's order
+        # (a copy only with a bystander)
+        rows = psi.reshape(dim, -1).T.take(down.take(nu, 0), 1)
         rows *= kernel
-        if u0 is not None:
-            rows = rows @ u0.T
-        return rows.transpose(1, 2, 0).reshape(len(labels), -1)
+        return (rows @ u0.T).transpose(1, 2, 0).reshape(len(labels), -1)
 
     return np.abs(c) ** 2, rows_of
 
@@ -463,10 +488,10 @@ def _finish(labels, probs, rows_of, shots, seed):
     if shots:
         # the tally, not the draws: shot_outcomes draws them when read
         counts = _tally(p, total, shots, checked)
-        observed = np.flatnonzero(counts)
+        observed = counts.nonzero()[0]
     else:
         counts = None
-        observed = np.flatnonzero(p > 1e-14)
+        observed = (p > 1e-14).nonzero()[0]
     states = _unit(rows_of(observed))
     dist = _filled(OutcomeDistribution, labels=labels, probabilities=p,
                    seed=seed, _counts=counts)
@@ -480,33 +505,36 @@ _NORMAL = np.finfo(float).tiny
 
 
 def _unit(rows):
-    """A fresh array of the complex rows, each divided by its own norm,
-    the rows' one norm check: ValueError unless every squared norm is a
-    finite normal float, so a NaN, infinite or zero row, or one too
-    small to normalise, is refused. One contraction and the division
-    run on the float views, real ones, several times cheaper than
-    complex ones; the rows' last axis must be contiguous."""
+    """The complex rows, a fresh array that no one else holds, each
+    divided by its own norm in place, the rows' one norm check:
+    ValueError unless every squared norm is a finite normal float, so a
+    NaN, infinite or zero row, or one too small to normalise, is refused
+    and no row is changed. One contraction and the division run on the
+    float view, real, several times cheaper than complex; the rows' last
+    axis must be contiguous."""
     v = rows.view(float)
     squares = np.einsum("ij,ij->i", v, v)
     if not (squares.min(initial=1.0) >= _NORMAL
             and squares.max(initial=1.0) < np.inf):
         raise ValueError("state norm is not 1: a row is NaN, infinite, "
                          "zero or too small to normalise")
-    unit = np.empty_like(rows)
-    np.divide(v, np.sqrt(squares)[:, None], out=unit.view(float))
-    return unit
+    v /= np.sqrt(squares)[:, None]
+    return rows
 
 
-def _circuit_inputs(u, basis, psi):
-    """Validated unitary and state (with any bystander factor) for a
-    circuit over the basis."""
-    um = _unitary(u, basis.dim, "unitary")
-    psi = PureState(getattr(psi, "amplitudes", psi)).amplitudes
+def _circuit(u, basis, psi):
+    """(law, rows_of) of the echo circuit (_circuit_rows) of u over the
+    basis on the state psi, which may carry a bystander factor. u and psi
+    are checked in place, since the circuit keeps neither
+    (_checked_unitary, _state)."""
+    site_dims, pauli, u0 = basis._product_form
+    um = _checked_unitary(u, basis.dim, "unitary")
+    psi = _state(psi)
     if psi.size % basis.dim != 0:
         raise ValueError(
             f"state dim {psi.size} is not a multiple of basis dim {basis.dim}"
         )
-    return um, psi
+    return _circuit_rows(um, u0, site_dims, psi, pauli)
 
 
 def measure_which_unitary(u, basis: OperatorBasis, psi, shots: int = 0,
@@ -533,10 +561,7 @@ def measure_which_unitary(u, basis: OperatorBasis, psi, shots: int = 0,
     (linalg._tally).
     """
     shots = _count(shots, "shots")
-    site_dims, pauli, u0 = basis._product_form
-    um, psi = _circuit_inputs(u, basis, psi)
-    weights, rows_of = _circuit_rows(um, u0, site_dims, psi, pauli)
-    return _finish(basis.labels, weights, rows_of, shots, seed)
+    return _finish(basis.labels, *_circuit(u, basis, psi), shots, seed)
 
 
 def measure_which_unitary_qudit(u, basis: OperatorBasis, psi,
@@ -554,16 +579,15 @@ def circuit_end_state(u, basis: OperatorBasis, psi) -> np.ndarray:
     readout, for either product form, exposed for inspection of the
     ancilla end states.
     """
-    site_dims, pauli, u0 = basis._product_form
-    um, psi = _circuit_inputs(u, basis, psi)
+    site_dims, pauli, _ = basis._product_form
     runs, order = _readout(site_dims, pauli)
-    _, rows_of = _circuit_rows(um, u0, site_dims, psi, pauli)
+    _, rows_of = _circuit(u, basis, psi)
     # every row in the readout's (nu block, mu block) order; undo the
     # readout, the mu block back to alpha with K and the nu block to beta
     # with conj(K) (K conj(K) = D 1 on a block, so the two unnormalised
     # undos are divided by D), then interleave the blocks as
     # (alpha_1, beta_1, ..., alpha_n, beta_n)
-    dim, n = len(um), len(site_dims)
+    dim, n = basis.dim, len(site_dims)
     t = rows_of(np.argsort(order))
     t = _read(_read(t, runs, dim, False), runs, 1, True) / dim
     t = t.reshape(site_dims * 2 + (-1,))
@@ -589,6 +613,6 @@ def measure_choi_side(op, basis: OperatorBasis, shots: int = 0,
     """
     shots = _count(shots, "shots")
     # the amplitude on (B_a (x) 1)|phi+> is <<B_a|op>>/d = C_a
-    probs = expand(op, basis).probabilities()
+    probs = np.abs(_coefficients(op, basis)) ** 2
     return _finish(basis.labels, probs,
                    lambda a: _records(basis.elements[a]), shots, seed)

@@ -257,18 +257,19 @@ def verify_sequence(dil: StinespringDilation, ancilla_basis,
 
 def _retrieval_rows(kraus: KrausMap, index: int, psi):
     """Storage-register branches of the controlled-application protocol,
-    and psi as a PureState (a plain vector is checked as one).
+    and psi's amplitudes: a PureState's as they are, a plain vector
+    checked once, in place, by the state check (measure._state).
 
     Row m carries the canonical element m applied to psi, weighted by
     the stored operator's coefficient in the canonical expansion.
     """
-    from .measure import PureState  # so storage loads without measure
+    from .measure import _state  # so storage loads without measure
 
-    psi = PureState(getattr(psi, "amplitudes", psi))
+    psi = _state(psi)
     index = _index(index, len(kraus), "index")
     canon = canonical_kraus(kraus)
     d = kraus.dim
-    if psi.dim != d:
+    if psi.size != d:
         raise ValueError("state dimension does not match the map")
     m_op = kraus.operators[index]
     flat = canon.operators.reshape(len(canon), -1)
@@ -278,7 +279,7 @@ def _retrieval_rows(kraus: KrausMap, index: int, psi):
     _check(np.linalg.norm(resid), MATCH_ATOL * scale,
            "stored operator lies outside the map's support")
     nsq = float(np.sum(np.abs(coeff) ** 2 * canon.probabilities))
-    rows = coeff[:, None] * (canon.operators @ psi.amplitudes) / np.sqrt(nsq)
+    rows = coeff[:, None] * (canon.operators @ psi) / np.sqrt(nsq)
     return rows, psi
 
 
@@ -336,7 +337,7 @@ def retrieval_statistics(index: int, kraus: KrausMap, psi,
         # the herald's count alone: the tally of the draws, not the draws
         successes = int(_tally(*_weights(weights), trials, seed)[0])
     target = branches[0] / np.linalg.norm(branches[0])
-    expected = kraus.operators[index] @ psi.amplitudes
+    expected = kraus.operators[index] @ psi
     expected /= np.linalg.norm(expected)
     return {
         "support_dim": int(weights.size),

@@ -10,7 +10,10 @@ protocol: log2(d^2) symbols per transmitted qudit, one shared
 pair consumed. Anyone holding only the transmitted half sees the
 maximally mixed state whatever u was.
 
-A round checks its unitary, its basis and its seed once. The law of a
+A round checks its unitary, its basis and its seed once, the unitary
+in place (linalg._checked_unitary), since the round keeps no part of
+it, and reads the coefficients as an array (basis._coefficients, the
+body of expand) without an ExpansionCoefficients record. The law of a
 checked unitary is finite and non-negative and sums to 1 within
 rounding, so the round counts its draws from it without a check of its
 own, by their tally (linalg._tally: the seed's keys sorted once and each
@@ -25,8 +28,8 @@ import math
 
 import numpy as np
 
-from .basis import OperatorBasis, expand
-from .linalg import _count, _filled, _record, _seed, _tally, _unitary
+from .basis import OperatorBasis, _coefficients
+from .linalg import _checked_unitary, _count, _filled, _record, _seed, _tally
 
 
 @_record
@@ -45,7 +48,7 @@ class ChannelTranscript:
 def eavesdropper_marginal(u) -> np.ndarray:
     """Density matrix of the transmitted half alone: always 1/d, whatever
     the unitary u was."""
-    return _marginal(_unitary(u, what="unitary"))
+    return _marginal(_checked_unitary(u, what="unitary"))
 
 
 def _marginal(um: np.ndarray) -> np.ndarray:
@@ -64,24 +67,24 @@ def superdense_send(u, basis: OperatorBasis, shots: int = 0,
     Bob's amplitude on Bell vector a is tr(B_a^dag u)/d, the expansion
     coefficient C_a of the unitary, so the exact outcome probabilities
     are |C_a|^2 and a basis element encodes its own index with
-    certainty; the amplitudes are computed by expand. The family is
-    orthonormal because the basis is trace orthogonal, and maximally
-    entangled because its elements are unitary, which OperatorBasis
-    records in is_unitary. shots goes through linalg._count and the
+    certainty; the amplitudes are computed as expand computes them. The
+    family is orthonormal because the basis is trace orthogonal, and
+    maximally entangled because its elements are unitary, which
+    OperatorBasis records in is_unitary. shots goes through linalg._count and the
     seed through linalg._seed, checked even when shots is 0.
     """
     shots = _count(shots, "shots")
-    um = _unitary(u, basis.dim, "unitary")
+    um = _checked_unitary(u, basis.dim, "unitary")
     if not basis.is_unitary:
         raise ValueError("the basis must consist of unitaries")
     checked = _seed(seed, shots)
-    coeffs = expand(um, basis)
-    probs = coeffs.probabilities()
+    coeffs = _coefficients(um, basis)
+    probs = np.abs(coeffs) ** 2
     counts = None
     if shots:
         # the law of a checked unitary: finite, non-negative, sum 1
         counts = _tally(probs, probs.sum(), shots, checked)
     return _filled(ChannelTranscript, labels=basis.labels,
-                   coefficients=coeffs.coeffs, probabilities=probs,
+                   coefficients=coeffs, probabilities=probs,
                    eavesdropper_marginal=_marginal(um), counts=counts,
                    seed=seed)

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from evometry import basis as basis_module
 from evometry import gates
 from evometry import measure as measure_module
+from evometry import superdense as superdense_module
 from evometry import (
+    ExpansionCoefficients,
     NotAnEigenoperator,
     OperatorBasis,
     OutcomeDistribution,
@@ -659,22 +661,78 @@ def test_branch_normalisation_matches_the_per_row_loop(
 
 
 def test_branch_records_run_no_per_row_validator():
-    """A call counts, not times: at n = 4 with 512 shots only the input
-    state runs PureState.__post_init__, however many outcomes occur, and
-    reading every branch view runs it no more."""
+    """A call counts, not times: at n = 4 with 512 shots no
+    PureState.__post_init__ runs, however many outcomes occur, and
+    reading every branch view runs it no more; the input state is
+    checked once, in place, by measure._state."""
     rng = np.random.default_rng(33)
     basis = pauli_basis(dim=16)
     for _ in range(3):
         u, psi = random_unitary(16, rng), random_state(16, rng)
         with mock.patch.object(PureState, "__post_init__", autospec=True,
-                               side_effect=PureState.__post_init__) as post:
+                               side_effect=PureState.__post_init__) as post, \
+                mock.patch.object(measure_module, "_state",
+                                  side_effect=measure_module._state) as check:
             _, results = measure_which_unitary(u, basis, psi, shots=512,
                                                seed=int(rng.integers(99)))
             views = list(results)
         assert len(views) == len(results) > 50
-        assert post.call_count == 1
-        assert np.array_equal(post.call_args.args[0].amplitudes, psi)
+        assert post.call_count == 0
+        assert check.call_count == 1 and check.call_args.args[0] is psi
         assert all(type(r.collapsed) is PureState for r in views)
+
+
+def test_echo_calls_make_no_throwaway_records():
+    """A dense-coding round reads its coefficients as an array and a
+    circuit call checks its state in place: neither builds or fills an
+    ExpansionCoefficients or a PureState."""
+    rng = np.random.default_rng(35)
+    for basis in (pauli_basis(dim=8), pauli_basis(random_unitary(4, rng)),
+                  weyl_basis(3)):
+        u = random_unitary(basis.dim, rng)
+        psi = random_state(basis.dim, rng)
+        fills = [mock.patch.object(module, "_filled",
+                                   side_effect=module._filled)
+                 for module in (basis_module, measure_module,
+                                superdense_module)]
+        checks = [mock.patch.object(cls, "__post_init__", autospec=True,
+                                    side_effect=cls.__post_init__)
+                  for cls in (ExpansionCoefficients, PureState)]
+        with fills[0] as a, fills[1] as b, fills[2] as c, \
+                checks[0] as coeffs_check, checks[1] as state_check:
+            superdense_send(u, basis, shots=64, seed=1)
+            measure_which_unitary(u, basis, psi, shots=64, seed=2)
+        made = {call.args[0] for fill in (a, b, c)
+                for call in fill.call_args_list}
+        assert made.isdisjoint({ExpansionCoefficients, PureState})
+        assert coeffs_check.call_count == state_check.call_count == 0
+
+
+def test_echo_records_keep_no_view_of_the_callers_inputs():
+    """Both calls check u and psi in place and keep neither: writing
+    into the caller's arrays afterwards changes no returned record, with
+    or without u0 and a bystander."""
+    rng = np.random.default_rng(36)
+    for basis in (pauli_basis(dim=4), pauli_basis(random_unitary(4, rng)),
+                  weyl_basis(3)):
+        for factor in (1, 2):
+            d = basis.dim
+            u, psi = random_unitary(d, rng), random_state(factor * d, rng)
+            for shots in (0, 64):
+                dist, branches = measure_which_unitary(u, basis, psi,
+                                                       shots, seed=3)
+                sent = superdense_send(u, basis, shots, seed=4)
+                held = [dist.probabilities, dist.counts, dist.shot_outcomes,
+                        branches.outcomes, branches.states,
+                        branches.probabilities, sent.coefficients,
+                        sent.probabilities, sent.eavesdropper_marginal,
+                        sent.counts]
+                kept = [None if a is None else a.copy() for a in held]
+                u_was, psi_was = u.copy(), psi.copy()
+                u[:], psi[:] = np.nan, np.nan
+                for a, b in zip(held, kept):
+                    assert a is b is None or np.array_equal(a, b)
+                u[:], psi[:] = u_was, psi_was
 
 
 def test_batch_states_fail_closed():

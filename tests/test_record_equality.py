@@ -27,6 +27,7 @@ from evometry import (
     StinespringDilation,
     TwoTimeObservable,
     UnitaryOperator,
+    VerificationRecord,
     canonical_kraus,
     choi,
     concentrate,
@@ -46,6 +47,7 @@ from evometry import (
     which_unitary_distribution,
 )
 from evometry.gates import CNOT
+from evometry.measure import CircuitBranches
 from evometry.linalg import (_arrays_equal, _draw, _rebuild, _sample,
                              random_state, random_unitary)
 
@@ -440,6 +442,27 @@ def test_constructed_arrays_cannot_be_reopened():
     for a in (m.operators, state.amplitudes):
         with pytest.raises(ValueError, match="WRITEABLE"):
             a.setflags(write=True)
+
+
+def test_constructors_copy_a_view_of_a_read_only_array():
+    """A record built directly keeps no input array, not even a view of
+    a read-only one: its caller may open the owner again and write to
+    it, and the record does not change."""
+    o = np.array([0.25, 0.75])
+    o.setflags(write=False)
+    r = VerificationRecord(True, (0,), (0,), o.view())
+    o.setflags(write=True)
+    o[0] = 9
+    assert r.step_weights.tolist() == [0.25, 0.75]
+    oc, s = np.array([1]), np.array([[1.0, 0.0]], dtype=complex)
+    for a in (oc, s):
+        a.setflags(write=False)
+    branches = CircuitBranches(oc.view(), s.view(), [0.5])
+    for a in (oc, s):
+        a.setflags(write=True)
+    oc[0], s[0, 0] = 0, 0.0
+    assert branches.outcomes.tolist() == [1]
+    assert branches.states.tolist() == [[1.0, 0.0]]
 
 
 def test_dilations_from_stinespring_compare_their_maps_unbuilt():

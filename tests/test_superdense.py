@@ -105,8 +105,8 @@ def test_send_refuses_a_non_unitary_basis():
 def test_send_checks_its_unitary_once():
     basis, rng = pauli_basis(dim=4), np.random.default_rng(40)
     us = [random_unitary(4, rng) for _ in range(3)]
-    with mock.patch.object(superdense, "_unitary",
-                           side_effect=superdense._unitary) as post:
+    with mock.patch.object(superdense, "_checked_unitary",
+                           side_effect=superdense._checked_unitary) as post:
         for u in us:
             superdense_send(u, basis, shots=8, seed=1)
     assert post.call_count == len(us)

@@ -3,6 +3,7 @@ block of a BENCH_<pr>.json.
 
     python tools/layers.py PARENT CHANGE [--qubits 1 2 3 4]
         [--qudits 3 4 5 6 7 8 9 10 11] [--rotations 300] [--seed 1]
+        [--u0] [--bystander]
 
 PARENT and CHANGE are checkouts (directories holding src/evometry). Each
 is imported under its own package name, so both run in this process on
@@ -12,7 +13,14 @@ superdense_send with 512 shots and which_unitary_distribution, over
 pauli_basis(dim=2^n) and weyl_basis(d) without u0, on a Haar unitary and
 state; and, on the channel side, retrieval_statistics with 2000 trials of
 element 0 of a fresh random map of d = 4 and k = 5 elements on a Haar
-state (size key "d4k5"). A rotation draws fresh inputs and a fresh seed
+state (size key "d4k5"). The benchmark's echo-circuit jobs alternate
+their Pauli bases between ones with and without a Haar u0 and give one
+circuit in three a one-qubit bystander, so --u0 adds every qubit size
+over pauli_basis(u0) for a Haar u0 drawn once per dimension (key suffix
+"u0"), and --bystander adds every size, the u0 ones included, with the
+state on twice the basis dimension (suffix "b") for
+measure_which_unitary alone, the one layer that reads the state. A
+rotation draws fresh inputs and a fresh seed
 (a warm loop over repeated inputs reads faster than any real call: over
 512 repeated keys a search of a 4-256 entry CDF per key takes 4-9 us and
 with fresh keys 9-39 us, while sorting them takes 3.2 us against 3.6,
@@ -125,26 +133,38 @@ def timed(call) -> float:
     return (time.perf_counter_ns() - t0) / 1e3
 
 
+def layers(bystander: bool) -> tuple:
+    """The layers timed at a size: measure_which_unitary alone with a
+    bystander, since no other layer reads the state."""
+    return LAYERS[:1] if bystander else LAYERS
+
+
 def measure(trees, sizes, rotations: int, seed: int) -> dict:
     """{layer: {size: {side: [call times in us, one per rotation]}}}."""
     evs = [load(tree, f"evometry_{side}") for tree, side in zip(trees, SIDES)]
-    bases = {key: [ev.pauli_basis(dim=dim) if kind == "n"
-                   else ev.weyl_basis(dim) for ev in evs]
-             for key, (kind, dim) in sizes.items()}
-    times = {layer: {key: {side: [] for side in SIDES} for key in sizes}
+    rng = np.random.default_rng(seed)
+    u0s = {dim: haar(dim, rng)[0] for dim in sorted(
+        {dim for _, dim, with_u0, _ in sizes.values() if with_u0})}
+    bases = {key: [ev.pauli_basis(u0s[dim] if with_u0 else None, dim=dim)
+                   if kind == "n" else ev.weyl_basis(dim) for ev in evs]
+             for key, (kind, dim, with_u0, _) in sizes.items()}
+    times = {layer: {key: {side: [] for side in SIDES}
+                     for key, (*_, bystander) in sizes.items()
+                     if layer in layers(bystander)}
              for layer in LAYERS}
     times[RETRIEVAL] = {MAP_KEY: {side: [] for side in SIDES}}
-    rng = np.random.default_rng(seed)
     for r in range(-1, rotations):
         order = (0, 1) if r % 2 == 0 else (1, 0)
         runs = []
-        for key, (_, dim) in sizes.items():
+        for key, (_, dim, _, bystander) in sizes.items():
             u, psi = haar(dim, rng)
+            if bystander:
+                psi = haar(2 * dim, rng)[1]
             shot_seed = int(rng.integers(2 ** 31))
             per_tree = [calls(ev, basis, u, psi, shot_seed)
                         for ev, basis in zip(evs, bases[key])]
             runs += [(layer, key, [c[layer] for c in per_tree])
-                     for layer in LAYERS]
+                     for layer in layers(bystander)]
         runs.append((RETRIEVAL, MAP_KEY, retrieval(evs, rng)))
         for layer, key, per_tree in runs:
             for i in order:
@@ -166,7 +186,10 @@ def summary(times, rotations: int) -> dict:
         "call; figures are medians of single calls in microseconds. "
         f"Layers: measure_which_unitary ({SHOTS} shots), superdense_send "
         f"({SHOTS} shots), which_unitary_distribution, over "
-        "pauli_basis(dim=2^n) ('n') and weyl_basis(d) ('d') without u0; "
+        "pauli_basis(dim=2^n) ('n') and weyl_basis(d) ('d') without u0, "
+        "and pauli_basis(u0) for a Haar u0 fixed per size ('u0' suffix); "
+        "measure_which_unitary also with the state on twice the basis "
+        "dimension, a one-qubit bystander ('b' suffix); "
         f"retrieval_statistics ({TRIALS} trials) of element 0 of a fresh "
         f"random map of d = {MAP_DIM} and k = {MAP_ELEMENTS} ('{MAP_KEY}').")}
     for layer, by_size in times.items():
@@ -191,9 +214,22 @@ def main(argv=None) -> int:
                     default=list(range(3, 12)))
     ap.add_argument("--rotations", type=int, default=300)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--u0", action="store_true",
+                    help="also time each qubit size over a basis with a "
+                         "Haar u0")
+    ap.add_argument("--bystander", action="store_true",
+                    help="also time measure_which_unitary with a one-qubit "
+                         "bystander on the state")
     args = ap.parse_args(argv)
-    sizes = {f"n{n}": ("n", 2 ** n) for n in args.qubits}
-    sizes.update({f"d{d}": ("d", d) for d in args.qudits})
+    bases = [(f"n{n}", "n", 2 ** n, False) for n in args.qubits]
+    bases += [(f"d{d}", "d", d, False) for d in args.qudits]
+    if args.u0:
+        bases += [(f"n{n}u0", "n", 2 ** n, True) for n in args.qubits]
+    sizes = {key: (kind, dim, with_u0, False)
+             for key, kind, dim, with_u0 in bases}
+    if args.bystander:
+        sizes.update({f"{key}b": (kind, dim, with_u0, True)
+                      for key, kind, dim, with_u0 in bases})
     times = measure((args.parent, args.change), sizes, args.rotations,
                     args.seed)
     print(json.dumps(summary(times, args.rotations), indent=1))
