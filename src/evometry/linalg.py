@@ -155,16 +155,12 @@ def _filled(cls, **values):
     """A record of cls holding values that its caller has already
     checked, made without running its validator; a field not given keeps
     its default. Its arrays are the caller's fresh ones, sealed in place
-    as _seal seals them, inline, not copied; a read-only view, which a
-    caller passes only as a row of a sealed array, is kept as it is. A
-    copy or a pickle of it is rebuilt through the checks all the same
-    (see _record)."""
+    (_seal), not copied; a read-only view, which a caller passes only as
+    a row of a sealed array, is kept as it is. A copy or a pickle of it
+    is rebuilt through the checks all the same (see _record)."""
     for name, a in values.items():
         if isinstance(a, np.ndarray) and (a.base is None or a.flags.writeable):
-            if a.base is not None:
-                a.base.setflags(write=False)
-            a.setflags(write=False)
-            values[name] = a.view()
+            values[name] = _seal(a)
     record = object.__new__(cls)
     vars(record).update(values)
     return record

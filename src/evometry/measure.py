@@ -105,11 +105,11 @@ The squared norm of each circuit row before u0 is the outcome's
 probability |C_a|^2. The record's WhichUnitaryResult views are built when read
 and run no validator; a PureState built directly, or through
 dataclasses.replace, still checks its norm. At n = 4 with 512 shots
-(about 170 branches) a call takes about 0.16 ms, 0.18 ms over a basis
-with a Haar u0, 0.17 ms with a one-qubit bystander and 0.22 ms with
-both, and at n = 3 about 0.12 ms (the medians of 600 single calls on
-fresh inputs in one run of tools/layers.py --u0 --bystander; one BLAS
-thread, 2-vCPU Xeon VM whose speed drifts by up to 1.8x).
+(about 170 branches) a call takes about 0.15 ms, 0.17 ms over a basis
+with a Haar u0, 0.16 ms with a one-qubit bystander and 0.21 ms with
+both, and at n = 3 about 0.11 ms (the medians of 600 single calls on
+fresh inputs in one run of tools/layers.py; one BLAS thread, 2-vCPU
+Xeon VM whose speed drifts by up to 1.8x).
 """
 from __future__ import annotations
 

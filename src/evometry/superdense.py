@@ -70,8 +70,9 @@ def superdense_send(u, basis: OperatorBasis, shots: int = 0,
     certainty; the amplitudes are computed as expand computes them. The
     family is orthonormal because the basis is trace orthogonal, and
     maximally entangled because its elements are unitary, which
-    OperatorBasis records in is_unitary. shots goes through linalg._count and the
-    seed through linalg._seed, checked even when shots is 0.
+    OperatorBasis records in is_unitary. shots goes through
+    linalg._count and the seed through linalg._seed, checked even when
+    shots is 0.
     """
     shots = _count(shots, "shots")
     um = _checked_unitary(u, basis.dim, "unitary")

@@ -16,8 +16,7 @@ def test_layers_script_times_both_trees_at_one_qubit():
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "layers.py"), str(ROOT),
-         str(ROOT), "--qubits", "1", "--qudits", "--rotations", "3",
-         "--u0", "--bystander"],
+         str(ROOT), "--qubits", "1", "--qudits", "--rotations", "3"],
         capture_output=True, text=True, env=env, timeout=120, check=True)
     block = json.loads(out.stdout)
     sizes = {"measure_which_unitary_us": ["n1", "n1u0", "n1b", "n1u0b"],

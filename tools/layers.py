@@ -3,7 +3,6 @@ block of a BENCH_<pr>.json.
 
     python tools/layers.py PARENT CHANGE [--qubits 1 2 3 4]
         [--qudits 3 4 5 6 7 8 9 10 11] [--rotations 300] [--seed 1]
-        [--u0] [--bystander]
 
 PARENT and CHANGE are checkouts (directories holding src/evometry). Each
 is imported under its own package name, so both run in this process on
@@ -15,12 +14,12 @@ state; and, on the channel side, retrieval_statistics with 2000 trials of
 element 0 of a fresh random map of d = 4 and k = 5 elements on a Haar
 state (size key "d4k5"). The benchmark's echo-circuit jobs alternate
 their Pauli bases between ones with and without a Haar u0 and give one
-circuit in three a one-qubit bystander, so --u0 adds every qubit size
-over pauli_basis(u0) for a Haar u0 drawn once per dimension (key suffix
-"u0"), and --bystander adds every size, the u0 ones included, with the
-state on twice the basis dimension (suffix "b") for
-measure_which_unitary alone, the one layer that reads the state. A
-rotation draws fresh inputs and a fresh seed
+circuit in three a one-qubit bystander, so every qubit size is also
+timed over pauli_basis(u0) for a Haar u0 drawn once per dimension (key
+suffix "u0"), and every size, the u0 ones included, with the state on
+twice the basis dimension (suffix "b") for measure_which_unitary alone,
+the one layer that reads the state. A rotation draws fresh inputs and a
+fresh seed
 (a warm loop over repeated inputs reads faster than any real call: over
 512 repeated keys a search of a 4-256 entry CDF per key takes 4-9 us and
 with fresh keys 9-39 us, while sorting them takes 3.2 us against 3.6,
@@ -214,22 +213,14 @@ def main(argv=None) -> int:
                     default=list(range(3, 12)))
     ap.add_argument("--rotations", type=int, default=300)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--u0", action="store_true",
-                    help="also time each qubit size over a basis with a "
-                         "Haar u0")
-    ap.add_argument("--bystander", action="store_true",
-                    help="also time measure_which_unitary with a one-qubit "
-                         "bystander on the state")
     args = ap.parse_args(argv)
     bases = [(f"n{n}", "n", 2 ** n, False) for n in args.qubits]
     bases += [(f"d{d}", "d", d, False) for d in args.qudits]
-    if args.u0:
-        bases += [(f"n{n}u0", "n", 2 ** n, True) for n in args.qubits]
+    bases += [(f"n{n}u0", "n", 2 ** n, True) for n in args.qubits]
     sizes = {key: (kind, dim, with_u0, False)
              for key, kind, dim, with_u0 in bases}
-    if args.bystander:
-        sizes.update({f"{key}b": (kind, dim, with_u0, True)
-                      for key, kind, dim, with_u0 in bases})
+    sizes.update({f"{key}b": (kind, dim, with_u0, True)
+                  for key, kind, dim, with_u0 in bases})
     times = measure((args.parent, args.change), sizes, args.rotations,
                     args.seed)
     print(json.dumps(summary(times, args.rotations), indent=1))
