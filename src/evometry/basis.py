@@ -500,7 +500,9 @@ def weyl_basis(dim: int, u0=None) -> OperatorBasis:
         raise ValueError("dim must be an integer; the reference unitary "
                          "goes second, weyl_basis(d, u0)")
     dim = _count(dim, "dim")
-    clock_shift_powers(dim)  # refuses a dimension below 2
+    # as clock_shift_powers refuses it, without building its tables
+    if dim < 2:
+        raise ValueError("clock/shift pair needs dimension >= 2")
     if u0 is not None:
         u0 = _unitary(u0, dim, "u0")
     labels = [f"Z^{mu}X^{nu}" for mu in range(dim) for nu in range(dim)]

@@ -193,11 +193,10 @@ def cmd_compress(args):
 
 def cmd_retrieve(args):
     from .formats import load_map, load_state
-    from .measure import PureState
     from .storage import retrieval_statistics
 
     m = load_map(args.map)
-    psi = PureState(load_state(args.state, m.dim))
+    psi = load_state(args.state, m.dim)
     stats = retrieval_statistics(args.op_index, m, psi, args.trials, args.seed)
     p = stats["herald_probability"]
     sigma = (

@@ -9,6 +9,7 @@ deviation, the check of every unitary input (_checked_unitary, within
 UNITARY_ATOL, in place: a call that only reads its unitary checks the
 caller's array and keeps no copy of it, while the records and builders
 that keep one take _unitary, the same check on a sealed copy), the
+norm check of every state (_state, in place, within NORM_ATOL), the
 check of every count, seed and n argument (_count,
 and _seed for seeds) and of every index (_index), the check of every
 weight vector drawn from (_weights), the seeded draw (_draw), its tally
@@ -246,6 +247,22 @@ def _check(dev, tol: float, what: str) -> None:
         raise ValueError(f"{what} (deviation {dev:.3e})")
 
 
+# largest distance of a state's norm from 1
+NORM_ATOL = 1e-12
+
+
+def _state(psi) -> np.ndarray:
+    """The norm check of every state, in place: psi (psi.amplitudes for a
+    record, as as_matrix reads .matrix) raveled as a complex vector, the
+    caller's own array when it is one, not copied. ValueError unless its
+    norm is 1 within NORM_ATOL (a NaN is refused). A measure.PureState is
+    checked again, one norm that its own check makes pass. A call that
+    keeps no part of psi reads it so; PureState keeps a sealed copy."""
+    v = np.asarray(getattr(psi, "amplitudes", psi), dtype=complex).ravel()
+    _check(abs(np.linalg.norm(v) - 1.0), NORM_ATOL, "state norm is not 1")
+    return v
+
+
 def random_unitary(dim: int, rng) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix.
 
@@ -295,9 +312,9 @@ def _kernel(n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _fourier(n: int) -> np.ndarray:
     """The unitary n x n Fourier matrix, _kernel(n) / sqrt(n): the
-    ancilla readout basis of channels and the branch transform of
-    storage. Built once per n and read-only; n = 1 gives [[1]], a
-    one-level register.
+    ancilla readout basis of channels (storage reads its register by
+    np.fft and builds no table). Built once per n and read-only; n = 1
+    gives [[1]], a one-level register.
     """
     return _seal(_kernel(n) / np.sqrt(n))
 

@@ -78,9 +78,10 @@ negative with a ValueError naming the argument, and the seed through
 linalg._seed, which also refuses a missing seed when shots > 0 and
 checks a given one even when shots is 0 and nothing is drawn. U and the
 state are checked in place, since the call keeps neither: U by
-linalg._checked_unitary and the state by _state, the norm check that
-PureState runs, which takes a PureState's amplitudes as they are. No
-copy of either is made and no PureState is built for the input.
+linalg._checked_unitary and the state by linalg._state, the norm check
+that PureState runs, which reads a PureState's amplitudes and checks
+their norm again. No copy of either is made and no PureState is built
+for the input.
 
 Results: a call checks each quantity once, in _finish: the seed, the law
 (_law, the check of OutcomeDistribution: one finite, non-negative
@@ -131,6 +132,7 @@ from .basis import (
     clock_shift,
 )
 from .linalg import (
+    NORM_ATOL,
     _array_hash,
     _check,
     _checked_unitary,
@@ -141,13 +143,13 @@ from .linalg import (
     _record,
     _records,
     _seed,
+    _state,
     _tally,
     _unitary,
     dag,
 )
 
 EIGEN_RTOL = 1e-9
-NORM_ATOL = 1e-12
 # an outcome law sums to 1 within this: the law of a unitary that passes
 # its 1e-10 check does, with room for the rounding of 4^n terms
 PROBABILITY_ATOL = 1e-9
@@ -161,7 +163,7 @@ class NotAnEigenoperator(Exception):
 @_record
 class PureState:
     """A unit vector, held as a read-only copy of the input; tolerance on
-    the norm is 1e-12."""
+    the norm is 1e-12 (linalg._state)."""
 
     amplitudes: np.ndarray
 
@@ -171,19 +173,6 @@ class PureState:
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-
-def _state(psi) -> np.ndarray:
-    """The norm check of every state, in place: a PureState's amplitudes
-    as they are (checked when it was built), any other psi raveled as a
-    complex vector, the caller's own array when it is one, not copied.
-    ValueError unless its norm is 1 within NORM_ATOL (a NaN is refused).
-    A call that keeps no part of psi reads it so."""
-    if isinstance(psi, PureState):
-        return psi.amplitudes
-    v = np.asarray(psi, dtype=complex).ravel()
-    _check(abs(np.linalg.norm(v) - 1.0), NORM_ATOL, "state norm is not 1")
-    return v
 
 
 @_record

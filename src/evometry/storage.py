@@ -7,7 +7,10 @@ of n draws is a classical string in disguise and compresses at the map
 entropy. A stored evolution can later be pushed onto an unknown state: a
 controlled application of the canonical elements followed by a Fourier
 readout of the storage register heralds, on its uniform-phase outcome,
-the exact action of the stored operator.
+the exact action of the stored operator. Both retrieval calls read the
+register through one FFT (_readout), and check the state with
+linalg._state, so retrieval_statistics loads neither measure nor basis;
+probabilistic_retrieve loads measure for the PureState it returns.
 """
 from __future__ import annotations
 
@@ -25,11 +28,11 @@ from .channels import (
     canonical_kraus,
     kraus_from_ancilla_basis,
 )
-from .linalg import (TRIM, _check, _count, _fourier, _frozen, _index,
-                     _record, _records, _sample, _seal, _seed, _tally,
+from .linalg import (TRIM, _check, _count, _frozen, _index, _record,
+                     _records, _sample, _seal, _seed, _state, _tally,
                      _weights)
 
-if TYPE_CHECKING:  # annotations; the retrieval functions import it to build
+if TYPE_CHECKING:  # annotations; probabilistic_retrieve imports it to build
     from .measure import PureState
 
 STORE_ATOL = 1e-10
@@ -255,16 +258,14 @@ def verify_sequence(dil: StinespringDilation, ancilla_basis,
     )
 
 
-def _retrieval_rows(kraus: KrausMap, index: int, psi):
-    """Storage-register branches of the controlled-application protocol,
-    and psi's amplitudes: a PureState's as they are, a plain vector
-    checked once, in place, by the state check (measure._state).
+def _retrieval(kraus: KrausMap, index: int, psi):
+    """The prelude of both retrieval calls: the storage register's rows,
+    then its heralded readout (_readout), as (branches, weights, psi),
+    psi's amplitudes checked once, in place, by linalg._state.
 
     Row m carries the canonical element m applied to psi, weighted by
     the stored operator's coefficient in the canonical expansion.
     """
-    from .measure import _state  # so storage loads without measure
-
     psi = _state(psi)
     index = _index(index, len(kraus), "index")
     canon = canonical_kraus(kraus)
@@ -280,12 +281,16 @@ def _retrieval_rows(kraus: KrausMap, index: int, psi):
            "stored operator lies outside the map's support")
     nsq = float(np.sum(np.abs(coeff) ** 2 * canon.probabilities))
     rows = coeff[:, None] * (canon.operators @ psi) / np.sqrt(nsq)
-    return rows, psi
+    return (*_readout(rows), psi)
 
 
-def _fourier_branches(rows: np.ndarray):
-    """Post-measurement branches of the Fourier readout, with weights."""
-    branches = _fourier(rows.shape[0]).conj() @ rows
+def _readout(rows: np.ndarray):
+    """The Fourier readout of a K-level register holding the (K, d) rows:
+    the branches np.fft.fft(rows, axis=0) / sqrt(K) (the "ortho" scaling,
+    applied inside the transform), branch 0 the herald sum(rows) /
+    sqrt(K), and their weights, normalized. An FFT, so no K x K table is
+    built."""
+    branches = np.fft.fft(rows, axis=0, norm="ortho")
     weights = np.sum(np.abs(branches) ** 2, axis=1)
     return branches, weights / weights.sum()
 
@@ -310,10 +315,9 @@ def probabilistic_retrieve(index: int, kraus: KrausMap, psi,
     as failures with their post-measurement state. psi is a PureState
     or a unit vector of the map's dimension.
     """
-    from .measure import PureState
+    from .measure import PureState  # the one storage call that loads it
 
-    rows, _ = _retrieval_rows(kraus, index, psi)
-    branches, weights = _fourier_branches(rows)
+    branches, weights, _ = _retrieval(kraus, index, psi)
     k = int(_sample(weights, 1, seed)[0])
     out = branches[k]
     return RetrievalOutcome(
@@ -329,8 +333,7 @@ def retrieval_statistics(index: int, kraus: KrausMap, psi,
     """Herald rate over many retrieval attempts, sampled in one stream.
     psi is a PureState or a unit vector, as in probabilistic_retrieve."""
     trials = _count(trials, "trials")
-    rows, psi = _retrieval_rows(kraus, index, psi)
-    branches, weights = _fourier_branches(rows)
+    branches, weights, psi = _retrieval(kraus, index, psi)
     seed = _seed(seed, trials)
     successes = 0
     if trials:

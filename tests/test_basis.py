@@ -173,6 +173,19 @@ def test_gram_of_cnot_family():
     assert abs(g[0, 1] - 2.0) < 1e-12  # tr(CNOT) = 2, not orthogonal to 1
 
 
+def test_weyl_basis_checks_its_dimension_without_the_power_tables():
+    """weyl_basis refuses a dimension below 2 as clock_shift_powers does,
+    and builds no (d, d, d) power table to find that out: at d = 128 the
+    two tables would hold 67 MB in the builder's unbounded cache."""
+    before = clock_shift_powers.cache_info().currsize
+    assert weyl_basis(128).dim == 128
+    assert clock_shift_powers.cache_info().currsize == before
+    for d in (0, 1):
+        with pytest.raises(ValueError,
+                           match="clock/shift pair needs dimension >= 2"):
+            weyl_basis(d)
+
+
 def test_weyl_element_order_is_mu_nu_lexicographic():
     d = 3
     z, x = clock_shift(d)

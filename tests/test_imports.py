@@ -50,7 +50,7 @@ RUNS = {
     ("compress", "--map", "dephasing:0.5", "--n", "8"):
         {"channels", "storage"},
     ("retrieve", "--map", "dephasing:0.5", "--trials", "10", "--seed", "1"):
-        {"channels", "storage", "measure", "basis"},
+        {"channels", "storage"},
     ("schmidt", "--unitary", "CNOT"): {"interaction", "basis"},
     ("concentrate", "--n", "3", "--alpha", "0.6"): {"interaction"},
     ("superdense", "--unitary", "H"): {"superdense", "basis"},

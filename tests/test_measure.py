@@ -664,7 +664,7 @@ def test_branch_records_run_no_per_row_validator():
     """A call counts, not times: at n = 4 with 512 shots no
     PureState.__post_init__ runs, however many outcomes occur, and
     reading every branch view runs it no more; the input state is
-    checked once, in place, by measure._state."""
+    checked once, in place, by linalg._state (bound in measure)."""
     rng = np.random.default_rng(33)
     basis = pauli_basis(dim=16)
     for _ in range(3):

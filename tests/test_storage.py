@@ -26,7 +26,8 @@ from evometry import (
 )
 from evometry.gates import H, I2, X, Z
 from evometry import storage
-from evometry.linalg import max_entangled, random_unitary
+from evometry import linalg
+from evometry.linalg import _filled, _fourier, max_entangled, random_unitary
 
 
 def test_stored_state_of_identity_is_max_entangled():
@@ -379,6 +380,9 @@ def test_retrieval_takes_a_plain_vector_as_the_circuits_do(retrieve):
     assert retrieve(psi) == retrieve(PureState(psi))
     with pytest.raises(ValueError, match="state norm is not 1"):
         retrieve(np.array([1.0, 1.0]))
+    # a PureState's norm is checked again: one filled past its validator
+    with pytest.raises(ValueError, match="state norm is not 1"):
+        retrieve(_filled(PureState, amplitudes=np.array([1.0, 1.0])))
     with pytest.raises(ValueError, match="state dimension does not match"):
         retrieve(np.array([1.0, 0.0, 0.0]))
 
@@ -437,3 +441,37 @@ def test_retrieval_rejects_index_outside_the_map(index):
         retrieval_statistics(index, m, psi, 10, 1)
     with pytest.raises(ValueError, match="outside the map"):
         probabilistic_retrieve(index, m, psi, 1)
+
+
+def test_readout_matches_the_dense_fourier_product():
+    """The register's FFT readout against the dense product with the
+    conjugate Fourier matrix, the readout it replaced, on random complex
+    rows at K = 1..64: the branches agree within 1e-14 of the largest
+    row entry, branch 0 is the herald sum(rows) / sqrt(K), and the
+    weights sum to 1."""
+    rng = np.random.default_rng(36)
+    for k in range(1, 65):
+        scale = rng.uniform(0.1, 10)
+        rows = scale * (rng.normal(size=(k, 3)) + 1j * rng.normal(size=(k, 3)))
+        branches, weights = storage._readout(rows)
+        tol = 1e-14 * np.abs(rows).max()
+        assert np.abs(branches - _fourier(k).conj() @ rows).max() <= tol
+        assert np.abs(branches[0] - rows.sum(axis=0) / np.sqrt(k)).max() <= tol
+        assert abs(weights.sum() - 1.0) <= 1e-15
+
+
+def test_retrieval_builds_no_fourier_table():
+    """A K = 256 register (a random 256-element map on d = 16) is read
+    without a K x K table: neither cached Fourier table gains an entry."""
+    rng = np.random.default_rng(37)
+    iso = np.linalg.qr(rng.normal(size=(4096, 16))
+                       + 1j * rng.normal(size=(4096, 16)))[0]
+    m = KrausMap(tuple(iso.reshape(256, 16, 16)))
+    psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+    psi /= np.linalg.norm(psi)
+    tables = (linalg._kernel, linalg._fourier)
+    before = [t.cache_info().currsize for t in tables]
+    stats = retrieval_statistics(0, m, psi, 100, 1)
+    assert stats["support_dim"] == 256
+    assert abs(stats["success_fidelity"] - 1.0) <= 1e-12
+    assert [t.cache_info().currsize for t in tables] == before

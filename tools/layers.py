@@ -10,9 +10,15 @@ one interpreter, one numpy and one BLAS. The layers are the calls of the
 benchmark's echo-circuit job: measure_which_unitary with 512 shots,
 superdense_send with 512 shots and which_unitary_distribution, over
 pauli_basis(dim=2^n) and weyl_basis(d) without u0, on a Haar unitary and
-state; and, on the channel side, retrieval_statistics with 2000 trials of
-element 0 of a fresh random map of d = 4 and k = 5 elements on a Haar
-state (size key "d4k5"). The benchmark's echo-circuit jobs alternate
+state; and, on the channel side, retrieval_statistics with 2000 trials
+and probabilistic_retrieve of element 0 of a fresh random map on a Haar
+state, at d = 4 with k = 5 and k = 16 elements and at d = 16 with
+k = 256 (size keys "d4k5", "d4k16" and "d16k256"; a random map of k <=
+d^2 elements has k canonical elements, so the storage register has
+K = k levels). Each tree's map has its canonical form built, untimed,
+when it is made, so a retrieval call times the retrieval prelude, the
+register's readout and the draws, not the d^2 x d^2 eigendecomposition
+that a first call on a map adds. The benchmark's echo-circuit jobs alternate
 their Pauli bases between ones with and without a Haar u0 and give one
 circuit in three a one-qubit bystander, so every qubit size is also
 timed over pauli_basis(u0) for a Haar u0 drawn once per dimension (key
@@ -26,8 +32,11 @@ with fresh keys 9-39 us, while sorting them takes 3.2 us against 3.6,
 and the tally's searches of the CDF entries in the sorted keys 0.5-3.7
 us against 0.9-8.1) and calls every layer at every size once per tree,
 the tree that goes first alternating from rotation to rotation, with the
-same fixed work, which never calls the program, before each call. A call
-is timed alone with perf_counter_ns.
+same fixed work, which never calls the program, before each call, and
+the calls of a rotation in a fresh random order (in a fixed order the
+first size read 25-40 us slow on both trees: its call follows the
+rotation's input draws and map builds). A call is timed alone with
+perf_counter_ns.
 
 Prints one JSON object: for each layer and size the median call time of
 each tree in microseconds, the change's relative difference of the
@@ -49,13 +58,12 @@ import numpy as np
 
 SHOTS = 512
 TRIALS = 2000
-# the random map of the retrieval layer: dimension, element count
-MAP_DIM, MAP_ELEMENTS = 4, 5
-MAP_KEY = f"d{MAP_DIM}k{MAP_ELEMENTS}"
+# the random maps of the retrieval layers: (dimension, element count)
+MAPS = ((4, 5), (4, 16), (16, 256))
 SIDES = ("parent", "change")
 LAYERS = ("measure_which_unitary", "superdense_send",
           "which_unitary_distribution")
-RETRIEVAL = "retrieval_statistics"
+RETRIEVAL = ("retrieval_statistics", "probabilistic_retrieve")
 
 
 def load(tree: str, name: str):
@@ -110,18 +118,27 @@ def calls(ev, basis, u, psi, seed):
     }
 
 
-def retrieval(evs, rng) -> list:
-    """The retrieval layer of each tree on one fresh input, as zero-argument
-    calls: a random map (the first MAP_DIM columns of a Haar unitary on
-    C^(MAP_DIM MAP_ELEMENTS), cut into MAP_ELEMENTS blocks of rows), a
-    Haar state and a seed, each tree's map built by its own KrausMap."""
-    dim = MAP_DIM * MAP_ELEMENTS
-    iso = haar(dim, rng)[0][:, :MAP_DIM]
-    ops = tuple(iso.reshape(MAP_ELEMENTS, MAP_DIM, MAP_DIM))
-    psi = haar(MAP_DIM, rng)[1]
+def retrieval(evs, dim: int, k: int, rng) -> dict:
+    """The retrieval layers of each tree on one fresh input, as
+    zero-argument calls: a random map of k elements on C^dim (the k
+    blocks of rows of a Haar isometry from C^dim to C^(dim k), each
+    tree's built by its own KrausMap, its canonical form built), a Haar
+    state and a seed."""
+    g = rng.normal(size=(dim * k, dim)) + 1j * rng.normal(size=(dim * k, dim))
+    ops = tuple(np.linalg.qr(g)[0].reshape(k, dim, dim))
+    psi = haar(dim, rng)[1]
     seed = int(rng.integers(2 ** 31))
-    return [functools.partial(ev.retrieval_statistics, 0, ev.KrausMap(ops),
-                              psi, TRIALS, seed) for ev in evs]
+    maps = [ev.KrausMap(ops) for ev in evs]
+    for ev, m in zip(evs, maps):
+        ev.canonical_kraus(m)
+    return {
+        "retrieval_statistics": [functools.partial(
+            ev.retrieval_statistics, 0, m, psi, TRIALS, seed)
+            for ev, m in zip(evs, maps)],
+        "probabilistic_retrieve": [functools.partial(
+            ev.probabilistic_retrieve, 0, m, psi, seed)
+            for ev, m in zip(evs, maps)],
+    }
 
 
 def timed(call) -> float:
@@ -151,7 +168,9 @@ def measure(trees, sizes, rotations: int, seed: int) -> dict:
                      for key, (*_, bystander) in sizes.items()
                      if layer in layers(bystander)}
              for layer in LAYERS}
-    times[RETRIEVAL] = {MAP_KEY: {side: [] for side in SIDES}}
+    for layer in RETRIEVAL:
+        times[layer] = {f"d{dim}k{k}": {side: [] for side in SIDES}
+                        for dim, k in MAPS}
     for r in range(-1, rotations):
         order = (0, 1) if r % 2 == 0 else (1, 0)
         runs = []
@@ -164,8 +183,11 @@ def measure(trees, sizes, rotations: int, seed: int) -> dict:
                         for ev, basis in zip(evs, bases[key])]
             runs += [(layer, key, [c[layer] for c in per_tree])
                      for layer in layers(bystander)]
-        runs.append((RETRIEVAL, MAP_KEY, retrieval(evs, rng)))
-        for layer, key, per_tree in runs:
+        for dim, k in MAPS:
+            runs += [(layer, f"d{dim}k{k}", per_tree) for layer, per_tree
+                     in retrieval(evs, dim, k, rng).items()]
+        for j in rng.permutation(len(runs)):
+            layer, key, per_tree = runs[j]
             for i in order:
                 elapsed = timed(per_tree[i])
                 # rotation -1 warms both trees and is not kept
@@ -182,15 +204,18 @@ def summary(times, rotations: int) -> dict:
         "process under two package names; per rotation fresh Haar inputs "
         "and seed, every layer and size called once per tree, the first "
         "tree alternating, the same fixed non-program work before each "
-        "call; figures are medians of single calls in microseconds. "
+        "call, the calls of a rotation in a fresh random order; figures "
+        "are medians of single calls in microseconds. "
         f"Layers: measure_which_unitary ({SHOTS} shots), superdense_send "
         f"({SHOTS} shots), which_unitary_distribution, over "
         "pauli_basis(dim=2^n) ('n') and weyl_basis(d) ('d') without u0, "
         "and pauli_basis(u0) for a Haar u0 fixed per size ('u0' suffix); "
         "measure_which_unitary also with the state on twice the basis "
         "dimension, a one-qubit bystander ('b' suffix); "
-        f"retrieval_statistics ({TRIALS} trials) of element 0 of a fresh "
-        f"random map of d = {MAP_DIM} and k = {MAP_ELEMENTS} ('{MAP_KEY}').")}
+        f"retrieval_statistics ({TRIALS} trials) and probabilistic_retrieve "
+        "of element 0 of a fresh random map of k elements on d levels "
+        "('d<d>k<k>', a register of K = k levels), its canonical form "
+        "built untimed.")}
     for layer, by_size in times.items():
         rows = {}
         for key, sides in by_size.items():
