@@ -16,21 +16,32 @@ construction, and hold that structure, the site dimensions, the family
 and u0, in place of the d^2 x d x d stack (see linalg._record for the
 lifecycle of such a record).
 
-Every reader of that structure goes through one transform of the
-product group, _family_traces. (Z^mu X^nu)_ik = zeta^(mu i) delta(i,
-k + nu) digit by digit, so tr(s_a^dag m) = sum_i zeta^(-mu i) m[i, i -
-nu]: m gathered at the rows table of _trace_order (read from the down
-table of _couplings), read over i by the conjugate kernels of _readout
-(linalg._kernel kron'd over runs of sites), gives every trace at once,
-and _trace_order puts them in label order. expand is that transform of
-u0^dag U over d. Only u0 can spoil orthogonality: with E = u0^dag u0 -
-1, G_ab - d delta_ab = tr(E s_b s_a^dag), and the products s_b s_a^dag
-run over the family up to unit phases, so the Gram's residual is max_c
-|tr(s_c^dag E)|, the same transform of E, for any tuple of sites (and
-nothing without u0). The
-echo circuit (measure) reads the same tables and kernels, which live
-here beside the family whose labels they lay out. Its product form and
-is_unitary are memoised at build time.
+Every decision about that family is made here, beside the family
+whose labels it lays out. Its tables live in one cache, _tables, one
+entry per (site dims, family); its stack in any site tuple comes from
+one builder, _family_stack; and its three operations read those tables:
+
+- _family_coefficients, the coefficients of a matrix m: u0^dag m, then
+  the family's transform, _family_traces, over D. (Z^mu X^nu)_ik =
+  zeta^(mu i) delta(i, k + nu) digit by digit, so tr(s_a^dag m) =
+  sum_i zeta^(-mu i) m[i, i - nu]: m gathered at the rows table (read
+  from the down table), read over i by the conjugate kernel runs
+  (linalg._kernel kron'd over runs of sites), gives every trace at once,
+  and the index and phase tables put them in label order. expand and
+  the echo circuit (measure) read the coefficients through this one
+  function.
+- _family_rows, the rows C_a u0 s_a psi of the chosen labels:
+  (s_a psi)[l] = zeta^(mu l) psi[l - nu], the kernel rows at the
+  label's mu digits times psi gathered at the down table at nu.
+- _family_joint, the circuit's joint array before its readout: every
+  row, the readout undone by the kernel runs.
+
+Only u0 can spoil orthogonality: with E = u0^dag u0 - 1, G_ab - d
+delta_ab = tr(E s_b s_a^dag), and the products s_b s_a^dag run over the
+family up to unit phases, so the Gram's residual is max_c |tr(s_c^dag
+E)|, the same transform of E, for any tuple of sites (and nothing
+without u0). A builder basis's product form and is_unitary are memoised
+at build time.
 """
 from __future__ import annotations
 
@@ -48,7 +59,6 @@ from .linalg import (
     _count,
     _filled,
     _frozen,
-    _held,
     _isometry_deviation,
     _kernel,
     _record,
@@ -118,7 +128,8 @@ class OperatorBasis:
     elements is one read-only (d^2, d, d) array, copied from the input,
     so a basis never changes after it is checked. Bases with equal
     elements and labels are equal and hash alike, however they were
-    built.
+    built: the hash reads elements[0] alone, u0 or the identity for a
+    builder basis, so it builds no stack.
 
     The echo circuit reads a basis of the product form {u0 s_a} with
     s_0 = 1, so its reference u0 is elements[0] and is not stored apart.
@@ -139,11 +150,11 @@ class OperatorBasis:
     tolerance and message, read dim and len from the sites, and memoise
     is_unitary (True: each u0 s_a has u0's isometry deviation, which the
     builder bounded) and the product form. Their elements are built on
-    first read, by hash, == against a basis built directly, indexing,
-    repr, rotate_basis, reconstruct, measure_choi_side, bipartite_expand
-    and operator_schmidt; expand, the echo circuit,
-    which_unitary_distribution and superdense_send read the structure
-    and build no stack.
+    first read (_family_stack), by == against a basis built directly,
+    indexing, repr, rotate_basis, reconstruct, measure_choi_side,
+    bipartite_expand and operator_schmidt; hash, expand, the echo
+    circuit, which_unitary_distribution and superdense_send read the
+    structure and build no stack.
     """
 
     elements: np.ndarray
@@ -167,12 +178,16 @@ class OperatorBasis:
 
     def _build_elements(self) -> np.ndarray:
         site_dims, pauli, u0 = self._structure
-        family = (pauli_strings(len(site_dims)) if pauli
-                  else _weyl_products(site_dims[0]))
+        family = _family_stack(site_dims, pauli)
         return family if u0 is None else u0 @ family
 
     def __hash__(self) -> int:
-        return _array_hash(self.elements)
+        if self._structure is None:
+            return _array_hash(self.elements[0])
+        # elements[0] = u0 @ 1 has u0's entries, which + 0.0 hashes alike
+        u0 = self._structure[2]
+        return _array_hash(np.eye(self.dim, dtype=complex) if u0 is None
+                           else u0)
 
     @property
     def dim(self) -> int:
@@ -201,10 +216,10 @@ class OperatorBasis:
         n = d.bit_length() - 1
         bad = None
         if d == 2 ** n:
-            bad = _deviation(self, pauli_strings(n))
+            bad = _deviation(self, _family_stack((2,) * n, True))
             if bad is None:
                 return (2,) * n, True, u0
-        weyl = _deviation(self, _weyl_products(d))
+        weyl = _deviation(self, _family_stack((d,), False))
         if weyl is None:
             return (d,), False, u0
         raise ValueError("basis is not of the product form {u0 s_a} this "
@@ -243,8 +258,8 @@ def _structured_basis(site_dims, pauli, u0, labels) -> OperatorBasis:
     source = ((pauli_basis, (ref, math.prod(site_dims))) if pauli
               else (weyl_basis, (site_dims[0], ref)))
     form = (site_dims, pauli, ref)
-    return _held(OperatorBasis, source, labels=tuple(labels),
-                 _structure=form, _product_form=form, is_unitary=True)
+    return _filled(OperatorBasis, _source=source, labels=tuple(labels),
+                   _structure=form, _product_form=form, is_unitary=True)
 
 
 def _residual(site_dims, pauli, u0) -> float:
@@ -254,53 +269,31 @@ def _residual(site_dims, pauli, u0) -> float:
     return float(np.abs(_family_traces(site_dims, pauli, e)).max())
 
 
-def _family_traces(site_dims, pauli, m) -> np.ndarray:
-    """tr(s_a^dag m) for every element s_a of the product family on the
-    sites, in label order, from the complex d x d matrix m alone.
-
-    tr(s_a^dag m) = sum_i zeta^(-mu i) m[i, i - nu] (see the module
-    docstring): m taken at _trace_order's rows holds the shifted
-    diagonals m[i, i - nu] as columns, the conjugate kernel runs of
-    _readout read them over i into [mu block, nu block] traces, and
-    _trace_order's index and phase put those in label order. The
-    kernels are unnormalised, so on qubit sites (kernels of +-1, phases
-    powers of i) a trace is rounded only in its sums."""
-    runs, _ = _readout(site_dims, pauli)
-    rows, index, phase = _trace_order(site_dims, pauli)
-    traces = _read(m.ravel()[rows], runs, 1, True).ravel()[index]
-    return traces if phase is None else traces * phase
-
-
 # ---------------------------------------------------------------------------
-# product-family tables, shared by _family_traces and the echo circuit
+# the product family: its tables, its stack and its three operations
 
 
 @functools.lru_cache(maxsize=16)
-def _couplings(site_dims: tuple) -> np.ndarray:
-    """The read-only D x D index table down of a site tuple (D the
-    product of the site dims): down[y, l] the level l - y, digit by digit
-    mod q_j in mixed-radix order. It depends only on the site dims and is
-    built once per site tuple (the 16 most recent are kept); the echo
-    circuit shifts its state by it (see measure), and _trace_order reads
-    the shifted diagonals of a matrix at its transpose."""
-    dim = math.prod(site_dims)
-    qs = np.array(site_dims)
-    strides = dim // np.cumprod(qs)
-    digits = np.arange(dim)[:, None] // strides % qs
-    return _seal((digits[None] - digits[:, None]) % qs @ strides)
+def _tables(site_dims: tuple, pauli: bool) -> tuple:
+    """Every table of the product family on one site tuple, (down, runs,
+    order, rows, index, phase), D the product of the site dims; built
+    once per (site_dims, pauli), the 16 most recent kept, and read-only.
 
-
-@functools.lru_cache(maxsize=16)
-def _readout(site_dims: tuple, pauli: bool) -> tuple:
-    """The kernels of one site tuple: (runs, order). Each run (pre, r, f,
-    fc) covers r consecutive levels of a block, with pre levels of the
-    block before them, and reads them with f, the kron of the run's
-    unnormalised kernels linalg._kernel(q), or fc = conj(f); a run of
-    qubits reads with the real kron of [[1, 1], [1, -1]]. order[a] is the
-    (nu block, mu block) index of label a, whose per-site pair (mu, nu)
-    sits at q mu + nu, or for a Pauli site at label l of I, X, Y, Z, in
-    mixed-radix order. Read-only."""
-    n, runs, first = len(site_dims), [], 0
+    down[y, l] is the level l - y, digit by digit mod q_j in mixed-radix
+    order (D x D). Each run (pre, r, f, fc) covers r consecutive levels
+    of a block, with pre levels of the block before them, and reads them
+    with f, the kron of the run's unnormalised kernels linalg._kernel(q),
+    or fc = conj(f); a run of qubits reads with the real kron of [[1,
+    1], [1, -1]]. order[a] is the (nu block, mu block) index of label a,
+    whose per-site pair (mu, nu) sits at q mu + nu, or for a Pauli site
+    at label l of I, X, Y, Z, in mixed-radix order. rows[k, nu] = k D +
+    down[nu, k] is the flat index of m[k, k - nu] in a D x D matrix m,
+    so that m.ravel()[rows] holds the shifted diagonals m[i, i - nu] as
+    contiguous columns; index[a] is the flat place of label a among the
+    [mu block, nu block] traces, the transpose of order; and phase[a] =
+    i^(number of Y in a) for Pauli strings, since tr(Y^dag m) = i
+    tr((Z X)^dag m), or None for clock/shift products."""
+    n, dim, runs, first = len(site_dims), math.prod(site_dims), [], 0
     for j in range(1, n + 1):
         if j < n and math.prod(site_dims[first:j + 1]) <= READ_ROWS:
             continue
@@ -311,35 +304,127 @@ def _readout(site_dims: tuple, pauli: bool) -> tuple:
         runs.append((math.prod(site_dims[:first]), len(f),
                      _frozen(f, None), _frozen(f.conj(), None)))
         first = j
-    dim = stride = math.prod(site_dims)
+    qs = np.array(site_dims)
+    strides = dim // np.cumprod(qs)
+    digits = np.arange(dim)[:, None] // strides % qs
+    down = (digits[None] - digits[:, None]) % qs @ strides
     order = np.zeros(1, dtype=np.intp)
-    for q in site_dims:
-        stride //= q
+    for q, stride in zip(site_dims, strides):
         pairs = _PAULI_PAIRS if pauli else np.arange(q * q)
         order = np.add.outer(order, pairs // q * stride
                              + pairs % q * stride * dim).ravel()
-    return tuple(runs), _seal(order)
+    phase = None
+    if pauli:
+        single = np.array([1, 1, 1j, 1])
+        phase = _seal(functools.reduce(np.kron, [single] * n))
+    return (_seal(down), tuple(runs), _seal(order),
+            _seal((np.arange(dim) * dim + down).T.copy()),
+            _seal(order % dim * dim + order // dim), phase)
 
 
-@functools.lru_cache(maxsize=16)
-def _trace_order(site_dims: tuple, pauli: bool) -> tuple:
-    """(rows, index, phase) of _family_traces: rows[k, nu] = k D +
-    down[nu, k], the flat index of m[k, k - nu] in a D x D matrix m (down
-    of _couplings), so that m.ravel()[rows] holds the shifted diagonals
-    m[i, i - nu] as columns, contiguous; index[a] the flat place of label a
-    among the [mu block, nu block] traces, the transpose of _readout's
-    order; and phase[a] = i^(number of Y in a) for Pauli strings, since
-    tr(Y^dag m) = i tr((Z X)^dag m), or None for clock/shift products.
-    Read-only."""
-    dim = math.prod(site_dims)
-    rows = _seal((np.arange(dim) * dim + _couplings(site_dims)).T.copy())
-    order = _readout(site_dims, pauli)[1]
-    index = _seal(order % dim * dim + order // dim)
-    if not pauli:
-        return rows, index, None
-    single = np.array([1, 1, 1j, 1])
-    phase = functools.reduce(np.kron, [single] * len(site_dims))
-    return rows, index, _seal(phase)
+def _family_stack(site_dims, pauli) -> np.ndarray:
+    """The family's (D^2, D, D) stack s_a in label order, each site's
+    stack kron'd onto those of the sites before it by one einsum, first
+    site most significant: on a Pauli site the matrices I, X, Y, Z, on
+    a q-level site Z^mu X^nu at q mu + nu, row i of X^nu scaled by the
+    kernel entry zeta^(mu i) (linalg._kernel(q)). Not cached, since it
+    is as large as the basis."""
+    stack = None
+    for q in site_dims:
+        if pauli:
+            site = np.stack(gates.PAULIS)
+        else:
+            # entry (mu, nu, i, i - nu) is zeta^(mu i), at its flat place
+            i = np.arange(q)
+            site = np.zeros((q, q ** 3), dtype=complex)
+            site[:, i[:, None] * q * q + i * q + (i - i[:, None]) % q] = (
+                _kernel(q)[:, None])
+            site = site.reshape(q * q, q, q)
+        if stack is None:
+            stack = site
+            continue
+        a, s = len(stack), len(stack[0]) * q
+        stack = np.einsum("aij,bkl->abikjl", stack, site).reshape(
+            a * q * q, s, s)
+    return stack
+
+
+def _family_traces(site_dims, pauli, m) -> np.ndarray:
+    """tr(s_a^dag m) for every element s_a of the product family on the
+    sites, in label order, from the complex D x D matrix m alone (see the
+    module docstring): m taken at the rows table holds the shifted
+    diagonals m[i, i - nu] as columns, the conjugate kernel runs read
+    them over i into [mu block, nu block] traces, and the index and phase
+    tables put those in label order. The kernels are unnormalised, so on
+    qubit sites (kernels of +-1, phases powers of i) a trace is rounded
+    only in its sums."""
+    _, runs, _, rows, index, phase = _tables(site_dims, pauli)
+    traces = _read(m.ravel()[rows], runs, 1, True).ravel()[index]
+    return traces if phase is None else traces * phase
+
+
+def _family_coefficients(form, m) -> np.ndarray:
+    """C_a = tr((u0 s_a)^dag m) / D of the D x D matrix m over the basis
+    of the product form (site_dims, pauli, u0), u0 None for the identity:
+    the transform of u0^dag m over D, a fresh array."""
+    site_dims, pauli, u0 = form
+    traces = _family_traces(site_dims, pauli, m if u0 is None
+                            else dag(u0) @ m)
+    return traces / math.prod(site_dims)
+
+
+def _family_rows(form, c, psi, labels) -> np.ndarray:
+    """The unnormalised rows C_a u0 s_a psi of the labels, a fresh
+    (len(labels), psi.size) array, c the coefficients of
+    _family_coefficients and psi a vector on C^D, or on C^D (x) C^b with
+    a bystander, which rides along. (s_a psi)[l] = zeta^(mu l) psi[l -
+    nu]: the kernel runs' rows at the label's mu digits, times C_a taken
+    against Z X in place of Y = -i Z X (the conjugate of the Y phase),
+    times psi gathered at the down table at nu; u0 then acts on those
+    rows alone."""
+    site_dims, pauli, u0 = form
+    down, runs, order, _, _, phase = _tables(site_dims, pauli)
+    dim, k = len(down), len(labels)
+    # a label's nu block and the digits of its mu block, one per run
+    nu, *mu = np.unravel_index(order.take(labels),
+                               (dim,) + tuple(r for _, r, _, _ in runs))
+    kernel = c.take(labels)
+    if pauli:
+        kernel = kernel * phase.take(labels).conj()
+    kernel = kernel[:, None]
+    for (_, _, f, _), digit in zip(runs, mu):
+        kernel = (kernel[:, :, None] * f.take(digit, 0)[:, None]).reshape(
+            k, -1)
+    if u0 is None:
+        # (row, level, bystander level), the output's order: one gather
+        # and no copy
+        rows = psi.reshape(dim, -1).take(down.take(nu, 0), 0)
+        rows *= kernel[:, :, None]
+        return rows.reshape(k, -1)
+    # (bystander level, row, level): u0 acts on the last axis, one product
+    # over every row, and the rows move to the output's order (a copy only
+    # with a bystander)
+    rows = psi.reshape(dim, -1).T.take(down.take(nu, 0), 1)
+    rows *= kernel
+    return (rows @ u0.T).transpose(1, 2, 0).reshape(k, -1)
+
+
+def _family_joint(form, c, psi) -> np.ndarray:
+    """The echo circuit's joint (ancilla configs x system) array before
+    its readout: every row of _family_rows in the readout's (nu block,
+    mu block) order, the mu block read back to alpha with the kernel
+    runs and the nu block to beta with their conjugates (K conj(K) = D 1
+    on a block, so the two unnormalised undos are divided by D), the
+    blocks then interleaved as (alpha_1, beta_1, ..., alpha_n,
+    beta_n)."""
+    site_dims, pauli, _ = form
+    _, runs, order, _, _, _ = _tables(site_dims, pauli)
+    dim, n = math.prod(site_dims), len(site_dims)
+    t = _family_rows(form, c, psi, np.argsort(order))
+    t = _read(_read(t, runs, dim, False), runs, 1, True) / dim
+    t = t.reshape(site_dims * 2 + (-1,))
+    axes = [k + s for k in range(n) for s in (n, 0)]
+    return t.transpose(axes + [2 * n]).reshape(dim * dim, -1)
 
 
 def _read(t, runs, outer, conj):
@@ -401,18 +486,13 @@ def pauli_strings(n: int) -> np.ndarray:
     """All 4^n Pauli strings on n qubits as one (4^n, 2^n, 2^n) array.
 
     Entry a is pauli_string of the base-4 digits of a, first qubit most
-    significant, which is the pauli_basis ordering. Built with one einsum
-    per qubit; not cached, since the table is as large as the basis.
+    significant, which is the pauli_basis ordering: the family's stack
+    on n qubit sites (_family_stack), not cached.
     """
     n = _count(n, "n")
     if n < 1:
         raise ValueError(f"need at least one qubit, got {n}")
-    single = np.stack(gates.PAULIS)
-    table = single
-    for _ in range(n - 1):
-        a, s = len(table), 2 * table.shape[1]
-        table = np.einsum("aij,bkl->abikjl", table, single).reshape(4 * a, s, s)
-    return table
+    return _family_stack((2,) * n, True)
 
 
 def pauli_basis(u0=None, dim: int = 2) -> OperatorBasis:
@@ -470,16 +550,6 @@ def clock_shift_powers(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return _seal(zp), _seal(xp)
 
 
-def _weyl_products(dim: int) -> np.ndarray:
-    """Z^mu X^nu at index mu * d + nu, as one (d^2, d, d) array: row i of
-    X^nu scaled by the diagonal entry i of Z^mu (+ 0.0 makes the zeros
-    positive, the bits of the matrix product)."""
-    zp, xp = clock_shift_powers(dim)
-    z = np.diagonal(zp, axis1=1, axis2=2)
-    products = z[:, None, :, None] * xp + 0.0
-    return products.reshape(dim * dim, dim, dim)
-
-
 def _deviation(basis: OperatorBasis, sigmas) -> int | None:
     """The first element that differs from u0 sigmas[a], u0 = elements[0],
     by more than PRODUCT_FORM_ATOL in some entry, or None when none does."""
@@ -528,10 +598,10 @@ def expand(op, basis: OperatorBasis) -> ExpansionCoefficients:
     unitary.
 
     A builder basis is read through its structure, never its stack: the
-    product family's one transform of u0^dag op over d (see
-    _family_traces), a gather of op's shifted diagonals and one product
-    per run of sites with the conjugate unnormalised kernels, the tables
-    the echo circuit reads. It agrees with the stack formula
+    product family's coefficients (_family_coefficients, which the echo
+    circuit reads too), one transform of u0^dag op over d, a gather of
+    op's shifted diagonals and one product per run of sites with the
+    conjugate unnormalised kernels. It agrees with the stack formula
     conj(elements) @ op / d within about 2e-16 times |op|_F / sqrt(d),
     which is 1 for a unitary.
     A basis built directly is read through its elements, bit for bit
@@ -550,16 +620,11 @@ def _coefficients(op, basis: OperatorBasis) -> np.ndarray:
             f"operator shape {m.shape} does not match basis dim {d}"
         )
     if basis._structure is not None:
-        site_dims, pauli, u0 = basis._structure
-        coeffs = _family_traces(site_dims, pauli,
-                                m if u0 is None else dag(u0) @ m)
-    else:
-        # conj(E) @ m without conjugating the d^2 x d^2 stack: the
-        # conjugate of E @ conj(m), equal to the last bit (IEEE negation
-        # is exact)
-        flat = basis.elements.reshape(len(basis), -1)
-        coeffs = (flat @ m.ravel().conj()).conj()
-    return coeffs / d
+        return _family_coefficients(basis._structure, m)
+    # conj(E) @ m without conjugating the d^2 x d^2 stack: the conjugate
+    # of E @ conj(m), equal to the last bit (IEEE negation is exact)
+    flat = basis.elements.reshape(len(basis), -1)
+    return (flat @ m.ravel().conj()).conj() / d
 
 
 def reconstruct(coeffs: ExpansionCoefficients, basis: OperatorBasis) -> np.ndarray:

@@ -25,8 +25,8 @@ from .linalg import (
     _array_hash,
     _check,
     _fix_gauge,
+    _filled,
     _frozen,
-    _held,
     _isometry_deviation,
     _record,
     _records,
@@ -341,8 +341,9 @@ def stinespring(kraus: KrausMap) -> StinespringDilation:
     d, a = kraus.dim, len(kraus)
     # row r * a + i of the isometry is row r of M_i
     iso = kraus.operators.transpose(1, 0, 2).reshape(d * a, d)
-    return _held(StinespringDilation, (stinespring, (kraus,)), system_dim=d,
-                 ancilla_dim=a, _isometry=iso, _last_readout=(None, kraus))
+    return _filled(StinespringDilation, _source=(stinespring, (kraus,)),
+                   system_dim=d, ancilla_dim=a, _isometry=iso,
+                   _last_readout=(None, kraus))
 
 
 def kraus_from_ancilla_basis(dil: StinespringDilation,

@@ -1,6 +1,6 @@
 """Small dense linear-algebra helpers shared across the package, and the
 one home of its shared conventions: the declaration and lifecycle of the
-records that hold arrays (_record, _held, _filled), the one freeze
+records that hold arrays (_record, _filled), the one freeze
 (_seal: every read-only array of the package, a record's or a cached
 table's, is sealed there, a read-only view of a read-only array, so
 setflags(write=True) is refused), the records
@@ -97,15 +97,15 @@ def _record(cls):
     own copy and one that only reads it leaves the copy to the record.
     An input is copied even when it is a view of a read-only array, whose
     owner its caller may open again, so no caller can write to a record
-    built directly. The values of _filled and _held and each built field
-    are sealed in place. A field that a record may hold in a
+    built directly. The values of _filled and each built field are
+    sealed in place. A field that a record may hold in a
     cheaper form is built on its first read by the class's
     _build_<field> method (a functools.cached_property) when the record
-    does not hold it. A builder may make a record by _held: it keeps its
-    source, the call (builder, args) that makes it again, and in place
-    of its first field the state from which that field is built. A call
-    that has checked every field itself may make it by _filled, which
-    runs no validator. Two records made by builders compare their
+    does not hold it. A call that has checked every field itself may
+    make it by _filled, which runs no validator. A builder makes it so
+    with _source, the call (builder, args) that makes it again, and in
+    place of its first field the state from which that field is
+    built. Two records made by builders compare their
     sources, any other pair their fields. A copy, a deepcopy, a pickle
     or a dataclasses.replace is rebuilt through the checks, by the
     source or else by the constructor from the fields, so it starts with
@@ -158,20 +158,14 @@ def _filled(cls, **values):
     its default. Its arrays are the caller's fresh ones, sealed in place
     (_seal), not copied; a read-only view, which a caller passes only as
     a row of a sealed array, is kept as it is. A copy or a pickle of it
-    is rebuilt through the checks all the same (see _record)."""
+    is rebuilt through the checks all the same (see _record), by its
+    _source when a builder gives one."""
     for name, a in values.items():
         if isinstance(a, np.ndarray) and (a.base is None or a.flags.writeable):
             values[name] = _seal(a)
     record = object.__new__(cls)
     vars(record).update(values)
     return record
-
-
-def _held(cls, source, **state):
-    """A record of cls made by a builder: source is the call
-    (builder, args) that makes it again, state the attributes it holds
-    in place of its first field, its arrays sealed (see _record)."""
-    return _filled(cls, _source=source, **state)
 
 
 def _array_hash(a: np.ndarray) -> int:

@@ -37,26 +37,24 @@ into sum_k zeta^(-mu (k - l)) V[k, k - nu] = zeta^(mu l) tr((Z^mu
 X^nu)^dag V) = zeta^(mu l) D C_a, k = l + alpha. So outcome
 a = (mu, nu) leaves the system row C_a zeta^(mu l) psi[l - nu] = C_a s_a
 psi before the final u0, with probability |C_a|^2 whatever psi was,
-and the bystander rides along. The law is the product family's one
-transform of V over D (basis._family_traces, the transform expand
-reads), so it is the exact law of which_unitary_distribution to the
-last bit; a Pauli label's coefficient is taken against Z X in place of
-Y = -i Z X, the conjugate of the transform's phase. The rows are built
-for the observed labels alone: the kernel rows zeta^(mu l) of the
-readout runs (linalg._kernel kron'd over runs of consecutive sites of at
-most READ_ROWS = 16 levels; a run of qubits is a real +-1 kron) at the
-label's mu digits, times C_a, times psi taken at the down table at nu,
-one factor per bystander level, and u0 then acts on those rows alone.
-The tables (D x D, basis._couplings), the kernel runs and the label
-order (basis._readout, outcomes held as (nu block, mu block)) depend
-only on the site dims, are built once per site tuple (the 16 most recent
-are kept) whichever reader asks first, and are read-only. When u0 is
-exactly the identity (every builder basis without u0, which the basis
-memoises) its products are skipped, with the same result to the last
-bit. The law holds a few D x D arrays (4^n amplitudes at n qubits) and
-costs u0^dag U, 8^n, and the transform, D^2 times the run sizes; k
-observed rows hold k D b amplitudes for a bystander of dimension b, and
-every outcome of nonzero weight is observed at shots = 0 (up to 8^n b).
+and the bystander rides along. Every step of that closed form that
+reads the family's layout lives in basis, beside the family: the law is
+|C_a|^2 for the family's coefficients of U (basis._family_coefficients,
+which expand reads too), so it is the exact law of
+which_unitary_distribution to the last bit; the rows C_a u0 s_a psi of
+the observed labels alone are basis._family_rows; and circuit_end_state
+is basis._family_joint, every row with the readout undone. Their tables
+(the D x D down and row tables, the kernel runs of linalg._kernel and
+the label order) depend only on the site dims and the family, and live
+in one cache, built once per site tuple whichever reader asks first.
+This module keeps the protocol: the checks, the law, the draws and the
+records. When u0 is exactly the identity (every builder basis without
+u0, which the basis memoises) its products are skipped, with the same
+result to the last bit. The law holds a few D x D arrays (4^n
+amplitudes at n qubits) and costs u0^dag U, 8^n, and the transform, D^2
+times the run sizes; k observed rows hold k D b amplitudes for a
+bystander of dimension b, and every outcome of nonzero weight is
+observed at shots = 0 (up to 8^n b).
 The law takes about 11 us at n = 4, 23 us at n = 5 and 61 us at n = 6,
 and with a Haar u0 and a two-level bystander 16, 36 and 166 us
 (medians over five fresh processes of each one's median, one BLAS
@@ -114,7 +112,6 @@ Xeon VM whose speed drifts by up to 1.8x).
 """
 from __future__ import annotations
 
-import math
 import operator
 from collections.abc import Sequence
 
@@ -124,11 +121,9 @@ from .basis import (
     PRODUCT_FORM_ATOL,
     OperatorBasis,
     _coefficients,
-    _couplings,
-    _family_traces,
-    _read,
-    _readout,
-    _trace_order,
+    _family_coefficients,
+    _family_joint,
+    _family_rows,
     clock_shift,
 )
 from .linalg import (
@@ -408,56 +403,7 @@ def which_unitary_distribution(u, basis: OperatorBasis) -> OutcomeDistribution:
 
 
 # ---------------------------------------------------------------------------
-# circuit engine
-
-
-def _circuit_rows(u, u0, site_dims, psi, pauli=False):
-    """Run the echo circuit in its closed form: (law, rows_of).
-
-    law[a] = |C_a|^2 in label order, C_a = tr(s_a^dag V) / D the product
-    family's transform of V = u0^dag U (basis._family_traces), bit for
-    bit the law of expand. rows_of(labels) gives the unnormalized system
-    rows C_a u0 s_a psi of those labels alone (see the module docstring):
-    (s_a psi)[l] = zeta^(mu l) psi[l - nu], the readout runs' kernel rows
-    at the mu digits times psi taken at the down table at nu, a Pauli
-    label's C_a taken against Z X in place of Y (the conjugate of
-    _trace_order's phase), and u0 applied to the rows alone. Labels are
-    per-site pairs (mu_j, nu_j), or for a Pauli basis per-site labels, in
-    mixed-radix order; _readout's order gives each one's (nu block, mu
-    block) index.
-    """
-    dim = math.prod(site_dims)
-    runs, order = _readout(site_dims, pauli)
-    down = _couplings(site_dims)
-    c = _family_traces(site_dims, pauli, u if u0 is None else dag(u0) @ u)
-    c = c / dim
-    # C_a against Z^mu X^nu, the product the circuit reads: a Pauli Y is
-    # -i Z X, so the transform's phase comes off
-    amp = c * _trace_order(site_dims, pauli)[2].conj() if pauli else c
-
-    # a label's nu block and the digits of its mu block, one per run
-    radix = (dim,) + tuple(r for _, r, _, _ in runs)
-
-    def rows_of(labels):
-        nu, *mu = np.unravel_index(order.take(labels), radix)
-        kernel = amp.take(labels)[:, None]
-        for (_, _, f, _), digit in zip(runs, mu):
-            kernel = (kernel[:, :, None] * f.take(digit, 0)[:, None]).reshape(
-                len(labels), -1)
-        if u0 is None:
-            # (row, level, bystander level), the output's order: one
-            # gather and no copy
-            rows = psi.reshape(dim, -1).take(down.take(nu, 0), 0)
-            rows *= kernel[:, :, None]
-            return rows.reshape(len(labels), -1)
-        # (bystander level, row, level): u0 acts on the last axis, one
-        # product over every row, and the rows move to the output's order
-        # (a copy only with a bystander)
-        rows = psi.reshape(dim, -1).T.take(down.take(nu, 0), 1)
-        rows *= kernel
-        return (rows @ u0.T).transpose(1, 2, 0).reshape(len(labels), -1)
-
-    return np.abs(c) ** 2, rows_of
+# circuit protocol
 
 
 def _finish(labels, probs, rows_of, shots, seed):
@@ -512,18 +458,19 @@ def _unit(rows):
 
 
 def _circuit(u, basis, psi):
-    """(law, rows_of) of the echo circuit (_circuit_rows) of u over the
-    basis on the state psi, which may carry a bystander factor. u and psi
-    are checked in place, since the circuit keeps neither
-    (_checked_unitary, _state)."""
-    site_dims, pauli, u0 = basis._product_form
+    """(form, c, psi) of the echo circuit of u over the basis on the
+    state psi, which may carry a bystander factor: the basis's product
+    form, the coefficients C_a of u over it (basis._family_coefficients)
+    and the checked state. u and psi are checked in place, since the
+    circuit keeps neither (_checked_unitary, _state)."""
+    form = basis._product_form
     um = _checked_unitary(u, basis.dim, "unitary")
     psi = _state(psi)
     if psi.size % basis.dim != 0:
         raise ValueError(
             f"state dim {psi.size} is not a multiple of basis dim {basis.dim}"
         )
-    return _circuit_rows(um, u0, site_dims, psi, pauli)
+    return form, _family_coefficients(form, um), psi
 
 
 def measure_which_unitary(u, basis: OperatorBasis, psi, shots: int = 0,
@@ -550,7 +497,10 @@ def measure_which_unitary(u, basis: OperatorBasis, psi, shots: int = 0,
     (linalg._tally).
     """
     shots = _count(shots, "shots")
-    return _finish(basis.labels, *_circuit(u, basis, psi), shots, seed)
+    form, c, psi = _circuit(u, basis, psi)
+    return _finish(basis.labels, np.abs(c) ** 2,
+                   lambda labels: _family_rows(form, c, psi, labels), shots,
+                   seed)
 
 
 def measure_which_unitary_qudit(u, basis: OperatorBasis, psi,
@@ -566,22 +516,9 @@ def circuit_end_state(u, basis: OperatorBasis, psi) -> np.ndarray:
     ancilla computational configuration c; summing |row|^2 gives 1.
     This is the circuit of measure_which_unitary stopped before its
     readout, for either product form, exposed for inspection of the
-    ancilla end states.
+    ancilla end states (basis._family_joint).
     """
-    site_dims, pauli, _ = basis._product_form
-    runs, order = _readout(site_dims, pauli)
-    _, rows_of = _circuit(u, basis, psi)
-    # every row in the readout's (nu block, mu block) order; undo the
-    # readout, the mu block back to alpha with K and the nu block to beta
-    # with conj(K) (K conj(K) = D 1 on a block, so the two unnormalised
-    # undos are divided by D), then interleave the blocks as
-    # (alpha_1, beta_1, ..., alpha_n, beta_n)
-    dim, n = basis.dim, len(site_dims)
-    t = rows_of(np.argsort(order))
-    t = _read(_read(t, runs, dim, False), runs, 1, True) / dim
-    t = t.reshape(site_dims * 2 + (-1,))
-    axes = [k + s for k in range(n) for s in (n, 0)]
-    return t.transpose(axes + [2 * n]).reshape(dim * dim, -1)
+    return _family_joint(*_circuit(u, basis, psi))
 
 
 def measure_choi_side(op, basis: OperatorBasis, shots: int = 0,

@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import math
 import pickle
@@ -27,8 +28,9 @@ from evometry import (
     weyl_basis,
 )
 from evometry import basis as basis_module
+from evometry import gates
 from evometry.gates import CNOT, H, I2, PAULI_LABELS, X, Y, Z
-from evometry.linalg import _fourier, dag, random_unitary
+from evometry.linalg import _fourier, dag, random_state, random_unitary
 
 
 def test_pauli_basis_single_qubit_elements():
@@ -469,7 +471,7 @@ def test_copies_and_pickles_are_built_again_through_the_checks(kind, d):
         for c in _copies(b) + _copies(direct):
             assert c == direct and hash(c) == hash(direct) == hash(b)
             assert not c.elements.flags.writeable
-        assert "elements" in vars(b)  # == and hash built it, once
+        assert "elements" in vars(b)  # built once, for the direct copy
     rotated = rotate_basis(pauli_basis(dim=2), random_unitary(4, 1))
     for c in _copies(rotated):
         assert c == rotated and not c.elements.flags.writeable
@@ -519,7 +521,7 @@ def test_builder_bases_compare_their_structures_without_stacks():
 
 def _family(d):
     return pauli_strings(d.bit_length() - 1) if d & (d - 1) == 0 \
-        else basis_module._weyl_products(d)
+        else basis_module._family_stack((d,), False)
 
 
 @settings(max_examples=60, deadline=None)
@@ -555,7 +557,7 @@ def _product_family(site_dims):
     for q in site_dims:
         a, s = len(family), q * family.shape[1]
         family = np.einsum("aij,bkl->abikjl", family,
-                           basis_module._weyl_products(q)
+                           basis_module._family_stack((q,), False)
                            ).reshape(a * q * q, s, s)
     return family
 
@@ -620,4 +622,93 @@ def test_weyl_products_match_the_matrix_products_bit_for_bit():
     for d in range(2, 17):
         zp, xp = clock_shift_powers(d)
         want = np.einsum("mij,njk->mnik", zp, xp).reshape(d * d, d, d)
-        assert basis_module._weyl_products(d).tobytes() == want.tobytes()
+        got = basis_module._family_stack((d,), False)
+        assert got.tobytes() == want.tobytes()
+
+
+def _site_matrices(q, pauli):
+    """One site's family, I, X, Y, Z or Z^mu X^nu at q mu + nu, the
+    latter as products of the clock and shift powers."""
+    if pauli:
+        return list(gates.PAULIS)
+    zp, xp = clock_shift_powers(q)
+    return [zp[mu] @ xp[nu] for mu in range(q) for nu in range(q)]
+
+
+@pytest.mark.parametrize("site_dims,pauli", [((2, 3), False),
+                                             ((3, 2, 2), False),
+                                             ((2, 2), False), ((5,), False),
+                                             ((2, 2, 2), True)])
+def test_the_family_stack_is_the_kron_chain_of_its_sites(site_dims, pauli):
+    """The one stack builder on any site tuple equals, element by element
+    and to the last bit, the kron chain of the sites' matrices, first
+    site most significant (np.array_equal, which reads a signed zero as
+    zero: the chain's products by 0 may carry -0.0)."""
+    stack = basis_module._family_stack(site_dims, pauli)
+    d = math.prod(site_dims)
+    assert stack.shape == (d * d, d, d)
+    chains = itertools.product(*(_site_matrices(q, pauli)
+                                 for q in site_dims))
+    for a, matrices in enumerate(chains):
+        assert np.array_equal(stack[a], functools.reduce(np.kron, matrices))
+
+
+def test_builder_stacks_build_no_power_tables():
+    """A Weyl site is built from linalg._kernel, so reading a builder's
+    elements never calls clock_shift_powers, whose cache keeps every
+    table it builds (1 MiB at d = 32)."""
+    before = clock_shift_powers.cache_info()
+    for b in (weyl_basis(32), pauli_basis(dim=16)):
+        assert b.elements.shape == (len(b), b.dim, b.dim)
+    assert clock_shift_powers.cache_info() == before
+
+
+@pytest.mark.parametrize("kind,d", [("pauli", 2), ("pauli", 8),
+                                    ("weyl", 3), ("weyl", 5)])
+def test_a_builder_basis_hashes_as_its_direct_copy(kind, d):
+    """A builder basis hashes alike with the basis built directly from
+    its elements and labels, with and without u0, and hashing builds no
+    stack."""
+    for u0 in (None, random_unitary(d, d)):
+        b = pauli_basis(u0, dim=d) if kind == "pauli" else weyl_basis(d, u0)
+        h = hash(b)
+        assert "elements" not in vars(b)
+        assert h == hash(OperatorBasis(b.elements, b.labels))
+
+
+def test_hashing_a_large_builder_basis_builds_no_stack():
+    """At n = 6 the stack would take 268 MB: equal builder bases hash
+    alike from u0 or the identity alone."""
+    u0 = random_unitary(64, 6)
+    bases = (pauli_basis(dim=64), pauli_basis(u0), pauli_basis(u0.copy()))
+    assert hash(bases[1]) == hash(bases[2])
+    assert hash(bases[0]) == hash(pauli_basis(np.eye(64)))
+    for b in bases:
+        hash(b)
+        assert "elements" not in vars(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(site_dims=st.sampled_from(_site_tuples()), pauli=st.booleans(),
+       with_u0=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_coefficients_and_rows_are_the_stack_formula_on_mixed_sites(
+        site_dims, pauli, with_u0, seed):
+    """Over every site tuple of product <= 12, with and without a Haar
+    u0: the family's coefficients of a Haar unitary m are conj(B) . m / D
+    and its rows, with a two-level bystander, are C_a (B_a (x) 1) psi,
+    for B_a = u0 s_a read from the builder's stack, within 1e-13."""
+    rng = np.random.default_rng(seed)
+    pauli = pauli and set(site_dims) == {2}
+    d = math.prod(site_dims)
+    u0 = random_unitary(d, rng) if with_u0 else None
+    family = basis_module._family_stack(site_dims, pauli)
+    elements = family if u0 is None else u0 @ family
+    m, psi = random_unitary(d, rng), random_state(2 * d, rng)
+    form = (site_dims, pauli, u0)
+    c = basis_module._family_coefficients(form, m)
+    want = np.einsum("aij,ij->a", elements.conj(), m) / d
+    assert np.abs(c - want).max() <= 1e-13
+    labels = np.arange(d * d)
+    rows = basis_module._family_rows(form, c, psi, labels)
+    want_rows = c[:, None] * (elements @ psi.reshape(d, 2)).reshape(d * d, -1)
+    assert np.abs(rows - want_rows).max() <= 1e-13

@@ -3,7 +3,7 @@ checkout timed against itself at n = 1, over a basis with and without a
 Haar u0 and, for the circuit, with and without a one-qubit bystander,
 gives one figure per layer, size and side, over every rotation, and the
 two retrieval layers one per map size, registers of K = 5, 16 and 256
-levels."""
+levels, and the first elements read of a fresh basis with u0 one."""
 import json
 import os
 import subprocess
@@ -24,7 +24,8 @@ def test_layers_script_times_both_trees_at_one_qubit():
              "superdense_send_us": ["n1", "n1u0"],
              "which_unitary_distribution_us": ["n1", "n1u0"],
              "retrieval_statistics_us": ["d4k5", "d4k16", "d16k256"],
-             "probabilistic_retrieve_us": ["d4k5", "d4k16", "d16k256"]}
+             "probabilistic_retrieve_us": ["d4k5", "d4k16", "d16k256"],
+             "elements_us": ["n1u0"]}
     assert set(block) == {"protocol", *sizes}
     for layer, keys in sizes.items():
         assert list(block[layer]) == keys

@@ -5,7 +5,6 @@ import subprocess
 import sys
 from collections.abc import Sequence
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -446,22 +445,21 @@ def test_product_form_table_is_built_once_per_basis():
     """A builder's basis carries its product form and builds no table;
     the same elements built directly build one, on the first call."""
     rng = np.random.default_rng(31)
-    pauli_calls = mock.patch.object(basis_module, "pauli_strings",
-                                    wraps=basis_module.pauli_strings)
-    weyl_calls = mock.patch.object(basis_module, "_weyl_products",
-                                   wraps=basis_module._weyl_products)
+    stack_calls = mock.patch.object(basis_module, "_family_stack",
+                                    wraps=basis_module._family_stack)
     built = pauli_basis(random_unitary(8, rng)), weyl_basis(3)
     direct = tuple(OperatorBasis(b.elements, b.labels) for b in built)
     for (p, w), tables in ((built, 0), (direct, 1)):
-        with pauli_calls as pauli_strings, weyl_calls as weyl_products:
+        with stack_calls as family_stack:
             for _ in range(3):
                 measure_which_unitary(random_unitary(8, rng), p,
                                       np.eye(8)[0])
                 measure_which_unitary_qudit(random_unitary(3, rng), w,
                                             np.eye(3)[0])
                 circuit_end_state(random_unitary(3, rng), w, np.eye(3)[0])
-        assert pauli_strings.call_count == tables
-        assert weyl_products.call_count == tables
+        # the Pauli table for the qubit basis, the Weyl one for the qudit's
+        assert [c.args for c in family_stack.call_args_list] == [
+            ((2, 2, 2), True), ((3,), False)][:2 * tables]
 
 
 def _builder_bases():
@@ -901,6 +899,15 @@ def test_a_reference_unitary_within_its_check_gives_unit_states(d, bystander):
     assert np.abs(np.linalg.norm(branches.states, axis=1) - 1).max() <= 1e-15
 
 
+def _law_and_rows(u, u0, site_dims, psi, pauli=False):
+    """The echo circuit's law |C_a|^2 and its rows C_a u0 s_a psi of any
+    labels, from the product family's coefficients and rows in basis."""
+    form = (site_dims, pauli, u0)
+    c = basis_module._family_coefficients(form, u)
+    return (np.abs(c) ** 2,
+            lambda labels: basis_module._family_rows(form, c, psi, labels))
+
+
 @settings(max_examples=20, deadline=None)
 @given(site_dims=st.sampled_from([(2,), (2, 2), (2, 2, 2), (3,), (5,)]),
        bystander=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
@@ -914,10 +921,9 @@ def test_identity_reference_skips_its_products_to_the_last_bit(
     u, psi = random_unitary(d, rng), random_state(2 * d if bystander else d,
                                                   rng)
     everything = np.arange(d * d)
-    want, want_rows = measure_module._circuit_rows(
-        u, np.eye(d, dtype=complex), site_dims, psi, pauli)
-    got, got_rows = measure_module._circuit_rows(u, None, site_dims, psi,
-                                                 pauli)
+    want, want_rows = _law_and_rows(u, np.eye(d, dtype=complex), site_dims,
+                                    psi, pauli)
+    got, got_rows = _law_and_rows(u, None, site_dims, psi, pauli)
     assert np.array_equal(got, want)
     assert np.array_equal(got_rows(everything), want_rows(everything))
     basis = pauli_basis(dim=d) if pauli else weyl_basis(d)
@@ -1005,8 +1011,9 @@ def test_composed_engine_matches_the_per_site_engine(site_dims, pauli,
                                                      seed):
     """Over every site tuple of product <= 12, mixed dimensions included,
     with and without u0 and with a bystander of 1 to 3 levels: the law
-    and the rows match the per-site engine's, and so does the end state
-    (read through a stand-in basis carrying the product form, since no
+    and the rows match the per-site engine's, and so does the joint
+    array before the readout (basis._family_joint, the body of
+    circuit_end_state, called on the product form itself, since no
     builder makes mixed sites yet)."""
     rng = np.random.default_rng(seed)
     d = math.prod(site_dims)
@@ -1015,15 +1022,15 @@ def test_composed_engine_matches_the_per_site_engine(site_dims, pauli,
     u0 = random_unitary(d, rng) if with_u0 else np.eye(d, dtype=complex)
     psi = random_state(bystander * d, rng)
     want = _circuit_rows_by_sites(u, u0, site_dims, psi, pauli)
-    weights, rows_of = measure_module._circuit_rows(
-        u, u0 if with_u0 else None, site_dims, psi, pauli)
+    weights, rows_of = _law_and_rows(u, u0 if with_u0 else None, site_dims,
+                                     psi, pauli)
     got = rows_of(np.arange(d * d))
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13
     assert np.abs(weights - np.linalg.norm(want, axis=1) ** 2).max() <= 1e-13
-    basis = SimpleNamespace(dim=d, _product_form=(
-        site_dims, pauli, u0 if with_u0 else None))
-    end = circuit_end_state(u, basis, psi)
+    form = (site_dims, pauli, u0 if with_u0 else None)
+    end = basis_module._family_joint(
+        form, basis_module._family_coefficients(form, u), psi)
     assert end.shape == (d * d, psi.size)
     assert np.abs(end - _echo_joint_by_sites(u, u0, site_dims, psi)
                   ).max() <= 1e-13
@@ -1035,28 +1042,25 @@ def test_blocks_read_in_several_runs_match_the_per_site_engine(site_dims):
     site alone; the rows still match the per-site engine's."""
     rng = np.random.default_rng(len(site_dims))
     d = math.prod(site_dims)
-    runs, _ = measure_module._readout(site_dims, False)
+    runs = basis_module._tables(site_dims, False)[1]
     assert [r for _, r, _, _ in runs] == {
         5: [16, 2], 3: [9, 2], 2: [2, 9], 1: [17]}[len(site_dims)]
     u, u0 = random_unitary(d, rng), random_unitary(d, rng)
     psi = random_state(2 * d, rng)
-    _, rows_of = measure_module._circuit_rows(u, u0, site_dims, psi)
+    _, rows_of = _law_and_rows(u, u0, site_dims, psi)
     want = _circuit_rows_by_sites(u, u0, site_dims, psi, False)
     assert np.abs(rows_of(np.arange(d * d)) - want).max() <= 1e-13
 
 
 def test_engine_tables_are_built_once_and_refuse_writes():
-    """One build of the index tables, of the readout kernels and of the
-    label order per site tuple, however many calls read them, the
-    circuit's and the family transform's alike (expand, the exact law,
-    dense coding and a builder's residual); the one coupling table is
-    D x D, so none grows with the joint array, and every table and
-    kernel is read-only and refuses setflags(write=True)."""
+    """One build of the product family's tables per site tuple, in its
+    one cache, however many calls read them, the circuit's and the
+    family transform's alike (expand, the exact law, dense coding and a
+    builder's residual); the coupling and row tables are D x D, so none
+    grows with the joint array, and every table and kernel is read-only
+    and refuses setflags(write=True)."""
     rng = np.random.default_rng(36)
-    caches = (measure_module._couplings, measure_module._readout,
-              basis_module._trace_order)
-    for cache in caches:
-        cache.cache_clear()
+    basis_module._tables.cache_clear()
     p, w = pauli_basis(dim=8), weyl_basis(5)
     for _ in range(3):
         measure_which_unitary(random_unitary(8, rng), p, np.eye(8)[0])
@@ -1068,19 +1072,19 @@ def test_engine_tables_are_built_once_and_refuse_writes():
             which_unitary_distribution(u, basis)
             superdense_send(u, basis)
         pauli_basis(random_unitary(8, rng), dim=8)
-    for cache in caches:
-        info = cache.cache_info()
-        assert (info.misses, info.currsize) == (2, 2)
-    tables = [measure_module._couplings((2, 2, 2)),
-              measure_module._couplings((5,))]
-    assert [t.shape for t in tables] == [(8, 8), (5, 5)]
-    for runs, order in (measure_module._readout((2, 2, 2), True),
-                        measure_module._readout((5,), False)):
-        tables += [order] + [k for run in runs for k in run[2:]]
-    tables += [*basis_module._trace_order((2, 2, 2), True),
-               *basis_module._trace_order((5,), False)[:2]]
-    assert basis_module._trace_order((5,), False)[2] is None
-    assert len(tables) == 2 + 2 + 2 * 2 + 5
+    info = basis_module._tables.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    tables = []
+    for site_dims, pauli in (((2, 2, 2), True), ((5,), False)):
+        down, runs, order, rows, index, phase = basis_module._tables(
+            site_dims, pauli)
+        assert down.shape == rows.shape == (len(down),) * 2
+        assert (phase is None) == (not pauli)
+        tables += [down, order, rows, index]
+        tables += [k for run in runs for k in run[2:]]
+        tables += [] if phase is None else [phase]
+    assert [len(t) for t in tables[:4]] == [8, 64, 8, 64]
+    assert len(tables) == 4 + 2 + 1 + 4 + 2
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

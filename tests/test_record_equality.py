@@ -408,10 +408,10 @@ def _held_arrays(value, path="record"):
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_every_array_of_every_record_is_sealed(name):
-    """However a record was made (its constructor, _filled, _held, a
-    built field) and in its copy, deepcopy, pickle and
-    dataclasses.replace, every array it holds is read-only and refuses
-    setflags(write=True)."""
+    """However a record was made (its constructor, _filled, a builder's
+    _filled with its source, a built field) and in its copy, deepcopy,
+    pickle and dataclasses.replace, every array it holds is read-only
+    and refuses setflags(write=True)."""
     record = RECORDS[name]
     if isinstance(record, KrausMap):
         canonical_kraus(record)

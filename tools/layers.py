@@ -24,8 +24,11 @@ circuit in three a one-qubit bystander, so every qubit size is also
 timed over pauli_basis(u0) for a Haar u0 drawn once per dimension (key
 suffix "u0"), and every size, the u0 ones included, with the state on
 twice the basis dimension (suffix "b") for measure_which_unitary alone,
-the one layer that reads the state. A rotation draws fresh inputs and a
-fresh seed
+the one layer that reads the state. The stack build is timed too: the
+first read of `elements` of a fresh pauli_basis(u0) at every qubit size
+(key suffix "u0") and of a fresh weyl_basis(d) at every qudit size, each
+basis built untimed, layer "elements". A rotation draws fresh inputs and
+a fresh seed
 (a warm loop over repeated inputs reads faster than any real call: over
 512 repeated keys a search of a 4-256 entry CDF per key takes 4-9 us and
 with fresh keys 9-39 us, while sorting them takes 3.2 us against 3.6,
@@ -64,6 +67,7 @@ SIDES = ("parent", "change")
 LAYERS = ("measure_which_unitary", "superdense_send",
           "which_unitary_distribution")
 RETRIEVAL = ("retrieval_statistics", "probabilistic_retrieve")
+STACK = "elements"
 
 
 def load(tree: str, name: str):
@@ -155,6 +159,13 @@ def layers(bystander: bool) -> tuple:
     return LAYERS[:1] if bystander else LAYERS
 
 
+def stack_keys(sizes) -> list:
+    """The sizes whose stack build is timed: the qubit bases with u0 and
+    the qudit bases, without a bystander."""
+    return [key for key, (kind, _, with_u0, bystander) in sizes.items()
+            if not bystander and with_u0 == (kind == "n")]
+
+
 def measure(trees, sizes, rotations: int, seed: int) -> dict:
     """{layer: {size: {side: [call times in us, one per rotation]}}}."""
     evs = [load(tree, f"evometry_{side}") for tree, side in zip(trees, SIDES)]
@@ -171,6 +182,8 @@ def measure(trees, sizes, rotations: int, seed: int) -> dict:
     for layer in RETRIEVAL:
         times[layer] = {f"d{dim}k{k}": {side: [] for side in SIDES}
                         for dim, k in MAPS}
+    times[STACK] = {key: {side: [] for side in SIDES}
+                    for key in stack_keys(sizes)}
     for r in range(-1, rotations):
         order = (0, 1) if r % 2 == 0 else (1, 0)
         runs = []
@@ -186,6 +199,12 @@ def measure(trees, sizes, rotations: int, seed: int) -> dict:
         for dim, k in MAPS:
             runs += [(layer, f"d{dim}k{k}", per_tree) for layer, per_tree
                      in retrieval(evs, dim, k, rng).items()]
+        for key in times[STACK]:
+            kind, dim, _, _ = sizes[key]
+            fresh = [ev.pauli_basis(u0s[dim], dim=dim) if kind == "n"
+                     else ev.weyl_basis(dim) for ev in evs]
+            runs.append((STACK, key, [functools.partial(getattr, b, STACK)
+                                      for b in fresh]))
         for j in rng.permutation(len(runs)):
             layer, key, per_tree = runs[j]
             for i in order:
@@ -215,6 +234,8 @@ def summary(times, rotations: int) -> dict:
         f"retrieval_statistics ({TRIALS} trials) and probabilistic_retrieve "
         "of element 0 of a fresh random map of k elements on d levels "
         "('d<d>k<k>', a register of K = k levels), its canonical form "
+        "built untimed; elements, the first read of the stack of a fresh "
+        "pauli_basis(u0) ('u0' suffix) or weyl_basis(d) ('d'), the basis "
         "built untimed.")}
     for layer, by_size in times.items():
         rows = {}
